@@ -67,14 +67,6 @@ _SCHEMA = {
 }
 
 
-class SweepConfig:
-    def __init__(self, values):
-        self.values = values
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
 def parse_config_text(text, origin="<config>"):
     """Parse ``key = value`` lines with # comments into a raw dict."""
     raw = {}
@@ -120,7 +112,7 @@ def build_config(config_path=None, overrides=(), out=None, threads=None):
         else:
             values[key] = default
     _validate(values)
-    return SweepConfig(values)
+    return values
 
 
 def _validate(v):
@@ -139,19 +131,13 @@ def _validate(v):
         raise ConfigError("output.precision must be >= 1", field="output.precision")
 
 
-def _quad(cfg):
-    return QuadratureSpec(
-        max_nodes=cfg["numerics.max_nodes"],
-        rel_tol=cfg["numerics.rel_tol"],
-        window_halfwidth_sigmas=cfg["numerics.window_halfwidth_sigmas"],
+def _quad_args(cfg):
+    """QuadratureSpec fields as a plain tuple for the row tasks."""
+    return (
+        cfg["numerics.max_nodes"],
+        cfg["numerics.rel_tol"],
+        cfg["numerics.window_halfwidth_sigmas"],
     )
-
-
-def _cutoffs(cfg, params):
-    ca, cb = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
-    if ca and cb:
-        return (ca, cb)
-    return zerotemp.default_cutoffs(params)
 
 
 def _lambda_grid(cfg):
@@ -168,12 +154,15 @@ def _threads(cfg):
     return max(1, min(requested, available)) if requested else available
 
 
-def _compute_rows(worker, tasks, n_threads):
-    """Rows computed possibly in parallel but always yielded in grid order."""
+def _sweep(cfg, worker, tasks, header):
+    """One row per task, computed possibly in parallel, written in task order."""
+    n_threads = _threads(cfg)
     if n_threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+        rows = [worker(t) for t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_threads) as pool:
+            rows = list(pool.map(worker, tasks, chunksize=1))
+    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
 
 
 def _format(value, precision):
@@ -260,18 +249,6 @@ def _witness_labels():
     return labels
 
 
-def _witness_columns(report):
-    values, flags = [report.lhs("b")], [report.entries[0].violated]
-    for kind in ("c", "d"):
-        for axes in PERMUTATIONS:
-            entry = next(
-                e for e in report.entries if e.inequality == kind and e.axes == axes
-            )
-            values.append(entry.lhs)
-            flags.append(entry.violated)
-    return values, flags
-
-
 def _witness_row(task):
     omega, omega0, lam, temp, n, finite_n, cutoffs, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
@@ -282,8 +259,10 @@ def _witness_row(task):
         point = thermal.ThermalPoint(params, 1.0 / temp)
         moments = thermal.thermal_moments(point, QuadratureSpec(*quad_args))
     report = (witness.evaluate_finite_n if finite_n else witness.evaluate)(moments)
-    values, flags = _witness_columns(report)
-    return (lam, temp, n) + tuple(values) + tuple(flags) + (report.any_violation,)
+    # report.entries come in _witness_labels order
+    values = tuple(e.lhs for e in report.entries)
+    flags = tuple(e.violated for e in report.entries)
+    return (lam, temp, n) + values + flags + (report.any_violation,)
 
 
 def _oracle_ground_row(task):
@@ -355,28 +334,20 @@ def cmd_sweep_zero_t(cfg):
         for n in cfg["model.n_atoms"]
         for lam in lams
     ]
-    rows = _compute_rows(_zero_t_row, tasks, _threads(cfg))
     header = ["lambda", "n_atoms", "temperature", "phase", "a", "jz_per_atom", "delta", "purity"]
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+    _sweep(cfg, _zero_t_row, tasks, header)
 
 
 def cmd_sweep_finite_t(cfg):
     lams = _lambda_grid(cfg)
     temps = _t_grid(cfg)
-    if len(lams) < 2 and len(temps) < 2:
-        raise ConfigError("empty grid: both axes have fewer than 2 steps", field="grid")
     n = cfg["model.n_atoms"][0]
-    quad_args = (
-        cfg["numerics.max_nodes"],
-        cfg["numerics.rel_tol"],
-        cfg["numerics.window_halfwidth_sigmas"],
-    )
+    quad_args = _quad_args(cfg)
     tasks = [
         (cfg["model.omega"], cfg["model.omega0"], float(lam), float(t), n, quad_args)
         for lam in lams
         for t in temps
     ]
-    rows = _compute_rows(_finite_t_row, tasks, _threads(cfg))
     header = [
         "lambda",
         "temperature",
@@ -389,7 +360,7 @@ def cmd_sweep_finite_t(cfg):
         "tc_resonant_line",
         "validity_warning",
     ]
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+    _sweep(cfg, _finite_t_row, tasks, header)
 
 
 def cmd_witness(cfg):
@@ -399,11 +370,7 @@ def cmd_witness(cfg):
     lams = _lambda_grid(cfg)
     temps = [0.0] if mode == "zero_t" else list(_t_grid(cfg))
     n = cfg["model.n_atoms"][0]
-    quad_args = (
-        cfg["numerics.max_nodes"],
-        cfg["numerics.rel_tol"],
-        cfg["numerics.window_halfwidth_sigmas"],
-    )
+    quad_args = _quad_args(cfg)
     ca, cb = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
     cutoffs = (ca, cb) if (ca and cb) else None
     tasks = [
@@ -420,7 +387,6 @@ def cmd_witness(cfg):
         for lam in lams
         for t in temps
     ]
-    rows = _compute_rows(_witness_row, tasks, _threads(cfg))
     labels = _witness_labels()
     header = (
         ["lambda", "temperature", "n_atoms"]
@@ -428,49 +394,43 @@ def cmd_witness(cfg):
         + [f"violated_{x}" for x in labels]
         + ["any_violation"]
     )
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+    _sweep(cfg, _witness_row, tasks, header)
 
 
 def cmd_oracle_compare(cfg):
     mode = cfg["oracle.mode"]
     n = cfg["model.n_atoms"][0]
     cutoff = cfg["oracle.cutoff"]
+    lams = _lambda_grid(cfg)
     if mode == "ground":
         oracle.symmetric_basis(n, cutoff)  # capacity check up front
-        lams = _lambda_grid(cfg)
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff,
              cfg["numerics.cutoff_atom"])
             for lam in lams
         ]
-        rows = _compute_rows(_oracle_ground_row, tasks, _threads(cfg))
         header = [
             "lambda", "n_atoms", "cutoff", "delta_effective", "delta_oracle",
             "abs_error", "rel_error", "jz_effective", "jz_oracle",
         ]
+        _sweep(cfg, _oracle_ground_row, tasks, header)
     elif mode == "thermal":
         oracle.full_product_basis(n, cutoff)  # capacity check up front
         betas = cfg["grid.beta_list"] or [0.1, 0.2, 0.4]
-        lams = _lambda_grid(cfg)
-        quad_args = (
-            cfg["numerics.max_nodes"],
-            cfg["numerics.rel_tol"],
-            cfg["numerics.window_halfwidth_sigmas"],
-        )
+        quad_args = _quad_args(cfg)
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), float(b), n, cutoff, quad_args)
             for lam in lams
             for b in betas
         ]
-        rows = _compute_rows(_oracle_thermal_row, tasks, _threads(cfg))
         header = [
             "lambda", "beta", "n_atoms", "cutoff", "delta_quadrature", "delta_oracle",
             "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
             "max_moment_error",
         ]
+        _sweep(cfg, _oracle_thermal_row, tasks, header)
     else:
         raise ConfigError("oracle.mode must be ground or thermal", field="oracle.mode")
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
 
 
 def cmd_scaling_fit(cfg):

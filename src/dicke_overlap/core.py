@@ -49,9 +49,6 @@ class ModelParams:
     def critical(self) -> float:
         return critical_coupling(self.omega, self.omega0)
 
-    def with_coupling(self, coupling) -> "ModelParams":
-        return ModelParams(self.omega, self.omega0, coupling, self.n_atoms)
-
 
 def critical_coupling(omega, omega0):
     """Normal/superradiant boundary coupling sqrt(omega * omega0) / 2."""

@@ -1,4 +1,6 @@
-"""Shared numerical kernels.
+"""Shared numerical kernels: bisection (``find_root``), golden-section
+maximization (``golden_max``), the symmetric eigensolvers with the
+eigenvector sign convention (``lowest_eigenpair``), and quadrature.
 
 The quadrature routines integrate functions supplied as *log-integrands*
 ``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
@@ -104,7 +106,9 @@ def lowest_eigenpair(matrix, sigma=None):
     Dense input uses the LAPACK subset driver.  Sparse input uses
     shift-inverted Lanczos with a deterministic start vector; ``sigma``
     must then be a strict lower bound on the spectrum (for the quadratic
-    mode Hamiltonians the Bogoliubov ground energy provides one).
+    mode Hamiltonians the Bogoliubov ground energy provides one).  Sign
+    convention: the first amplitude above 1e-10 of the largest is
+    nonnegative.
     """
     if sparse.issparse(matrix):
         if sigma is None:
@@ -117,14 +121,21 @@ def lowest_eigenpair(matrix, sigma=None):
             )
         except sparse_linalg.ArpackNoConvergence as exc:
             raise NumericalError("Lanczos iteration did not converge", sigma=sigma) from exc
-        return vals[0], vecs[:, 0]
-    a = np.asarray(matrix, dtype=float)
-    vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
-    return vals[0], vecs[:, 0]
+    else:
+        a = np.asarray(matrix, dtype=float)
+        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
+    vec = vecs[:, 0]
+    significant = np.flatnonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())
+    if len(significant) and vec[significant[0]] < 0:
+        vec = -vec
+    return vals[0], vec
 
 
-def _golden_max(f, lo, hi, tol=1e-11):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def golden_max(f, lo, hi, tol=1e-11):
+    """Golden-section maximization of a unimodal f on [lo, hi].
+
+    Stops when the bracket is narrower than ``tol * max(1, |lo|, |hi|)``.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -195,7 +206,7 @@ def _windows(log_f, quad: QuadratureSpec):
     for idx in peaks:
         lo = xs[max(idx - 1, 0)]
         hi = xs[min(idx + 1, len(xs) - 1)]
-        x_peak = _golden_max(scalar_f, lo, hi)
+        x_peak = golden_max(scalar_f, lo, hi)
         f_peak = scalar_f(x_peak)
         w_lo, w_hi = _half_drop_width(log_f, x_peak, f_peak, max(spacing, 1e-8))
         intervals.append([x_peak - k * w_lo, x_peak + k * w_hi, f_peak])

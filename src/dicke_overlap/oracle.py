@@ -10,7 +10,7 @@ Validation backend for every other module.  Two bases:
   collective basis misses, so finite-temperature validation uses this
   basis (N <= 6 only).
 
-Only dense symmetric eigensolvers are used.
+Only the dense symmetric eigensolvers of ``numerics`` are used.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import logsumexp
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
-from .separable import SeparableState
+from .numerics import lowest_eigenpair, symmetric_eigendecomposition
+from .separable import SeparableState, config_log_terms
 from .witness import MomentSet
 
 _FULL_PRODUCT_MAX_ATOMS = 6
@@ -115,6 +115,18 @@ def _photon_ladder(cutoff):
     return a
 
 
+def _site_sum(pauli, n_atoms):
+    """sum_i pauli_i / 2 in the 2^N product basis (pauli_i acts on atom i)."""
+    total = np.zeros((2**n_atoms, 2**n_atoms), dtype=pauli.dtype)
+    for i in range(n_atoms):
+        ops = [pauli if k == i else np.eye(2) for k in range(n_atoms)]
+        m = ops[0]
+        for k in range(1, n_atoms):
+            m = np.kron(m, ops[k])
+        total += m / 2.0
+    return total
+
+
 def collective_spin_matrices(basis: DickeBasis):
     """Atomic-space J_x, J_y, J_z (J_y is complex; the rest real)."""
     n_atoms = basis.n_atoms
@@ -125,30 +137,10 @@ def collective_spin_matrices(basis: DickeBasis):
         jp[n[:-1] + 1, n[:-1]] = np.sqrt((n_atoms - n[:-1]) * (n[:-1] + 1.0))
         jz = np.diag(n - n_atoms / 2.0)
     else:
-        dim = 2**n_atoms
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-        jx = np.zeros((dim, dim))
-        jz = np.zeros((dim, dim))
-        for i in range(n_atoms):
-            ops_x = [sx if k == i else np.eye(2) for k in range(n_atoms)]
-            ops_z = [sz if k == i else np.eye(2) for k in range(n_atoms)]
-            mx, mz = ops_x[0], ops_z[0]
-            for k in range(1, n_atoms):
-                mx = np.kron(mx, ops_x[k])
-                mz = np.kron(mz, ops_z[k])
-            jx += mx / 2.0
-            jz += mz / 2.0
-        # J+ = Jx + i Jy; in the product basis Jy follows from sigma_y kron sums
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        jy = np.zeros((dim, dim), dtype=complex)
-        for i in range(n_atoms):
-            ops = [sy if k == i else np.eye(2) for k in range(n_atoms)]
-            m = ops[0]
-            for k in range(1, n_atoms):
-                m = np.kron(m, ops[k])
-            jy += m / 2.0
-        return jx, jy, jz
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        return _site_sum(sx, n_atoms), _site_sum(sy, n_atoms), _site_sum(sz, n_atoms)
     jm = jp.T
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
@@ -211,29 +203,18 @@ class OracleState:
         vecs = (self.eigenvectors * np.sqrt(w)).reshape(self.basis.cutoff, d_atom, -1)
         return np.einsum("mak,mbk->ab", vecs, vecs)
 
-    def atomic_config_diagonal(self):
-        return np.diag(self.atomic_reduced_matrix()).copy()
-
     def up_spin_distribution(self):
         """Probability of finding exactly n up spins, n = 0..N."""
-        diag = self.atomic_config_diagonal()
+        diag = np.diag(self.atomic_reduced_matrix())
         n_up = self.basis.up_counts()
         return np.bincount(n_up, weights=diag, minlength=self.basis.n_atoms + 1)
-
-
-def _fix_sign(vec):
-    significant = np.flatnonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())
-    if len(significant) and vec[significant[0]] < 0:
-        return -vec
-    return vec
 
 
 @functools.lru_cache(maxsize=64)
 def _ground_pair(params: ModelParams, cutoff: int):
     basis = symmetric_basis(params.n_atoms, cutoff)
     h = build_hamiltonian(params, basis)
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, 0))
-    return vals[0], _fix_sign(vecs[:, 0])
+    return lowest_eigenpair(h)
 
 
 def exact_ground_state(params: ModelParams, cutoff):
@@ -262,7 +243,7 @@ def ground_energy(params: ModelParams, cutoff):
 def _thermal_decomposition(params: ModelParams, cutoff: int):
     basis = full_product_basis(params.n_atoms, cutoff)
     h = build_hamiltonian(params, basis)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = symmetric_eigendecomposition(h)
     return basis, vals, vecs
 
 
@@ -279,14 +260,7 @@ def exact_thermal_state(params: ModelParams, cutoff, beta):
 
 def _config_log_weights(sep: SeparableState, n_up):
     """Per-configuration ln[a^n (1-a)^(N-n)] (no binomial factor)."""
-    n = np.asarray(n_up, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(n > 0, n * np.log(sep.a) if sep.a > 0 else -np.inf, 0.0)
-        down = np.where(
-            n < sep.n_atoms,
-            (sep.n_atoms - n) * np.log1p(-sep.a) if sep.a < 1 else -np.inf,
-            0.0,
-        )
+    up, down = config_log_terms(sep.a, sep.n_atoms, n_up)
     return up + down
 
 
@@ -367,7 +341,7 @@ def _split_pieces(params: ModelParams, cutoff: int):
     a = _photon_ladder(cutoff)
     hi = params.omega0 * np.kron(np.eye(cutoff), jz)
     hi += (params.coupling / math.sqrt(params.n_atoms)) * np.kron(a + a.T, 2.0 * jx)
-    vals, vecs = np.linalg.eigh(hi)
+    vals, vecs = symmetric_eigendecomposition(hi)
     h0_diag = params.omega * np.repeat(np.arange(cutoff, dtype=float), basis.atom_dim)
     return basis, h0_diag, vals, vecs
 
@@ -396,11 +370,3 @@ def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     n_up = np.tile(basis.up_counts(), basis.cutoff)
     log_ref = _config_log_weights(sep, n_up)
     return float(np.exp(logsumexp(log_terms + log_ref) - logsumexp(log_terms)))
-
-
-def split_thermal_jz(params: ModelParams, cutoff, beta):
-    """<J_z>/N under the split-trace state (diagonal observable, so well defined)."""
-    basis, log_terms = _split_log_terms(params, cutoff, beta)
-    n_up = np.tile(basis.up_counts(), basis.cutoff)
-    w = np.exp(log_terms - logsumexp(log_terms))
-    return float(np.dot(w, n_up - basis.n_atoms / 2.0)) / basis.n_atoms

@@ -10,22 +10,29 @@ only (a, N, log-weights) are ever stored, never a 2^N matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidDistributionError, InvalidParameterError
+from .numerics import golden_max
+
+
+def config_log_terms(a, n_atoms, n_up):
+    """(ln a^n, ln (1-a)^(N-n)) for each up-spin count n in ``n_up`` (-inf where 0)."""
+    n = np.asarray(n_up, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(n > 0, n * np.log(a) if a > 0 else -np.inf, 0.0)
+        down = np.where(n < n_atoms, (n_atoms - n) * np.log1p(-a) if a < 1 else -np.inf, 0.0)
+    return up, down
 
 
 def _binomial_log_weights(a, n_atoms):
     """ln[C(N,n) a^n (1-a)^(N-n)] for n = 0..N, via log-gamma (-inf where the weight is 0)."""
     n = np.arange(n_atoms + 1, dtype=float)
     log_comb = gammaln(n_atoms + 1.0) - gammaln(n + 1.0) - gammaln(n_atoms - n + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(n > 0, n * np.log(a) if a > 0 else -np.inf, 0.0)
-        down = np.where(n < n_atoms, (n_atoms - n) * np.log1p(-a) if a < 1 else -np.inf, 0.0)
+    up, down = config_log_terms(a, n_atoms, n)
     return log_comb + up + down
 
 
@@ -49,9 +56,6 @@ class SeparableState:
         """The N+1 binomial probabilities (exact zeros where log-weight is -inf)."""
         return np.exp(self.log_weights)
 
-    def jz_per_atom(self):
-        return self.a - 0.5
-
 
 def from_jz(jz_per_atom, n_atoms) -> SeparableState:
     """Reference state matched to a target <J_z>/N through a = 1/2 + <J_z>/N."""
@@ -70,23 +74,6 @@ def log_weight(state: SeparableState, n):
 def _overlap_with_weights(a, n_atoms, probs):
     w = np.exp(_binomial_log_weights(a, n_atoms))
     return float(np.dot(w, probs))
-
-
-def _golden_max(f, lo, hi, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
 
 
 def nearest_a(diagonal_probs, tol=1e-8):
@@ -108,5 +95,5 @@ def nearest_a(diagonal_probs, tol=1e-8):
     n_atoms = len(p) - 1
     mean_n = float(np.dot(np.arange(n_atoms + 1), p))
     a_matched = min(max(mean_n / n_atoms, 0.0), 1.0)
-    a_best = _golden_max(lambda a: _overlap_with_weights(a, n_atoms, p), 0.0, 1.0, tol)
+    a_best = golden_max(lambda a: _overlap_with_weights(a, n_atoms, p), 0.0, 1.0, tol)
     return a_matched, a_best

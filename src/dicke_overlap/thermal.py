@@ -59,10 +59,6 @@ class ThermalPoint:
         if not math.isfinite(self.beta * max(self.params.omega, self.params.omega0)):
             raise InvalidParameterError("beta * max(omega, omega0) must be finite")
 
-    @property
-    def temperature(self):
-        return 1.0 / self.beta
-
 
 def _log2cosh(y):
     y = np.abs(y)

@@ -100,53 +100,33 @@ class WitnessReport:
         raise KeyError((inequality, axes))
 
 
-def _report(entries, tol):
+def _evaluate(moments: MomentSet, tol_witness, pair, d_const) -> WitnessReport:
+    """The (b), (c), (d) entries with pair factor ``pair`` and (d) constant ``d_const``."""
+    moments.validate()
+    n = moments.n_atoms
+    var = {axis: moments.variance(axis) for axis in AXES}
+    sec = dict(zip(AXES, moments.second))
+
+    entries = [("b", None, var["x"] + var["y"] + var["z"] - 1.0 / (2 * n))]
+    for alpha, beta, gamma in PERMUTATIONS:
+        entries.append(
+            ("c", (alpha, beta, gamma), pair * var[gamma] - sec[alpha] - sec[beta] + 1.0 / (2 * n))
+        )
+    for alpha, beta, gamma in PERMUTATIONS:
+        entries.append(
+            ("d", (alpha, beta, gamma), pair * (var[alpha] + var[beta]) - sec[gamma] - d_const)
+        )
     return WitnessReport(
-        tuple(WitnessEntry(kind, axes, lhs, lhs < -tol) for kind, axes, lhs in entries)
+        tuple(WitnessEntry(kind, axes, lhs, lhs < -tol_witness) for kind, axes, lhs in entries)
     )
 
 
 def evaluate(moments: MomentSet, tol_witness=TOL_WITNESS) -> WitnessReport:
     """Large-N witness evaluation: one (b) entry, six (c) and six (d) entries."""
-    moments.validate()
-    n = moments.n_atoms
-    var = {axis: moments.variance(axis) for axis in AXES}
-    sec = dict(zip(AXES, moments.second))
-
-    entries = [("b", None, var["x"] + var["y"] + var["z"] - 1.0 / (2 * n))]
-    for alpha, beta, gamma in PERMUTATIONS:
-        entries.append(
-            ("c", (alpha, beta, gamma), n * var[gamma] - sec[alpha] - sec[beta] + 1.0 / (2 * n))
-        )
-    for alpha, beta, gamma in PERMUTATIONS:
-        entries.append(
-            ("d", (alpha, beta, gamma), n * (var[alpha] + var[beta]) - sec[gamma] - 0.25)
-        )
-    return _report(entries, tol_witness)
+    return _evaluate(moments, tol_witness, moments.n_atoms, 0.25)
 
 
 def evaluate_finite_n(moments: MomentSet, tol_witness=TOL_WITNESS) -> WitnessReport:
     """Finite-N witness evaluation (normalized by N^2 for comparability)."""
-    moments.validate()
     n = moments.n_atoms
-    var = {axis: moments.variance(axis) for axis in AXES}
-    sec = dict(zip(AXES, moments.second))
-
-    entries = [("b", None, var["x"] + var["y"] + var["z"] - 1.0 / (2 * n))]
-    for alpha, beta, gamma in PERMUTATIONS:
-        entries.append(
-            (
-                "c",
-                (alpha, beta, gamma),
-                (n - 1) * var[gamma] - sec[alpha] - sec[beta] + 1.0 / (2 * n),
-            )
-        )
-    for alpha, beta, gamma in PERMUTATIONS:
-        entries.append(
-            (
-                "d",
-                (alpha, beta, gamma),
-                (n - 1) * (var[alpha] + var[beta]) - sec[gamma] - (n - 2) / (4.0 * n),
-            )
-        )
-    return _report(entries, tol_witness)
+    return _evaluate(moments, tol_witness, n - 1, (n - 2) / (4.0 * n))

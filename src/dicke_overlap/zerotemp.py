@@ -52,7 +52,6 @@ from .witness import MomentSet
 _TAIL_FRACTION = 0.1
 _TAIL_TOL = 1e-8
 _DENSE_DIM_LIMIT = 6000
-DEFAULT_TEST_CUTOFF = 30
 DEFAULT_PLOT_CUTOFF = 60
 MAX_DEFAULT_CUTOFF = 360  # shift-invert LU fill ~ cutoff^3 * 16 bytes
 
@@ -147,6 +146,14 @@ def _frequencies(params: ModelParams) -> PolaritonFrequencies:
     return PolaritonFrequencies(math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[1]))
 
 
+def _reject_critical(params: ModelParams):
+    if params.coupling == params.critical:
+        raise InvalidParameterError(
+            "lambda = lambda_c is singular: the soft mode is at zero, so the excitation "
+            "energies and the effective ground state are undefined"
+        )
+
+
 def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
     """Bogoliubov excitation energies of the quadratic form.
 
@@ -158,10 +165,7 @@ def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
 
     and the excitation energies are the square roots of V's eigenvalues.
     """
-    if params.coupling == params.critical:
-        raise InvalidParameterError(
-            "excitation energies are undefined at the critical point (soft mode at zero)"
-        )
+    _reject_critical(params)
     return _frequencies(params)
 
 
@@ -202,9 +206,8 @@ def ground_state(
 ) -> TwoModeState:
     """Lowest eigenpair of a truncated two-mode Hamiltonian.
 
-    Applies the sign convention (first significant amplitude nonnegative)
-    and rejects states whose occupation tail in the top 10% of either
-    mode's levels exceeds 1e-8.
+    The sign convention is ``lowest_eigenpair``'s.  Rejects states whose
+    occupation tail in the top 10% of either mode's levels exceeds 1e-8.
     """
     ca, cb = cutoffs
     dim = ca * cb
@@ -216,9 +219,6 @@ def ground_state(
         energy, vec = lowest_eigenpair(sparse.csr_matrix(matrix), sigma=sigma_lower)
     else:
         energy, vec = lowest_eigenpair(np.asarray(matrix))
-    significant = np.flatnonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())
-    if len(significant) and vec[significant[0]] < 0:
-        vec = -vec
     psi = vec.reshape(ca, cb)
     tail_photon = _tail_mass((psi**2).sum(axis=1))
     tail_atom = _tail_mass((psi**2).sum(axis=0))
@@ -241,7 +241,7 @@ def ground_state(
     )
 
 
-def default_cutoffs(params: ModelParams, base=DEFAULT_PLOT_CUTOFF):
+def default_cutoffs(params: ModelParams):
     """Cutoff heuristic: grows as the soft mode drops toward zero near lambda_c.
 
     Capped at ``MAX_DEFAULT_CUTOFF`` (the shift-invert factorization is
@@ -255,15 +255,18 @@ def default_cutoffs(params: ModelParams, base=DEFAULT_PLOT_CUTOFF):
     q = n_bar / (1.0 + n_bar)
     # top-10% tail below 1e-9: mass above 0.9 C is ~ q^(0.9 C) / (1 - q)
     need = (math.log(1e9) + math.log(1.0 / (1.0 - q))) / (0.9 * -math.log(q))
-    c = max(base, int(math.ceil(1.15 * need)) + 8)
+    c = max(DEFAULT_PLOT_CUTOFF, int(math.ceil(1.15 * need)) + 8)
     return min(c, MAX_DEFAULT_CUTOFF), min(c, MAX_DEFAULT_CUTOFF)
 
 
 def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     """Phase-appropriate effective ground state with displacement bookkeeping.
 
-    Escalates the cutoffs once (x1.5) if the occupation-tail check fails.
+    Rejects lambda = lambda_c, where the soft mode vanishes, before any
+    solve.  Escalates the cutoffs once (x1.5) if the occupation-tail check
+    fails.
     """
+    _reject_critical(params)
     phase = phase_zero_t(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)

@@ -96,18 +96,81 @@ def test_sweep_zero_t_endpoint_and_schema(tmp_path):
     }
 
 
-def test_sweep_zero_t_rerun_is_byte_identical(tmp_path):
-    args = [
-        "sweep-zero-t",
-        "--set", "grid.lambda_min=0.2",
-        "--set", "grid.lambda_max=0.8",
-        "--set", "grid.lambda_steps=4",
-        "--set", "model.n_atoms=10",
-    ]
+_WITNESS_LABELS = ["b"] + [
+    f"{kind}_{axes}"
+    for kind in ("c", "d")
+    for axes in ("x_y_z", "x_z_y", "y_x_z", "y_z_x", "z_x_y", "z_y_x")
+]
+_WITNESS_HEADER = (
+    ["lambda", "temperature", "n_atoms"]
+    + [f"lhs_{x}" for x in _WITNESS_LABELS]
+    + [f"violated_{x}" for x in _WITNESS_LABELS]
+    + ["any_violation"]
+)
+_TWO_COUPLINGS = {"grid.lambda_min": 0.3, "grid.lambda_max": 0.9, "grid.lambda_steps": 2}
+_TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
+
+
+@pytest.mark.parametrize(
+    "command, sets, header",
+    [
+        pytest.param(
+            "sweep-zero-t",
+            {"grid.lambda_min": 0.2, "grid.lambda_max": 0.8, "grid.lambda_steps": 4,
+             "model.n_atoms": 10},
+            ["lambda", "n_atoms", "temperature", "phase", "a", "jz_per_atom", "delta", "purity"],
+            id="sweep-zero-t",
+        ),
+        pytest.param(
+            "sweep-finite-t",
+            {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10},
+            ["lambda", "temperature", "n_atoms", "phase", "a", "jz_per_atom", "delta",
+             "tc_self_consistent", "tc_resonant_line", "validity_warning"],
+            id="sweep-finite-t",
+        ),
+        pytest.param(
+            "witness",
+            # the default atom cutoff (60) needs N >= 59 for the HP moments
+            {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 100},
+            _WITNESS_HEADER,
+            id="witness-zero_t",
+        ),
+        pytest.param(
+            "witness",
+            {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "witness.mode": "finite_t",
+             "model.n_atoms": 10},
+            _WITNESS_HEADER,
+            id="witness-finite_t",
+        ),
+        pytest.param(
+            "oracle-compare",
+            {**_TWO_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 10},
+            ["lambda", "n_atoms", "cutoff", "delta_effective", "delta_oracle", "abs_error",
+             "rel_error", "jz_effective", "jz_oracle"],
+            id="oracle-compare-ground",
+        ),
+        pytest.param(
+            "oracle-compare",
+            {"oracle.mode": "thermal", "model.n_atoms": 2, "grid.lambda_min": 1.0,
+             "grid.lambda_max": 1.0, "grid.lambda_steps": 1, "grid.beta_list": "0.1,0.2"},
+            ["lambda", "beta", "n_atoms", "cutoff", "delta_quadrature", "delta_oracle",
+             "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
+             "max_moment_error"],
+            id="oracle-compare-thermal",
+        ),
+    ],
+)
+def test_pooled_command_csv_contract(tmp_path, command, sets, header):
+    """Serial and pooled runs write the same bytes under the pinned header."""
+    args = [command]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={value}"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli([*args, "--out", str(out1), "--threads", "1"]).returncode == 0
-    assert run_cli([*args, "--out", str(out2), "--threads", "2"]).returncode == 0
+    for out, threads in ((out1, "1"), (out2, "2")):
+        result = run_cli([*args, "--out", str(out), "--threads", threads])
+        assert result.returncode == 0, result.stderr
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_text().splitlines()[0].split(",") == header
 
 
 def test_sweep_finite_t_validity_flag(tmp_path):

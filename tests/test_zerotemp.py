@@ -163,6 +163,15 @@ def test_polariton_critical_point_rejected():
         polariton_frequencies(ModelParams(1.0, 1.0, 0.5, 10))
 
 
+def test_effective_ground_state_rejects_critical_point_before_solving(monkeypatch):
+    def no_hamiltonian(*args):
+        raise AssertionError("a Hamiltonian was built at lambda_c")
+
+    monkeypatch.setattr(zerotemp, "_sparse_hamiltonian", no_hamiltonian)
+    with pytest.raises(InvalidParameterError):
+        effective_ground_state(ModelParams(1.0, 1.0, 0.5, 10))
+
+
 def test_atom_diagonal_decoupled():
     state = effective_ground_state(ModelParams(1, 1, 0.0, 10), (12, 12))
     probs = atom_diagonal_probabilities(state)
