@@ -48,11 +48,10 @@ _SCHEMA = {
     "grid.t_max": (float, 3.0),
     "grid.t_steps": (int, 15),
     "grid.beta_list": (lambda s: [float(x) for x in str(s).split(",")], None),
-    "numerics.cutoff_photon": (int, 0),  # 0 = automatic
+    "numerics.cutoff_photon": (int, 0),  # 0 = automatic; set both cutoffs or neither
     "numerics.cutoff_atom": (int, 0),
     "numerics.rel_tol": (float, 1e-9),
     "numerics.max_nodes": (int, 200_000),
-    "numerics.window_halfwidth_sigmas": (float, 8.0),
     "numerics.threads": (int, 0),  # 0 = hardware parallelism
     "output.csv": (str, ""),
     "output.precision": (int, 12),
@@ -129,15 +128,22 @@ def _validate(v):
         raise ConfigError("frequencies must be positive", field="model.omega")
     if v["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1", field="output.precision")
+    photon, atom = "numerics.cutoff_photon", "numerics.cutoff_atom"
+    if bool(v[photon]) != bool(v[atom]):
+        raise ConfigError(
+            f"{photon} and {atom} must be set together", field=photon if v[photon] else atom
+        )
+
+
+def _cutoffs(cfg):
+    """Effective-backend (photon, atom) cutoffs, or None for the automatic ones."""
+    photon, atom = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
+    return (photon, atom) if photon else None
 
 
 def _quad_args(cfg):
     """QuadratureSpec fields as a plain tuple for the row tasks."""
-    return (
-        cfg["numerics.max_nodes"],
-        cfg["numerics.rel_tol"],
-        cfg["numerics.window_halfwidth_sigmas"],
-    )
+    return cfg["numerics.max_nodes"], cfg["numerics.rel_tol"]
 
 
 def _lambda_grid(cfg):
@@ -203,9 +209,9 @@ def _write_csv(path, header, rows, precision):
 
 
 def _zero_t_row(task):
-    omega, omega0, lam, n, ca, cb = task
+    omega, omega0, lam, n, cutoffs = task
     params = ModelParams(omega, omega0, lam, n)
-    state = zerotemp.effective_ground_state(params, (ca, cb) if ca else None)
+    state = zerotemp.effective_ground_state(params, cutoffs)
     sep = zerotemp.matched_separable_state(params)
     delta = zerotemp.overlap_zero_t(state, sep)
     return (
@@ -253,6 +259,10 @@ def _witness_row(task):
     omega, omega0, lam, temp, n, finite_n, cutoffs, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
     if temp == 0.0:
+        if cutoffs is None:
+            # the HP moments need an atom cutoff of at most N + 1
+            photon, atom = zerotemp.default_cutoffs(params)
+            cutoffs = (photon, min(atom, n + 1))
         state = zerotemp.effective_ground_state(params, cutoffs)
         moments = zerotemp.collective_moments_zero_t(state, params)
     else:
@@ -266,12 +276,12 @@ def _witness_row(task):
 
 
 def _oracle_ground_row(task):
-    omega, omega0, lam, n, cutoff, ca = task
+    omega, omega0, lam, n, cutoff, cutoffs = task
     params = ModelParams(omega, omega0, lam, n)
     state_ed = oracle.exact_ground_state(params, cutoff)
     sep = zerotemp.matched_separable_state(params)
     delta_ed, _, _ = oracle.exact_overlap(state_ed, sep)
-    delta_eff = zerotemp.overlap_for_params(params, (ca, ca) if ca else None)
+    delta_eff = zerotemp.overlap_for_params(params, cutoffs)
     jz_ed = oracle.exact_moments(state_ed).first[2]
     abs_err = abs(delta_eff - delta_ed)
     return (
@@ -328,9 +338,9 @@ def cmd_sweep_zero_t(cfg):
     lams = _lambda_grid(cfg)
     if len(lams) < 2:
         raise ConfigError("sweep-zero-t needs grid.lambda_steps >= 2", field="grid.lambda_steps")
-    ca, cb = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
+    cutoffs = _cutoffs(cfg)
     tasks = [
-        (cfg["model.omega"], cfg["model.omega0"], float(lam), n, ca, cb)
+        (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoffs)
         for n in cfg["model.n_atoms"]
         for lam in lams
     ]
@@ -371,8 +381,7 @@ def cmd_witness(cfg):
     temps = [0.0] if mode == "zero_t" else list(_t_grid(cfg))
     n = cfg["model.n_atoms"][0]
     quad_args = _quad_args(cfg)
-    ca, cb = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
-    cutoffs = (ca, cb) if (ca and cb) else None
+    cutoffs = _cutoffs(cfg)
     tasks = [
         (
             cfg["model.omega"],
@@ -405,8 +414,7 @@ def cmd_oracle_compare(cfg):
     if mode == "ground":
         oracle.symmetric_basis(n, cutoff)  # capacity check up front
         tasks = [
-            (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff,
-             cfg["numerics.cutoff_atom"])
+            (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff, _cutoffs(cfg))
             for lam in lams
         ]
         header = [

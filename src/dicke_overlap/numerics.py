@@ -4,14 +4,14 @@ eigenvector sign convention (``lowest_eigenpair``), and quadrature.
 
 The quadrature routines integrate functions supplied as *log-integrands*
 ``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
-vanishes).  Integration is windowed: maxima of ln f are located by a
-coarse scan plus golden-section refinement, each maximum gets a window of
-+-``window_halfwidth_sigmas`` effective standard deviations (the
-half-width at which ln f drops by 1/2), overlapping windows are merged,
-and each window is integrated by composite Simpson with grid doubling
-until the Richardson error estimate |S_h - S_2h|/15 meets the relative
-tolerance.  All accumulation across windows happens in log space, so
-integrands with values like exp(+-10^4) are handled without overflow.
+vanishes).  Integration is windowed: a symmetric scan of ln f widens
+until both its edges lie 80 nats below its maximum; every maximal run of
+scan points within 60 nats of that maximum, widened by one scan point per
+side, is a window; and each window is integrated by composite Simpson
+with grid doubling until the Richardson error estimate |S_h - S_2h|/15
+meets the relative tolerance.  All accumulation across windows happens in
+log space, so integrands with values like exp(+-10^4) are handled without
+overflow.
 """
 
 from __future__ import annotations
@@ -23,31 +23,27 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
-from scipy.special import logsumexp
 
 from .errors import BracketError, InvalidParameterError, NumericalError
 
 _LOG_FLOOR = -745.0  # exp() underflows below this
 _SCAN_POINTS = 4097
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
-_PEAK_KEEP = 60.0  # discard maxima more than this far below the global one
+_PEAK_KEEP = 60.0  # windows cover the scan points within this of the maximum
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node budget, relative tolerance, and window extent for the quadratures."""
+    """Node budget and relative tolerance for the quadratures."""
 
     max_nodes: int = 200_000
     rel_tol: float = 1e-9
-    window_halfwidth_sigmas: float = 8.0
 
     def __post_init__(self):
         if self.max_nodes < 64:
             raise InvalidParameterError(f"max_nodes must be >= 64, got {self.max_nodes}")
         if not (0.0 < self.rel_tol <= 1e-3):
             raise InvalidParameterError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.window_halfwidth_sigmas <= 0:
-            raise InvalidParameterError("window_halfwidth_sigmas must be positive")
 
 
 def find_root(f, bracket, rel_width=1e-12, max_iter=200):
@@ -168,108 +164,86 @@ def _scan(log_f):
     raise NumericalError("log-integrand does not decay within the scan range", span=span)
 
 
-def _half_drop_width(log_f, x_peak, f_peak, step):
-    """Distance from the peak at which ln f has dropped by >= 1/2, per side."""
-    widths = []
-    for direction in (-1.0, 1.0):
-        delta = step
-        for _ in range(80):
-            if log_f(np.array([x_peak + direction * delta]))[0] <= f_peak - 0.5:
-                break
-            delta *= 2.0
-        else:
-            raise NumericalError("could not locate the half-drop width of a peak", x=x_peak)
-        widths.append(delta)
-    return widths[0], widths[1]
+def _windows(log_f):
+    """Integration windows (lo, hi, shift) from the scan of ``log_f``.
 
-
-def _windows(log_f, quad: QuadratureSpec):
-    """Merged integration windows around the maxima of ``log_f``."""
+    Each window is a maximal run of scan points whose log-value lies within
+    ``_PEAK_KEEP`` of the scan maximum, widened by one scan point per side;
+    its shift is the run's largest scan value.  The scan edges lie
+    ``_SCAN_DECAY`` below the maximum, so every run is interior.
+    """
     xs, vals = _scan(log_f)
-    spacing = xs[1] - xs[0]
-    top = vals.max()
-    interior = np.arange(1, len(xs) - 1)
-    is_max = (vals[interior] >= vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
-    candidates = interior[is_max & (vals[interior] > top - _PEAK_KEEP)]
-    if len(candidates) == 0:
-        candidates = np.array([int(np.argmax(vals))])
-    # collapse runs of adjacent flat grid maxima
-    peaks = []
-    for idx in candidates:
-        if peaks and idx - peaks[-1] <= 1:
-            continue
-        peaks.append(int(idx))
-
-    scalar_f = lambda x: float(log_f(np.array([x]))[0])
-    k = quad.window_halfwidth_sigmas
-    intervals = []
-    for idx in peaks:
-        lo = xs[max(idx - 1, 0)]
-        hi = xs[min(idx + 1, len(xs) - 1)]
-        x_peak = golden_max(scalar_f, lo, hi)
-        f_peak = scalar_f(x_peak)
-        w_lo, w_hi = _half_drop_width(log_f, x_peak, f_peak, max(spacing, 1e-8))
-        intervals.append([x_peak - k * w_lo, x_peak + k * w_hi, f_peak])
-
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi, f_peak in intervals[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-            merged[-1][2] = max(merged[-1][2], f_peak)
-        else:
-            merged.append([lo, hi, f_peak])
-    return [tuple(w) for w in merged]
+    keep = (vals > vals.max() - _PEAK_KEEP).astype(np.int8)
+    steps = np.diff(keep)
+    starts = np.flatnonzero(steps == 1) + 1
+    stops = np.flatnonzero(steps == -1) + 1
+    return [
+        (xs[start - 1], xs[stop], vals[start:stop].max()) for start, stop in zip(starts, stops)
+    ]
 
 
 def _simpson(values, h):
-    n = len(values)
     return (h / 3.0) * (
         values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
     )
 
 
-def _integrate_window(log_f, lo, hi, shift, quad, budget, extras=()):
-    """Composite-Simpson integration of exp(log_f - shift) over one window.
+def _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs):
+    """Composite-Simpson integrals of w = exp(log_f - shift) and each h * w on one window.
 
     The shift (the window's peak log-value) stays fixed across grid
     refinements so successive Simpson sums share a common scale; the grid
-    doubles until the Richardson estimate |S_h - S_2h|/15 is below
-    ``rel_tol`` for the base integral and every extra factor
-    h(x) * exp(log_f - shift).  Returns (S, extra_Ss, nodes_used, err).
+    doubles until the Richardson estimate |S_h - S_2h|/15 of every integral
+    is below ``rel_tol`` times the larger of its own and the base integral's
+    magnitude.  Returns (integrals, nodes_used, err), base integral first.
     """
     n = 128
     prev = None
-    prev_extras = None
     used = 0
-    if not np.isfinite(shift):
-        return 0.0, [0.0] * len(extras), 0, 0.0
     while True:
         xs = np.linspace(lo, hi, n + 1)
         used += n + 1
         logs = np.asarray(log_f(xs), dtype=float)
         ys = np.exp(np.maximum(logs - shift, _LOG_FLOOR))
         step = (hi - lo) / n
-        s = _simpson(ys, step)
-        s_extras = [_simpson(ys * np.asarray(h(xs), dtype=float), step) for h in extras]
+        sums = np.array(
+            [_simpson(ys, step)]
+            + [_simpson(ys * np.asarray(h(xs), dtype=float), step) for h in h_funcs]
+        )
         if prev is not None:
-            err = abs(s - prev) / 15.0
-            ok = err <= quad.rel_tol * abs(s) if s != 0.0 else prev == 0.0
-            for se, pe in zip(s_extras, prev_extras):
-                scale = max(abs(se), abs(s))
-                ok = ok and abs(se - pe) / 15.0 <= quad.rel_tol * scale
-            if ok:
-                return s, s_extras, used, err / abs(s) if s else 0.0
+            errs = np.abs(sums - prev) / 15.0
+            if np.all(errs <= quad.rel_tol * np.maximum(np.abs(sums), abs(sums[0]))):
+                return sums, used, errs[0] / abs(sums[0]) if sums[0] else 0.0
         if used + 2 * n + 1 > budget:
-            achieved = abs(s - prev) / (15.0 * abs(s)) if (prev is not None and s) else math.inf
+            achieved = errs[0] / abs(sums[0]) if (prev is not None and sums[0]) else math.inf
             raise NumericalError(
                 "quadrature tolerance not reached within the node budget",
                 achieved=achieved,
                 requested=quad.rel_tol,
                 window=(lo, hi),
             )
-        prev, prev_extras = s, s_extras
+        prev = sums
         n *= 2
+
+
+def _integrate(log_f, h_funcs, quad):
+    """ln of the integral of f, and integral(f * h) / integral(f) per h.
+
+    The window integrals are combined on the scale of the largest window
+    shift.
+    """
+    budget = quad.max_nodes
+    shifts, sums = [], []
+    for lo, hi, shift in _windows(log_f):
+        window_sums, used, _ = _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs)
+        budget -= used
+        shifts.append(shift)
+        sums.append(window_sums)
+    top = max(shifts)
+    totals = np.exp(np.array(shifts) - top) @ np.array(sums)
+    if totals[0] <= 0.0:
+        raise NumericalError("integral underflowed to zero on all windows")
+    return float(top + math.log(totals[0])), [float(t / totals[0]) for t in totals[1:]]
 
 
 def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec()):
@@ -278,17 +252,7 @@ def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec()):
     The caller guarantees decay at +-infinity (in practice a Gaussian
     envelope exp(-x^2/2) folded into ``log_f``).
     """
-    windows = _windows(log_f, quad)
-    budget = quad.max_nodes
-    pieces = []
-    for lo, hi, shift in windows:
-        s, _, used, _ = _integrate_window(log_f, lo, hi, shift, quad, budget)
-        budget -= used
-        if s > 0.0:
-            pieces.append(shift + math.log(s))
-    if not pieces:
-        raise NumericalError("integral underflowed to zero on all windows")
-    return float(logsumexp(pieces))
+    return _integrate(log_f, (), quad)[0]
 
 
 def weighted_average(log_w, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
@@ -298,21 +262,4 @@ def weighted_average(log_w, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
     integral(w * h) / integral(w), evaluated on the windows of the weight
     with numerators and denominator accumulated on a common log scale.
     """
-    windows = _windows(log_w, quad)
-    budget = quad.max_nodes
-    shifts, weights, extras = [], [], []
-    for lo, hi, shift in windows:
-        s, s_extras, used, _ = _integrate_window(
-            log_w, lo, hi, shift, quad, budget, extras=h_funcs
-        )
-        budget -= used
-        shifts.append(shift)
-        weights.append(s)
-        extras.append(s_extras)
-    shifts = np.array(shifts)
-    top = shifts.max()
-    scale = np.exp(shifts - top)
-    denom = float(np.dot(scale, weights))
-    if denom <= 0.0:
-        raise NumericalError("weight integral underflowed to zero")
-    return [float(np.dot(scale, [e[i] for e in extras])) / denom for i in range(len(h_funcs))]
+    return _integrate(log_w, h_funcs, quad)[1]

@@ -24,7 +24,7 @@ force it.  A variant with the doubled cosh term is exposed through
 a = 1/2.)
 
 Integrands are handled entirely in log space and integrated over
-adaptive windows centered on the maxima of the log-integrand: below the
+adaptive windows around the maxima of the log-integrand: below the
 critical temperature the weight is bimodal with peaks far from the
 origin, where naive fixed-node quadrature sees nothing.
 

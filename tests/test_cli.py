@@ -55,6 +55,24 @@ def test_empty_grid_rejected():
         cli.build_config(None, overrides=["grid.lambda_steps=1", "grid.t_steps=1"])
 
 
+@pytest.mark.parametrize("key", ["numerics.cutoff_photon", "numerics.cutoff_atom"])
+def test_lone_cutoff_rejected(key):
+    with pytest.raises(ConfigError) as err:
+        cli.build_config(None, overrides=[f"{key}=40"])
+    assert err.value.field == key
+    cli.build_config(None, overrides=["numerics.cutoff_photon=40", "numerics.cutoff_atom=50"])
+
+
+def test_lone_cutoff_exits_with_config_error(tmp_path):
+    out = tmp_path / "witness.csv"
+    result = run_cli(
+        ["witness", "--set", "numerics.cutoff_photon=40", "--out", str(out), "--threads", "1"]
+    )
+    assert result.returncode == 2
+    assert "kind=ConfigError field=numerics.cutoff_photon" in result.stderr
+    assert not out.exists()
+
+
 def test_critical_command_values(tmp_path):
     out = tmp_path / "critical.csv"
     result = run_cli(
@@ -130,8 +148,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         ),
         pytest.param(
             "witness",
-            # the default atom cutoff (60) needs N >= 59 for the HP moments
-            {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 100},
+            {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 10},
             _WITNESS_HEADER,
             id="witness-zero_t",
         ),

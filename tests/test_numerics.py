@@ -54,6 +54,18 @@ def test_bimodal_far_peaks():
     assert abs(value - (math.log(2.0) + LOG_SQRT_2PI)) < 1e-12
 
 
+def test_shallow_valley_bimodal():
+    # unequal peaks at -+1.5 joined by a valley about one nat deep: masses
+    # 1 and 6 (times sqrt(2 pi)), so <x> = (-1.5 + 6 * 1.5) / 7
+    def log_f(x):
+        x = np.asarray(x)
+        return np.logaddexp(-0.5 * (x + 1.5) ** 2, math.log(3.0) - 0.125 * (x - 1.5) ** 2)
+
+    assert abs(log_integral(log_f, TIGHT) - (math.log(7.0) + LOG_SQRT_2PI)) < 1e-12
+    (mean,) = weighted_average(log_f, [lambda x: np.asarray(x)], TIGHT)
+    assert abs(mean - 7.5 / 7.0) < 1e-11
+
+
 def test_huge_scale_integrand():
     value = log_integral(lambda x: 2.0e4 - 0.5 * np.asarray(x) ** 2, TIGHT)
     assert abs(value - (2.0e4 + LOG_SQRT_2PI)) < 1e-9

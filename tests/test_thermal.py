@@ -157,14 +157,18 @@ def test_overlap_bounds_on_grid():
             assert floor <= delta <= 1.0
 
 
-def test_window_halfwidth_invariance():
-    params = ModelParams(1.0, 1.0, 1.0, 100)
-    point = ThermalPoint(params, 1.0)  # below the critical line: bimodal weight
-    results = []
-    for k in (8.0, 12.0):
-        quad = QuadratureSpec(window_halfwidth_sigmas=k)
-        results.append(overlap_finite_t(point, matched_a(point, quad), quad))
-    assert abs(results[0] - results[1]) <= QUAD.rel_tol * abs(results[0]) + 1e-300
+def test_default_quadrature_matches_tight_spec():
+    # both points lie below the critical line, where the weight is bimodal;
+    # at lambda = 0.87, T = 0.9667 a shallow valley separates the two peaks
+    tight = QuadratureSpec(max_nodes=2_000_000, rel_tol=1e-12)
+    point = ThermalPoint(ModelParams(1.0, 1.0, 1.0, 100), 1.0)
+    default = overlap_finite_t(point, matched_a(point, QUAD), QUAD)
+    reference = overlap_finite_t(point, matched_a(point, tight), tight)
+    assert abs(default - reference) <= 1e-9 * abs(reference)
+    point = ThermalPoint(ModelParams(1.0, 1.0, 0.87, 100), 1.0 / 0.9667)
+    default, reference = thermal_moments(point, QUAD), thermal_moments(point, tight)
+    for got, want in zip(default.first + default.second, reference.first + reference.second):
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_moments_free_spins():
