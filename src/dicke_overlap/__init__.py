@@ -5,8 +5,8 @@ Library layout:
 * ``core``      -- parameters, critical coupling/temperature, order parameter
 * ``separable`` -- the symmetry-determined product reference state
 * ``numerics``  -- windowed log-space quadrature, root finding, eigensolvers
-* ``zerotemp``  -- effective quadratic Hamiltonians, ground-state overlap,
-                   purity, scaling fit, collective moments
+* ``zerotemp``  -- effective quadratic Hamiltonians, their exact Gaussian
+                   ground state, overlap, purity, scaling fit, moments
 * ``thermal``   -- partition-function quadrature, thermal overlap and moments
 * ``witness``   -- spin-squeezing entanglement inequalities
 * ``oracle``    -- brute-force exact diagonalization for validation
@@ -36,6 +36,7 @@ from .thermal import (
 )
 from .witness import MomentSet, WitnessReport, evaluate, evaluate_finite_n
 from .zerotemp import (
+    GaussianState,
     PolaritonFrequencies,
     TwoModeState,
     atom_diagonal_probabilities,
@@ -43,6 +44,7 @@ from .zerotemp import (
     collective_moments_zero_t,
     effective_ground_state,
     effective_hamiltonian,
+    gaussian_ground_state,
     ground_state,
     matched_separable_state,
     overlap_for_params,

@@ -48,8 +48,6 @@ _SCHEMA = {
     "grid.t_max": (float, 3.0),
     "grid.t_steps": (int, 15),
     "grid.beta_list": (lambda s: [float(x) for x in str(s).split(",")], None),
-    "numerics.cutoff_photon": (int, 0),  # 0 = automatic; set both cutoffs or neither
-    "numerics.cutoff_atom": (int, 0),
     "numerics.rel_tol": (float, 1e-9),
     "numerics.max_nodes": (int, 200_000),
     "numerics.threads": (int, 0),  # 0 = hardware parallelism
@@ -128,17 +126,6 @@ def _validate(v):
         raise ConfigError("frequencies must be positive", field="model.omega")
     if v["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1", field="output.precision")
-    photon, atom = "numerics.cutoff_photon", "numerics.cutoff_atom"
-    if bool(v[photon]) != bool(v[atom]):
-        raise ConfigError(
-            f"{photon} and {atom} must be set together", field=photon if v[photon] else atom
-        )
-
-
-def _cutoffs(cfg):
-    """Effective-backend (photon, atom) cutoffs, or None for the automatic ones."""
-    photon, atom = cfg["numerics.cutoff_photon"], cfg["numerics.cutoff_atom"]
-    return (photon, atom) if photon else None
 
 
 def _quad_args(cfg):
@@ -209,9 +196,9 @@ def _write_csv(path, header, rows, precision):
 
 
 def _zero_t_row(task):
-    omega, omega0, lam, n, cutoffs = task
+    omega, omega0, lam, n = task
     params = ModelParams(omega, omega0, lam, n)
-    state = zerotemp.effective_ground_state(params, cutoffs)
+    state = zerotemp.gaussian_ground_state(params)
     sep = zerotemp.matched_separable_state(params)
     delta = zerotemp.overlap_zero_t(state, sep)
     return (
@@ -256,14 +243,10 @@ def _witness_labels():
 
 
 def _witness_row(task):
-    omega, omega0, lam, temp, n, finite_n, cutoffs, quad_args = task
+    omega, omega0, lam, temp, n, finite_n, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
     if temp == 0.0:
-        if cutoffs is None:
-            # the HP moments need an atom cutoff of at most N + 1
-            photon, atom = zerotemp.default_cutoffs(params)
-            cutoffs = (photon, min(atom, n + 1))
-        state = zerotemp.effective_ground_state(params, cutoffs)
+        state = zerotemp.gaussian_ground_state(params)
         moments = zerotemp.collective_moments_zero_t(state, params)
     else:
         point = thermal.ThermalPoint(params, 1.0 / temp)
@@ -276,12 +259,12 @@ def _witness_row(task):
 
 
 def _oracle_ground_row(task):
-    omega, omega0, lam, n, cutoff, cutoffs = task
+    omega, omega0, lam, n, cutoff = task
     params = ModelParams(omega, omega0, lam, n)
     state_ed = oracle.exact_ground_state(params, cutoff)
     sep = zerotemp.matched_separable_state(params)
     delta_ed, _, _ = oracle.exact_overlap(state_ed, sep)
-    delta_eff = zerotemp.overlap_for_params(params, cutoffs)
+    delta_eff = zerotemp.overlap_for_params(params)
     jz_ed = oracle.exact_moments(state_ed).first[2]
     abs_err = abs(delta_eff - delta_ed)
     return (
@@ -338,9 +321,8 @@ def cmd_sweep_zero_t(cfg):
     lams = _lambda_grid(cfg)
     if len(lams) < 2:
         raise ConfigError("sweep-zero-t needs grid.lambda_steps >= 2", field="grid.lambda_steps")
-    cutoffs = _cutoffs(cfg)
     tasks = [
-        (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoffs)
+        (cfg["model.omega"], cfg["model.omega0"], float(lam), n)
         for n in cfg["model.n_atoms"]
         for lam in lams
     ]
@@ -381,7 +363,6 @@ def cmd_witness(cfg):
     temps = [0.0] if mode == "zero_t" else list(_t_grid(cfg))
     n = cfg["model.n_atoms"][0]
     quad_args = _quad_args(cfg)
-    cutoffs = _cutoffs(cfg)
     tasks = [
         (
             cfg["model.omega"],
@@ -390,7 +371,6 @@ def cmd_witness(cfg):
             float(t),
             n,
             cfg["witness.finite_n"],
-            cutoffs,
             quad_args,
         )
         for lam in lams
@@ -414,7 +394,7 @@ def cmd_oracle_compare(cfg):
     if mode == "ground":
         oracle.symmetric_basis(n, cutoff)  # capacity check up front
         tasks = [
-            (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff, _cutoffs(cfg))
+            (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff)
             for lam in lams
         ]
         header = [

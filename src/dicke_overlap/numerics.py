@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .errors import BracketError, InvalidParameterError, NumericalError
 
@@ -109,6 +108,10 @@ def lowest_eigenpair(matrix, sigma=None):
     if sparse.issparse(matrix):
         if sigma is None:
             raise InvalidParameterError("sparse lowest_eigenpair requires a spectral lower bound")
+        # imported here: only the truncated reference solver comes this way,
+        # so no CLI process pays for the import at start-up
+        import scipy.sparse.linalg as sparse_linalg
+
         dim = matrix.shape[0]
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:

@@ -17,15 +17,22 @@ oscillator Hamiltonians, one per phase:
 In the superradiant phase mode b is the *displaced* atomic mode: the
 physical spin-excitation number carries a mean-field shift
 beta_disp = N (1 - mu) / 2, fixed so that <J_z>/N reproduces the order
-parameter -mu/2 as N -> infinity.  All diagonal quantities in the
-physical J_z basis (overlap weights, HP moments) are obtained by
-conjugating the reduced atomic state with the corresponding displacement
-operator, evaluated exactly in a truncated Fock space.
+parameter -mu/2 as N -> infinity.
 
-Ground states come from the truncated matrices: a dense LAPACK subset
-solve for small dimensions, shift-inverted Lanczos on the sparse matrix
-(started from the analytic Bogoliubov ground energy, a guaranteed lower
-bound) for the large cutoffs needed near the critical point.
+Both Hamiltonians are quadratic, so their ground state is exactly
+Gaussian.  ``gaussian_ground_state`` takes the reduced atomic covariance
+from the 2x2 polariton problem and builds, by a Fock-space recursion,
+the three diagonals rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of the physical
+(displaced, n <= N) atomic density matrix; the overlap and the
+Holstein-Primakoff moments need nothing else, and the reduced purity
+follows from the covariance alone.
+
+``effective_ground_state`` diagonalizes the same Hamiltonians in a
+truncated Fock space instead (a dense LAPACK subset solve for small
+dimensions, shift-inverted Lanczos on the sparse matrix, started from
+the analytic Bogoliubov ground energy, for large cutoffs) and displaces
+the reduced atomic matrix with a dense matrix exponential.  It is the
+reference the Gaussian backend is checked against.
 """
 
 from __future__ import annotations
@@ -78,6 +85,38 @@ class TwoModeState:
 
     def grid(self):
         return self.amplitudes.reshape(self.cutoff_photon, self.cutoff_atom)
+
+    def fock_band(self):
+        """Diagonals 0, 1 and 2 of the physical-basis reduced atomic matrix."""
+        rho = _physical_atom_matrix(self)
+        return np.diag(rho).copy(), np.diag(rho, 1).copy(), np.diag(rho, 2).copy()
+
+    def purity(self):
+        rho = _reduced_atom_matrix(self)
+        return float((rho * rho).sum())
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """Exact Gaussian ground state, reduced to the atomic mode.
+
+    ``var_x`` and ``var_p`` are <x_b^2> and <p_b^2> of the displaced-frame
+    atomic mode (x_b = (b + b')/sqrt(2); 1/2 each in the vacuum).  ``band``
+    holds rho_{n,n} (n <= N), rho_{n,n+1} (n < N) and rho_{n,n+2}
+    (n < N - 1) of the atomic density matrix in the physical J_z basis.
+    """
+
+    n_atoms: int
+    displacement_atom: float  # mean-field b'b shift; 0 in the normal phase
+    var_x: float
+    var_p: float
+    band: tuple = field(repr=False)
+
+    def fock_band(self):
+        return self.band
+
+    def purity(self):
+        return 1.0 / (2.0 * math.sqrt(self.var_x * self.var_p))
 
 
 def _coefficients(params: ModelParams, phase: PhaseLabel):
@@ -134,23 +173,31 @@ def effective_hamiltonian(params: ModelParams, phase: PhaseLabel, cutoffs):
     return _sparse_hamiltonian(params, phase, cutoffs).toarray()
 
 
-def _frequencies(params: ModelParams) -> PolaritonFrequencies:
+def _potential(params: ModelParams):
+    """omega_b and the potential matrix V of ``polariton_frequencies``."""
     omega_b, quad, g, _ = _coefficients(params, phase_zero_t(params))
     cross = 2.0 * g * math.sqrt(params.omega * omega_b)
     v = np.array(
         [[params.omega**2, cross], [cross, omega_b**2 + 4.0 * quad * omega_b]]
     )
-    eigs = np.linalg.eigvalsh(v)
+    return omega_b, v
+
+
+def _frequencies(params: ModelParams) -> PolaritonFrequencies:
+    eigs = np.linalg.eigvalsh(_potential(params)[1])
     if eigs[0] < -1e-12 * eigs[1]:
         raise NumericalError("quadratic form is unstable", eigenvalues=tuple(eigs))
     return PolaritonFrequencies(math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[1]))
 
 
 def _reject_critical(params: ModelParams):
-    if params.coupling == params.critical:
+    # lambda_c = sqrt(omega omega0)/2 is itself rounded, so couplings within
+    # a few ulps of it cannot be told apart from it
+    if abs(params.coupling / params.critical - 1.0) <= 8.0 * math.ulp(1.0):
         raise InvalidParameterError(
-            "lambda = lambda_c is singular: the soft mode is at zero, so the excitation "
-            "energies and the effective ground state are undefined"
+            f"lambda = {params.coupling!r} is lambda_c to rounding, where the model is "
+            "singular: the soft mode is at zero, so the excitation energies and the "
+            "effective ground state are undefined"
         )
 
 
@@ -260,35 +307,102 @@ def default_cutoffs(params: ModelParams):
 
 
 def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
-    """Phase-appropriate effective ground state with displacement bookkeeping.
+    """Truncated-Fock reference for ``gaussian_ground_state``.
 
-    Rejects lambda = lambda_c, where the soft mode vanishes, before any
-    solve.  Escalates the cutoffs once (x1.5) if the occupation-tail check
-    fails.
+    Solves at ``cutoffs`` (default: ``default_cutoffs``) with displacement
+    bookkeeping; ``ground_state`` raises ``CutoffError`` if they are too
+    small.  Rejects lambda = lambda_c, where the soft mode vanishes, before
+    any solve.
     """
     _reject_critical(params)
     phase = phase_zero_t(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
     sigma = analytic_ground_energy(params) - 0.25 * (params.omega + params.omega0)
-    for attempt in (0, 1):
-        try:
-            h = _sparse_hamiltonian(params, phase, cutoffs)
-            return ground_state(
-                h,
-                cutoffs,
-                phase=phase,
-                displacement_atom=mean_field_displacement(params),
-                n_atoms=params.n_atoms,
-                sigma_lower=sigma,
-            )
-        except CutoffError:
-            if attempt:
-                raise
-            cutoffs = (
-                min(int(math.ceil(1.5 * cutoffs[0])), MAX_DEFAULT_CUTOFF + 40),
-                min(int(math.ceil(1.5 * cutoffs[1])), MAX_DEFAULT_CUTOFF + 40),
-            )
+    return ground_state(
+        _sparse_hamiltonian(params, phase, cutoffs),
+        cutoffs,
+        phase=phase,
+        displacement_atom=mean_field_displacement(params),
+        n_atoms=params.n_atoms,
+        sigma_lower=sigma,
+    )
+
+
+# ------------------------------------------------------ exact Gaussian state
+
+_RESCALE = 1e150  # the band recursion rescales its values outside [1/_RESCALE, _RESCALE]
+
+
+def _gaussian_fock_band(var_x, var_p, alpha, n_atoms):
+    """rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of a real single-mode Gaussian state.
+
+    The state has covariance diag(var_x, var_p) and real mean <b> = alpha.
+    Its Husimi function is a Gaussian of covariance diag(q_x, q_p) with
+    q = var + 1/2, which gives the Bargmann generating function
+
+        sum_{m,n} rho_{m,n} s^m t^n / sqrt(m! n!)
+            = rho_{0,0} exp(A (s^2 + t^2)/2 + B s t + L (s + t)),
+
+    A = (var_x - var_p)/(2 q_x q_p), B = (var_x var_p - 1/4)/(q_x q_p),
+    L = alpha/q_x, rho_{0,0} = exp(-alpha^2/q_x)/sqrt(q_x q_p).  Its
+    derivatives give the recursion (Miatto & Quesada, Quantum 4, 366 (2020))
+
+        sqrt(m+1) rho_{m+1,n} = L rho_{m,n} + A sqrt(m) rho_{m-1,n} + B sqrt(n) rho_{m,n-1}
+
+    and its transpose.  With rho symmetric the three diagonals close on
+    themselves, so one pass over n = 0..N gives the band.  The running
+    values are rescaled whenever they leave [1e-150, 1e150], keeping the
+    log of the scale per row, so nothing overflows or underflows on the
+    way however small rho_{0,0} is.
+    """
+    qx, qp = var_x + 0.5, var_p + 0.5
+    a = (var_x - var_p) / (2.0 * qx * qp)
+    b = (var_x * var_p - 0.25) / (qx * qp)
+    lin = alpha / qx
+    root = np.sqrt(np.arange(n_atoms + 3.0)).tolist()
+    rows = []
+    r0, r1, r2, r2_prev = 1.0, 0.0, 0.0, 0.0
+    log_scale = -alpha * alpha / qx - 0.5 * math.log(qx * qp)
+    for m in range(n_atoms + 1):
+        # (r0, r1, r2) hold row m-1 of the band on entry, r2_prev holds rho_{m-2,m}
+        if m:
+            r0 = (lin * r1 + a * root[m - 1] * r2_prev) / root[m] + b * r0
+        r2_prev = r2
+        r1 = (lin * r0 + (a + b) * root[m] * r1) / root[m + 1]
+        r2 = (lin * r1 + a * root[m + 1] * r0 + b * root[m] * r2) / root[m + 2]
+        peak = max(abs(r0), abs(r1), abs(r2))
+        if peak > _RESCALE or 0.0 < peak < 1.0 / _RESCALE:
+            r0, r1, r2, r2_prev = r0 / peak, r1 / peak, r2 / peak, r2_prev / peak
+            log_scale += math.log(peak)
+        rows.append((r0, r1, r2, log_scale))
+    rows = np.array(rows)
+    band = rows[:, :3] * np.exp(rows[:, 3:])
+    return band[:, 0], band[:-1, 1], band[:-2, 2]
+
+
+def gaussian_ground_state(params: ModelParams) -> GaussianState:
+    """Exact ground state of the phase-appropriate quadratic Hamiltonian.
+
+    In mass-weighted coordinates the Hamiltonian is (pi^2 + y V y)/2 with
+    V the potential matrix of ``polariton_frequencies``, so the ground
+    state has <y y> = V^(-1/2)/2 and <pi pi> = V^(1/2)/2, and the atomic
+    mode's covariance is <x_b^2> = omega_b (V^(-1/2))_bb / 2,
+    <p_b^2> = (V^(1/2))_bb / (2 omega_b).  The physical band adds the
+    mean-field displacement <b> = sqrt(beta_disp).  Rejects
+    lambda = lambda_c before any work.
+    """
+    _reject_critical(params)
+    omega_b, v = _potential(params)
+    eigs, vecs = np.linalg.eigh(v)
+    if eigs[0] <= 0.0:
+        raise NumericalError("quadratic form is not positive definite", eigenvalues=tuple(eigs))
+    weights = vecs[1] ** 2  # atomic share of each normal mode
+    var_x = 0.5 * omega_b * float(weights @ eigs**-0.5)
+    var_p = 0.5 * float(weights @ eigs**0.5) / omega_b
+    beta_disp = mean_field_displacement(params)
+    band = _gaussian_fock_band(var_x, var_p, math.sqrt(beta_disp), params.n_atoms)
+    return GaussianState(params.n_atoms, beta_disp, var_x, var_p, band)
 
 
 # ------------------------------------------------------- reduced atomic state
@@ -321,21 +435,17 @@ def _physical_atom_matrix(state: TwoModeState):
     return d @ embedded @ d.T
 
 
-def atom_diagonal_probabilities(state: TwoModeState):
+def atom_diagonal_probabilities(state: TwoModeState | GaussianState):
     """P(n): probability of n spin excitations in the physical J_z basis."""
-    if state.displacement_atom == 0.0:
-        psi = state.grid()
-        return (psi**2).sum(axis=0)
-    return np.diag(_physical_atom_matrix(state)).copy()
+    return state.fock_band()[0]
 
 
-def reduced_atom_purity(state: TwoModeState):
+def reduced_atom_purity(state: TwoModeState | GaussianState):
     """Tr[rho_b^2] of the photon-traced atomic state (displacement-invariant)."""
-    rho = _reduced_atom_matrix(state)
-    return float((rho * rho).sum())
+    return float(state.purity())
 
 
-def overlap_zero_t(state: TwoModeState, sep: SeparableState):
+def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
     """Ground-state overlap with the matched separable reference state.
 
     Contracts the physical spin-excitation distribution with the binomial
@@ -367,10 +477,9 @@ def matched_separable_state(params: ModelParams) -> SeparableState:
     return from_jz(order_parameter_zero_t(params), params.n_atoms)
 
 
-def overlap_for_params(params: ModelParams, cutoffs=None):
-    """Convenience: effective ground state + matched reference state -> overlap."""
-    state = effective_ground_state(params, cutoffs)
-    return overlap_zero_t(state, matched_separable_state(params))
+def overlap_for_params(params: ModelParams):
+    """Convenience: exact ground state + matched reference state -> overlap."""
+    return overlap_zero_t(gaussian_ground_state(params), matched_separable_state(params))
 
 
 # ------------------------------------------------------------- closed forms
@@ -426,49 +535,43 @@ def scaling_fit(lambda_grid, delta_values, critical_coupling=0.5) -> ScalingFit:
 # ------------------------------------------------------------------ moments
 
 
-def _hp_matrices(n_atoms, dim):
-    """Exact Holstein-Primakoff J matrices on the first ``dim`` Fock levels."""
-    if dim > n_atoms + 1:
-        raise CutoffError(
-            f"HP square root sqrt(N - b'b) is undefined beyond n = N = {n_atoms}; "
-            f"got atomic dimension {dim}",
-            mode="atom",
-        )
-    n = np.arange(dim, dtype=float)
-    jz = np.diag(n - n_atoms / 2.0)
-    jp = np.zeros((dim, dim))
-    jp[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(n[:-1] + 1.0) * np.sqrt(
-        n_atoms - n[:-1]
-    )
-    return jp, jz
-
-
-def collective_moments_zero_t(state: TwoModeState, params: ModelParams) -> MomentSet:
+def collective_moments_zero_t(
+    state: TwoModeState | GaussianState, params: ModelParams
+) -> MomentSet:
     """Collective-spin moments of the effective ground state.
 
     Uses the exact HP operator forms (including the sqrt(N - b'b) factor)
-    on the physical-basis reduced atomic matrix; in the superradiant
-    phase this is the displaced (symmetry-broken) branch, so <J_x> is
-    macroscopic there while the parity-even moments match the collective
-    model.  <J_y> vanishes identically (real state, real J_+ matrix).
+    on the physical-basis Fock band: J+|n> = c_n |n+1> with
+    c_n = sqrt((n+1)(N-n)), so
+
+        <J_z>   = sum_n P(n) (n - N/2)
+        <J_x>   = sum_n c_n rho_{n,n+1}
+        <J_x^2> = [sum_n P(n) (c_{n-1}^2 + c_n^2) + 2 sum_n c_n c_{n+1} rho_{n,n+2}] / 4
+
+    and <J_y^2> is <J_x^2> with the rho_{n,n+2} sum subtracted.  In the
+    superradiant phase this is the displaced (symmetry-broken) branch, so
+    <J_x> is macroscopic there while the parity-even moments match the
+    collective model.  <J_y> vanishes identically (real state).
     """
     if state.n_atoms is not None and state.n_atoms != params.n_atoms:
         raise InvalidParameterError("state and params disagree on N")
-    rho = _physical_atom_matrix(state)
-    jp, jz = _hp_matrices(params.n_atoms, len(rho))
-    jm = jp.T
-    jx = 0.5 * (jp + jm)
-    jx2 = jx @ jx
-    jy2 = 0.25 * (jp @ jm + jm @ jp - jp @ jp - jm @ jm)
+    probs, off1, off2 = state.fock_band()
     n = params.n_atoms
-    first = (
-        float(np.trace(rho @ jx)) / n,
-        0.0,
-        float(np.trace(rho @ jz)) / n,
-    )
+    if len(probs) > n + 1:
+        raise CutoffError(
+            f"HP square root sqrt(N - b'b) is undefined beyond n = N = {n}; "
+            f"got atomic dimension {len(probs)}",
+            mode="atom",
+        )
+    level = np.arange(len(probs), dtype=float)
+    c = np.sqrt((level + 1.0) * (n - level))
+    ladder = float(probs @ (level * (n - level + 1.0) + c**2))  # <J+ J- + J- J+>
+    squared = 2.0 * float(off2 @ (c[:-2] * c[1:-1]))  # <J+^2 + J-^2>
+    jz = level - n / 2.0
+    first = (float(off1 @ c[:-1]) / n, 0.0, float(probs @ jz) / n)
     second = (
-        float(np.trace(rho @ jx2)) / n**2,
-        float(np.trace(rho @ jy2)) / n**2,
-        float(np.trace(rho @ (jz @ jz))) / n**2,
+        0.25 * (ladder + squared) / n**2,
+        0.25 * (ladder - squared) / n**2,
+        float(probs @ jz**2) / n**2,
     )
     return MomentSet(n_atoms=n, first=first, second=second)

@@ -67,7 +67,7 @@ def test_criterion_2_order_parameter():
 
 def test_criterion_3_trivial_overlap_limits():
     budget = Budget("3 trivial-limits", 5.0)
-    delta0 = zerotemp.overlap_for_params(ModelParams(1, 1, 0.0, 10), (30, 30))
+    delta0 = zerotemp.overlap_for_params(ModelParams(1, 1, 0.0, 10))
     point = thermal.ThermalPoint(ModelParams(1, 1, 1.0, 10), 1e-3)
     delta_hot = thermal.overlap_finite_t(point, thermal.matched_a(point, QUAD), QUAD)
     rel = abs(delta_hot - 2.0**-10) / 2.0**-10
@@ -88,7 +88,7 @@ def test_criterion_4_zero_t_oracle_equivalence():
             ed = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
             sep = zerotemp.matched_separable_state(params)
             delta_ed, _, _ = oracle.exact_overlap(ed, sep)
-            delta_eff = zerotemp.overlap_for_params(params, (max(30, n + 1), max(30, n + 1)))
+            delta_eff = zerotemp.overlap_for_params(params)
             rel[(n, lam)] = abs(delta_eff - delta_ed) / delta_ed
     within = all(rel[(40, lam)] < 0.10 for lam in lams)
     tightens = all(rel[(40, lam)] < rel[(10, lam)] for lam in lams)

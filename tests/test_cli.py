@@ -1,10 +1,13 @@
 import csv
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from dicke_overlap import cli
+from dicke_overlap import cli, zerotemp
+from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import ConfigError
 
 
@@ -56,11 +59,13 @@ def test_empty_grid_rejected():
 
 
 @pytest.mark.parametrize("key", ["numerics.cutoff_photon", "numerics.cutoff_atom"])
-def test_lone_cutoff_rejected(key):
+def test_cutoff_keys_rejected(key):
+    # the zero-T backend is exact, so there is no cutoff to configure
     with pytest.raises(ConfigError) as err:
         cli.build_config(None, overrides=[f"{key}=40"])
     assert err.value.field == key
-    cli.build_config(None, overrides=["numerics.cutoff_photon=40", "numerics.cutoff_atom=50"])
+    with pytest.raises(ConfigError):
+        cli.build_config(None, overrides=["numerics.cutoff_photon=40", "numerics.cutoff_atom=50"])
 
 
 def test_lone_cutoff_exits_with_config_error(tmp_path):
@@ -367,3 +372,61 @@ def test_scaling_fit_synthetic_exact(tmp_path):
 
 def test_main_returns_nonzero_on_config_error():
     assert cli.main(["sweep-zero-t", "--set", "bogus.key=1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        # one ulp above lambda_c
+        {"grid.lambda_min": "0.5000000000000001", "grid.lambda_max": 0.6,
+         "grid.lambda_steps": 2},
+        # the fourth point of this grid is 0.49999999999999994, one ulp below
+        {"grid.lambda_min": 0.05, "grid.lambda_max": 1.25, "grid.lambda_steps": 9},
+    ],
+)
+def test_couplings_at_lambda_c_to_rounding_fail_at_once(tmp_path, capsys, sets):
+    out = tmp_path / "never.csv"
+    args = ["sweep-zero-t", "--set", "model.n_atoms=100"]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={value}"]
+    start = time.perf_counter()
+    code = cli.main([*args, "--out", str(out), "--threads", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "kind=InvalidParameterError" in capsys.readouterr().err
+    assert not out.exists()
+    assert elapsed < 1.0
+    # 1e-8 from lambda_c is still a regular point
+    delta = zerotemp.overlap_for_params(ModelParams(1.0, 1.0, 0.5 * (1.0 - 1e-8), 100))
+    assert math.isfinite(delta) and 0.0 <= delta <= 1.0
+
+
+def test_witness_zero_t_small_n_near_critical(tmp_path):
+    out = tmp_path / "witness.csv"
+    result = run_cli(
+        [
+            "witness",
+            "--set", "model.n_atoms=10",
+            "--set", "grid.lambda_min=0.45",
+            "--set", "grid.lambda_max=0.45",
+            "--set", "grid.lambda_steps=1",
+            "--set", "grid.t_steps=2",
+            "--out", str(out),
+            "--threads", "1",
+        ]
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(read_rows(out)) == 1
+
+
+def test_cli_import_leaves_sparse_eigensolver_unloaded():
+    # scipy.sparse.linalg serves only the truncated reference solver
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dicke_overlap.cli; print('scipy.sparse.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_overlap import oracle, zerotemp
 from dicke_overlap.core import ModelParams, PhaseLabel
@@ -18,6 +21,7 @@ from dicke_overlap.zerotemp import (
     collective_moments_zero_t,
     effective_ground_state,
     effective_hamiltonian,
+    gaussian_ground_state,
     ground_state,
     overlap_zero_t,
     polariton_frequencies,
@@ -109,14 +113,6 @@ def test_ground_state_tail_error_names_mode():
     with pytest.raises(CutoffError) as err:
         ground_state(h, (10, 10))
     assert err.value.mode in ("photon", "atom")
-
-
-def test_effective_ground_state_escalates_cutoffs_once():
-    # raw solve at (30, 30) fails the tail gate near the transition; the
-    # high-level constructor retries once at 1.5x and succeeds
-    params = ModelParams(1.0, 1.0, 0.49, 10)
-    state = effective_ground_state(params, (30, 30))
-    assert state.cutoff_photon == 45 and state.cutoff_atom == 45
 
 
 def test_ground_state_dense_and_sparse_agree():
@@ -225,12 +221,12 @@ def test_purity_shape_across_transition():
 
 def test_overlap_decoupled_is_one():
     params = ModelParams(1, 1, 0.0, 10)
-    assert abs(zerotemp.overlap_for_params(params, (30, 30)) - 1.0) < 1e-8
+    assert abs(zerotemp.overlap_for_params(params) - 1.0) < 1e-8
 
 
 def test_overlap_matches_oracle_normal_phase():
     params = ModelParams(1, 1, 0.4, 20)
-    delta_eff = zerotemp.overlap_for_params(params, (30, 30))
+    delta_eff = zerotemp.overlap_for_params(params)
     ed = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
     delta_ed, _, _ = oracle.exact_overlap(ed, zerotemp.matched_separable_state(params))
     assert abs(delta_eff - delta_ed) / delta_ed < 0.1
@@ -248,7 +244,7 @@ def test_overlap_requires_matched_reference():
 def test_overlap_bounds_on_grid():
     for lam in (0.1, 0.35, 0.52, 0.8, 1.2):
         params = ModelParams(1, 1, lam, 30)
-        delta = zerotemp.overlap_for_params(params, (40, 40))
+        delta = zerotemp.overlap_for_params(params)
         assert 0.0 <= delta <= 1.0
 
 
@@ -365,3 +361,60 @@ def test_jz_drift_stays_order_one():
         drifts.append(abs((mean_n - n / 2.0) - n * (-0.125)))
     assert max(drifts) < 0.5
     assert max(drifts) - min(drifts) < 0.05
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(20, 60),
+    lam=st.one_of(st.floats(0.0, 0.45), st.floats(0.55, 0.8)),
+)
+def test_gaussian_band_matches_truncated_reference(n, lam):
+    # |lambda/lambda_c - 1| >= 0.1.  The reference displaces on only N + 1
+    # levels, which is itself off at the top levels by ~1e-6 at N = 10 and
+    # by 1.7e-7 at N = 20, lambda = 1; larger couplings are checked against
+    # a wider displacement below
+    params = ModelParams(1, 1, lam, n)
+    exact = gaussian_ground_state(params)
+    reference = effective_ground_state(params, (40, 40))
+    sep = zerotemp.matched_separable_state(params)
+    delta = overlap_zero_t(exact, sep)
+    assert 0.0 <= delta <= 1.0
+    assert exact.fock_band()[0].min() >= -1e-15
+    assert abs(delta - overlap_zero_t(reference, sep)) < 1e-8
+    for diag_exact, diag_ref in zip(exact.fock_band(), reference.fock_band()):
+        k = min(len(diag_exact), len(diag_ref))
+        assert np.abs(diag_exact[:k] - diag_ref[:k]).max() < 1e-8
+    assert abs(reduced_atom_purity(exact) - reduced_atom_purity(reference)) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_gaussian_band_matches_wide_displacement(lam):
+    params = ModelParams(1, 1, lam, 20)
+    reference = effective_ground_state(params, (40, 40))
+    wide = np.zeros((200, 200))
+    wide[:40, :40] = zerotemp._reduced_atom_matrix(reference)
+    shift = zerotemp._displacement_matrix(math.sqrt(reference.displacement_atom), 200)
+    rho = (shift @ wide @ shift.T)[:21, :21]
+    for k, diagonal in enumerate(gaussian_ground_state(params).fock_band()):
+        assert np.abs(diagonal - np.diag(rho, k)).max() < 1e-12
+
+
+def test_gaussian_large_n_superradiant_no_underflow():
+    # rho_00 = exp(-1500) here: the band recursion must rescale on the way
+    params = ModelParams(1, 1, 1.0, 4000)
+    start = time.perf_counter()
+    state = gaussian_ground_state(params)
+    delta = overlap_zero_t(state, zerotemp.matched_separable_state(params))
+    elapsed = time.perf_counter() - start
+    assert abs(atom_diagonal_probabilities(state).sum() - 1.0) < 1e-10
+    assert 0.0 < delta <= 1.0
+    assert elapsed < 1.0
+
+
+def test_gaussian_moments_match_truncated_reference():
+    for lam in (0.3, 1.0):
+        params = ModelParams(1, 1, lam, 40)
+        exact = collective_moments_zero_t(gaussian_ground_state(params), params)
+        reference = collective_moments_zero_t(effective_ground_state(params, (41, 41)), params)
+        assert np.allclose(exact.first, reference.first, rtol=0, atol=1e-10)
+        assert np.allclose(exact.second, reference.second, rtol=0, atol=1e-10)
