@@ -392,7 +392,8 @@ def cmd_oracle_compare(cfg):
     cutoff = cfg["oracle.cutoff"]
     lams = _lambda_grid(cfg)
     if mode == "ground":
-        oracle.symmetric_basis(n, cutoff)  # capacity check up front
+        # capacity check up front, on the larger basis of the convergence gate
+        oracle.symmetric_basis(n, oracle.convergence_cutoff(cutoff))
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff)
             for lam in lams

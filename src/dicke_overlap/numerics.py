@@ -229,11 +229,11 @@ def _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs):
         n *= 2
 
 
-def _integrate(log_f, h_funcs, quad):
-    """ln of the integral of f, and integral(f * h) / integral(f) per h.
+def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
+    """(ln I, [integral(f h) / I for each h]) with I the integral of f = exp(log_f).
 
-    The window integrals are combined on the scale of the largest window
-    shift.
+    ``log_f`` must decay at +-infinity (in practice a Gaussian envelope
+    exp(-x^2/2) is folded in); the ``h_funcs`` are O(1)-bounded.
     """
     budget = quad.max_nodes
     shifts, sums = [], []
@@ -250,19 +250,5 @@ def _integrate(log_f, h_funcs, quad):
 
 
 def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec()):
-    """ln of the integral of f over the real line, given ln f.
-
-    The caller guarantees decay at +-infinity (in practice a Gaussian
-    envelope exp(-x^2/2) folded into ``log_f``).
-    """
-    return _integrate(log_f, (), quad)[0]
-
-
-def weighted_average(log_w, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
-    """Expectations of O(1)-bounded functions under the weight exp(log_w).
-
-    Returns a list with one value per entry of ``h_funcs``:
-    integral(w * h) / integral(w), evaluated on the windows of the weight
-    with numerators and denominator accumulated on a common log scale.
-    """
-    return _integrate(log_w, h_funcs, quad)[1]
+    """ln of the integral of f over the real line, given ln f."""
+    return integrate(log_f, (), quad)[0]

@@ -30,7 +30,7 @@ from .separable import SeparableState, config_log_terms
 from .witness import MomentSet
 
 _FULL_PRODUCT_MAX_ATOMS = 6
-_SYMMETRIC_MAX_ENTRIES = 200_000
+_DENSE_MAX_BYTES = 2 * 2**30  # one dense float64 Hamiltonian of either basis
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
@@ -49,17 +49,15 @@ class DickeBasis:
     def __post_init__(self):
         if self.cutoff < 2:
             raise InvalidParameterError(f"photon cutoff must be >= 2, got {self.cutoff}")
-        if self.variant is BasisVariant.FULL_PRODUCT:
-            if self.n_atoms > _FULL_PRODUCT_MAX_ATOMS:
-                raise CapacityError(
-                    f"full product basis supports N <= {_FULL_PRODUCT_MAX_ATOMS}, got {self.n_atoms}"
-                )
-        else:
-            entries = self.cutoff * (self.n_atoms + 1)
-            if entries > _SYMMETRIC_MAX_ENTRIES:
-                raise CapacityError(
-                    f"symmetric-sector dimension {entries} exceeds {_SYMMETRIC_MAX_ENTRIES}"
-                )
+        if self.variant is BasisVariant.FULL_PRODUCT and self.n_atoms > _FULL_PRODUCT_MAX_ATOMS:
+            raise CapacityError(
+                f"full product basis supports N <= {_FULL_PRODUCT_MAX_ATOMS}, got {self.n_atoms}"
+            )
+        if 8 * self.dim**2 > _DENSE_MAX_BYTES:
+            raise CapacityError(
+                f"{self.variant.value} basis of dimension {self.dim} needs a dense matrix "
+                f"of {8 * self.dim**2 / 2**30:.1f} GiB, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
+            )
 
     @property
     def atom_dim(self):
@@ -210,6 +208,11 @@ class OracleState:
         return np.bincount(n_up, weights=diag, minlength=self.basis.n_atoms + 1)
 
 
+def convergence_cutoff(cutoff):
+    """The enlarged cutoff of the ground-state convergence gate: ceil(1.5 c)."""
+    return int(math.ceil(1.5 * cutoff))
+
+
 @functools.lru_cache(maxsize=64)
 def _ground_pair(params: ModelParams, cutoff: int):
     basis = symmetric_basis(params.n_atoms, cutoff)
@@ -225,11 +228,12 @@ def exact_ground_state(params: ModelParams, cutoff):
     """
     cutoff = int(cutoff)
     e0, vec = _ground_pair(params, cutoff)
-    e0_big, _ = _ground_pair(params, int(math.ceil(1.5 * cutoff)))
+    big = convergence_cutoff(cutoff)
+    e0_big, _ = _ground_pair(params, big)
     if abs(e0 - e0_big) > _GROUND_ENERGY_TOL:
         raise CutoffError(
             f"ground energy shifted by {abs(e0 - e0_big):.3e} under cutoff growth "
-            f"({cutoff} -> {math.ceil(1.5 * cutoff)}); increase the photon cutoff",
+            f"({cutoff} -> {big}); increase the photon cutoff",
             mode="photon",
         )
     return OracleState(symmetric_basis(params.n_atoms, cutoff), vector=vec)

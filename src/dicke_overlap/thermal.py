@@ -3,25 +3,19 @@
 Everything here rests on the small-beta factorization
 Tr[exp(-beta H)] ~ Tr[exp(-beta H0) exp(-beta HI)] with H0 = omega a'a,
 followed by an exact rewriting of the photon trace as a Gaussian
-integral.  With
+integral.  With eps(x) = sqrt(omega0^2/4 + x^2 lambda^2 coth(beta omega/2) / N)
+and the one per-atom factor
 
-    eps(x) = sqrt(omega0^2/4 + x^2 lambda^2 coth(beta omega / 2) / N)
+    f_a(x) = cosh(beta eps) + (1 - 2a) omega0 / (2 eps) * sinh(beta eps),
 
-the partition function becomes
-
-    z = sqrt(1/2pi)/(1 - e^(-beta omega))
-        * Integral dx e^(-x^2/2) [2 cosh(beta eps(x))]^N
-
-and the overlap with the separable reference state diag(a, 1-a)^(x N)
-replaces the per-atom factor 2 cosh(beta eps) by
-
-    f(x) = cosh(beta eps) + (1 - 2a) omega0 / (2 eps) * sinh(beta eps).
-
-(The per-atom expansion gives the cosh term *without* a factor 2: the
-lambda = 0 closed form and the beta -> 0 limit Tr[rho rho_s] = 2^-N both
-force it.  A variant with the doubled cosh term is exposed through
-``doubled_cosh=True`` for comparison; it returns 1 identically at
-a = 1/2.)
+let I(a) = Integral dx e^(-x^2/2) [2 f_a(x)]^N.  The partition function is
+z = sqrt(1/2pi) I(1/2) / (1 - e^(-beta omega)), and the overlap with the
+separable reference state diag(a, 1-a)^(x N) is Delta = I(a) / (2^N I(1/2)),
+so Delta(a = 1/2) = 2^-N at every temperature.  (The cosh term carries no
+factor 2: the lambda = 0 closed form and the beta -> 0 limit
+Tr[rho rho_s] = 2^-N both force it; a doubled cosh would force Delta = 1 at
+a = 1/2.)  Each point integrates the partition weight once: ln z, <J_z>,
+the moments and the overlap's denominator all read that one integral.
 
 Integrands are handled entirely in log space and integrated over
 adaptive windows around the maxima of the log-integrand: below the
@@ -35,14 +29,16 @@ only.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelParams
-from .errors import InternalConsistencyError, InvalidParameterError
-from .numerics import QuadratureSpec, log_integral, weighted_average
+from .errors import InternalConsistencyError, InvalidParameterError, NumericalError
+from .numerics import QuadratureSpec, integrate, log_integral
 from .witness import MomentSet
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -60,83 +56,83 @@ class ThermalPoint:
             raise InvalidParameterError("beta * max(omega, omega0) must be finite")
 
 
-def _log2cosh(y):
-    y = np.abs(y)
-    return y + np.log1p(np.exp(-2.0 * y))
-
-
 def _epsilon_factory(point: ThermalPoint):
+    """eps(x) and its x^2 coefficient lambda^2 coth(beta omega / 2) / N."""
     p = point.params
     coth = 1.0 / math.tanh(point.beta * p.omega / 2.0)
     scale = p.coupling**2 * coth / p.n_atoms
-    return lambda x: np.sqrt(p.omega0**2 / 4.0 + scale * np.asarray(x) ** 2)
+    return lambda x: np.sqrt(p.omega0**2 / 4.0 + scale * np.asarray(x) ** 2), scale
 
 
-def _log_weight_factory(point: ThermalPoint):
-    eps = _epsilon_factory(point)
-    n, beta = point.params.n_atoms, point.beta
-    return lambda x: -0.5 * np.asarray(x) ** 2 + n * _log2cosh(beta * eps(x))
+def _log_weight_factory(point: ThermalPoint, a=0.5):
+    """ln of the integrand of I(a): -x^2/2 + N [y + log1p(c + (1 - c) e^(-2y))]
+    with y = beta eps and c = (1 - 2a) omega0 / (2 eps)."""
+    eps, _ = _epsilon_factory(point)
+    n, beta, omega0 = point.params.n_atoms, point.beta, point.params.omega0
+
+    def log_weight(x):
+        e = eps(x)
+        y = beta * e
+        c = (1.0 - 2.0 * a) * omega0 / (2.0 * e)
+        t = c + (1.0 - c) * np.exp(-2.0 * y)
+        if np.any(t <= -1.0):
+            raise InternalConsistencyError("nonpositive per-atom overlap factor; a outside [0,1]?")
+        return -0.5 * np.asarray(x) ** 2 + n * (y + np.log1p(t))
+
+    return log_weight
+
+
+@functools.lru_cache(maxsize=64)
+def _partition(point: ThermalPoint, quad: QuadratureSpec):
+    """ln I(1/2) and the weighted averages of <sigma_z>_x, <sigma_z>_x^2, <sigma_x>_x^2."""
+    p, beta = point.params, point.beta
+    eps, sx_scale = _epsilon_factory(point)
+
+    def sz(x):
+        return -(p.omega0 / (2.0 * eps(x))) * np.tanh(beta * eps(x))
+
+    def sz2(x):
+        return sz(x) ** 2
+
+    def sx2(x):
+        e = eps(x)
+        return sx_scale * np.asarray(x) ** 2 / e**2 * np.tanh(beta * e) ** 2
+
+    log_i, averages = integrate(_log_weight_factory(point), (sz, sz2, sx2), quad)
+    return (log_i, *averages)
 
 
 def log_partition(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
     """ln z for the factorized thermal state (photon prefactor included)."""
-    p = point.params
-    log_i = log_integral(_log_weight_factory(point), quad)
     return (
         -0.5 * math.log(2.0 * math.pi)
-        + log_i
-        - math.log(-math.expm1(-point.beta * p.omega))
+        + _partition(point, quad)[0]
+        - math.log(-math.expm1(-point.beta * point.params.omega))
     )
-
-
-def _sigma_z_factory(point: ThermalPoint):
-    eps = _epsilon_factory(point)
-    omega0, beta = point.params.omega0, point.beta
-    return lambda x: -(omega0 / (2.0 * eps(x))) * np.tanh(beta * eps(x))
 
 
 def thermal_jz(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
     """<J_z>/N: half the weighted average of the conditional <sigma_z>."""
-    (avg_sz,) = weighted_average(_log_weight_factory(point), [_sigma_z_factory(point)], quad)
-    return 0.5 * avg_sz
+    return 0.5 * _partition(point, quad)[1]
 
 
-def overlap_finite_t(
-    point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD, doubled_cosh=False
-):
+def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD):
     """Overlap with the reference state diag(a, 1-a)^(x N) at inverse temperature beta.
 
-    Typically a = 1/2 + thermal_jz(point).  Computed as the ratio of two
-    windowed log-space integrals; the photon prefactors cancel against z.
+    Typically a = 1/2 + thermal_jz(point).  Computed as I(a) / (2^N I(1/2))
+    in log space; raises ``NumericalError`` (``log_delta`` in its details)
+    when the overlap lies below the smallest normal double.
     """
     if not 0.0 <= a <= 1.0:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a}")
-    p = point.params
-    eps = _epsilon_factory(point)
-    beta, n = point.beta, p.n_atoms
-
-    def log_f_atom(x):
-        e = eps(x)
-        y = beta * e
-        c = (1.0 - 2.0 * a) * p.omega0 / (2.0 * e)
-        decay = np.exp(-2.0 * y)
-        if doubled_cosh:
-            arg = (1.0 + 0.5 * c) + (1.0 - 0.5 * c) * decay
-            shift = 0.0
-        else:
-            arg = (1.0 + c) + (1.0 - c) * decay
-            shift = -math.log(2.0)
-        if np.any(arg <= 0.0):
-            raise InternalConsistencyError(
-                "nonpositive per-atom overlap factor; a outside [0,1]?"
-            )
-        return y + shift + np.log(arg)
-
-    log_numerator = log_integral(
-        lambda x: -0.5 * np.asarray(x) ** 2 + n * log_f_atom(x), quad
+    log_delta = (
+        log_integral(_log_weight_factory(point, a), quad)
+        - point.params.n_atoms * math.log(2.0)
+        - _partition(point, quad)[0]
     )
-    log_denominator = log_integral(_log_weight_factory(point), quad)
-    return float(np.exp(log_numerator - log_denominator))
+    if log_delta < math.log(sys.float_info.min):
+        raise NumericalError("thermal overlap underflows the double range", log_delta=log_delta)
+    return math.exp(log_delta)
 
 
 def matched_a(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -158,23 +154,8 @@ def thermal_moments(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD) ->
     <J_a^2> = N/4 + (N(N-1)/4) E[<sigma_a>_x^2].  The <sigma_x> integrand
     is odd, so <J_x> = 0 identically.
     """
-    p = point.params
-    n, beta = p.n_atoms, point.beta
-    eps = _epsilon_factory(point)
-    sz = _sigma_z_factory(point)
-    coth = 1.0 / math.tanh(beta * p.omega / 2.0)
-    sx_scale = p.coupling**2 * coth / n
-
-    def sz2(x):
-        return sz(x) ** 2
-
-    def sx2(x):
-        e = eps(x)
-        return sx_scale * np.asarray(x) ** 2 / e**2 * np.tanh(beta * e) ** 2
-
-    avg_sz, avg_sz2, avg_sx2 = weighted_average(
-        _log_weight_factory(point), [sz, sz2, sx2], quad
-    )
+    n = point.params.n_atoms
+    _, avg_sz, avg_sz2, avg_sx2 = _partition(point, quad)
     pair = (n - 1) / (4.0 * n)
     first = (0.0, 0.0, 0.5 * avg_sz)
     second = (

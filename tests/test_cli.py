@@ -1,14 +1,24 @@
 import csv
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from dicke_overlap import cli, zerotemp
+import dicke_overlap
+from dicke_overlap import cli, numerics, thermal, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import ConfigError
+
+
+def _child_env():
+    """The environment with the tested package first on PYTHONPATH, installed or not."""
+    package_root = str(Path(dicke_overlap.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": package_root + (os.pathsep + rest if rest else "")}
 
 
 def run_cli(args, cwd=None):
@@ -17,6 +27,7 @@ def run_cli(args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=_child_env(),
         timeout=400,
     )
 
@@ -331,6 +342,57 @@ def test_oracle_compare_capacity_error(tmp_path):
     assert not out.exists()  # no partial output
 
 
+def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
+    # cutoff 120 at N = 100 fits the dense bound, but the convergence gate's
+    # cutoff 180 does not: the command fails before any diagonalization
+    out = tmp_path / "never.csv"
+    start = time.perf_counter()
+    code = cli.main(
+        ["oracle-compare", "--set", "oracle.mode=ground", "--set", "oracle.cutoff=120",
+         "--set", "model.n_atoms=100", "--out", str(out), "--threads", "1"]
+    )
+    assert code == 2
+    assert "kind=CapacityError" in capsys.readouterr().err
+    assert not out.exists()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_finite_t_underflow_fails_without_output(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = cli.main(
+        ["sweep-finite-t", "--set", "model.n_atoms=2000", "--set", "grid.lambda_min=1.0",
+         "--set", "grid.lambda_max=1.0", "--set", "grid.lambda_steps=1",
+         "--set", "grid.t_min=0.2", "--set", "grid.t_max=0.3", "--set", "grid.t_steps=2",
+         "--out", str(out), "--threads", "1"]
+    )
+    assert code == 2
+    assert "kind=NumericalError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, task",
+    [
+        (cli._finite_t_row, (1.0, 1.0, 0.8, 0.7, 10, (200_000, 1e-9))),
+        (cli._oracle_thermal_row, (1.0, 1.0, 1.0, 0.2, 2, 40, (200_000, 1e-9))),
+    ],
+    ids=["finite_t", "oracle_thermal"],
+)
+def test_thermal_row_runs_two_quadratures(monkeypatch, row, task):
+    # one integral of the partition weight, one of the overlap numerator
+    scans = []
+    scan = numerics._scan
+
+    def counting_scan(log_f):
+        scans.append(1)
+        return scan(log_f)
+
+    monkeypatch.setattr(numerics, "_scan", counting_scan)
+    thermal._partition.cache_clear()
+    row(task)
+    assert len(scans) == 2
+
+
 def test_failure_leaves_no_partial_output(tmp_path):
     out = tmp_path / "partial.csv"
     # grid hits the critical coupling exactly: the effective ground state
@@ -426,6 +488,7 @@ def test_cli_import_leaves_sparse_eigensolver_unloaded():
          "import sys, dicke_overlap.cli; print('scipy.sparse.linalg' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_child_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

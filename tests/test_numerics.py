@@ -8,10 +8,10 @@ from dicke_overlap.errors import BracketError, InvalidParameterError, NumericalE
 from dicke_overlap.numerics import (
     QuadratureSpec,
     find_root,
+    integrate,
     log_integral,
     lowest_eigenpair,
     symmetric_eigendecomposition,
-    weighted_average,
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-12)
@@ -62,7 +62,8 @@ def test_shallow_valley_bimodal():
         return np.logaddexp(-0.5 * (x + 1.5) ** 2, math.log(3.0) - 0.125 * (x - 1.5) ** 2)
 
     assert abs(log_integral(log_f, TIGHT) - (math.log(7.0) + LOG_SQRT_2PI)) < 1e-12
-    (mean,) = weighted_average(log_f, [lambda x: np.asarray(x)], TIGHT)
+    log_i, (mean,) = integrate(log_f, [lambda x: np.asarray(x)], TIGHT)
+    assert abs(log_i - (math.log(7.0) + LOG_SQRT_2PI)) < 1e-12
     assert abs(mean - 7.5 / 7.0) < 1e-11
 
 
@@ -82,10 +83,10 @@ def test_node_budget_error_carries_estimate():
     assert "achieved" in err.value.details
 
 
-def test_weighted_average_moments():
+def test_integrate_moments():
     quad = QuadratureSpec(rel_tol=1e-11)
     log_w = lambda x: -0.5 * np.asarray(x) ** 2
-    second, fourth, odd = weighted_average(
+    log_i, (second, fourth, odd) = integrate(
         log_w,
         [
             lambda x: np.asarray(x) ** 2,
@@ -94,6 +95,7 @@ def test_weighted_average_moments():
         ],
         quad,
     )
+    assert abs(log_i - LOG_SQRT_2PI) < 1e-11
     assert abs(second - 1.0) < 1e-9
     assert abs(fourth - 3.0) < 1e-8
     assert abs(odd) < 1e-9

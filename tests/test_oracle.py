@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,25 @@ def test_capacity_bounds():
         full_product_basis(7, 10)
     with pytest.raises(CapacityError):
         symmetric_basis(100, 3000)
+    with pytest.raises(CapacityError):
+        full_product_basis(6, 1000)  # dimension 64,000: 30 GiB dense
+
+
+def test_capacity_bound_counts_dense_bytes():
+    # dimension 199,879 would need a 320 GB dense matrix; the check runs
+    # before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            symmetric_basis(100, 1979)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest basis in use: the N = 40, lambda = 1 convergence gate
+    params = ModelParams(1.0, 1.0, 1.0, 40)
+    big = oracle.convergence_cutoff(oracle.suggested_cutoff(params))
+    assert symmetric_basis(40, big).dim == 5781
 
 
 def test_ground_state_decoupled_is_product_vacuum():

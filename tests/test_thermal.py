@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_overlap import oracle, thermal
 from dicke_overlap.core import ModelParams
-from dicke_overlap.errors import InvalidParameterError
+from dicke_overlap.errors import InvalidParameterError, NumericalError
 from dicke_overlap.numerics import QuadratureSpec
 from dicke_overlap.separable import SeparableState
 from dicke_overlap.thermal import (
@@ -130,13 +132,50 @@ def test_split_error_grows_with_beta():
     assert errors[0] < errors[1] < errors[2]
 
 
-def test_overlap_doubled_cosh_variant():
-    # the doubled-cosh per-atom factor reproduces the partition-function
-    # factor at a = 1/2, forcing overlap 1 regardless of temperature; the
-    # corrected factor instead gives the physical value
-    point = ThermalPoint(ModelParams(1.0, 1.0, 0.7, 6), 0.5)
-    assert abs(overlap_finite_t(point, 0.5, QUAD, doubled_cosh=True) - 1.0) < 1e-9
-    assert overlap_finite_t(point, 0.5, QUAD) < 0.2
+@pytest.mark.parametrize(
+    "lam, temp, n", [(0.3, 0.5, 4), (0.7, 1.0, 12), (1.2, 0.3, 50), (1.0, 2.0, 100)]
+)
+def test_overlap_at_half_is_infinite_temperature_value(lam, temp, n):
+    # at a = 1/2 the per-atom factor is cosh(beta eps), so the numerator is
+    # the partition integral and the overlap is 2^-N at every temperature
+    # (a doubled cosh term would force 1 here instead)
+    point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
+    assert abs(overlap_finite_t(point, 0.5, QUAD) * 2.0**n - 1.0) < 1e-12
+
+
+def test_overlap_underflow_raises():
+    # Delta ~ 2^-N at N = 2000: below the double range, not a silent 0.0
+    point = ThermalPoint(ModelParams(1.0, 1.0, 1.0, 2000), 1.0 / 0.2)
+    with pytest.raises(NumericalError) as err:
+        overlap_finite_t(point, matched_a(point, QUAD), QUAD)
+    assert err.value.details["log_delta"] < math.log(2.0**-1000)
+
+
+_THERMAL_CALLS = {
+    "log_partition": lambda point: log_partition(point, QUAD),
+    "thermal_jz": lambda point: thermal_jz(point, QUAD),
+    "thermal_moments": lambda point: (lambda m: m.first + m.second)(thermal_moments(point, QUAD)),
+    "overlap_finite_t": lambda point: overlap_finite_t(point, matched_a(point, QUAD), QUAD),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.5),
+    temp=st.floats(0.2, 3.0),
+    n=st.integers(1, 100),
+    order=st.permutations(sorted(_THERMAL_CALLS)),
+)
+def test_thermal_values_independent_of_call_order(lam, temp, n, order):
+    point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
+    thermal._partition.cache_clear()
+    got = {name: _THERMAL_CALLS[name](point) for name in order}
+    thermal._partition.cache_clear()
+    want = {name: _THERMAL_CALLS[name](point) for name in sorted(_THERMAL_CALLS)}
+    assert got == want
+    # one partition integral serves every reader
+    assert got["thermal_moments"][2] == got["thermal_jz"]
+    assert 0.0 <= got["overlap_finite_t"] <= 1.0
 
 
 def test_overlap_validates_a():
