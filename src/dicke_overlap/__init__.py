@@ -6,7 +6,8 @@ Library layout:
 * ``separable`` -- the symmetry-determined product reference state
 * ``numerics``  -- windowed log-space quadrature, root finding, eigensolvers
 * ``zerotemp``  -- effective quadratic Hamiltonians, their exact Gaussian
-                   ground state, overlap, purity, scaling fit, moments
+                   ground state, overlap, purity, scaling fit, moments;
+                   the truncated-Fock ground state as the tests' reference
 * ``thermal``   -- partition-function quadrature, thermal overlap and moments
 * ``witness``   -- spin-squeezing entanglement inequalities
 * ``oracle``    -- brute-force exact diagonalization for validation
@@ -45,7 +46,6 @@ from .zerotemp import (
     effective_ground_state,
     effective_hamiltonian,
     gaussian_ground_state,
-    ground_state,
     matched_separable_state,
     overlap_for_params,
     overlap_zero_t,

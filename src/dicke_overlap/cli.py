@@ -138,6 +138,9 @@ def _lambda_grid(cfg):
 
 
 def _t_grid(cfg):
+    for key in ("grid.t_min", "grid.t_max"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}", field=key)
     return np.linspace(cfg["grid.t_min"], cfg["grid.t_max"], cfg["grid.t_steps"])
 
 
@@ -424,6 +427,10 @@ def cmd_oracle_compare(cfg):
 
 def cmd_scaling_fit(cfg):
     pipelines = [p.strip() for p in cfg["scaling.pipeline"].split(",") if p.strip()]
+    # t = 1 - lambda/lambda_c: the fit's grid lies strictly between 0 and lambda_c
+    for key in ("scaling.t_min", "scaling.t_max"):
+        if not 0 < cfg[key] < 1:
+            raise ConfigError(f"{key} must lie in (0, 1), got {cfg[key]!r}", field=key)
     t_grid = np.geomspace(cfg["scaling.t_max"], cfg["scaling.t_min"], cfg["scaling.points"])
     omega, omega0 = cfg["model.omega"], cfg["model.omega0"]
     lc = core.critical_coupling(omega, omega0)

@@ -98,12 +98,12 @@ def symmetric_eigendecomposition(matrix):
 def lowest_eigenpair(matrix, sigma=None):
     """Lowest eigenvalue and eigenvector of a symmetric matrix.
 
-    Dense input uses the LAPACK subset driver.  Sparse input uses
-    shift-inverted Lanczos with a deterministic start vector; ``sigma``
-    must then be a strict lower bound on the spectrum (for the quadratic
-    mode Hamiltonians the Bogoliubov ground energy provides one).  Sign
-    convention: the first amplitude above 1e-10 of the largest is
-    nonnegative.
+    Dense input (the oracle's) uses the LAPACK subset driver.  Sparse input
+    (the truncated zero-T reference's) uses shift-inverted Lanczos with a
+    deterministic start vector; ``sigma`` must then be a strict lower bound
+    on the spectrum (for the quadratic mode Hamiltonians the Bogoliubov
+    ground energy provides one).  Sign convention: the first amplitude
+    above 1e-10 of the largest is nonnegative.
     """
     if sparse.issparse(matrix):
         if sigma is None:

@@ -28,11 +28,10 @@ Holstein-Primakoff moments need nothing else, and the reduced purity
 follows from the covariance alone.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonians in a
-truncated Fock space instead (a dense LAPACK subset solve for small
-dimensions, shift-inverted Lanczos on the sparse matrix, started from
-the analytic Bogoliubov ground energy, for large cutoffs) and displaces
-the reduced atomic matrix with a dense matrix exponential.  It is the
-reference the Gaussian backend is checked against.
+truncated Fock space instead (shift-inverted Lanczos on the sparse
+matrix, started from the analytic Bogoliubov ground energy) and
+displaces the reduced atomic matrix with a dense matrix exponential.
+It is the reference the Gaussian backend is checked against.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .witness import MomentSet
 
 _TAIL_FRACTION = 0.1
 _TAIL_TOL = 1e-8
-_DENSE_DIM_LIMIT = 6000
 DEFAULT_PLOT_CUTOFF = 60
 MAX_DEFAULT_CUTOFF = 360  # shift-invert LU fill ~ cutoff^3 * 16 bytes
 
@@ -80,8 +78,7 @@ class TwoModeState:
     amplitudes: np.ndarray = field(repr=False)
     ground_energy: float
     displacement_atom: float  # mean-field b'b shift; 0 in the normal phase
-    phase: PhaseLabel
-    n_atoms: int | None = None
+    n_atoms: int
 
     def grid(self):
         return self.amplitudes.reshape(self.cutoff_photon, self.cutoff_atom)
@@ -242,52 +239,6 @@ def _tail_mass(probabilities, fraction=_TAIL_FRACTION):
     return float(probabilities[start:].sum())
 
 
-def ground_state(
-    matrix,
-    cutoffs,
-    *,
-    phase: PhaseLabel = PhaseLabel.NORMAL,
-    displacement_atom=0.0,
-    n_atoms=None,
-    sigma_lower=None,
-) -> TwoModeState:
-    """Lowest eigenpair of a truncated two-mode Hamiltonian.
-
-    The sign convention is ``lowest_eigenpair``'s.  Rejects states whose
-    occupation tail in the top 10% of either mode's levels exceeds 1e-8.
-    """
-    ca, cb = cutoffs
-    dim = ca * cb
-    if sparse.issparse(matrix) or dim > _DENSE_DIM_LIMIT:
-        if sigma_lower is None:
-            raise InvalidParameterError(
-                "large/sparse ground-state solves need a spectral lower bound"
-            )
-        energy, vec = lowest_eigenpair(sparse.csr_matrix(matrix), sigma=sigma_lower)
-    else:
-        energy, vec = lowest_eigenpair(np.asarray(matrix))
-    psi = vec.reshape(ca, cb)
-    tail_photon = _tail_mass((psi**2).sum(axis=1))
-    tail_atom = _tail_mass((psi**2).sum(axis=0))
-    if tail_photon > _TAIL_TOL:
-        raise CutoffError(
-            f"photon-mode tail mass {tail_photon:.2e} exceeds {_TAIL_TOL}", mode="photon"
-        )
-    if tail_atom > _TAIL_TOL:
-        raise CutoffError(
-            f"atom-mode tail mass {tail_atom:.2e} exceeds {_TAIL_TOL}", mode="atom"
-        )
-    return TwoModeState(
-        cutoff_photon=ca,
-        cutoff_atom=cb,
-        amplitudes=vec,
-        ground_energy=float(energy),
-        displacement_atom=float(displacement_atom),
-        phase=phase,
-        n_atoms=n_atoms,
-    )
-
-
 def default_cutoffs(params: ModelParams):
     """Cutoff heuristic: grows as the soft mode drops toward zero near lambda_c.
 
@@ -309,23 +260,32 @@ def default_cutoffs(params: ModelParams):
 def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     """Truncated-Fock reference for ``gaussian_ground_state``.
 
-    Solves at ``cutoffs`` (default: ``default_cutoffs``) with displacement
-    bookkeeping; ``ground_state`` raises ``CutoffError`` if they are too
-    small.  Rejects lambda = lambda_c, where the soft mode vanishes, before
-    any solve.
+    Diagonalizes the phase-appropriate Hamiltonian at ``cutoffs`` (default:
+    ``default_cutoffs``) by shift-inverted Lanczos on the sparse matrix,
+    started below the analytic Bogoliubov ground energy; the sign convention
+    is ``lowest_eigenpair``'s.  Raises ``CutoffError``, naming the mode, when
+    the occupation in the top 10% of either mode's levels exceeds 1e-8.
+    Rejects lambda = lambda_c, where the soft mode vanishes, before any solve.
     """
     _reject_critical(params)
-    phase = phase_zero_t(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
     sigma = analytic_ground_energy(params) - 0.25 * (params.omega + params.omega0)
-    return ground_state(
-        _sparse_hamiltonian(params, phase, cutoffs),
-        cutoffs,
-        phase=phase,
+    matrix = _sparse_hamiltonian(params, phase_zero_t(params), cutoffs)
+    energy, vec = lowest_eigenpair(matrix, sigma=sigma)
+    ca, cb = cutoffs
+    occupation = vec.reshape(ca, cb) ** 2
+    for mode, axis in (("photon", 1), ("atom", 0)):
+        tail = _tail_mass(occupation.sum(axis=axis))
+        if tail > _TAIL_TOL:
+            raise CutoffError(f"{mode}-mode tail mass {tail:.2e} exceeds {_TAIL_TOL}", mode=mode)
+    return TwoModeState(
+        cutoff_photon=ca,
+        cutoff_atom=cb,
+        amplitudes=vec,
+        ground_energy=float(energy),
         displacement_atom=mean_field_displacement(params),
         n_atoms=params.n_atoms,
-        sigma_lower=sigma,
     )
 
 
@@ -419,20 +379,21 @@ def _displacement_matrix(alpha, dim):
 
 
 def _physical_atom_matrix(state: TwoModeState):
-    """Reduced atomic density matrix in the physical (undisplaced) Fock basis."""
+    """Reduced atomic density matrix in the physical (undisplaced) Fock basis.
+
+    The displacement acts on enough levels to hold the shifted state, and
+    only then is the result cut to the N + 1 physical levels.
+    """
     rho = _reduced_atom_matrix(state)
     beta_disp = state.displacement_atom
     if beta_disp == 0.0:
         return rho
-    if state.n_atoms is None:
-        raise InvalidParameterError("displaced states need n_atoms for the physical basis")
     extent = state.cutoff_atom + int(math.ceil(beta_disp + 8.0 * math.sqrt(beta_disp + 1.0)))
-    dim = min(state.n_atoms + 1, extent)
-    embedded = np.zeros((dim, dim))
-    k = min(dim, state.cutoff_atom)
-    embedded[:k, :k] = rho[:k, :k]
-    d = _displacement_matrix(math.sqrt(beta_disp), dim)
-    return d @ embedded @ d.T
+    embedded = np.zeros((extent, extent))
+    embedded[: state.cutoff_atom, : state.cutoff_atom] = rho
+    d = _displacement_matrix(math.sqrt(beta_disp), extent)
+    physical = state.n_atoms + 1
+    return (d @ embedded @ d.T)[:physical, :physical]
 
 
 def atom_diagonal_probabilities(state: TwoModeState | GaussianState):
@@ -451,7 +412,7 @@ def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
     Contracts the physical spin-excitation distribution with the binomial
     weights; the result lies in [0, 1] by construction.
     """
-    if state.n_atoms is not None and sep.n_atoms != state.n_atoms:
+    if sep.n_atoms != state.n_atoms:
         raise InvalidParameterError("separable state and ground state disagree on N")
     expected_a = state.displacement_atom / sep.n_atoms
     if abs(sep.a - expected_a) > 1e-9:
@@ -553,7 +514,7 @@ def collective_moments_zero_t(
     <J_x> is macroscopic there while the parity-even moments match the
     collective model.  <J_y> vanishes identically (real state).
     """
-    if state.n_atoms is not None and state.n_atoms != params.n_atoms:
+    if state.n_atoms != params.n_atoms:
         raise InvalidParameterError("state and params disagree on N")
     probs, off1, off2 = state.fock_band()
     n = params.n_atoms

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -86,6 +87,26 @@ def test_lone_cutoff_exits_with_config_error(tmp_path):
     )
     assert result.returncode == 2
     assert "kind=ConfigError field=numerics.cutoff_photon" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["sweep-finite-t", "--set", "grid.t_min=0", "--set", "grid.t_steps=2",
+          "--set", "grid.lambda_steps=1"], "grid.t_min"),
+        (["witness", "--set", "witness.mode=finite_t", "--set", "grid.t_min=0",
+          "--set", "grid.t_steps=2", "--set", "grid.lambda_steps=1"], "grid.t_min"),
+        (["scaling-fit", "--set", "scaling.t_min=0"], "scaling.t_min"),
+        (["scaling-fit", "--set", "scaling.t_min=-1e-3"], "scaling.t_min"),
+    ],
+    ids=["sweep-finite-t", "witness-finite_t", "scaling-fit-zero", "scaling-fit-negative"],
+)
+def test_nonpositive_temperature_bound_exits_with_config_error(tmp_path, args, field):
+    out = tmp_path / "out.csv"
+    result = run_cli([*args, "--out", str(out), "--threads", "1"])
+    assert result.returncode == 2, result.stderr
+    assert f"kind=ConfigError field={field}" in result.stderr
     assert not out.exists()
 
 
@@ -493,3 +514,28 @@ def test_cli_import_leaves_sparse_eigensolver_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_traced_replay_still_binds(tmp_path):
+    # the benchmark's traced replay looks up package functions by name; a
+    # rename or deletion of one it hooks fails here, not only under --trace
+    script = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+    trace = tmp_path / "smoke.trace.json"
+    out = tmp_path / "smoke.csv"
+    result = subprocess.run(
+        [sys.executable, str(script), str(trace), "--", "sweep-finite-t",
+         "--set", "model.n_atoms=10", "--set", "grid.lambda_steps=2",
+         "--set", "grid.t_steps=2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    with open(trace, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert set(recorded) == {
+        "spans", "solves", "physical_dims", "dense_dims", "log_integral_evals",
+        "oracle_cache_hits", "post_s",
+    }
+    assert len(read_rows(out)) == 4
