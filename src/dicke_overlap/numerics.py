@@ -29,6 +29,7 @@ _LOG_FLOOR = -745.0  # exp() underflows below this
 _SCAN_POINTS = 4097
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
 _PEAK_KEEP = 60.0  # windows cover the scan points within this of the maximum
+_KRYLOV_DIM = 20  # ARPACK's default Krylov size for one eigenpair
 
 
 @dataclass(frozen=True)
@@ -98,30 +99,32 @@ def symmetric_eigendecomposition(matrix):
 def lowest_eigenpair(matrix, sigma=None):
     """Lowest eigenvalue and eigenvector of a symmetric matrix.
 
-    Dense input (the oracle's) uses the LAPACK subset driver.  Sparse input
-    (the truncated zero-T reference's) uses shift-inverted Lanczos with a
-    deterministic start vector; ``sigma`` must then be a strict lower bound
-    on the spectrum (for the quadratic mode Hamiltonians the Bogoliubov
+    Dense input, and sparse input no larger than ARPACK's Krylov space, uses
+    the LAPACK subset driver.  Larger sparse input uses Lanczos from a
+    uniform start vector: plain Lanczos for the smallest algebraic
+    eigenvalue (the oracle's even-parity block) when ``sigma`` is None, or
+    shift-inverted Lanczos about ``sigma``, which must then be a strict lower
+    bound on the spectrum (the truncated zero-T reference: the Bogoliubov
     ground energy provides one).  Sign convention: the first amplitude
     above 1e-10 of the largest is nonnegative.
     """
-    if sparse.issparse(matrix):
-        if sigma is None:
-            raise InvalidParameterError("sparse lowest_eigenpair requires a spectral lower bound")
-        # imported here: only the truncated reference solver comes this way,
-        # so no CLI process pays for the import at start-up
+    if sparse.issparse(matrix) and matrix.shape[0] > _KRYLOV_DIM:
+        # imported here: only the oracle and the truncated reference come
+        # this way, so no CLI process pays for the import at start-up
         import scipy.sparse.linalg as sparse_linalg
 
         dim = matrix.shape[0]
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        if sigma is None:
+            operator, solve = matrix, dict(which="SA", tol=0)
+        else:
+            operator, solve = matrix.tocsc(), dict(sigma=sigma, which="LM", maxiter=10_000)
         try:
-            vals, vecs = sparse_linalg.eigsh(
-                matrix.tocsc(), k=1, sigma=sigma, which="LM", v0=v0, maxiter=10_000
-            )
+            vals, vecs = sparse_linalg.eigsh(operator, k=1, v0=v0, **solve)
         except sparse_linalg.ArpackNoConvergence as exc:
             raise NumericalError("Lanczos iteration did not converge", sigma=sigma) from exc
     else:
-        a = np.asarray(matrix, dtype=float)
+        a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
         vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
     vec = vecs[:, 0]
     significant = np.flatnonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())

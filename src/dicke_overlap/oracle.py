@@ -4,13 +4,16 @@ Validation backend for every other module.  Two bases:
 
 * ``SymmetricSector`` -- photon Fock space (truncated) tensor the maximal
   collective-spin multiplet j = N/2, dimension cutoff * (N+1).  The
-  ground state lives here, so N up to ~40 stays cheap.
+  ground state lives here, in the even block of the parity
+  exp[i pi (a'a + J_z + N/2)], which sparse Lanczos solves alone: N = 40
+  takes about 0.1 s.
 * ``FullProduct`` -- photon Fock space tensor all 2^N spin
   configurations.  Thermal states weight non-symmetric sectors that the
   collective basis misses, so finite-temperature validation uses this
   basis (N <= 6 only).
 
-Only the dense symmetric eigensolvers of ``numerics`` are used.
+Thermal and split-trace states take the complete dense eigendecomposition
+of ``numerics``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.special import logsumexp
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
@@ -30,7 +34,10 @@ from .separable import SeparableState, config_log_terms
 from .witness import MomentSet
 
 _FULL_PRODUCT_MAX_ATOMS = 6
-_DENSE_MAX_BYTES = 2 * 2**30  # one dense float64 Hamiltonian of either basis
+# one dense float64 Hamiltonian of either basis; the ground state's sparse
+# even block needs far less, so for the symmetric basis this is a
+# conservative ceiling
+_DENSE_MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
@@ -145,21 +152,23 @@ def collective_spin_matrices(basis: DickeBasis):
     return jx, jy, jz
 
 
-def build_hamiltonian(params: ModelParams, basis: DickeBasis):
-    """Dense matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-)."""
+def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis):
+    """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-)."""
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
     jx, _, jz = collective_spin_matrices(basis)
     a = _photon_ladder(basis.cutoff)
-    photon_number = np.diag(np.arange(basis.cutoff, dtype=float))
-    x_photon = a + a.T
-    eye_photon = np.eye(basis.cutoff)
-    eye_atoms = np.eye(basis.atom_dim)
-    h = params.omega * np.kron(photon_number, eye_atoms)
-    h += params.omega0 * np.kron(eye_photon, jz)
+    photon_number = sparse.diags(np.arange(basis.cutoff, dtype=float))
+    h = params.omega * sparse.kron(photon_number, sparse.identity(basis.atom_dim))
+    h = h + params.omega0 * sparse.kron(sparse.identity(basis.cutoff), jz)
     # (J+ + J-) = 2 Jx
-    h += (params.coupling / math.sqrt(params.n_atoms)) * np.kron(x_photon, 2.0 * jx)
-    return h
+    h = h + (params.coupling / math.sqrt(params.n_atoms)) * sparse.kron(a + a.T, 2.0 * jx)
+    return h.tocsr()
+
+
+def build_hamiltonian(params: ModelParams, basis: DickeBasis):
+    """Dense matrix of ``_sparse_hamiltonian``."""
+    return _sparse_hamiltonian(params, basis).toarray()
 
 
 def parity_diagonal(basis: DickeBasis):
@@ -215,9 +224,17 @@ def convergence_cutoff(cutoff):
 
 @functools.lru_cache(maxsize=64)
 def _ground_pair(params: ModelParams, cutoff: int):
+    # H conserves the parity, and the ground state is the lowest state of
+    # the even block; solving only that block keeps the state an exact
+    # parity eigenstate even where the odd ground state is degenerate with
+    # it to rounding (the superradiant phase)
     basis = symmetric_basis(params.n_atoms, cutoff)
-    h = build_hamiltonian(params, basis)
-    return lowest_eigenpair(h)
+    even = np.flatnonzero(parity_diagonal(basis) > 0)
+    h = _sparse_hamiltonian(params, basis)
+    e0, block_vec = lowest_eigenpair(h[even][:, even])
+    vec = np.zeros(basis.dim)
+    vec[even] = block_vec
+    return e0, vec
 
 
 def exact_ground_state(params: ModelParams, cutoff):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dicke_overlap
-from dicke_overlap import cli, numerics, thermal, zerotemp
+from dicke_overlap import cli, numerics, oracle, thermal, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import ConfigError
 
@@ -503,7 +503,8 @@ def test_witness_zero_t_small_n_near_critical(tmp_path):
 
 
 def test_cli_import_leaves_sparse_eigensolver_unloaded():
-    # scipy.sparse.linalg serves only the truncated reference solver
+    # scipy.sparse.linalg serves only the oracle ground state and the truncated
+    # reference solver, which import it inside the solve
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, dicke_overlap.cli; print('scipy.sparse.linalg' in sys.modules)"],
@@ -516,16 +517,13 @@ def test_cli_import_leaves_sparse_eigensolver_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_traced_replay_still_binds(tmp_path):
-    # the benchmark's traced replay looks up package functions by name; a
-    # rename or deletion of one it hooks fails here, not only under --trace
+def _traced_replay(tmp_path, args):
+    """Run ``args`` through the benchmark's traced replay; returns (trace, csv path)."""
     script = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
     trace = tmp_path / "smoke.trace.json"
     out = tmp_path / "smoke.csv"
     result = subprocess.run(
-        [sys.executable, str(script), str(trace), "--", "sweep-finite-t",
-         "--set", "model.n_atoms=10", "--set", "grid.lambda_steps=2",
-         "--set", "grid.t_steps=2", "--out", str(out)],
+        [sys.executable, str(script), str(trace), "--", *args, "--out", str(out)],
         capture_output=True,
         text=True,
         env=_child_env(),
@@ -533,9 +531,31 @@ def test_traced_replay_still_binds(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     with open(trace, encoding="utf-8") as fh:
-        recorded = json.load(fh)
+        return json.load(fh), out
+
+
+def test_traced_replay_still_binds(tmp_path):
+    # the benchmark's traced replay looks up package functions by name; a
+    # rename or deletion of one it hooks fails here, not only under --trace
+    recorded, out = _traced_replay(tmp_path, [
+        "sweep-finite-t", "--set", "model.n_atoms=10", "--set", "grid.lambda_steps=2",
+        "--set", "grid.t_steps=2"])
     assert set(recorded) == {
         "spans", "solves", "physical_dims", "dense_dims", "log_integral_evals",
         "oracle_cache_hits", "post_s",
     }
     assert len(read_rows(out)) == 4
+
+
+def test_traced_oracle_ground_replay(tmp_path):
+    # the replay fails a traced command that hits an oracle cache inside a
+    # span, so the ground path keeps _ground_pair as its only cache
+    recorded, out = _traced_replay(tmp_path, [
+        "oracle-compare", "--set", "oracle.mode=ground", "--set", "model.n_atoms=6",
+        "--set", "oracle.cutoff=20", "--set", "grid.lambda_min=0.3",
+        "--set", "grid.lambda_max=0.3", "--set", "grid.lambda_steps=1"])
+    assert recorded["oracle_cache_hits"] == 0
+    assert recorded["dense_dims"] == [
+        oracle.symmetric_basis(6, c).dim for c in (20, oracle.convergence_cutoff(20))
+    ]
+    assert len(read_rows(out)) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,3 +159,14 @@ def test_lowest_eigenpair_dense_vs_sparse():
     )
     assert abs(e_dense - e_sparse) < 1e-10
     assert abs(abs(v_dense @ v_sparse) - 1.0) < 1e-10
+    # no shift: plain Lanczos, same sign convention as the dense branch
+    e_lanczos, v_lanczos = lowest_eigenpair(sparse.csr_matrix(a))
+    assert abs(e_dense - e_lanczos) < 1e-10
+    assert np.abs(v_dense - v_lanczos).max() < 1e-9
+    # below ARPACK's Krylov size the sparse input takes the dense branch
+    small = a[:12, :12]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e_small, v_small = lowest_eigenpair(sparse.csr_matrix(small))
+    e_ref, v_ref = lowest_eigenpair(small)
+    assert e_small == e_ref and np.array_equal(v_small, v_ref)

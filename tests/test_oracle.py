@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg
 from dicke_overlap import oracle
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import CapacityError, InvalidParameterError
+from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.oracle import (
     BasisVariant,
     build_hamiltonian,
@@ -212,6 +214,39 @@ def test_ground_state_parity_eigenstate():
     flipped = pi * state.vector
     overlap = float(state.vector @ flipped)
     assert abs(abs(overlap) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, lam, cutoff", [(20, 0.97, 64), (20, 1.0, 64), (40, 1.0, None)])
+def test_superradiant_ground_state_keeps_parity(n, lam, cutoff):
+    # the even and odd ground energies differ by ~1e-14 here, so a solve of
+    # the whole matrix returns an arbitrary mixture of the two, with a
+    # nonzero <J_x> that parity forbids
+    params = ModelParams(1.0, 1.0, lam, n)
+    cutoff = cutoff or oracle.suggested_cutoff(params)
+    state = exact_ground_state(params, cutoff)
+    assert np.all(state.vector[parity_diagonal(state.basis) < 0] == 0.0)
+    first = exact_moments(state).first
+    assert abs(first[0] * n) < 1e-12 and abs(first[1] * n) < 1e-12
+    if n == 20:
+        dense = np.linalg.eigvalsh(build_hamiltonian(params, state.basis))[0]
+        assert abs(oracle.ground_energy(params, cutoff) - dense) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("cutoff", [2, 3, 12])
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_even_block_solve_matches_dense(n, cutoff, lam):
+    # blocks of 2 to 66 states: the small ones take the dense branch, so
+    # ARPACK never sees a matrix smaller than its Krylov space
+    params = ModelParams(1.0, 1.0, lam, n)
+    h = build_hamiltonian(params, symmetric_basis(n, cutoff))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e0, vec = oracle._ground_pair.__wrapped__(params, cutoff)
+    vals = np.linalg.eigvalsh(h)
+    assert abs(e0 - vals[0]) < 1e-10
+    if vals[1] - vals[0] > 1e-6:
+        assert np.abs(vec - lowest_eigenpair(h)[1]).max() < 1e-9
 
 
 def test_split_log_partition_against_expm():
