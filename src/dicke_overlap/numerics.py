@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
 
 from .errors import BracketError, InvalidParameterError, NumericalError
 
@@ -108,9 +106,12 @@ def lowest_eigenpair(matrix, sigma=None):
     ground energy provides one).  Sign convention: the first amplitude
     above 1e-10 of the largest is nonnegative.
     """
+    # scipy is imported here: only the oracle and the truncated reference
+    # call this, so the zero-T and finite-T CLI commands start on numpy alone
+    import scipy.linalg
+    import scipy.sparse as sparse
+
     if sparse.issparse(matrix) and matrix.shape[0] > _KRYLOV_DIM:
-        # imported here: only the oracle and the truncated reference come
-        # this way, so no CLI process pays for the import at start-up
         import scipy.sparse.linalg as sparse_linalg
 
         dim = matrix.shape[0]

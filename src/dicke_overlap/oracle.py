@@ -13,7 +13,8 @@ Validation backend for every other module.  Two bases:
   basis (N <= 6 only).
 
 Thermal and split-trace states take the complete dense eigendecomposition
-of ``numerics``.
+of ``numerics``.  scipy is imported inside the functions that use it, so
+importing this module, and with it the CLI, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.special import logsumexp
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
@@ -154,6 +153,7 @@ def collective_spin_matrices(basis: DickeBasis):
 
 def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis):
     """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-)."""
+    import scipy.sparse as sparse
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
     jx, _, jz = collective_spin_matrices(basis)
@@ -368,6 +368,7 @@ def _split_pieces(params: ModelParams, cutoff: int):
 
 
 def _split_log_terms(params, cutoff, beta):
+    from scipy.special import logsumexp
     basis, h0_diag, vals, vecs = _split_pieces(params, int(cutoff))
     # ln (exp(-beta HI))_ii = logsumexp_k [ ln U_ik^2 - beta e_k ]
     log_diag = logsumexp(-beta * vals[None, :], b=vecs**2, axis=1)
@@ -376,6 +377,7 @@ def _split_log_terms(params, cutoff, beta):
 
 def split_log_partition(params: ModelParams, cutoff, beta):
     """ln Tr[exp(-beta H0) exp(-beta HI)] in the full product basis."""
+    from scipy.special import logsumexp
     _, log_terms = _split_log_terms(params, cutoff, beta)
     return float(logsumexp(log_terms))
 
@@ -387,6 +389,7 @@ def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     truncation error only; the O(beta^3) factorization error is common to
     both.
     """
+    from scipy.special import logsumexp
     basis, log_terms = _split_log_terms(params, cutoff, beta)
     n_up = np.tile(basis.up_counts(), basis.cutoff)
     log_ref = _config_log_weights(sep, n_up)

@@ -10,10 +10,10 @@ only (a, N, log-weights) are ever stored, never a 2^N matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidDistributionError, InvalidParameterError
 from .numerics import golden_max
@@ -30,9 +30,9 @@ def config_log_terms(a, n_atoms, n_up):
 
 def _binomial_log_weights(a, n_atoms):
     """ln[C(N,n) a^n (1-a)^(N-n)] for n = 0..N, via log-gamma (-inf where the weight is 0)."""
-    n = np.arange(n_atoms + 1, dtype=float)
-    log_comb = gammaln(n_atoms + 1.0) - gammaln(n + 1.0) - gammaln(n_atoms - n + 1.0)
-    up, down = config_log_terms(a, n_atoms, n)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n_atoms + 1)])
+    log_comb = lg[n_atoms] - lg - lg[::-1]
+    up, down = config_log_terms(a, n_atoms, np.arange(n_atoms + 1, dtype=float))
     return log_comb + up + down
 
 

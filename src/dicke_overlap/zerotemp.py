@@ -31,7 +31,8 @@ follows from the covariance alone.
 truncated Fock space instead (shift-inverted Lanczos on the sparse
 matrix, started from the analytic Bogoliubov ground energy) and
 displaces the reduced atomic matrix with a dense matrix exponential.
-It is the reference the Gaussian backend is checked against.
+It is the reference the Gaussian backend is checked against, and the
+only user of scipy here, which it imports when called.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
 
 from .core import ModelParams, PhaseLabel, order_parameter_zero_t, phase_zero_t
 from .errors import (
@@ -142,6 +141,7 @@ def _check_phase(params, phase):
 
 
 def _sparse_hamiltonian(params, phase, cutoffs):
+    import scipy.sparse as sparse
     _check_phase(params, phase)
     ca, cb = cutoffs
     if min(ca, cb) < 8:
@@ -254,7 +254,8 @@ def default_cutoffs(params: ModelParams):
     # top-10% tail below 1e-9: mass above 0.9 C is ~ q^(0.9 C) / (1 - q)
     need = (math.log(1e9) + math.log(1.0 / (1.0 - q))) / (0.9 * -math.log(q))
     c = max(DEFAULT_PLOT_CUTOFF, int(math.ceil(1.15 * need)) + 8)
-    return min(c, MAX_DEFAULT_CUTOFF), min(c, MAX_DEFAULT_CUTOFF)
+    # the atom mode has only the N + 1 levels the HP mapping defines
+    return min(c, MAX_DEFAULT_CUTOFF), min(c, MAX_DEFAULT_CUTOFF, params.n_atoms + 1)
 
 
 def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
@@ -374,6 +375,7 @@ def _reduced_atom_matrix(state: TwoModeState):
 
 
 def _displacement_matrix(alpha, dim):
+    import scipy.linalg
     creation = np.diag(np.sqrt(np.arange(1.0, dim)), -1)
     return scipy.linalg.expm(alpha * (creation - creation.T))
 

@@ -503,8 +503,8 @@ def test_witness_zero_t_small_n_near_critical(tmp_path):
 
 
 def test_cli_import_leaves_sparse_eigensolver_unloaded():
-    # scipy.sparse.linalg serves only the oracle ground state and the truncated
-    # reference solver, which import it inside the solve
+    # scipy serves only the oracle and the truncated reference solver, which
+    # import it inside the functions that use it
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, dicke_overlap.cli; print('scipy.sparse.linalg' in sys.modules)"],
@@ -515,6 +515,55 @@ def test_cli_import_leaves_sparse_eigensolver_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+_SCIPY_MODULES = (
+    "import sys\n"
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+)
+
+
+@pytest.mark.parametrize("module", ["dicke_overlap", "dicke_overlap.cli"])
+def test_import_loads_no_scipy(module):
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}\n{_SCIPY_MODULES}"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):
+    # the production commands run on numpy alone; scipy is for the oracle
+    sets = {
+        "sweep-zero-t": {"model.n_atoms": 100, "grid.lambda_min": 0.2,
+                         "grid.lambda_max": 1.0, "grid.lambda_steps": 5},
+        "witness": {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 100},
+        "sweep-finite-t": {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10},
+        "critical": {"grid.lambda_min": 0.5, "grid.lambda_max": 1.0, "grid.lambda_steps": 2},
+    }
+    runs = [
+        [command, *(x for k, v in kv.items() for x in ("--set", f"{k}={v}")),
+         "--out", str(tmp_path / f"{command}.csv"), "--threads", "1"]
+        for command, kv in sets.items()
+    ]
+    script = (
+        "from dicke_overlap import cli\n"
+        f"assert [cli.main(args) for args in {runs!r}] == [0] * {len(runs)}\n"
+        + _SCIPY_MODULES
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def _traced_replay(tmp_path, args):

@@ -78,6 +78,28 @@ def test_log_weight_large_n_no_overflow():
     assert abs(log_weight(state100, 30) - exact) < 1e-12
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 10, 100, 10_000, 100_000])
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0])
+def test_binomial_log_weights_match_gammaln(a, n_atoms):
+    from scipy.special import gammaln
+
+    n = np.arange(n_atoms + 1, dtype=float)
+    up, down = separable.config_log_terms(a, n_atoms, n)
+    log_comb = gammaln(n_atoms + 1.0) - gammaln(n + 1.0) - gammaln(n_atoms - n + 1.0)
+    reference = log_comb + up + down
+    log_weights = separable._binomial_log_weights(a, n_atoms)
+    finite = np.isfinite(reference)
+    assert np.array_equal(np.isfinite(log_weights), finite)
+    assert np.all(log_weights[~finite] == -np.inf)
+    tol = 1e-14 * max(1.0, math.lgamma(n_atoms + 1.0))
+    assert np.abs(log_weights[finite] - reference[finite]).max() <= tol
+    if 0.0 < a < 1.0:
+        # a log error e common to all n moves the sum by e, so beyond N ~ 1e3
+        # rounding allows only ``tol`` (gammaln's own sum is 1.4e-10 off at N = 1e5)
+        norm_tol = 1e-12 if n_atoms <= 100 else tol
+        assert abs(np.exp(log_weights).sum() - 1.0) < norm_tol
+
+
 @pytest.mark.parametrize("a", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
 def test_normalization_and_mean(a):
     n_atoms = 47

@@ -351,6 +351,23 @@ def test_moments_cutoff_above_atom_count_rejected():
         collective_moments_zero_t(state, params)
 
 
+def test_default_cutoffs_stop_at_atom_count():
+    # the default atom cutoff stops at the N + 1 levels of the HP mapping
+    params = ModelParams(1, 1, 0.3, 30)
+    state = effective_ground_state(params)
+    assert state.cutoff_atom == 31
+    exact = gaussian_ground_state(params)
+    reference = collective_moments_zero_t(state, params)
+    moments = collective_moments_zero_t(exact, params)
+    assert np.allclose(reference.first, moments.first, rtol=0, atol=1e-12)
+    assert np.allclose(reference.second, moments.second, rtol=0, atol=1e-12)
+    sep = zerotemp.matched_separable_state(params)
+    assert abs(overlap_zero_t(state, sep) - overlap_zero_t(exact, sep)) < 1e-12
+    # too few levels for the superradiant state: the tail check, not the HP map, fails
+    with pytest.raises(CutoffError, match="atom-mode tail mass"):
+        effective_ground_state(ModelParams(1, 1, 1.0, 10))
+
+
 def test_jz_drift_stays_order_one():
     # sum_n n P(n) - N/2 tracks N * order parameter with an N-independent offset
     for backend in BACKENDS:
