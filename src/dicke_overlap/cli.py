@@ -133,6 +133,13 @@ def _quad_args(cfg):
     return cfg["numerics.max_nodes"], cfg["numerics.rel_tol"]
 
 
+def _one_atom_count(cfg):
+    """The one N of every command but sweep-zero-t, which sweeps a list of them."""
+    if len(cfg["model.n_atoms"]) != 1:
+        raise ConfigError("this command takes a single model.n_atoms", field="model.n_atoms")
+    return cfg["model.n_atoms"][0]
+
+
 def _lambda_grid(cfg):
     return np.linspace(cfg["grid.lambda_min"], cfg["grid.lambda_max"], cfg["grid.lambda_steps"])
 
@@ -336,7 +343,7 @@ def cmd_sweep_zero_t(cfg):
 def cmd_sweep_finite_t(cfg):
     lams = _lambda_grid(cfg)
     temps = _t_grid(cfg)
-    n = cfg["model.n_atoms"][0]
+    n = _one_atom_count(cfg)
     quad_args = _quad_args(cfg)
     tasks = [
         (cfg["model.omega"], cfg["model.omega0"], float(lam), float(t), n, quad_args)
@@ -364,7 +371,7 @@ def cmd_witness(cfg):
         raise ConfigError("witness.mode must be zero_t or finite_t", field="witness.mode")
     lams = _lambda_grid(cfg)
     temps = [0.0] if mode == "zero_t" else list(_t_grid(cfg))
-    n = cfg["model.n_atoms"][0]
+    n = _one_atom_count(cfg)
     quad_args = _quad_args(cfg)
     tasks = [
         (
@@ -391,7 +398,7 @@ def cmd_witness(cfg):
 
 def cmd_oracle_compare(cfg):
     mode = cfg["oracle.mode"]
-    n = cfg["model.n_atoms"][0]
+    n = _one_atom_count(cfg)
     cutoff = cfg["oracle.cutoff"]
     lams = _lambda_grid(cfg)
     if mode == "ground":
@@ -435,7 +442,7 @@ def cmd_scaling_fit(cfg):
     omega, omega0 = cfg["model.omega"], cfg["model.omega0"]
     lc = core.critical_coupling(omega, omega0)
     lams = lc * (1.0 - t_grid)
-    n = cfg["model.n_atoms"][0]
+    n = _one_atom_count(cfg)
     rows = []
     for pipeline in pipelines:
         if pipeline == "closed_form":
@@ -464,11 +471,12 @@ def cmd_scaling_fit(cfg):
 
 def cmd_critical(cfg):
     lams = _lambda_grid(cfg)
+    n = _one_atom_count(cfg)
     omega, omega0 = cfg["model.omega"], cfg["model.omega0"]
     lc = core.critical_coupling(omega, omega0)
     rows = []
     for lam in lams:
-        params = ModelParams(omega, omega0, float(lam), cfg["model.n_atoms"][0])
+        params = ModelParams(omega, omega0, float(lam), n)
         tc = core.critical_temperature(params)
         tc_tanh = core.critical_temperature_tanh_form(params)
         rows.append(

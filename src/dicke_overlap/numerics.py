@@ -1,6 +1,8 @@
 """Shared numerical kernels: bisection (``find_root``), golden-section
-maximization (``golden_max``), the symmetric eigensolvers with the
-eigenvector sign convention (``lowest_eigenpair``), and quadrature.
+maximization (``golden_max``), the photon (x) atom Hamiltonian of both
+exact diagonalizations (``photon_atom_hamiltonian``), the symmetric
+eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
+LAPACK or plain Lanczos), and quadrature.
 
 The quadrature routines integrate functions supplied as *log-integrands*
 ``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
@@ -94,17 +96,33 @@ def symmetric_eigendecomposition(matrix):
     return np.linalg.eigh(a)
 
 
-def lowest_eigenpair(matrix, sigma=None):
+def photon_atom_hamiltonian(omega, cutoff, h_atom, coupling, v_atom):
+    """CSR matrix of omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom.
+
+    The photon mode keeps its lowest ``cutoff`` Fock levels; ``h_atom`` and
+    ``v_atom`` are square atomic operators (dense or sparse) of one
+    dimension d.  Basis ordering is photon-major: |m> (x) |n> has flat
+    index m * d + n.
+    """
+    import scipy.sparse as sparse
+
+    ladder = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1)
+    photon_number = sparse.diags(np.arange(cutoff, dtype=float))
+    h = omega * sparse.kron(photon_number, sparse.identity(h_atom.shape[0]))
+    h = h + sparse.kron(sparse.identity(cutoff), h_atom)
+    h = h + coupling * sparse.kron(ladder + ladder.T, v_atom)
+    return h.tocsr()
+
+
+def lowest_eigenpair(matrix):
     """Lowest eigenvalue and eigenvector of a symmetric matrix.
 
     Dense input, and sparse input no larger than ARPACK's Krylov space, uses
-    the LAPACK subset driver.  Larger sparse input uses Lanczos from a
-    uniform start vector: plain Lanczos for the smallest algebraic
-    eigenvalue (the oracle's even-parity block) when ``sigma`` is None, or
-    shift-inverted Lanczos about ``sigma``, which must then be a strict lower
-    bound on the spectrum (the truncated zero-T reference: the Bogoliubov
-    ground energy provides one).  Sign convention: the first amplitude
-    above 1e-10 of the largest is nonnegative.
+    the LAPACK subset driver.  Larger sparse input uses plain Lanczos for
+    the smallest algebraic eigenvalue, from a uniform start vector; both
+    exact diagonalizations (the oracle's even-parity block and the
+    truncated zero-T reference) take this path.  Sign convention: the
+    first amplitude above 1e-10 of the largest is nonnegative.
     """
     # scipy is imported here: only the oracle and the truncated reference
     # call this, so the zero-T and finite-T CLI commands start on numpy alone
@@ -116,14 +134,10 @@ def lowest_eigenpair(matrix, sigma=None):
 
         dim = matrix.shape[0]
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        if sigma is None:
-            operator, solve = matrix, dict(which="SA", tol=0)
-        else:
-            operator, solve = matrix.tocsc(), dict(sigma=sigma, which="LM", maxiter=10_000)
         try:
-            vals, vecs = sparse_linalg.eigsh(operator, k=1, v0=v0, **solve)
+            vals, vecs = sparse_linalg.eigsh(matrix, k=1, which="SA", tol=0, v0=v0)
         except sparse_linalg.ArpackNoConvergence as exc:
-            raise NumericalError("Lanczos iteration did not converge", sigma=sigma) from exc
+            raise NumericalError("Lanczos iteration did not converge", dim=dim) from exc
     else:
         a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
         vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))

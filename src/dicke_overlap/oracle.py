@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
-from .numerics import lowest_eigenpair, symmetric_eigendecomposition
+from .numerics import lowest_eigenpair, photon_atom_hamiltonian, symmetric_eigendecomposition
 from .separable import SeparableState, config_log_terms
 from .witness import MomentSet
 
@@ -113,12 +113,6 @@ def full_product_basis(n_atoms, cutoff):
 # ---------------------------------------------------------------- operators
 
 
-def _photon_ladder(cutoff):
-    a = np.zeros((cutoff, cutoff))
-    a[np.arange(cutoff - 1), np.arange(1, cutoff)] = np.sqrt(np.arange(1, cutoff))
-    return a
-
-
 def _site_sum(pauli, n_atoms):
     """sum_i pauli_i / 2 in the 2^N product basis (pauli_i acts on atom i)."""
     total = np.zeros((2**n_atoms, 2**n_atoms), dtype=pauli.dtype)
@@ -134,36 +128,31 @@ def _site_sum(pauli, n_atoms):
 def collective_spin_matrices(basis: DickeBasis):
     """Atomic-space J_x, J_y, J_z (J_y is complex; the rest real)."""
     n_atoms = basis.n_atoms
-    if basis.variant is BasisVariant.SYMMETRIC_SECTOR:
-        n = np.arange(n_atoms + 1)
-        jp = np.zeros((n_atoms + 1, n_atoms + 1))
-        # <n+1| J+ |n> on the j = N/2 multiplet, m = n - N/2
-        jp[n[:-1] + 1, n[:-1]] = np.sqrt((n_atoms - n[:-1]) * (n[:-1] + 1.0))
-        jz = np.diag(n - n_atoms / 2.0)
-    else:
+    if basis.variant is BasisVariant.FULL_PRODUCT:
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         sz = np.array([[1.0, 0.0], [0.0, -1.0]])
         return _site_sum(sx, n_atoms), _site_sum(sy, n_atoms), _site_sum(sz, n_atoms)
-    jm = jp.T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
+    n = np.arange(n_atoms + 1)
+    jp = np.zeros((n_atoms + 1, n_atoms + 1))
+    # <n+1| J+ |n> on the j = N/2 multiplet, m = n - N/2
+    jp[n[:-1] + 1, n[:-1]] = np.sqrt((n_atoms - n[:-1]) * (n[:-1] + 1.0))
+    jz = np.diag(n - n_atoms / 2.0)
+    jx = (jp + jp.T) / 2.0
+    jy = (jp - jp.T) / 2.0j
     return jx, jy, jz
 
 
 def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis):
     """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-)."""
-    import scipy.sparse as sparse
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
     jx, _, jz = collective_spin_matrices(basis)
-    a = _photon_ladder(basis.cutoff)
-    photon_number = sparse.diags(np.arange(basis.cutoff, dtype=float))
-    h = params.omega * sparse.kron(photon_number, sparse.identity(basis.atom_dim))
-    h = h + params.omega0 * sparse.kron(sparse.identity(basis.cutoff), jz)
+    coupling = params.coupling / math.sqrt(params.n_atoms)
     # (J+ + J-) = 2 Jx
-    h = h + (params.coupling / math.sqrt(params.n_atoms)) * sparse.kron(a + a.T, 2.0 * jx)
-    return h.tocsr()
+    return photon_atom_hamiltonian(
+        params.omega, basis.cutoff, params.omega0 * jz, coupling, 2.0 * jx
+    )
 
 
 def build_hamiltonian(params: ModelParams, basis: DickeBasis):
@@ -359,9 +348,9 @@ def matched_separable_state(state: OracleState) -> SeparableState:
 def _split_pieces(params: ModelParams, cutoff: int):
     basis = full_product_basis(params.n_atoms, cutoff)
     jx, _, jz = collective_spin_matrices(basis)
-    a = _photon_ladder(cutoff)
-    hi = params.omega0 * np.kron(np.eye(cutoff), jz)
-    hi += (params.coupling / math.sqrt(params.n_atoms)) * np.kron(a + a.T, 2.0 * jx)
+    coupling = params.coupling / math.sqrt(params.n_atoms)
+    # HI: H without its omega a'a term
+    hi = photon_atom_hamiltonian(0.0, cutoff, params.omega0 * jz, coupling, 2.0 * jx).toarray()
     vals, vecs = symmetric_eigendecomposition(hi)
     h0_diag = params.omega * np.repeat(np.arange(cutoff, dtype=float), basis.atom_dim)
     return basis, h0_diag, vals, vecs

@@ -28,9 +28,9 @@ Holstein-Primakoff moments need nothing else, and the reduced purity
 follows from the covariance alone.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonians in a
-truncated Fock space instead (shift-inverted Lanczos on the sparse
-matrix, started from the analytic Bogoliubov ground energy) and
-displaces the reduced atomic matrix with a dense matrix exponential.
+truncated Fock space instead (plain Lanczos on the sparse matrix from
+``numerics.photon_atom_hamiltonian``, the solve path of the oracle too)
+and displaces the reduced atomic matrix with a dense matrix exponential.
 It is the reference the Gaussian backend is checked against, and the
 only user of scipy here, which it imports when called.
 """
@@ -50,14 +50,16 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .numerics import lowest_eigenpair
+from .numerics import lowest_eigenpair, photon_atom_hamiltonian
 from .separable import SeparableState, from_jz
 from .witness import MomentSet
 
 _TAIL_FRACTION = 0.1
 _TAIL_TOL = 1e-8
 DEFAULT_PLOT_CUTOFF = 60
-MAX_DEFAULT_CUTOFF = 360  # shift-invert LU fill ~ cutoff^3 * 16 bytes
+# the bound is Lanczos time, not memory: 360^2 states at lambda/lambda_c - 1
+# = -1e-4, N = 1000 take 45 s and 0.1 GB on a 2-core Xeon host
+MAX_DEFAULT_CUTOFF = 360
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,11 @@ class GaussianState:
         return 1.0 / (2.0 * math.sqrt(self.var_x * self.var_p))
 
 
-def _coefficients(params: ModelParams, phase: PhaseLabel):
-    """(omega_b, quadratic (b+b')^2 coefficient, coupling, constant offset)."""
+def _coefficients(params: ModelParams):
+    """(omega_b, (b+b')^2 coefficient, coupling, constant offset) in phase_zero_t's phase."""
     lc2 = params.critical**2
     l2 = params.coupling**2
-    if phase is PhaseLabel.NORMAL:
+    if phase_zero_t(params) is PhaseLabel.NORMAL:
         return params.omega0, 0.0, params.coupling, -params.n_atoms * params.omega0 / 2.0
     omega_b = params.omega0 + 2.0 * (l2 - lc2) / params.omega
     quad = (l2 - lc2) * (3.0 * l2 + lc2) / (2.0 * params.omega * (l2 + lc2))
@@ -128,63 +130,27 @@ def _coefficients(params: ModelParams, phase: PhaseLabel):
     return omega_b, quad, g, const
 
 
-def _check_phase(params, phase):
-    lc = params.critical
-    if phase is PhaseLabel.NORMAL and params.coupling > lc:
-        raise InvalidParameterError(
-            f"normal-phase Hamiltonian requested at lambda={params.coupling} > lambda_c={lc}"
-        )
-    if phase is PhaseLabel.SUPERRADIANT and params.coupling < lc:
-        raise InvalidParameterError(
-            f"superradiant Hamiltonian requested at lambda={params.coupling} < lambda_c={lc}"
-        )
-
-
-def _sparse_hamiltonian(params, phase, cutoffs):
-    import scipy.sparse as sparse
-    _check_phase(params, phase)
-    ca, cb = cutoffs
-    if min(ca, cb) < 8:
-        raise InvalidParameterError(f"cutoffs must be >= 8, got {cutoffs}")
-    omega_b, quad, g, const = _coefficients(params, phase)
-    ladder_a = sparse.diags(np.sqrt(np.arange(1, ca)), 1)
-    ladder_b = sparse.diags(np.sqrt(np.arange(1, cb)), 1)
-    xa = ladder_a + ladder_a.T
-    xb = ladder_b + ladder_b.T
-    h = params.omega * sparse.kron(sparse.diags(np.arange(ca, dtype=float)), sparse.identity(cb))
-    h = h + omega_b * sparse.kron(sparse.identity(ca), sparse.diags(np.arange(cb, dtype=float)))
-    if quad:
-        h = h + quad * sparse.kron(sparse.identity(ca), xb @ xb)
-    h = h + g * sparse.kron(xa, xb)
-    h = h + const * sparse.identity(ca * cb)
-    return h.tocsr()
-
-
-def effective_hamiltonian(params: ModelParams, phase: PhaseLabel, cutoffs):
-    """Dense matrix of the phase-appropriate quadratic Hamiltonian.
+def effective_hamiltonian(params: ModelParams, cutoffs):
+    """CSR matrix of the quadratic Hamiltonian of ``phase_zero_t(params)``.
 
     Basis ordering: |m>_a tensor |n>_b with flat index m * cutoff_atom + n.
     Constant offsets (-N omega0/2 below, the mean-field energy above) are
     included on the diagonal.
     """
-    return _sparse_hamiltonian(params, phase, cutoffs).toarray()
+    import scipy.sparse as sparse
 
-
-def _potential(params: ModelParams):
-    """omega_b and the potential matrix V of ``polariton_frequencies``."""
-    omega_b, quad, g, _ = _coefficients(params, phase_zero_t(params))
-    cross = 2.0 * g * math.sqrt(params.omega * omega_b)
-    v = np.array(
-        [[params.omega**2, cross], [cross, omega_b**2 + 4.0 * quad * omega_b]]
+    ca, cb = cutoffs
+    if min(ca, cb) < 8:
+        raise InvalidParameterError(f"cutoffs must be >= 8, got {cutoffs}")
+    omega_b, quad, g, const = _coefficients(params)
+    ladder_b = sparse.diags(np.sqrt(np.arange(1.0, cb)), 1)
+    xb = ladder_b + ladder_b.T
+    h_atom = (
+        omega_b * sparse.diags(np.arange(cb, dtype=float))
+        + quad * (xb @ xb)
+        + const * sparse.identity(cb)
     )
-    return omega_b, v
-
-
-def _frequencies(params: ModelParams) -> PolaritonFrequencies:
-    eigs = np.linalg.eigvalsh(_potential(params)[1])
-    if eigs[0] < -1e-12 * eigs[1]:
-        raise NumericalError("quadratic form is unstable", eigenvalues=tuple(eigs))
-    return PolaritonFrequencies(math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[1]))
+    return photon_atom_hamiltonian(params.omega, ca, h_atom, g, xb)
 
 
 def _reject_critical(params: ModelParams):
@@ -198,8 +164,8 @@ def _reject_critical(params: ModelParams):
         )
 
 
-def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
-    """Bogoliubov excitation energies of the quadratic form.
+def _normal_modes(params: ModelParams):
+    """omega_b and the eigenvalues and eigenvectors of the potential matrix V.
 
     In the position representation both Hamiltonians are two coupled
     oscillators with potential matrix
@@ -207,23 +173,25 @@ def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
         V = [[omega^2,                 2 g sqrt(omega omega_b)],
              [2 g sqrt(omega omega_b), omega_b^2 + 4 D omega_b]]
 
-    and the excitation energies are the square roots of V's eigenvalues.
+    (D the (b+b')^2 coefficient).  Rejects lambda = lambda_c, where V is
+    singular, before any work.
     """
     _reject_critical(params)
-    return _frequencies(params)
+    omega_b, quad, g, _ = _coefficients(params)
+    cross = 2.0 * g * math.sqrt(params.omega * omega_b)
+    v = np.array(
+        [[params.omega**2, cross], [cross, omega_b**2 + 4.0 * quad * omega_b]]
+    )
+    eigs, vecs = np.linalg.eigh(v)
+    if eigs[0] <= 0.0:
+        raise NumericalError("quadratic form is not positive definite", eigenvalues=tuple(eigs))
+    return omega_b, eigs, vecs
 
 
-def analytic_ground_energy(params: ModelParams):
-    """Exact ground energy of the (untruncated) quadratic Hamiltonian.
-
-    A strict lower bound for any truncated diagonalization (Rayleigh-Ritz),
-    which makes it a safe shift for the sparse eigensolver.  Well defined
-    at the critical point too (soft mode at zero).
-    """
-    phase = phase_zero_t(params)
-    omega_b, _, _, const = _coefficients(params, phase)
-    freqs = _frequencies(params)
-    return 0.5 * (freqs.omega_minus + freqs.omega_plus - params.omega - omega_b) + const
+def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
+    """Bogoliubov excitation energies: square roots of the eigenvalues of V (_normal_modes)."""
+    _, eigs, _ = _normal_modes(params)
+    return PolaritonFrequencies(math.sqrt(eigs[0]), math.sqrt(eigs[1]))
 
 
 def mean_field_displacement(params: ModelParams):
@@ -242,12 +210,14 @@ def _tail_mass(probabilities, fraction=_TAIL_FRACTION):
 def default_cutoffs(params: ModelParams):
     """Cutoff heuristic: grows as the soft mode drops toward zero near lambda_c.
 
-    Capped at ``MAX_DEFAULT_CUTOFF`` (the shift-invert factorization is
-    the memory bottleneck); closer than |lambda - lambda_c| ~ 5e-5 the
-    occupation tail cannot pass at the capped size and the ground-state
-    construction reports a cutoff error instead of silently truncating.
+    Capped at ``MAX_DEFAULT_CUTOFF``.  From |lambda/lambda_c - 1| ~ 2e-3
+    inward the occupation tail no longer passes at these cutoffs (at
+    N = 100 and 1000 the photon tail is 1.1e-8 to 2.2e-8, or the atom mode
+    runs out of its N + 1 levels), and the ground-state construction
+    reports a cutoff error instead of silently truncating.  Rejects
+    lambda = lambda_c.
     """
-    omega_minus = max(_frequencies(params).omega_minus, 1e-2)
+    omega_minus = max(polariton_frequencies(params).omega_minus, 1e-2)
     # per-mode occupation scale of the near-critical squeezed vacuum
     n_bar = 0.125 * max(1.0 / omega_minus - 1.0, 0.4)
     q = n_bar / (1.0 + n_bar)
@@ -262,18 +232,16 @@ def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     """Truncated-Fock reference for ``gaussian_ground_state``.
 
     Diagonalizes the phase-appropriate Hamiltonian at ``cutoffs`` (default:
-    ``default_cutoffs``) by shift-inverted Lanczos on the sparse matrix,
-    started below the analytic Bogoliubov ground energy; the sign convention
-    is ``lowest_eigenpair``'s.  Raises ``CutoffError``, naming the mode, when
-    the occupation in the top 10% of either mode's levels exceeds 1e-8.
+    ``default_cutoffs``) by plain Lanczos on the sparse matrix; the sign
+    convention is ``lowest_eigenpair``'s.  Raises ``CutoffError``, naming
+    the mode, when the occupation in the top 10% of either mode's levels
+    exceeds 1e-8.
     Rejects lambda = lambda_c, where the soft mode vanishes, before any solve.
     """
     _reject_critical(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
-    sigma = analytic_ground_energy(params) - 0.25 * (params.omega + params.omega0)
-    matrix = _sparse_hamiltonian(params, phase_zero_t(params), cutoffs)
-    energy, vec = lowest_eigenpair(matrix, sigma=sigma)
+    energy, vec = lowest_eigenpair(effective_hamiltonian(params, cutoffs))
     ca, cb = cutoffs
     occupation = vec.reshape(ca, cb) ** 2
     for mode, axis in (("photon", 1), ("atom", 0)):
@@ -346,18 +314,14 @@ def gaussian_ground_state(params: ModelParams) -> GaussianState:
     """Exact ground state of the phase-appropriate quadratic Hamiltonian.
 
     In mass-weighted coordinates the Hamiltonian is (pi^2 + y V y)/2 with
-    V the potential matrix of ``polariton_frequencies``, so the ground
+    V the potential matrix of ``_normal_modes``, so the ground
     state has <y y> = V^(-1/2)/2 and <pi pi> = V^(1/2)/2, and the atomic
     mode's covariance is <x_b^2> = omega_b (V^(-1/2))_bb / 2,
     <p_b^2> = (V^(1/2))_bb / (2 omega_b).  The physical band adds the
     mean-field displacement <b> = sqrt(beta_disp).  Rejects
     lambda = lambda_c before any work.
     """
-    _reject_critical(params)
-    omega_b, v = _potential(params)
-    eigs, vecs = np.linalg.eigh(v)
-    if eigs[0] <= 0.0:
-        raise NumericalError("quadratic form is not positive definite", eigenvalues=tuple(eigs))
+    omega_b, eigs, vecs = _normal_modes(params)
     weights = vecs[1] ** 2  # atomic share of each normal mode
     var_x = 0.5 * omega_b * float(weights @ eigs**-0.5)
     var_p = 0.5 * float(weights @ eigs**0.5) / omega_b

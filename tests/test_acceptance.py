@@ -285,7 +285,7 @@ def test_criterion_9_internal_consistency():
     for lam in (0.1, 0.3, 0.45, 0.6, 1.0):
         p = ModelParams(1, 1, lam, 20)
         freqs = zerotemp.polariton_frequencies(p)
-        h = zerotemp.effective_hamiltonian(p, core.phase_zero_t(p), (30, 30))
+        h = zerotemp.effective_hamiltonian(p, (30, 30)).toarray()
         gaps = np.linalg.eigvalsh(h)
         gaps = gaps - gaps[0]
         worst_gap = max(worst_gap, abs(gaps[1] - freqs.omega_minus))

@@ -378,6 +378,21 @@ def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "command", ["sweep-finite-t", "witness", "oracle-compare", "scaling-fit", "critical"]
+)
+def test_single_n_commands_reject_an_atom_count_list(tmp_path, capsys, command):
+    # only sweep-zero-t sweeps a list of N; the others used to take its first entry
+    out = tmp_path / "never.csv"
+    code = cli.main(
+        [command, "--set", "model.n_atoms=10,30", "--set", "grid.lambda_steps=1",
+         "--set", "grid.t_steps=2", "--out", str(out), "--threads", "1"]
+    )
+    assert code == 2
+    assert "kind=ConfigError field=model.n_atoms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_finite_t_underflow_fails_without_output(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = cli.main(

@@ -154,12 +154,7 @@ def test_lowest_eigenpair_dense_vs_sparse():
     a = rng.standard_normal((80, 80))
     a = (a + a.T) / 2
     e_dense, v_dense = lowest_eigenpair(a)
-    e_sparse, v_sparse = lowest_eigenpair(
-        sparse.csr_matrix(a), sigma=float(np.linalg.eigvalsh(a)[0]) - 1.0
-    )
-    assert abs(e_dense - e_sparse) < 1e-10
-    assert abs(abs(v_dense @ v_sparse) - 1.0) < 1e-10
-    # no shift: plain Lanczos, same sign convention as the dense branch
+    # plain Lanczos, same sign convention as the dense branch
     e_lanczos, v_lanczos = lowest_eigenpair(sparse.csr_matrix(a))
     assert abs(e_dense - e_lanczos) < 1e-10
     assert np.abs(v_dense - v_lanczos).max() < 1e-9
@@ -170,3 +165,37 @@ def test_lowest_eigenpair_dense_vs_sparse():
         e_small, v_small = lowest_eigenpair(sparse.csr_matrix(small))
     e_ref, v_ref = lowest_eigenpair(small)
     assert e_small == e_ref and np.array_equal(v_small, v_ref)
+
+
+def test_lowest_eigenpair_reports_lanczos_failure(monkeypatch):
+    import scipy.sparse as sparse
+    import scipy.sparse.linalg as sparse_linalg
+
+    def no_convergence(*args, **kwargs):
+        raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="Lanczos") as err:
+        lowest_eigenpair(sparse.identity(40, format="csr"))
+    assert err.value.details == {"dim": 40}
+
+
+@pytest.mark.parametrize("sparse_atom", [False, True])
+def test_photon_atom_hamiltonian_matches_dense_kron(sparse_atom):
+    import scipy.sparse as sparse
+
+    rng = np.random.default_rng(7)
+    cutoff, dim = 6, 5
+    h_atom, v_atom = rng.standard_normal((2, dim, dim))
+    h_atom, v_atom = h_atom + h_atom.T, v_atom + v_atom.T
+    ladder = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    expected = (
+        1.3 * np.kron(np.diag(np.arange(cutoff, dtype=float)), np.eye(dim))
+        + np.kron(np.eye(cutoff), h_atom)
+        + 0.7 * np.kron(ladder + ladder.T, v_atom)
+    )
+    if sparse_atom:
+        h_atom, v_atom = sparse.csr_matrix(h_atom), sparse.csr_matrix(v_atom)
+    h = numerics.photon_atom_hamiltonian(1.3, cutoff, h_atom, 0.7, v_atom)
+    assert h.format == "csr"
+    np.testing.assert_array_equal(h.toarray(), expected)

@@ -30,6 +30,23 @@ def commutator_with_parity(h, basis):
     return np.abs(h * (pi[None, :] - pi[:, None])).max()
 
 
+@pytest.mark.parametrize(
+    "basis", [symmetric_basis(5, 9), full_product_basis(3, 7)], ids=lambda b: b.variant.value
+)
+def test_build_hamiltonian_bit_identical_to_dense_formula(basis):
+    # omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(2 Jx), assembled with dense kron
+    params = ModelParams(1.3, 0.7, 0.9, basis.n_atoms)
+    jx, _, jz = oracle.collective_spin_matrices(basis)
+    c, d = basis.cutoff, basis.atom_dim
+    a = np.diag(np.sqrt(np.arange(1.0, c)), 1)
+    expected = (
+        params.omega * np.kron(np.diag(np.arange(c, dtype=float)), np.eye(d))
+        + params.omega0 * np.kron(np.eye(c), jz)
+        + (params.coupling / math.sqrt(params.n_atoms)) * np.kron(a + a.T, 2.0 * jx)
+    )
+    assert np.array_equal(build_hamiltonian(params, basis), expected)
+
+
 def test_decoupled_hamiltonian_is_diagonal():
     params = ModelParams(1.0, 1.0, 0.0, 4)
     basis = symmetric_basis(4, 10)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_overlap import oracle, zerotemp
-from dicke_overlap.core import ModelParams, PhaseLabel
+from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import (
     CutoffError,
     DomainError,
@@ -46,7 +46,7 @@ def idx(m, n, cb):
 
 def test_hamiltonian_decoupled_diagonal():
     params = ModelParams(1.0, 1.0, 0.0, 10)
-    h = effective_hamiltonian(params, PhaseLabel.NORMAL, (12, 12))
+    h = effective_hamiltonian(params, (12, 12)).toarray()
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() == 0.0
     m = np.repeat(np.arange(12), 12)
@@ -56,7 +56,7 @@ def test_hamiltonian_decoupled_diagonal():
 
 def test_hamiltonian_coupling_structure():
     params = ModelParams(1.0, 1.0, 0.3, 10)
-    h = effective_hamiltonian(params, PhaseLabel.NORMAL, (20, 20))
+    h = effective_hamiltonian(params, (20, 20)).toarray()
     assert np.abs(h - h.T).max() < 1e-14
     # (a'+a)(b'+b) ladder element between |m,n> and |m+1,n+1>
     assert abs(h[idx(3, 4, 20), idx(4, 5, 20)] - 0.3 * math.sqrt(4 * 5)) < 1e-14
@@ -66,24 +66,37 @@ def test_hamiltonian_coupling_structure():
 def test_hamiltonian_superradiant_coefficients():
     # printed coefficient of b'b at coupling 0.8 (resonant): 1 + 2(0.64 - 0.25) = 1.78
     params = ModelParams(1.0, 1.0, 0.8, 10)
-    omega_b, quad, g, const = zerotemp._coefficients(params, PhaseLabel.SUPERRADIANT)
+    omega_b, quad, g, const = zerotemp._coefficients(params)
     assert abs(omega_b - 1.78) < 1e-12
     lc2, l2 = 0.25, 0.64
     assert abs(quad - (l2 - lc2) * (3 * l2 + lc2) / (2 * (l2 + lc2))) < 1e-12
     assert abs(g - math.sqrt(2) * lc2 / math.sqrt(l2 + lc2)) < 1e-12
     # constant offset joins the normal-phase value continuously at lambda_c
     near = ModelParams(1.0, 1.0, 0.5 + 1e-9, 10)
-    _, _, _, const_near = zerotemp._coefficients(near, PhaseLabel.SUPERRADIANT)
+    _, _, _, const_near = zerotemp._coefficients(near)
     assert abs(const_near - (-10 * 0.5)) < 1e-6
 
 
-def test_hamiltonian_phase_mismatch_rejected():
+def test_hamiltonian_small_cutoff_rejected():
     with pytest.raises(InvalidParameterError):
-        effective_hamiltonian(ModelParams(1, 1, 0.8, 10), PhaseLabel.NORMAL, (10, 10))
-    with pytest.raises(InvalidParameterError):
-        effective_hamiltonian(ModelParams(1, 1, 0.2, 10), PhaseLabel.SUPERRADIANT, (10, 10))
-    with pytest.raises(InvalidParameterError):
-        effective_hamiltonian(ModelParams(1, 1, 0.2, 10), PhaseLabel.NORMAL, (6, 10))
+        effective_hamiltonian(ModelParams(1, 1, 0.2, 10), (6, 10))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(0.3, 3.0),
+    omega0=st.floats(0.3, 3.0),
+    lam=st.floats(0.0, 2.0),
+    n_atoms=st.integers(1, 500),
+    cutoffs=st.tuples(st.integers(8, 16), st.integers(8, 16)),
+)
+def test_hamiltonian_conserves_parity(omega, omega0, lam, n_atoms, cutoffs):
+    # both phases' Hamiltonians commute with (-1)^(m + n): no element joins
+    # the even and the odd sector
+    h = effective_hamiltonian(ModelParams(omega, omega0, lam, n_atoms), cutoffs).toarray()
+    ca, cb = cutoffs
+    parity = (np.repeat(np.arange(ca), cb) + np.tile(np.arange(cb), ca)) % 2
+    assert not np.any(h[parity[:, None] != parity[None, :]])
 
 
 def test_ground_state_decoupled():
@@ -119,12 +132,10 @@ def test_ground_state_tail_error_names_mode():
 
 
 def test_ground_state_dense_and_sparse_agree():
-    # the reference's sparse shift-invert solve against a dense solve of the same matrix
+    # the reference's sparse Lanczos solve against a dense solve of the same matrix
     params = ModelParams(1.0, 1.0, 0.8, 20)
     sparse = effective_ground_state(params, (40, 40))
-    energy, vec = lowest_eigenpair(
-        effective_hamiltonian(params, PhaseLabel.SUPERRADIANT, (40, 40))
-    )
+    energy, vec = lowest_eigenpair(effective_hamiltonian(params, (40, 40)).toarray())
     assert abs(sparse.ground_energy - energy) < 1e-9
     assert np.abs(sparse.amplitudes - vec).max() < 1e-8
 
@@ -139,8 +150,7 @@ def test_polariton_decoupled():
 def test_polariton_matches_effective_gaps(lam):
     params = ModelParams(1.0, 1.0, lam, 20)
     freqs = polariton_frequencies(params)
-    phase = PhaseLabel.NORMAL if lam < 0.5 else PhaseLabel.SUPERRADIANT
-    h = effective_hamiltonian(params, phase, (30, 30))
+    h = effective_hamiltonian(params, (30, 30)).toarray()
     w = np.linalg.eigvalsh(h)
     gaps = w - w[0]
     assert abs(gaps[1] - freqs.omega_minus) < 1e-6
@@ -163,7 +173,7 @@ def test_effective_ground_state_rejects_critical_point_before_solving(monkeypatc
     def no_hamiltonian(*args):
         raise AssertionError("a Hamiltonian was built at lambda_c")
 
-    monkeypatch.setattr(zerotemp, "_sparse_hamiltonian", no_hamiltonian)
+    monkeypatch.setattr(zerotemp, "effective_hamiltonian", no_hamiltonian)
     with pytest.raises(InvalidParameterError):
         effective_ground_state(ModelParams(1.0, 1.0, 0.5, 10))
 
