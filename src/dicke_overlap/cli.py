@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -32,7 +33,6 @@ from .core import ModelParams
 from .errors import ConfigError, DickeError
 from .numerics import QuadratureSpec
 from .separable import SeparableState
-from .witness import PERMUTATIONS
 
 # key -> (parser, default); None default means "required if used"
 _SCHEMA = {
@@ -122,8 +122,11 @@ def _validate(v):
         )
     if any(n < 1 for n in v["model.n_atoms"]):
         raise ConfigError("model.n_atoms entries must be positive", field="model.n_atoms")
-    if not (v["model.omega"] > 0 and v["model.omega0"] > 0):
-        raise ConfigError("frequencies must be positive", field="model.omega")
+    for key in ("model.omega", "model.omega0"):
+        if not 0 < v[key] < math.inf:
+            raise ConfigError(f"{key} must be positive and finite", field=key)
+    if v["numerics.threads"] < 0:
+        raise ConfigError("numerics.threads must be >= 0", field="numerics.threads")
     if v["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1", field="output.precision")
 
@@ -152,12 +155,11 @@ def _t_grid(cfg):
 
 
 def _threads(cfg):
-    requested = cfg["numerics.threads"]
     available = os.cpu_count() or 1
-    return max(1, min(requested, available)) if requested else available
+    return min(cfg["numerics.threads"] or available, available)
 
 
-def _sweep(cfg, worker, tasks, header):
+def _sweep(cfg, worker, tasks):
     """One row per task, computed possibly in parallel, written in task order."""
     n_threads = _threads(cfg)
     if n_threads <= 1 or len(tasks) <= 1:
@@ -165,7 +167,7 @@ def _sweep(cfg, worker, tasks, header):
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_threads) as pool:
             rows = list(pool.map(worker, tasks, chunksize=1))
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
 
 
 def _format(value, precision):
@@ -178,14 +180,14 @@ def _format(value, precision):
     return str(value)
 
 
-def _write_csv(path, header, rows, precision):
-    """Write atomically; on failure no partial file is left behind."""
+def _write_csv(path, rows, precision):
+    """Write dict rows, the first row's keys as header, atomically: no partial file on failure."""
 
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([_format(v, precision) for v in row])
+            writer.writerow([_format(v, precision) for v in row.values()])
 
     if not path:
         emit(sys.stdout)
@@ -210,17 +212,16 @@ def _zero_t_row(task):
     params = ModelParams(omega, omega0, lam, n)
     state = zerotemp.gaussian_ground_state(params)
     sep = zerotemp.matched_separable_state(params)
-    delta = zerotemp.overlap_zero_t(state, sep)
-    return (
-        lam,
-        n,
-        0.0,
-        str(core.phase_zero_t(params)),
-        sep.a,
-        core.order_parameter_zero_t(params),
-        delta,
-        zerotemp.reduced_atom_purity(state),
-    )
+    return {
+        "lambda": lam,
+        "n_atoms": n,
+        "temperature": 0.0,
+        "phase": str(core.phase_zero_t(params)),
+        "a": sep.a,
+        "jz_per_atom": core.order_parameter_zero_t(params),
+        "delta": zerotemp.overlap_zero_t(state, sep),
+        "purity": zerotemp.reduced_atom_purity(state),
+    }
 
 
 def _finite_t_row(task):
@@ -229,27 +230,19 @@ def _finite_t_row(task):
     quad = QuadratureSpec(*quad_args)
     point = thermal.ThermalPoint(params, 1.0 / temp)
     a = thermal.matched_a(point, quad)
-    delta = thermal.overlap_finite_t(point, a, quad)
     tc = core.critical_temperature(params)
-    return (
-        lam,
-        temp,
-        n,
-        str(core.phase_finite_t(params, temp)),
-        a,
-        a - 0.5,
-        delta,
-        tc if tc is not None else float("nan"),
-        core.reduced_critical_temperature(params),
-        temp < 0.1,
-    )
-
-
-def _witness_labels():
-    labels = ["b"]
-    for kind in ("c", "d"):
-        labels += [f"{kind}_{'_'.join(axes)}" for axes in PERMUTATIONS]
-    return labels
+    return {
+        "lambda": lam,
+        "temperature": temp,
+        "n_atoms": n,
+        "phase": str(core.phase_finite_t(params, temp)),
+        "a": a,
+        "jz_per_atom": a - 0.5,
+        "delta": thermal.overlap_finite_t(point, a, quad),
+        "tc_self_consistent": tc if tc is not None else float("nan"),
+        "tc_resonant_line": core.reduced_critical_temperature(params),
+        "validity_warning": temp < 0.1,
+    }
 
 
 def _witness_row(task):
@@ -262,10 +255,13 @@ def _witness_row(task):
         point = thermal.ThermalPoint(params, 1.0 / temp)
         moments = thermal.thermal_moments(point, QuadratureSpec(*quad_args))
     report = (witness.evaluate_finite_n if finite_n else witness.evaluate)(moments)
-    # report.entries come in _witness_labels order
-    values = tuple(e.lhs for e in report.entries)
-    flags = tuple(e.violated for e in report.entries)
-    return (lam, temp, n) + values + flags + (report.any_violation,)
+    # column names: b, c_x_y_z, ..., d_z_y_x
+    names = ["_".join((e.inequality, *(e.axes or ()))) for e in report.entries]
+    row = {"lambda": lam, "temperature": temp, "n_atoms": n}
+    row.update((f"lhs_{name}", e.lhs) for name, e in zip(names, report.entries))
+    row.update((f"violated_{name}", e.violated) for name, e in zip(names, report.entries))
+    row["any_violation"] = report.any_violation
+    return row
 
 
 def _oracle_ground_row(task):
@@ -275,19 +271,18 @@ def _oracle_ground_row(task):
     sep = zerotemp.matched_separable_state(params)
     delta_ed, _, _ = oracle.exact_overlap(state_ed, sep)
     delta_eff = zerotemp.overlap_for_params(params)
-    jz_ed = oracle.exact_moments(state_ed).first[2]
     abs_err = abs(delta_eff - delta_ed)
-    return (
-        lam,
-        n,
-        cutoff,
-        delta_eff,
-        delta_ed,
-        abs_err,
-        abs_err / delta_ed if delta_ed else float("inf"),
-        core.order_parameter_zero_t(params),
-        jz_ed,
-    )
+    return {
+        "lambda": lam,
+        "n_atoms": n,
+        "cutoff": cutoff,
+        "delta_effective": delta_eff,
+        "delta_oracle": delta_ed,
+        "abs_error": abs_err,
+        "rel_error": abs_err / delta_ed if delta_ed else float("inf"),
+        "jz_effective": core.order_parameter_zero_t(params),
+        "jz_oracle": oracle.exact_moments(state_ed).first[2],
+    }
 
 
 def _oracle_thermal_row(task):
@@ -308,20 +303,20 @@ def _oracle_thermal_row(task):
         max(abs(x - y) for x, y in zip(m_quad.second, m_ed.second)),
     )
     abs_err = abs(delta_quad - delta_ed)
-    return (
-        lam,
-        beta,
-        n,
-        cutoff,
-        delta_quad,
-        delta_ed,
-        delta_split,
-        abs_err,
-        abs_err / delta_ed if delta_ed else float("inf"),
-        thermal.thermal_jz(point, quad),
-        m_ed.first[2],
-        moment_err,
-    )
+    return {
+        "lambda": lam,
+        "beta": beta,
+        "n_atoms": n,
+        "cutoff": cutoff,
+        "delta_quadrature": delta_quad,
+        "delta_oracle": delta_ed,
+        "delta_split": delta_split,
+        "abs_error": abs_err,
+        "rel_error": abs_err / delta_ed if delta_ed else float("inf"),
+        "jz_quadrature": thermal.thermal_jz(point, quad),
+        "jz_oracle": m_ed.first[2],
+        "max_moment_error": moment_err,
+    }
 
 
 # ----------------------------------------------------------------- commands
@@ -336,8 +331,7 @@ def cmd_sweep_zero_t(cfg):
         for n in cfg["model.n_atoms"]
         for lam in lams
     ]
-    header = ["lambda", "n_atoms", "temperature", "phase", "a", "jz_per_atom", "delta", "purity"]
-    _sweep(cfg, _zero_t_row, tasks, header)
+    _sweep(cfg, _zero_t_row, tasks)
 
 
 def cmd_sweep_finite_t(cfg):
@@ -350,19 +344,7 @@ def cmd_sweep_finite_t(cfg):
         for lam in lams
         for t in temps
     ]
-    header = [
-        "lambda",
-        "temperature",
-        "n_atoms",
-        "phase",
-        "a",
-        "jz_per_atom",
-        "delta",
-        "tc_self_consistent",
-        "tc_resonant_line",
-        "validity_warning",
-    ]
-    _sweep(cfg, _finite_t_row, tasks, header)
+    _sweep(cfg, _finite_t_row, tasks)
 
 
 def cmd_witness(cfg):
@@ -386,14 +368,7 @@ def cmd_witness(cfg):
         for lam in lams
         for t in temps
     ]
-    labels = _witness_labels()
-    header = (
-        ["lambda", "temperature", "n_atoms"]
-        + [f"lhs_{x}" for x in labels]
-        + [f"violated_{x}" for x in labels]
-        + ["any_violation"]
-    )
-    _sweep(cfg, _witness_row, tasks, header)
+    _sweep(cfg, _witness_row, tasks)
 
 
 def cmd_oracle_compare(cfg):
@@ -408,11 +383,7 @@ def cmd_oracle_compare(cfg):
             (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff)
             for lam in lams
         ]
-        header = [
-            "lambda", "n_atoms", "cutoff", "delta_effective", "delta_oracle",
-            "abs_error", "rel_error", "jz_effective", "jz_oracle",
-        ]
-        _sweep(cfg, _oracle_ground_row, tasks, header)
+        _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
         oracle.full_product_basis(n, cutoff)  # capacity check up front
         betas = cfg["grid.beta_list"] or [0.1, 0.2, 0.4]
@@ -422,18 +393,15 @@ def cmd_oracle_compare(cfg):
             for lam in lams
             for b in betas
         ]
-        header = [
-            "lambda", "beta", "n_atoms", "cutoff", "delta_quadrature", "delta_oracle",
-            "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
-            "max_moment_error",
-        ]
-        _sweep(cfg, _oracle_thermal_row, tasks, header)
+        _sweep(cfg, _oracle_thermal_row, tasks)
     else:
         raise ConfigError("oracle.mode must be ground or thermal", field="oracle.mode")
 
 
 def cmd_scaling_fit(cfg):
     pipelines = [p.strip() for p in cfg["scaling.pipeline"].split(",") if p.strip()]
+    if not pipelines:
+        raise ConfigError("scaling.pipeline names no pipeline", field="scaling.pipeline")
     # t = 1 - lambda/lambda_c: the fit's grid lies strictly between 0 and lambda_c
     for key in ("scaling.t_min", "scaling.t_max"):
         if not 0 < cfg[key] < 1:
@@ -457,16 +425,18 @@ def cmd_scaling_fit(cfg):
         else:
             raise ConfigError(f"unknown scaling pipeline {pipeline!r}", field="scaling.pipeline")
         fit = zerotemp.scaling_fit(lams, deltas, critical_coupling=lc)
+        # stdout stays pure CSV when the CSV goes there
         print(
             f"{pipeline}: exponent = {fit.exponent:.6f} +- {fit.stderr:.6f} "
-            f"(intercept {fit.intercept:.6f}, {len(lams)} points)"
+            f"(intercept {fit.intercept:.6f}, {len(lams)} points)",
+            file=sys.stdout if cfg["output.csv"] else sys.stderr,
         )
         for lam, t, delta, x, y, r in zip(
             lams, t_grid, deltas, fit.log_t, fit.neg_log_delta, fit.residuals
         ):
-            rows.append((pipeline, float(lam), float(t), delta, float(x), float(y), float(r)))
-    header = ["pipeline", "lambda", "t", "delta", "neg_log_t", "neg_log_delta", "residual"]
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+            rows.append({"pipeline": pipeline, "lambda": float(lam), "t": float(t), "delta": delta,
+                         "neg_log_t": float(x), "neg_log_delta": float(y), "residual": float(r)})
+    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
 
 
 def cmd_critical(cfg):
@@ -479,17 +449,14 @@ def cmd_critical(cfg):
         params = ModelParams(omega, omega0, float(lam), n)
         tc = core.critical_temperature(params)
         tc_tanh = core.critical_temperature_tanh_form(params)
-        rows.append(
-            (
-                float(lam),
-                lc,
-                tc if tc is not None else float("nan"),
-                core.reduced_critical_temperature(params),
-                tc_tanh if tc_tanh is not None else float("nan"),
-            )
-        )
-    header = ["lambda", "lambda_c", "tc_self_consistent", "tc_resonant_line", "tc_tanh_form"]
-    _write_csv(cfg["output.csv"], header, rows, cfg["output.precision"])
+        rows.append({
+            "lambda": float(lam),
+            "lambda_c": lc,
+            "tc_self_consistent": tc if tc is not None else float("nan"),
+            "tc_resonant_line": core.reduced_critical_temperature(params),
+            "tc_tanh_form": tc_tanh if tc_tanh is not None else float("nan"),
+        })
+    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
 
 
 _COMMANDS = {

@@ -36,6 +36,11 @@ class ModelParams:
     n_atoms: int
 
     def __post_init__(self):
+        # one rule for NaN, +-inf and |x| above ~1.3e154, whose square overflows
+        for name in ("omega", "omega0", "coupling"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value * value):
+                raise InvalidParameterError(f"{name} must have a finite square, got {value}")
         if not (self.omega > 0 and self.omega0 > 0):
             raise InvalidParameterError(
                 f"frequencies must be positive, got omega={self.omega}, omega0={self.omega0}"

@@ -277,14 +277,21 @@ def _config_log_weights(sep: SeparableState, n_up):
 def exact_overlap(state: OracleState, sep: SeparableState):
     """Overlap of the atomic marginal with the separable reference state.
 
-    Computed two independent ways and cross-checked to 1e-10:
-    (i) the n-resolved atomic diagonal contracted with the binomial
-    weights, (ii) a direct trace of the photon-traced atomic density
-    matrix against the explicitly assembled reference-state matrix in
-    the oracle basis.  In the symmetric sector the reference state is
-    represented by its collective (Dicke-level) weights; in the full
-    product basis by the per-configuration product weights, whose
-    n-class sums are the same binomial weights.
+    The functional depends on the basis.  With P(n) the probability of n
+    up spins:
+
+    * symmetric sector: sum_n C(N,n) a^n (1-a)^(N-n) P(n), the overlap of
+      the J_z distributions, with the reference state represented by its
+      collective (Dicke-level) binomial weights;
+    * full product basis: Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n),
+      with the reference state represented by its per-configuration
+      product weights.
+
+    The two agree for every state only at a = 0 and a = 1.  Either is
+    computed two independent ways and cross-checked to 1e-10: (i) the
+    n-resolved atomic diagonal contracted with the weights, (ii) a direct
+    trace of the photon-traced atomic density matrix against the
+    explicitly assembled reference-state matrix in the oracle basis.
 
     Returns (value, path_diagonal, path_matrix).
     """
@@ -374,9 +381,11 @@ def split_log_partition(params: ModelParams, cutoff, beta):
 def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     """Overlap of the split-trace state with the reference state.
 
-    Matches the finite-temperature quadrature up to quadrature and photon
-    truncation error only; the O(beta^3) factorization error is common to
-    both.
+    The product-basis functional of ``exact_overlap``: Tr[rho_A rho_s] =
+    sum_n a^n (1-a)^(N-n) P(n), with rho_A the photon-traced atomic state
+    of exp(-beta H0) exp(-beta HI) / Tr[...].  Matches the finite-temperature
+    quadrature up to quadrature and photon truncation error only; the
+    O(beta^3) factorization error is common to both.
     """
     from scipy.special import logsumexp
     basis, log_terms = _split_log_terms(params, cutoff, beta)

@@ -375,8 +375,11 @@ def reduced_atom_purity(state: TwoModeState | GaussianState):
 def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
     """Ground-state overlap with the matched separable reference state.
 
-    Contracts the physical spin-excitation distribution with the binomial
-    weights; the result lies in [0, 1] by construction.
+    Contracts the physical spin-excitation distribution P(n) with the
+    binomial weights: sum_n C(N,n) a^n (1-a)^(N-n) P(n), the overlap of
+    the J_z distributions (the symmetric-sector functional of
+    ``oracle.exact_overlap``, not Tr[rho_A rho_s]).  The result lies in
+    [0, 1] by construction.
     """
     if sep.n_atoms != state.n_atoms:
         raise InvalidParameterError("separable state and ground state disagree on N")

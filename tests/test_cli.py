@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -211,6 +212,18 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
              "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
              "max_moment_error"],
             id="oracle-compare-thermal",
+        ),
+        pytest.param(
+            "critical",
+            _TWO_COUPLINGS,
+            ["lambda", "lambda_c", "tc_self_consistent", "tc_resonant_line", "tc_tanh_form"],
+            id="critical",
+        ),
+        pytest.param(
+            "scaling-fit",
+            {"scaling.points": 4},
+            ["pipeline", "lambda", "t", "delta", "neg_log_t", "neg_log_delta", "residual"],
+            id="scaling-fit",
         ),
     ],
 )
@@ -466,6 +479,63 @@ def test_scaling_fit_synthetic_exact(tmp_path):
     assert set(rows[0]) == {
         "pipeline", "lambda", "t", "delta", "neg_log_t", "neg_log_delta", "residual",
     }
+
+
+def test_scaling_fit_to_stdout_writes_only_csv(capsys):
+    # without --out the fit summary goes to stderr, so stdout is the CSV alone
+    code = cli.main(["scaling-fit", "--set", "scaling.pipeline=synthetic",
+                     "--set", "scaling.points=6", "--threads", "1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    reader = csv.DictReader(io.StringIO(captured.out))
+    assert reader.fieldnames == [
+        "pipeline", "lambda", "t", "delta", "neg_log_t", "neg_log_delta", "residual",
+    ]
+    assert [r["pipeline"] for r in reader] == ["synthetic"] * 6
+    assert "synthetic: exponent = 0.250000" in captured.err
+
+
+def test_scaling_fit_without_pipeline_exits_with_config_error(tmp_path, capsys):
+    # no pipeline, no rows: the command fails instead of writing a bare header
+    out = tmp_path / "never.csv"
+    code = cli.main(["scaling-fit", "--set", "scaling.pipeline=", "--out", str(out)])
+    assert code == 2
+    assert "kind=ConfigError field=scaling.pipeline" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["critical", "--set", "grid.lambda_min=nan"], "kind=InvalidParameterError"),
+        (["witness", "--set", "grid.lambda_min=nan"], "kind=InvalidParameterError"),
+        (["critical", "--set", "model.omega=inf"], "kind=ConfigError field=model.omega"),
+        (["sweep-zero-t", "--set", "model.omega0=1e200"], "kind=InvalidParameterError"),
+        (["sweep-finite-t", "--set", "model.omega0=1e200"], "kind=InvalidParameterError"),
+        (["witness", "--set", "model.omega0=1e200"], "kind=InvalidParameterError"),
+        (["scaling-fit", "--set", "model.omega0=1e200", "--set", "scaling.pipeline=numerical"],
+         "kind=InvalidParameterError"),
+    ],
+    ids=["critical-nan", "witness-nan", "critical-inf", "sweep-zero-t-overflow",
+         "sweep-finite-t-overflow", "witness-overflow", "scaling-fit-overflow"],
+)
+def test_nonfinite_model_inputs_exit_with_typed_error(tmp_path, capsys, args, error):
+    out = tmp_path / "never.csv"
+    code = cli.main([*args, "--set", "grid.lambda_max=1", "--set", "grid.lambda_steps=2",
+                     "--set", "grid.t_steps=2", "--set", "model.n_atoms=10",
+                     "--out", str(out), "--threads", "1"])
+    assert code == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_thread_count_rejected():
+    for kwargs in ({"threads": -3}, {"overrides": ["numerics.threads=-3"]}):
+        with pytest.raises(ConfigError) as err:
+            cli.build_config(None, **kwargs)
+        assert err.value.field == "numerics.threads"
+    # zero keeps its meaning: hardware parallelism
+    assert cli._threads(cli.build_config(None, threads=0)) == (os.cpu_count() or 1)
 
 
 def test_main_returns_nonzero_on_config_error():

@@ -33,6 +33,12 @@ def test_params_validation():
         ModelParams(1, 1, 0.5, 0)
     with pytest.raises(InvalidParameterError):
         ModelParams(-1, 1, 0.5, 4)
+    # NaN, inf, and finite values whose square overflows
+    for omega, omega0, coupling in [(1, 1, math.nan), (1, 1, math.inf), (math.inf, 1, 0.5),
+                                    (1, math.nan, 0.5), (1, 1e200, 0.5), (1, 1, 2e154)]:
+        with pytest.raises(InvalidParameterError):
+            ModelParams(omega, omega0, coupling, 4)
+    assert ModelParams(1e150, 1e150, 1e150, 4).coupling == 1e150
 
 
 def test_critical_temperature_resonant():

@@ -192,6 +192,33 @@ def test_overlap_dual_paths_agree():
     assert abs(path_a - path_b) < 1e-10
 
 
+def test_overlap_functional_depends_on_basis():
+    # one N = 4 ground state in both bases: the same P(n), two functionals
+    params = ModelParams(1.0, 1.0, 1.0, 4)
+    sym = exact_ground_state(params, 40)
+    basis = full_product_basis(4, 40)
+    prod = oracle.OracleState(basis, vector=lowest_eigenpair(build_hamiltonian(params, basis))[1])
+    p_n = sym.up_spin_distribution()
+    assert np.abs(prod.up_spin_distribution() - p_n).max() < 1e-12
+    sep = oracle.matched_separable_state(sym)
+    assert abs(sep.a - 0.36720) < 1e-5
+    n = np.arange(5)
+    per_config = sep.a**n * (1.0 - sep.a) ** (4 - n)
+    binomial = np.array([math.comb(4, k) for k in n])
+    # symmetric sector: the overlap of the J_z distributions
+    delta_sym = exact_overlap(sym, sep)[0]
+    assert abs(delta_sym - 0.284093) < 1e-6
+    assert abs(delta_sym - np.dot(binomial * per_config, p_n)) < 1e-12
+    # full product basis: Tr[rho_A rho_s]
+    delta_prod = exact_overlap(prod, sep)[0]
+    assert abs(delta_prod - 0.082231) < 1e-6
+    assert abs(delta_prod - np.dot(per_config, p_n)) < 1e-12
+    # C(N, n) = 1 at the only n an a of 0 or 1 weights, so there they agree
+    for a in (0.0, 1.0):
+        ref = SeparableState.from_a(a, 4)
+        assert abs(exact_overlap(sym, ref)[0] - exact_overlap(prod, ref)[0]) < 1e-12
+
+
 def test_overlap_rejects_mismatched_n():
     params = ModelParams(1.0, 1.0, 0.5, 4)
     state = exact_thermal_state(params, 20, beta=0.2)
