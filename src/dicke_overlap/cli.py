@@ -255,11 +255,9 @@ def _witness_row(task):
         point = thermal.ThermalPoint(params, 1.0 / temp)
         moments = thermal.thermal_moments(point, QuadratureSpec(*quad_args))
     report = (witness.evaluate_finite_n if finite_n else witness.evaluate)(moments)
-    # column names: b, c_x_y_z, ..., d_z_y_x
-    names = ["_".join((e.inequality, *(e.axes or ()))) for e in report.entries]
     row = {"lambda": lam, "temperature": temp, "n_atoms": n}
-    row.update((f"lhs_{name}", e.lhs) for name, e in zip(names, report.entries))
-    row.update((f"violated_{name}", e.violated) for name, e in zip(names, report.entries))
+    row.update((f"lhs_{e.name}", e.lhs) for e in report.entries)
+    row.update((f"violated_{e.name}", e.violated) for e in report.entries)
     row["any_violation"] = report.any_violation
     return row
 
@@ -385,7 +383,7 @@ def cmd_oracle_compare(cfg):
         ]
         _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
-        oracle.full_product_basis(n, cutoff)  # capacity check up front
+        oracle.full_product_basis(n, cutoff)  # capacity check up front, on the largest block
         betas = cfg["grid.beta_list"] or [0.1, 0.2, 0.4]
         quad_args = _quad_args(cfg)
         tasks = [
@@ -406,15 +404,21 @@ def cmd_scaling_fit(cfg):
     for key in ("scaling.t_min", "scaling.t_max"):
         if not 0 < cfg[key] < 1:
             raise ConfigError(f"{key} must lie in (0, 1), got {cfg[key]!r}", field=key)
-    t_grid = np.geomspace(cfg["scaling.t_max"], cfg["scaling.t_min"], cfg["scaling.points"])
     omega, omega0 = cfg["model.omega"], cfg["model.omega0"]
+    if "closed_form" in pipelines and omega != omega0:
+        raise ConfigError(
+            f"the closed_form pipeline holds only at omega = omega0, got {omega!r} and {omega0!r}",
+            field="scaling.pipeline",
+        )
+    t_grid = np.geomspace(cfg["scaling.t_max"], cfg["scaling.t_min"], cfg["scaling.points"])
     lc = core.critical_coupling(omega, omega0)
     lams = lc * (1.0 - t_grid)
     n = _one_atom_count(cfg)
     rows = []
     for pipeline in pipelines:
         if pipeline == "closed_form":
-            deltas = [zerotemp.closed_form_overlap_normal(float(l)) for l in lams]
+            # at omega = omega0 the ground state depends on lambda/omega alone
+            deltas = [zerotemp.closed_form_overlap_normal(float(l) / omega) for l in lams]
         elif pipeline == "numerical":
             deltas = [
                 zerotemp.overlap_for_params(ModelParams(omega, omega0, float(l), n))

@@ -1,25 +1,32 @@
-"""Brute-force exact diagonalization of the full Dicke Hamiltonian.
+"""Exact diagonalization of the full Dicke Hamiltonian.
 
-Validation backend for every other module.  Two bases:
+Validation backend for every other module.  H = omega a'a + omega0 J_z +
+(lambda/sqrt(N)) (a'+a)(J+ + J-) commutes with the total spin J^2, and so do
+the split-trace H_I and every reference state rho_s, a function of J_z.  An
+oracle basis is therefore a direct sum of blocks, each the truncated photon
+Fock space tensor one spin-j multiplet |j, m>, m = -j..j.  The multiplet
+occurs d_j = C(N, N/2-j) - C(N, N/2-j-1) times among the 2^N spin
+configurations (Chase & Geremia, PRA 78, 052101 (2008)); its copies are
+identical, so one copy is solved and weighted by d_j.  Two bases:
 
-* ``SymmetricSector`` -- photon Fock space (truncated) tensor the maximal
-  collective-spin multiplet j = N/2, dimension cutoff * (N+1).  The
-  ground state lives here, in the even block of the parity
+* ``symmetric_basis`` -- the single block j = N/2, dimension cutoff * (N+1).
+  The ground state lives here, in the even block of the parity
   exp[i pi (a'a + J_z + N/2)], which sparse Lanczos solves alone: N = 40
   takes about 0.1 s.
-* ``FullProduct`` -- photon Fock space tensor all 2^N spin
-  configurations.  Thermal states weight non-symmetric sectors that the
-  collective basis misses, so finite-temperature validation uses this
-  basis (N <= 6 only).
+* ``full_product_basis`` -- every multiplet j = N/2, N/2-1, ..., together
+  all 2^N spin configurations.  Thermal states weight the non-symmetric
+  multiplets, so finite-temperature validation uses this basis; its largest
+  block is the symmetric one: a thermal state at N = 20 and cutoff 40
+  takes about 0.4 s.
 
 Thermal and split-trace states take the complete dense eigendecomposition
-of ``numerics``.  scipy is imported inside the functions that use it, so
-importing this module, and with it the CLI, loads numpy alone.
+of ``numerics``, one block at a time.  scipy is imported inside the
+functions that use it, so importing this module, and with it the CLI, loads
+numpy alone.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -29,69 +36,79 @@ import numpy as np
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
 from .numerics import lowest_eigenpair, photon_atom_hamiltonian, symmetric_eigendecomposition
-from .separable import SeparableState, config_log_terms
+from .separable import SeparableState
 from .witness import MomentSet
 
-_FULL_PRODUCT_MAX_ATOMS = 6
-# one dense float64 Hamiltonian of either basis; the ground state's sparse
-# even block needs far less, so for the symmetric basis this is a
+# one dense float64 Hamiltonian of the largest block; the ground state's
+# sparse even block needs far less, so for the ground state this is a
 # conservative ceiling
 _DENSE_MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
 
-class BasisVariant(enum.Enum):
-    SYMMETRIC_SECTOR = "symmetric"
-    FULL_PRODUCT = "full-product"
-
-
 @dataclass(frozen=True)
 class DickeBasis:
-    variant: BasisVariant
+    """Photon Fock levels 0..cutoff-1 tensor a direct sum of spin multiplets.
+
+    ``spins`` lists the total spin j of each block.  Block j stands for its
+    ``multiplicity(j)`` identical copies; operators and states live on one.
+    """
+
     n_atoms: int
     cutoff: int
+    spins: tuple
 
     def __post_init__(self):
         if self.cutoff < 2:
             raise InvalidParameterError(f"photon cutoff must be >= 2, got {self.cutoff}")
-        if self.variant is BasisVariant.FULL_PRODUCT and self.n_atoms > _FULL_PRODUCT_MAX_ATOMS:
+        largest = self.cutoff * (int(2 * max(self.spins)) + 1)
+        if 8 * largest**2 > _DENSE_MAX_BYTES:
             raise CapacityError(
-                f"full product basis supports N <= {_FULL_PRODUCT_MAX_ATOMS}, got {self.n_atoms}"
+                f"block of dimension {largest} needs a dense matrix "
+                f"of {8 * largest**2 / 2**30:.1f} GiB, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
             )
-        if 8 * self.dim**2 > _DENSE_MAX_BYTES:
-            raise CapacityError(
-                f"{self.variant.value} basis of dimension {self.dim} needs a dense matrix "
-                f"of {8 * self.dim**2 / 2**30:.1f} GiB, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
-            )
-
-    @property
-    def atom_dim(self):
-        if self.variant is BasisVariant.FULL_PRODUCT:
-            return 2**self.n_atoms
-        return self.n_atoms + 1
 
     @property
     def dim(self):
-        return self.cutoff * self.atom_dim
+        """Dimension of the space spanned, every copy of every block counted."""
+        return self.cutoff * sum(self.multiplicity(j) * (int(2 * j) + 1) for j in self.spins)
 
-    def up_counts(self):
-        """Number of up spins for each atomic basis state.
+    @property
+    def spin(self):
+        """The total spin j of a one-block basis."""
+        if len(self.spins) != 1:
+            raise InvalidParameterError(f"expected a one-block basis, got spins {self.spins}")
+        return self.spins[0]
 
-        Single-atom convention: factor index 0 is sigma_z = +1 (up), so a
-        product-basis index c with popcount(c) set bits has N - popcount(c)
-        up spins.
-        """
-        if self.variant is BasisVariant.FULL_PRODUCT:
-            return np.array(
-                [self.n_atoms - bin(c).count("1") for c in range(2**self.n_atoms)],
-                dtype=np.int64,
-            )
-        return np.arange(self.n_atoms + 1, dtype=np.int64)
+    def block(self, j):
+        """The one-block basis of multiplet j."""
+        return DickeBasis(self.n_atoms, self.cutoff, (j,))
+
+    def multiplicity(self, j):
+        """Copies of the spin-j multiplet among the 2^N spin configurations."""
+        k = round(self.n_atoms / 2 - j)
+        return math.comb(self.n_atoms, k) - (math.comb(self.n_atoms, k - 1) if k else 0)
+
+    def up_counts(self, j):
+        """Number of up spins, m + N/2, of each |j, m> in ascending m."""
+        return np.arange(int(2 * j) + 1) + round(self.n_atoms / 2 - j)
+
+    def level_counts(self):
+        """Number of atomic basis states with n up spins, n = 0..N, every copy counted."""
+        counts = np.zeros(self.n_atoms + 1)
+        for j in self.spins:
+            counts[self.up_counts(j)] += self.multiplicity(j)
+        return counts
 
 
 def symmetric_basis(n_atoms, cutoff):
-    return DickeBasis(BasisVariant.SYMMETRIC_SECTOR, n_atoms, cutoff)
+    return DickeBasis(n_atoms, cutoff, (n_atoms / 2,))
+
+
+def full_product_basis(n_atoms, cutoff):
+    """All 2^N spin configurations: the multiplets j = N/2, N/2-1, ..., 0 or 1/2."""
+    return DickeBasis(n_atoms, cutoff, tuple(n_atoms / 2 - k for k in range(n_atoms // 2 + 1)))
 
 
 def suggested_cutoff(params: ModelParams):
@@ -106,64 +123,42 @@ def suggested_cutoff(params: ModelParams):
     return int(math.ceil(mean + 6.5 * math.sqrt(mean + 4.0) + 14.0))
 
 
-def full_product_basis(n_atoms, cutoff):
-    return DickeBasis(BasisVariant.FULL_PRODUCT, n_atoms, cutoff)
-
-
 # ---------------------------------------------------------------- operators
 
 
-def _site_sum(pauli, n_atoms):
-    """sum_i pauli_i / 2 in the 2^N product basis (pauli_i acts on atom i)."""
-    total = np.zeros((2**n_atoms, 2**n_atoms), dtype=pauli.dtype)
-    for i in range(n_atoms):
-        ops = [pauli if k == i else np.eye(2) for k in range(n_atoms)]
-        m = ops[0]
-        for k in range(1, n_atoms):
-            m = np.kron(m, ops[k])
-        total += m / 2.0
-    return total
-
-
 def collective_spin_matrices(basis: DickeBasis):
-    """Atomic-space J_x, J_y, J_z (J_y is complex; the rest real)."""
-    n_atoms = basis.n_atoms
-    if basis.variant is BasisVariant.FULL_PRODUCT:
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-        return _site_sum(sx, n_atoms), _site_sum(sy, n_atoms), _site_sum(sz, n_atoms)
-    n = np.arange(n_atoms + 1)
-    jp = np.zeros((n_atoms + 1, n_atoms + 1))
-    # <n+1| J+ |n> on the j = N/2 multiplet, m = n - N/2
-    jp[n[:-1] + 1, n[:-1]] = np.sqrt((n_atoms - n[:-1]) * (n[:-1] + 1.0))
-    jz = np.diag(n - n_atoms / 2.0)
+    """J_x, J_y, J_z of a one-block basis, on |j, m> in ascending m (J_y complex; the rest real)."""
+    j = basis.spin
+    i = np.arange(int(2 * j) + 1)
+    jp = np.zeros((len(i), len(i)))
+    # <j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)), m = i - j
+    jp[i[:-1] + 1, i[:-1]] = np.sqrt((2 * j - i[:-1]) * (i[:-1] + 1.0))
+    jz = np.diag(i - j)
     jx = (jp + jp.T) / 2.0
     jy = (jp - jp.T) / 2.0j
     return jx, jy, jz
 
 
-def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis):
-    """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-)."""
+def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis, omega):
+    """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
     jx, _, jz = collective_spin_matrices(basis)
     coupling = params.coupling / math.sqrt(params.n_atoms)
     # (J+ + J-) = 2 Jx
-    return photon_atom_hamiltonian(
-        params.omega, basis.cutoff, params.omega0 * jz, coupling, 2.0 * jx
-    )
+    return photon_atom_hamiltonian(omega, basis.cutoff, params.omega0 * jz, coupling, 2.0 * jx)
 
 
 def build_hamiltonian(params: ModelParams, basis: DickeBasis):
-    """Dense matrix of ``_sparse_hamiltonian``."""
-    return _sparse_hamiltonian(params, basis).toarray()
+    """Dense Dicke Hamiltonian of a one-block basis."""
+    return _sparse_hamiltonian(params, basis, params.omega).toarray()
 
 
 def parity_diagonal(basis: DickeBasis):
-    """Diagonal of exp[i pi (a'a + J_z + N/2)]: (-1)^(m + n_up)."""
-    m = np.repeat(np.arange(basis.cutoff), basis.atom_dim)
-    n_up = np.tile(basis.up_counts(), basis.cutoff)
+    """Diagonal of exp[i pi (a'a + J_z + N/2)] on a one-block basis: (-1)^(m + n_up)."""
+    up = basis.up_counts(basis.spin)
+    m = np.repeat(np.arange(basis.cutoff), len(up))
+    n_up = np.tile(up, basis.cutoff)
     return np.where((m + n_up) % 2 == 0, 1.0, -1.0)
 
 
@@ -172,38 +167,31 @@ def parity_diagonal(basis: DickeBasis):
 
 @dataclass(frozen=True)
 class OracleState:
-    """Pure ground state or thermal eigen-decomposition in an oracle basis."""
+    """Pure ground state or Gibbs state in an oracle basis, held block by block.
+
+    Each entry of ``blocks`` is (j, vectors, probabilities): the columns of
+    ``vectors`` are eigenvectors of block j, and ``probabilities`` their
+    weights in each copy of it.  Blocks not listed carry no weight.
+    """
 
     basis: DickeBasis
-    vector: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
-    beta: float | None = None
+    blocks: tuple
 
-    @property
-    def is_thermal(self):
-        return self.vector is None
-
-    def thermal_weights(self):
-        e = self.eigenvalues - self.eigenvalues.min()
-        w = np.exp(-self.beta * e)
-        return w / w.sum()
-
-    def atomic_reduced_matrix(self):
-        """Photon-traced atomic density matrix (full matrix, not just diagonal)."""
-        d_atom = self.basis.atom_dim
-        if not self.is_thermal:
-            psi = self.vector.reshape(self.basis.cutoff, d_atom)
-            return psi.T @ psi
-        w = self.thermal_weights()
-        vecs = (self.eigenvectors * np.sqrt(w)).reshape(self.basis.cutoff, d_atom, -1)
-        return np.einsum("mak,mbk->ab", vecs, vecs)
+    def atomic_blocks(self):
+        """(j, photon-traced atomic density matrix of one copy of block j), per listed block."""
+        out = []
+        for j, vectors, probabilities in self.blocks:
+            psi = (vectors * np.sqrt(probabilities)).reshape(self.basis.cutoff, -1, len(probabilities))
+            amplitudes = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
+            out.append((j, amplitudes @ amplitudes.T))
+        return out
 
     def up_spin_distribution(self):
         """Probability of finding exactly n up spins, n = 0..N."""
-        diag = np.diag(self.atomic_reduced_matrix())
-        n_up = self.basis.up_counts()
-        return np.bincount(n_up, weights=diag, minlength=self.basis.n_atoms + 1)
+        p = np.zeros(self.basis.n_atoms + 1)
+        for j, rho in self.atomic_blocks():
+            p[self.basis.up_counts(j)] += self.basis.multiplicity(j) * np.diag(rho)
+        return p
 
 
 def convergence_cutoff(cutoff):
@@ -219,7 +207,7 @@ def _ground_pair(params: ModelParams, cutoff: int):
     # it to rounding (the superradiant phase)
     basis = symmetric_basis(params.n_atoms, cutoff)
     even = np.flatnonzero(parity_diagonal(basis) > 0)
-    h = _sparse_hamiltonian(params, basis)
+    h = _sparse_hamiltonian(params, basis, params.omega)
     e0, block_vec = lowest_eigenpair(h[even][:, even])
     vec = np.zeros(basis.dim)
     vec[even] = block_vec
@@ -242,43 +230,56 @@ def exact_ground_state(params: ModelParams, cutoff):
             f"({cutoff} -> {big}); increase the photon cutoff",
             mode="photon",
         )
-    return OracleState(symmetric_basis(params.n_atoms, cutoff), vector=vec)
+    basis = symmetric_basis(params.n_atoms, cutoff)
+    return OracleState(basis, ((basis.spin, vec[:, None], np.ones(1)),))
 
 
 def ground_energy(params: ModelParams, cutoff):
     return _ground_pair(params, int(cutoff))[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _thermal_decomposition(params: ModelParams, cutoff: int):
+@functools.lru_cache(maxsize=64)
+def _block_eigensystems(params: ModelParams, cutoff: int, omega):
+    """Full basis and the eigendecomposition of each of its blocks, photon frequency ``omega``."""
     basis = full_product_basis(params.n_atoms, cutoff)
-    h = build_hamiltonian(params, basis)
-    vals, vecs = symmetric_eigendecomposition(h)
-    return basis, vals, vecs
+    return basis, tuple(
+        symmetric_eigendecomposition(_sparse_hamiltonian(params, basis.block(j), omega).toarray())
+        for j in basis.spins
+    )
 
 
 def exact_thermal_state(params: ModelParams, cutoff, beta):
-    """Gibbs state over the full product space from a complete eigendecomposition."""
+    """Gibbs state over all 2^N spin configurations, one eigendecomposition per multiplet."""
     if beta <= 0:
         raise InvalidParameterError(f"beta must be positive, got {beta}")
-    basis, vals, vecs = _thermal_decomposition(params, int(cutoff))
-    return OracleState(basis, eigenvalues=vals, eigenvectors=vecs, beta=float(beta))
+    basis, eigensystems = _block_eigensystems(params, int(cutoff), params.omega)
+    e_min = min(vals[0] for vals, _ in eigensystems)
+    boltzmann = [np.exp(-beta * (vals - e_min)) for vals, _ in eigensystems]
+    z = sum(basis.multiplicity(j) * w.sum() for j, w in zip(basis.spins, boltzmann))
+    return OracleState(basis, tuple(
+        (j, vecs, w / z) for j, (_, vecs), w in zip(basis.spins, eigensystems, boltzmann)
+    ))
 
 
 # ---------------------------------------------------------------- observables
 
 
-def _config_log_weights(sep: SeparableState, n_up):
-    """Per-configuration ln[a^n (1-a)^(N-n)] (no binomial factor)."""
-    up, down = config_log_terms(sep.a, sep.n_atoms, n_up)
-    return up + down
+def _reference_log_levels(basis: DickeBasis, sep: SeparableState):
+    """ln of the reference state's weight on one atomic basis state with n up spins, n = 0..N.
+
+    The reference J_z distribution C(N,n) a^n (1-a)^(N-n), shared evenly by
+    the basis states with n up spins: over all multiplets that is
+    a^n (1-a)^(N-n) = <n|rho_s|n>, on the symmetric block alone the whole
+    binomial weight.
+    """
+    return sep.log_weights - np.log(basis.level_counts())
 
 
 def exact_overlap(state: OracleState, sep: SeparableState):
     """Overlap of the atomic marginal with the separable reference state.
 
-    The functional depends on the basis.  With P(n) the probability of n
-    up spins:
+    The functional depends on the basis, through the reference state's
+    weight on each of its states.  With P(n) the probability of n up spins:
 
     * symmetric sector: sum_n C(N,n) a^n (1-a)^(N-n) P(n), the overlap of
       the J_z distributions, with the reference state represented by its
@@ -290,28 +291,19 @@ def exact_overlap(state: OracleState, sep: SeparableState):
     The two agree for every state only at a = 0 and a = 1.  Either is
     computed two independent ways and cross-checked to 1e-10: (i) the
     n-resolved atomic diagonal contracted with the weights, (ii) a direct
-    trace of the photon-traced atomic density matrix against the
-    explicitly assembled reference-state matrix in the oracle basis.
+    trace of each block's photon-traced atomic density matrix against the
+    explicitly assembled reference-state matrix, summed over the copies.
 
     Returns (value, path_diagonal, path_matrix).
     """
     if sep.n_atoms != state.basis.n_atoms:
         raise InvalidParameterError("separable state and oracle basis disagree on N")
-    weights = sep.weights()
-    if state.basis.variant is BasisVariant.SYMMETRIC_SECTOR:
-        p_n = state.up_spin_distribution()
-        path_diag = float(np.dot(weights, p_n))
-        rho_atoms = state.atomic_reduced_matrix()
-        path_matrix = float(np.trace(rho_atoms @ np.diag(weights)))
-    else:
-        n_up = state.basis.up_counts()
-        # class-averaged diagonal times the binomial weights == product trace
-        counts = np.array([math.comb(sep.n_atoms, n) for n in range(sep.n_atoms + 1)])
-        class_sums = state.up_spin_distribution()
-        path_diag = float(np.dot(weights, class_sums / counts))
-        rho_atoms = state.atomic_reduced_matrix()
-        ref_diag = np.exp(_config_log_weights(sep, n_up))
-        path_matrix = float(np.trace(rho_atoms @ np.diag(ref_diag)))
+    ref = np.exp(_reference_log_levels(state.basis, sep))
+    path_diag = float(np.dot(ref, state.up_spin_distribution()))
+    path_matrix = sum(
+        state.basis.multiplicity(j) * float(np.trace(rho @ np.diag(ref[state.basis.up_counts(j)])))
+        for j, rho in state.atomic_blocks()
+    )
     if abs(path_diag - path_matrix) > _DUAL_PATH_TOL:
         raise InternalConsistencyError(
             f"overlap paths disagree: {path_diag} vs {path_matrix}"
@@ -320,20 +312,15 @@ def exact_overlap(state: OracleState, sep: SeparableState):
 
 
 def exact_moments(state: OracleState) -> MomentSet:
-    """First and second collective moments by direct operator application."""
-    jx, jy, jz = collective_spin_matrices(state.basis)
-    rho = state.atomic_reduced_matrix()
+    """First and second collective moments by direct operator application, block by block."""
     n = state.basis.n_atoms
-
-    def expect(op):
-        return float(np.real(np.trace(rho @ op)))
-
-    first = (expect(jx) / n, expect(jy) / n, expect(jz) / n)
-    second = (
-        expect(jx @ jx) / n**2,
-        expect(np.real(jy @ jy)) / n**2,
-        expect(jz @ jz) / n**2,
-    )
+    totals = np.zeros(6)
+    for j, rho in state.atomic_blocks():
+        jx, jy, jz = collective_spin_matrices(state.basis.block(j))
+        ops = (jx, jy, jz, jx @ jx, np.real(jy @ jy), jz @ jz)
+        totals += state.basis.multiplicity(j) * np.array([np.real(np.trace(rho @ op)) for op in ops])
+    first = tuple(float(t) / n for t in totals[:3])
+    second = tuple(float(t) / n**2 for t in totals[3:])
     return MomentSet(n_atoms=n, first=first, second=second)
 
 
@@ -351,44 +338,42 @@ def matched_separable_state(state: OracleState) -> SeparableState:
 # from factorization error.
 
 
-@functools.lru_cache(maxsize=32)
-def _split_pieces(params: ModelParams, cutoff: int):
-    basis = full_product_basis(params.n_atoms, cutoff)
-    jx, _, jz = collective_spin_matrices(basis)
-    coupling = params.coupling / math.sqrt(params.n_atoms)
-    # HI: H without its omega a'a term
-    hi = photon_atom_hamiltonian(0.0, cutoff, params.omega0 * jz, coupling, 2.0 * jx).toarray()
-    vals, vecs = symmetric_eigendecomposition(hi)
-    h0_diag = params.omega * np.repeat(np.arange(cutoff, dtype=float), basis.atom_dim)
-    return basis, h0_diag, vals, vecs
-
-
 def _split_log_terms(params, cutoff, beta):
+    """ln of each diagonal element of exp(-beta H0) exp(-beta HI), times the copies of its block.
+
+    Returns (basis, log terms, up-spin count of each term).
+    """
     from scipy.special import logsumexp
-    basis, h0_diag, vals, vecs = _split_pieces(params, int(cutoff))
-    # ln (exp(-beta HI))_ii = logsumexp_k [ ln U_ik^2 - beta e_k ]
-    log_diag = logsumexp(-beta * vals[None, :], b=vecs**2, axis=1)
-    return basis, -beta * h0_diag + log_diag
+    # HI: H without its omega a'a term
+    basis, eigensystems = _block_eigensystems(params, int(cutoff), 0.0)
+    log_terms, n_up = [], []
+    for j, (vals, vecs) in zip(basis.spins, eigensystems):
+        up = basis.up_counts(j)
+        h0_diag = params.omega * np.repeat(np.arange(basis.cutoff, dtype=float), len(up))
+        # ln (exp(-beta HI))_ii = logsumexp_k [ ln U_ik^2 - beta e_k ]
+        log_diag = logsumexp(-beta * vals[None, :], b=vecs**2, axis=1)
+        log_terms.append(-beta * h0_diag + log_diag + math.log(basis.multiplicity(j)))
+        n_up.append(np.tile(up, basis.cutoff))
+    return basis, np.concatenate(log_terms), np.concatenate(n_up)
 
 
 def split_log_partition(params: ModelParams, cutoff, beta):
-    """ln Tr[exp(-beta H0) exp(-beta HI)] in the full product basis."""
+    """ln Tr[exp(-beta H0) exp(-beta HI)] over all 2^N spin configurations."""
     from scipy.special import logsumexp
-    _, log_terms = _split_log_terms(params, cutoff, beta)
+    _, log_terms, _ = _split_log_terms(params, cutoff, beta)
     return float(logsumexp(log_terms))
 
 
 def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     """Overlap of the split-trace state with the reference state.
 
-    The product-basis functional of ``exact_overlap``: Tr[rho_A rho_s] =
+    The full-product-basis functional of ``exact_overlap``: Tr[rho_A rho_s] =
     sum_n a^n (1-a)^(N-n) P(n), with rho_A the photon-traced atomic state
     of exp(-beta H0) exp(-beta HI) / Tr[...].  Matches the finite-temperature
     quadrature up to quadrature and photon truncation error only; the
     O(beta^3) factorization error is common to both.
     """
     from scipy.special import logsumexp
-    basis, log_terms = _split_log_terms(params, cutoff, beta)
-    n_up = np.tile(basis.up_counts(), basis.cutoff)
-    log_ref = _config_log_weights(sep, n_up)
+    basis, log_terms, n_up = _split_log_terms(params, cutoff, beta)
+    log_ref = _reference_log_levels(basis, sep)[n_up]
     return float(np.exp(logsumexp(log_terms + log_ref) - logsumexp(log_terms)))

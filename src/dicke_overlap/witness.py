@@ -76,10 +76,9 @@ class WitnessEntry:
     violated: bool
 
     @property
-    def label(self):
-        if self.axes is None:
-            return self.inequality
-        return f"{self.inequality}:{'-'.join(self.axes)}"
+    def name(self):
+        """``b``, ``c_x_y_z``, ..., ``d_z_y_x``: the inequality, then its axes."""
+        return "_".join((self.inequality, *(self.axes or ())))
 
 
 @dataclass(frozen=True)

@@ -291,9 +291,10 @@ def test_criterion_9_internal_consistency():
         worst_gap = max(worst_gap, abs(gaps[1] - freqs.omega_minus))
         worst_gap = max(worst_gap, float(np.abs(gaps - freqs.omega_plus).min()))
     assert worst_gap < 1e-6
-    # parity commutator in both oracle bases
+    # parity commutator in every block of both oracle bases
     worst_parity = 0.0
-    for basis in (oracle.symmetric_basis(4, 14), oracle.full_product_basis(4, 14)):
+    full = oracle.full_product_basis(4, 14)
+    for basis in (oracle.symmetric_basis(4, 14), *(full.block(j) for j in full.spins)):
         h = oracle.build_hamiltonian(ModelParams(1, 1, 0.9, 4), basis)
         pi = oracle.parity_diagonal(basis)
         worst_parity = max(worst_parity, float(np.abs(h * (pi[None, :] - pi[:, None])).max()))

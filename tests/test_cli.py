@@ -361,12 +361,15 @@ def test_oracle_compare_ground_mode(tmp_path):
 
 
 def test_oracle_compare_capacity_error(tmp_path):
+    # the largest multiplet block, cutoff * (N + 1) = 20,200 states, needs a
+    # 3.0 GiB dense matrix
     out = tmp_path / "never.csv"
     result = run_cli(
         [
             "oracle-compare",
             "--set", "oracle.mode=thermal",
-            "--set", "model.n_atoms=7",
+            "--set", "model.n_atoms=100",
+            "--set", "oracle.cutoff=200",
             "--out", str(out),
         ]
     )
@@ -493,6 +496,34 @@ def test_scaling_fit_to_stdout_writes_only_csv(capsys):
     ]
     assert [r["pipeline"] for r in reader] == ["synthetic"] * 6
     assert "synthetic: exponent = 0.250000" in captured.err
+
+
+def test_scaling_fit_at_any_resonant_frequency(tmp_path):
+    # at omega = omega0 the ground state depends on lambda/omega alone:
+    # doubling both frequencies doubles every coupling and keeps every delta
+    rows = {}
+    for w in ("1", "2"):
+        out = tmp_path / f"omega{w}.csv"
+        code = cli.main(["scaling-fit", "--set", f"model.omega={w}", "--set", f"model.omega0={w}",
+                         "--set", "scaling.points=4", "--out", str(out)])
+        assert code == 0
+        rows[w] = [r for r in read_rows(out) if r["pipeline"] == "closed_form"]
+    assert len(rows["2"]) == 4
+    for one, two in zip(rows["1"], rows["2"]):
+        assert float(two["lambda"]) == pytest.approx(2.0 * float(one["lambda"]), rel=1e-12)
+        assert two["delta"] == one["delta"]
+
+
+def test_scaling_fit_closed_form_off_resonance_exits_with_config_error(tmp_path, capsys):
+    # the closed form holds only at omega = omega0; nothing is fitted or printed
+    out = tmp_path / "never.csv"
+    code = cli.main(["scaling-fit", "--set", "model.omega=2", "--set", "model.omega0=0.5",
+                     "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "kind=ConfigError field=scaling.pipeline" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_scaling_fit_without_pipeline_exits_with_config_error(tmp_path, capsys):
@@ -692,4 +723,17 @@ def test_traced_oracle_ground_replay(tmp_path):
     assert recorded["dense_dims"] == [
         oracle.symmetric_basis(6, c).dim for c in (20, oracle.convergence_cutoff(20))
     ]
+    assert len(read_rows(out)) == 1
+
+
+def test_traced_oracle_thermal_replay(tmp_path):
+    # the benchmark's oracle workload replays a thermal command; its dense
+    # dimensions are the 2^N-configuration basis of the thermal and split solves
+    recorded, out = _traced_replay(tmp_path, [
+        "oracle-compare", "--set", "oracle.mode=thermal", "--set", "model.n_atoms=4",
+        "--set", "oracle.cutoff=6", "--set", "grid.lambda_min=1.0",
+        "--set", "grid.lambda_max=1.0", "--set", "grid.lambda_steps=1",
+        "--set", "grid.beta_list=0.2"])
+    assert recorded["oracle_cache_hits"] == 0
+    assert recorded["dense_dims"] == [6 * 16, 6 * 16]
     assert len(read_rows(out)) == 1

@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_overlap import oracle
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import CapacityError, InvalidParameterError
 from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.oracle import (
-    BasisVariant,
+    OracleState,
     build_hamiltonian,
     exact_ground_state,
     exact_moments,
@@ -30,21 +32,72 @@ def commutator_with_parity(h, basis):
     return np.abs(h * (pi[None, :] - pi[:, None])).max()
 
 
+def blocks_of(basis):
+    return [basis.block(j) for j in basis.spins]
+
+
+def pure_vector(state):
+    (_, vectors, _), = state.blocks
+    return vectors[:, 0]
+
+
+def product_basis_reference(params, cutoff):
+    """H0 = omega a'a and HI = H - H0 over all 2^N spin configurations, dense.
+
+    The collective spins are Pauli sums assembled with ``np.kron`` (atom
+    factor index 0 is up).  Returns (h0, hi, (jx, jy, jz), n_up) with
+    n_up the up-spin count of each configuration.
+    """
+    n = params.n_atoms
+    paulis = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+              np.diag([1.0, -1.0]))
+
+    def site_sum(pauli):
+        total = np.zeros((2**n, 2**n), dtype=pauli.dtype)
+        for i in range(n):
+            term = np.eye(1)
+            for k in range(n):
+                term = np.kron(term, pauli if k == i else np.eye(2))
+            total += term / 2.0
+        return total
+
+    jx, jy, jz = (site_sum(p) for p in paulis)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    h0 = params.omega * np.kron(np.diag(np.arange(cutoff, dtype=float)), np.eye(2**n))
+    hi = (params.omega0 * np.kron(np.eye(cutoff), jz)
+          + params.coupling / math.sqrt(n) * np.kron(a + a.T, 2.0 * jx))
+    n_up = np.rint(np.diag(jz) + n / 2.0).astype(int)
+    return h0, hi, (jx, jy, jz), n_up
+
+
 @pytest.mark.parametrize(
-    "basis", [symmetric_basis(5, 9), full_product_basis(3, 7)], ids=lambda b: b.variant.value
+    "basis", [symmetric_basis(5, 9), full_product_basis(3, 7)], ids=["symmetric", "full-product"]
 )
 def test_build_hamiltonian_bit_identical_to_dense_formula(basis):
-    # omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(2 Jx), assembled with dense kron
+    # omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(2 Jx) in each block, assembled with dense kron
     params = ModelParams(1.3, 0.7, 0.9, basis.n_atoms)
-    jx, _, jz = oracle.collective_spin_matrices(basis)
-    c, d = basis.cutoff, basis.atom_dim
-    a = np.diag(np.sqrt(np.arange(1.0, c)), 1)
-    expected = (
-        params.omega * np.kron(np.diag(np.arange(c, dtype=float)), np.eye(d))
-        + params.omega0 * np.kron(np.eye(c), jz)
-        + (params.coupling / math.sqrt(params.n_atoms)) * np.kron(a + a.T, 2.0 * jx)
-    )
-    assert np.array_equal(build_hamiltonian(params, basis), expected)
+    for block in blocks_of(basis):
+        jx, _, jz = oracle.collective_spin_matrices(block)
+        c, d = block.cutoff, len(jz)
+        a = np.diag(np.sqrt(np.arange(1.0, c)), 1)
+        expected = (
+            params.omega * np.kron(np.diag(np.arange(c, dtype=float)), np.eye(d))
+            + params.omega0 * np.kron(np.eye(c), jz)
+            + (params.coupling / math.sqrt(params.n_atoms)) * np.kron(a + a.T, 2.0 * jx)
+        )
+        assert np.array_equal(build_hamiltonian(params, block), expected)
+
+
+def test_multiplets_span_the_product_space():
+    # d_j copies of 2j + 1 states: C(N, n) states with n up spins, 2^N in all
+    for n in range(1, 9):
+        basis = full_product_basis(n, 3)
+        assert basis.dim == 3 * 2**n
+        assert basis.level_counts().tolist() == [math.comb(n, k) for k in range(n + 1)]
+    six = full_product_basis(6, 3)
+    assert six.spins == (3.0, 2.0, 1.0, 0.0)
+    assert [six.multiplicity(j) for j in six.spins] == [1, 5, 9, 5]
+    assert symmetric_basis(6, 3).level_counts().tolist() == [1.0] * 7
 
 
 def test_decoupled_hamiltonian_is_diagonal():
@@ -69,18 +122,24 @@ def test_single_atom_rabi_limit():
 def test_parity_and_hermiticity(variant):
     params = ModelParams(1.0, 1.0, 0.8, 4)
     basis = symmetric_basis(4, 12) if variant == "symmetric" else full_product_basis(4, 12)
-    h = build_hamiltonian(params, basis)
-    assert np.abs(h - h.T).max() < 1e-13
-    assert commutator_with_parity(h, basis) < 1e-12
+    for block in blocks_of(basis):
+        h = build_hamiltonian(params, block)
+        assert np.abs(h - h.T).max() < 1e-13
+        assert commutator_with_parity(h, block) < 1e-12
 
 
 def test_capacity_bounds():
-    with pytest.raises(CapacityError):
-        full_product_basis(7, 10)
+    # the dense bound applies to the largest block, cutoff * (N + 1) states
     with pytest.raises(CapacityError):
         symmetric_basis(100, 3000)
     with pytest.raises(CapacityError):
-        full_product_basis(6, 1000)  # dimension 64,000: 30 GiB dense
+        full_product_basis(100, 200)  # largest block 20,200: 3.0 GiB dense
+    # neither the atom count nor the spanned dimension is bounded: these
+    # largest blocks have 80 and 7,000 states
+    assert full_product_basis(7, 10).dim == 10 * 2**7
+    assert full_product_basis(6, 1000).dim == 64_000
+    with pytest.raises(InvalidParameterError):
+        oracle.collective_spin_matrices(full_product_basis(4, 10))
 
 
 def test_capacity_bound_counts_dense_bytes():
@@ -105,7 +164,7 @@ def test_ground_state_decoupled_is_product_vacuum():
     state = exact_ground_state(params, 12)
     expected = np.zeros(12 * 5)
     expected[0] = 1.0  # |m=0> x |all down> is the first basis vector
-    assert np.abs(state.vector - expected).max() < 1e-12
+    assert np.abs(pure_vector(state) - expected).max() < 1e-12
 
 
 def test_ground_state_normal_phase_jz():
@@ -116,21 +175,28 @@ def test_ground_state_normal_phase_jz():
 
 
 def test_symmetric_and_full_product_ground_energies_agree():
+    # the ground state lies in the symmetric multiplet, whether one looks
+    # over all multiplets or over the 2^N product configurations
     for n in (2, 3, 4):
         params = ModelParams(1.0, 1.0, 0.7, n)
         e_sym = oracle.ground_energy(params, 40)
-        basis = full_product_basis(n, 40)
-        h = build_hamiltonian(params, basis)
-        e_full = scipy.linalg.eigh(h, subset_by_index=(0, 0))[0][0]
+        e_full = min(
+            np.linalg.eigvalsh(build_hamiltonian(params, block))[0]
+            for block in blocks_of(full_product_basis(n, 40))
+        )
+        h0, hi, _, _ = product_basis_reference(params, 40)
+        e_product = scipy.linalg.eigh(h0 + hi, subset_by_index=(0, 0))[0][0]
         assert abs(e_sym - e_full) < 1e-9
+        assert abs(e_sym - e_product) < 1e-9
 
 
 def test_thermal_state_high_temperature_is_maximally_mixed():
     params = ModelParams(1.0, 1.0, 0.6, 3)
     state = exact_thermal_state(params, 40, beta=1e-6)
-    w = state.thermal_weights()
     dim = state.basis.dim
-    trace_distance = 0.5 * np.abs(w - 1.0 / dim).sum()
+    trace_distance = 0.5 * sum(
+        state.basis.multiplicity(j) * np.abs(p - 1.0 / dim).sum() for j, _, p in state.blocks
+    )
     assert trace_distance < 1e-5
 
 
@@ -138,13 +204,12 @@ def test_thermal_state_decoupled_factorizes():
     beta = 0.7
     params = ModelParams(1.0, 1.0, 0.0, 3)
     state = exact_thermal_state(params, 30, beta=beta)
-    rho = state.atomic_reduced_matrix()
-    # free-spin Gibbs: product of diag(e^-b/2, e^b/2)/2cosh(b/2), up listed first
-    single = np.diag([math.exp(-beta / 2), math.exp(beta / 2)]) / (2 * math.cosh(beta / 2))
-    expected = single
-    for _ in range(2):
-        expected = np.kron(expected, single)
-    assert np.abs(rho - expected).max() < 1e-10
+    # free-spin Gibbs: product of diag(e^-b/2, e^b/2)/2cosh(b/2), a function of
+    # J_z, so diagonal in every multiplet with weight p_up^n p_down^(N-n)
+    p_up, p_down = (math.exp(s * beta / 2) / (2 * math.cosh(beta / 2)) for s in (-1, 1))
+    for j, rho in state.atomic_blocks():
+        n_up = state.basis.up_counts(j)
+        assert np.abs(rho - np.diag(p_up**n_up * p_down ** (3 - n_up))).max() < 1e-10
 
 
 def test_thermal_cutoff_convergence():
@@ -196,8 +261,7 @@ def test_overlap_functional_depends_on_basis():
     # one N = 4 ground state in both bases: the same P(n), two functionals
     params = ModelParams(1.0, 1.0, 1.0, 4)
     sym = exact_ground_state(params, 40)
-    basis = full_product_basis(4, 40)
-    prod = oracle.OracleState(basis, vector=lowest_eigenpair(build_hamiltonian(params, basis))[1])
+    prod = OracleState(full_product_basis(4, 40), sym.blocks)
     p_n = sym.up_spin_distribution()
     assert np.abs(prod.up_spin_distribution() - p_n).max() < 1e-12
     sep = oracle.matched_separable_state(sym)
@@ -255,8 +319,8 @@ def test_ground_state_parity_eigenstate():
     params = ModelParams(1.0, 1.0, 0.35, 6)
     state = exact_ground_state(params, 20)
     pi = parity_diagonal(state.basis)
-    flipped = pi * state.vector
-    overlap = float(state.vector @ flipped)
+    vector = pure_vector(state)
+    overlap = float(vector @ (pi * vector))
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -268,7 +332,7 @@ def test_superradiant_ground_state_keeps_parity(n, lam, cutoff):
     params = ModelParams(1.0, 1.0, lam, n)
     cutoff = cutoff or oracle.suggested_cutoff(params)
     state = exact_ground_state(params, cutoff)
-    assert np.all(state.vector[parity_diagonal(state.basis) < 0] == 0.0)
+    assert np.all(pure_vector(state)[parity_diagonal(state.basis) < 0] == 0.0)
     first = exact_moments(state).first
     assert abs(first[0] * n) < 1e-12 and abs(first[1] * n) < 1e-12
     if n == 20:
@@ -294,13 +358,11 @@ def test_even_block_solve_matches_dense(n, cutoff, lam):
 
 
 def test_split_log_partition_against_expm():
-    # independent path: dense matrix exponentials multiplied directly
+    # independent path: dense matrix exponentials over the 2^N product
+    # configurations, multiplied directly
     params = ModelParams(1.0, 1.0, 0.8, 3)
     cutoff, beta = 25, 0.3
-    basis = full_product_basis(3, cutoff)
-    h = build_hamiltonian(params, basis)
-    h0 = params.omega * np.kron(np.diag(np.arange(cutoff, dtype=float)), np.eye(8))
-    hi = h - h0
+    h0, hi, _, _ = product_basis_reference(params, cutoff)
     direct = np.trace(scipy.linalg.expm(-beta * h0) @ scipy.linalg.expm(-beta * hi))
     assert abs(split_log_partition(params, cutoff, beta) - math.log(direct)) < 1e-9
 
@@ -309,11 +371,87 @@ def test_split_overlap_against_expm():
     params = ModelParams(1.0, 1.0, 0.8, 3)
     cutoff, beta = 25, 0.3
     sep = SeparableState.from_a(0.35, 3)
-    basis = full_product_basis(3, cutoff)
-    h = build_hamiltonian(params, basis)
-    h0 = params.omega * np.kron(np.diag(np.arange(cutoff, dtype=float)), np.eye(8))
-    hi = h - h0
+    h0, hi, _, n_up = product_basis_reference(params, cutoff)
     split_op = scipy.linalg.expm(-beta * h0) @ scipy.linalg.expm(-beta * hi)
-    ref = np.exp(oracle._config_log_weights(sep, np.tile(basis.up_counts(), cutoff)))
+    ref = np.tile(sep.a**n_up * (1.0 - sep.a) ** (3 - n_up), cutoff)
     direct = np.trace(split_op @ np.diag(ref)) / np.trace(split_op)
     assert abs(oracle.split_overlap(params, cutoff, beta, sep) - direct) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_multiplet_oracle_matches_product_basis(n):
+    # the same Gibbs and split-trace states over the 2^N product
+    # configurations, from Pauli sums and one dense eigh each
+    cutoff, beta = 12, 0.7
+    params = ModelParams(1.0, 1.0, 0.9, n)
+    h0, hi, spins, n_up = product_basis_reference(params, cutoff)
+    vals, vecs = np.linalg.eigh(h0 + hi)
+    w = np.exp(-beta * (vals - vals[0]))
+    amplitudes = (vecs * np.sqrt(w / w.sum())).reshape(cutoff, 2**n, -1)
+    rho = np.einsum("mak,mbk->ab", amplitudes, amplitudes)
+    state = exact_thermal_state(params, cutoff, beta)
+    sep = oracle.matched_separable_state(state)
+    per_config = sep.a**n_up * (1.0 - sep.a) ** (n - n_up)
+
+    def close(x, y):
+        return abs(x - y) <= 1e-12 * abs(y)
+
+    p_n = np.bincount(n_up, weights=np.diag(rho), minlength=n + 1)
+    assert all(close(x, y) for x, y in zip(state.up_spin_distribution(), p_n))
+    assert close(exact_overlap(state, sep)[0], float(np.dot(np.diag(rho), per_config)))
+    moments = exact_moments(state)
+    jx, jy, jz = spins
+    expected = [np.real(np.trace(rho @ op)) for op in (jx, jy, jz)]
+    assert all(abs(x * n - y) <= 1e-12 * max(abs(y), 1.0) for x, y in zip(moments.first, expected))
+    expected = [np.real(np.trace(rho @ op @ op)) for op in spins]
+    assert all(close(x * n**2, y) for x, y in zip(moments.second, expected))
+    # split trace: exp(-beta H0) is diagonal
+    hi_vals, hi_vecs = np.linalg.eigh(hi)
+    split_diag = np.exp(-beta * np.diag(h0)) * ((hi_vecs**2) @ np.exp(-beta * hi_vals))
+    assert close(split_log_partition(params, cutoff, beta), math.log(split_diag.sum()))
+    ref = np.tile(per_config, cutoff)
+    assert close(oracle.split_overlap(params, cutoff, beta, sep),
+                 float(split_diag @ ref / split_diag.sum()))
+
+
+def test_thermal_and_split_oracles_at_twenty_atoms():
+    # 2^20 spin configurations in 11 multiplets of at most 21 * cutoff states
+    n, cutoff, beta = 20, 4, 0.9
+    free = ModelParams(1.0, 1.0, 0.0, n)
+    # decoupled: free spins, <J_z>/N = -tanh(beta/2)/2
+    m = exact_moments(exact_thermal_state(free, cutoff, beta))
+    t = math.tanh(beta / 2)
+    assert abs(m.first[0]) < 1e-12 and abs(m.first[1]) < 1e-12
+    assert abs(m.first[2] / (-0.5 * t) - 1.0) < 1e-6
+    assert abs(m.second[0] * 4 * n - 1.0) < 1e-6 and abs(m.second[1] * 4 * n - 1.0) < 1e-6
+    assert abs(m.second[2] / (1.0 / (4 * n) + (n - 1) / (4.0 * n) * t**2) - 1.0) < 1e-6
+    # ... and Tr[rho_A rho_s] is a product over atoms, exactly and split alike
+    sep = SeparableState.from_a(0.3, n)
+    single = (sep.a * math.exp(-beta / 2) + (1 - sep.a) * math.exp(beta / 2)) / (2 * math.cosh(beta / 2))
+    assert abs(exact_overlap(exact_thermal_state(free, cutoff, beta), sep)[0] / single**n - 1) < 1e-6
+    assert abs(oracle.split_overlap(free, cutoff, beta, sep) / single**n - 1) < 1e-6
+    # beta -> 0 at any coupling: the maximally mixed state, Delta = 2^-N at any a
+    coupled = ModelParams(1.0, 1.0, 1.0, n)
+    hot = exact_thermal_state(coupled, cutoff, 1e-9)
+    for a in (0.1, 0.5, 0.8):
+        ref = SeparableState.from_a(a, n)
+        assert abs(exact_overlap(hot, ref)[0] * 2**n - 1.0) < 1e-6
+        assert abs(oracle.split_overlap(coupled, cutoff, 1e-9, ref) * 2**n - 1.0) < 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    cutoff=st.integers(2, 5),
+    lam=st.floats(0.0, 1.5),
+    beta=st.floats(0.05, 5.0),
+)
+def test_multiplet_thermal_state_properties(n, cutoff, lam, beta):
+    state = exact_thermal_state(ModelParams(1.0, 1.0, lam, n), cutoff, beta)
+    assert abs(state.up_spin_distribution().sum() - 1.0) < 1e-12
+    exact_moments(state).validate()  # nonnegative variances and witness bound (a)
+    delta = exact_overlap(state, oracle.matched_separable_state(state))[0]
+    assert 0.0 <= delta <= 1.0
+    # rho_s(1/2) = 1/2^N: Delta = Tr[rho_A] / 2^N at any temperature
+    half = exact_overlap(state, SeparableState.from_a(0.5, n))[0]
+    assert abs(half * 2**n - 1.0) < 1e-12

@@ -52,8 +52,10 @@ def test_report_shape():
     assert kinds.count("b") == 1
     assert kinds.count("c") == 6
     assert kinds.count("d") == 6
-    labels = {e.label for e in report.entries}
-    assert "c:z-x-y" in labels and "d:y-z-x" in labels
+    names = [e.name for e in report.entries]
+    assert names[0] == "b"
+    assert "c_z_x_y" in names and "d_y_z_x" in names
+    assert len(set(names)) == 13
 
 
 def test_coherent_state_boundary():
