@@ -383,7 +383,7 @@ def cmd_oracle_compare(cfg):
         ]
         _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
-        oracle.full_product_basis(n, cutoff)  # capacity check up front, on the largest block
+        oracle.full_product_basis(n, cutoff)  # capacity check up front, on every block held
         betas = cfg["grid.beta_list"] or [0.1, 0.2, 0.4]
         quad_args = _quad_args(cfg)
         tasks = [

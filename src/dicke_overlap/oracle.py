@@ -17,7 +17,8 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   all 2^N spin configurations.  Thermal states weight the non-symmetric
   multiplets, so finite-temperature validation uses this basis; its largest
   block is the symmetric one: a thermal state at N = 20 and cutoff 40
-  takes about 0.4 s.
+  takes about 0.4 s.  The dense bound counts every block, since one
+  eigendecomposition holds them all.
 
 Thermal and split-trace states take the complete dense eigendecomposition
 of ``numerics``, one block at a time.  scipy is imported inside the
@@ -39,8 +40,9 @@ from .numerics import lowest_eigenpair, photon_atom_hamiltonian, symmetric_eigen
 from .separable import SeparableState
 from .witness import MomentSet
 
-# one dense float64 Hamiltonian of the largest block; the ground state's
-# sparse even block needs far less, so for the ground state this is a
+# one dense float64 matrix per block, all blocks together: what one
+# eigendecomposition of a thermal or split-trace state holds; the ground
+# state's sparse even block needs far less, so for it this is a
 # conservative ceiling
 _DENSE_MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
@@ -62,11 +64,11 @@ class DickeBasis:
     def __post_init__(self):
         if self.cutoff < 2:
             raise InvalidParameterError(f"photon cutoff must be >= 2, got {self.cutoff}")
-        largest = self.cutoff * (int(2 * max(self.spins)) + 1)
-        if 8 * largest**2 > _DENSE_MAX_BYTES:
+        dense_bytes = 8 * self.cutoff**2 * sum((int(2 * j) + 1) ** 2 for j in self.spins)
+        if dense_bytes > _DENSE_MAX_BYTES:
             raise CapacityError(
-                f"block of dimension {largest} needs a dense matrix "
-                f"of {8 * largest**2 / 2**30:.1f} GiB, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
+                f"{len(self.spins)} dense block(s) need {dense_bytes / 2**30:.1f} GiB "
+                f"together, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
             )
 
     @property
@@ -126,9 +128,8 @@ def suggested_cutoff(params: ModelParams):
 # ---------------------------------------------------------------- operators
 
 
-def collective_spin_matrices(basis: DickeBasis):
-    """J_x, J_y, J_z of a one-block basis, on |j, m> in ascending m (J_y complex; the rest real)."""
-    j = basis.spin
+def collective_spin_matrices(j):
+    """J_x, J_y, J_z of the spin-j multiplet, on |j, m> in ascending m (J_y complex; the rest real)."""
     i = np.arange(int(2 * j) + 1)
     jp = np.zeros((len(i), len(i)))
     # <j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)), m = i - j
@@ -143,7 +144,7 @@ def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis, omega):
     """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
-    jx, _, jz = collective_spin_matrices(basis)
+    jx, _, jz = collective_spin_matrices(basis.spin)
     coupling = params.coupling / math.sqrt(params.n_atoms)
     # (J+ + J-) = 2 Jx
     return photon_atom_hamiltonian(omega, basis.cutoff, params.omega0 * jz, coupling, 2.0 * jx)
@@ -316,7 +317,7 @@ def exact_moments(state: OracleState) -> MomentSet:
     n = state.basis.n_atoms
     totals = np.zeros(6)
     for j, rho in state.atomic_blocks():
-        jx, jy, jz = collective_spin_matrices(state.basis.block(j))
+        jx, jy, jz = collective_spin_matrices(j)
         ops = (jx, jy, jz, jx @ jx, np.real(jy @ jy), jz @ jz)
         totals += state.basis.multiplicity(j) * np.array([np.real(np.trace(rho @ op)) for op in ops])
     first = tuple(float(t) / n for t in totals[:3])

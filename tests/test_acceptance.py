@@ -230,7 +230,7 @@ def test_criterion_8_witness_suite():
     b_lhs = witness.evaluate(coherent).lhs("b")
     assert abs(b_lhs) < 1e-9
     # half-excited symmetric state: derived value -1/4 for (c) with gamma = z
-    jx, jy, jz = oracle.collective_spin_matrices(oracle.symmetric_basis(n, 2))
+    jx, jy, jz = oracle.collective_spin_matrices(n / 2)
     vec = np.zeros(n + 1)
     vec[n // 2] = 1.0
     half = witness.MomentSet(

@@ -361,15 +361,14 @@ def test_oracle_compare_ground_mode(tmp_path):
 
 
 def test_oracle_compare_capacity_error(tmp_path):
-    # the largest multiplet block, cutoff * (N + 1) = 20,200 states, needs a
-    # 3.0 GiB dense matrix
+    # at the default cutoff 40 the 51 multiplet blocks of N = 100 need
+    # 2.1 GiB of dense matrices together, though the largest alone needs 0.12
     out = tmp_path / "never.csv"
     result = run_cli(
         [
             "oracle-compare",
             "--set", "oracle.mode=thermal",
             "--set", "model.n_atoms=100",
-            "--set", "oracle.cutoff=200",
             "--out", str(out),
         ]
     )

@@ -77,7 +77,7 @@ def test_build_hamiltonian_bit_identical_to_dense_formula(basis):
     # omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(2 Jx) in each block, assembled with dense kron
     params = ModelParams(1.3, 0.7, 0.9, basis.n_atoms)
     for block in blocks_of(basis):
-        jx, _, jz = oracle.collective_spin_matrices(block)
+        jx, _, jz = oracle.collective_spin_matrices(block.spin)
         c, d = block.cutoff, len(jz)
         a = np.diag(np.sqrt(np.arange(1.0, c)), 1)
         expected = (
@@ -129,17 +129,34 @@ def test_parity_and_hermiticity(variant):
 
 
 def test_capacity_bounds():
-    # the dense bound applies to the largest block, cutoff * (N + 1) states
+    # the dense bound counts every block: 8 cutoff^2 sum_j (2j + 1)^2 bytes
     with pytest.raises(CapacityError):
         symmetric_basis(100, 3000)
     with pytest.raises(CapacityError):
-        full_product_basis(100, 200)  # largest block 20,200: 3.0 GiB dense
+        full_product_basis(100, 200)  # 51 blocks, up to 20,200 states: 52.7 GiB dense
     # neither the atom count nor the spanned dimension is bounded: these
-    # largest blocks have 80 and 7,000 states
+    # blocks need 0.1 MB and 0.67 GB in all
     assert full_product_basis(7, 10).dim == 10 * 2**7
     assert full_product_basis(6, 1000).dim == 64_000
     with pytest.raises(InvalidParameterError):
-        oracle.collective_spin_matrices(full_product_basis(4, 10))
+        build_hamiltonian(ModelParams(1.0, 1.0, 0.5, 4), full_product_basis(4, 10))
+
+
+def test_capacity_bound_counts_every_block():
+    # at cutoff 40 the largest N = 100 block, 4,040 states, needs 0.12 GiB,
+    # but all 51 blocks of one eigendecomposition need 2.1 GiB; the check
+    # runs before anything is allocated
+    assert symmetric_basis(100, 40).dim == 4040
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2.1 GiB"):
+            full_product_basis(100, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # N = 20 needs 23 MB there
+    assert full_product_basis(20, 40).dim == 40 * 2**20
 
 
 def test_capacity_bound_counts_dense_bytes():
@@ -261,9 +278,13 @@ def test_overlap_functional_depends_on_basis():
     # one N = 4 ground state in both bases: the same P(n), two functionals
     params = ModelParams(1.0, 1.0, 1.0, 4)
     sym = exact_ground_state(params, 40)
-    prod = OracleState(full_product_basis(4, 40), sym.blocks)
     p_n = sym.up_spin_distribution()
-    assert np.abs(prod.up_spin_distribution() - p_n).max() < 1e-12
+    # independent P(n): the lowest state over the 2^N product configurations
+    h0, hi, _, n_up = product_basis_reference(params, 40)
+    psi = np.linalg.eigh(h0 + hi)[1][:, 0].reshape(40, 2**4)
+    p_product = np.bincount(n_up, weights=(psi**2).sum(axis=0), minlength=5)
+    assert np.abs(p_product - p_n).max() < 1e-12
+    prod = OracleState(full_product_basis(4, 40), sym.blocks)
     sep = oracle.matched_separable_state(sym)
     assert abs(sep.a - 0.36720) < 1e-5
     n = np.arange(5)

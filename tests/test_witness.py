@@ -21,7 +21,7 @@ def coherent_all_down(n):
 
 def dicke_moments(n, m_level):
     """Independent oracle: moments of |j = N/2, m> from collective-spin matrices."""
-    jx, jy, jz = collective_spin_matrices(symmetric_basis(n, 2))
+    jx, jy, jz = collective_spin_matrices(n / 2)
     vec = np.zeros(n + 1)
     vec[m_level + n // 2] = 1.0  # index = n_up = m + N/2
     first = (
