@@ -1,8 +1,9 @@
 """Shared numerical kernels: bisection (``find_root``), golden-section
-maximization (``golden_max``), the photon (x) atom Hamiltonian of both
-exact diagonalizations (``photon_atom_hamiltonian``), the symmetric
+maximization (``golden_max``), the matrix-free photon (x) atom Hamiltonian
+of both exact diagonalizations (``photon_atom_hamiltonian``), the symmetric
 eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
-LAPACK or plain Lanczos), and quadrature.
+numpy's ``eigh`` or a thick-restart Lanczos written in numpy), a weighted
+log-sum-exp, and quadrature.  Everything here runs on numpy alone.
 
 The quadrature routines integrate functions supplied as *log-integrands*
 ``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
@@ -29,7 +30,11 @@ _LOG_FLOOR = -745.0  # exp() underflows below this
 _SCAN_POINTS = 4097
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
 _PEAK_KEEP = 60.0  # windows cover the scan points within this of the maximum
-_KRYLOV_DIM = 20  # ARPACK's default Krylov size for one eigenpair
+_KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
+_RESTART_KEEP = 16  # Ritz vectors a restart keeps
+_CHECK_EVERY = 8  # Lanczos steps between Ritz-residual checks
+_LANCZOS_TOL = 1e-14  # Ritz residual, relative to the largest Ritz value in magnitude
+_LANCZOS_MAX_STEPS = 20_000  # operator applications before a solve gives up
 
 
 @dataclass(frozen=True)
@@ -96,56 +101,146 @@ def symmetric_eigendecomposition(matrix):
     return np.linalg.eigh(a)
 
 
-def photon_atom_hamiltonian(omega, cutoff, h_atom, coupling, v_atom):
-    """CSR matrix of omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom.
+@dataclass(frozen=True)
+class PhotonAtomOperator:
+    """omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom, matrix-free.
 
     The photon mode keeps its lowest ``cutoff`` Fock levels; ``h_atom`` and
-    ``v_atom`` are square atomic operators (dense or sparse) of one
-    dimension d.  Basis ordering is photon-major: |m> (x) |n> has flat
-    index m * d + n.
+    ``v_atom`` are dense square atomic operators of one dimension d.  Basis
+    ordering is photon-major: |m> (x) |n> has flat index m * d + n, so a
+    vector is the (cutoff, d) grid psi[m, n] flattened.
     """
-    import scipy.sparse as sparse
 
-    ladder = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1)
-    photon_number = sparse.diags(np.arange(cutoff, dtype=float))
-    h = omega * sparse.kron(photon_number, sparse.identity(h_atom.shape[0]))
-    h = h + sparse.kron(sparse.identity(cutoff), h_atom)
-    h = h + coupling * sparse.kron(ladder + ladder.T, v_atom)
-    return h.tocsr()
+    omega: float
+    cutoff: int
+    h_atom: np.ndarray
+    coupling: float
+    v_atom: np.ndarray
+
+    @property
+    def shape(self):
+        dim = self.cutoff * self.h_atom.shape[0]
+        return dim, dim
+
+    def matvec(self, x):
+        """H x: omega m psi + psi h_atom^T + coupling (a'+a) psi v_atom^T on the grid psi of x."""
+        psi = x.reshape(self.cutoff, -1)
+        root = np.sqrt(np.arange(1.0, self.cutoff))[:, None]
+        # ((a'+a) psi)[m] = sqrt(m) psi[m-1] + sqrt(m+1) psi[m+1]
+        lifted = np.zeros_like(psi)
+        lifted[1:] = root * psi[:-1]
+        lifted[:-1] += root * psi[1:]
+        photon = self.omega * np.arange(self.cutoff, dtype=float)[:, None]
+        return (
+            photon * psi + psi @ self.h_atom.T + self.coupling * (lifted @ self.v_atom.T)
+        ).ravel()
+
+    def toarray(self):
+        """The dense matrix: the explicit np.kron sum."""
+        ladder = np.diag(np.sqrt(np.arange(1.0, self.cutoff)), 1)
+        photon_number = np.diag(np.arange(self.cutoff, dtype=float))
+        return (
+            self.omega * np.kron(photon_number, np.eye(self.h_atom.shape[0]))
+            + np.kron(np.eye(self.cutoff), self.h_atom)
+            + self.coupling * np.kron(ladder + ladder.T, self.v_atom)
+        )
 
 
-def lowest_eigenpair(matrix):
+def photon_atom_hamiltonian(omega, cutoff, h_atom, coupling, v_atom):
+    """The ``PhotonAtomOperator`` of omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom."""
+    return PhotonAtomOperator(
+        float(omega), int(cutoff), np.asarray(h_atom, dtype=float), float(coupling),
+        np.asarray(v_atom, dtype=float),
+    )
+
+
+def _lanczos_lowest(matvec, start):
+    """Smallest eigenpair by thick-restart Lanczos with full reorthogonalization.
+
+    At most ``_KRYLOV_DIM`` Krylov vectors are held.  A cycle that fills
+    them restarts from its ``_RESTART_KEEP`` lowest Ritz vectors and its
+    last residual direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    602 (2000)).  The projected matrix is read off the reorthogonalization
+    coefficients, so it holds the restart's Ritz values and couplings with
+    no special case.  Converged when the Ritz residual |beta s_last| is
+    below ``_LANCZOS_TOL`` times the largest Ritz value in magnitude,
+    checked every ``_CHECK_EVERY`` steps and before each restart; raises
+    ``NumericalError`` after ``_LANCZOS_MAX_STEPS`` operator applications.
+    """
+    dim = len(start)
+    # a start vector on a sector (an invariant subspace) spans no more than it
+    krylov = np.empty((min(_KRYLOV_DIM, np.count_nonzero(start)), dim))
+    projected = np.zeros((len(krylov), len(krylov)))
+    krylov[0] = start / np.linalg.norm(start)
+    size = 1
+    for step in range(1, _LANCZOS_MAX_STEPS + 1):
+        w = matvec(krylov[size - 1])
+        held = krylov[:size]
+        # full reorthogonalization, twice: once is not enough in rounding
+        coefficients = held @ w
+        w -= held.T @ coefficients
+        correction = held @ w
+        w -= held.T @ correction
+        projected[size - 1, :size] = projected[:size, size - 1] = coefficients + correction
+        b = float(np.linalg.norm(w))
+        full = size == len(krylov)
+        if full or b == 0.0 or step % _CHECK_EVERY == 0 or step == _LANCZOS_MAX_STEPS:
+            vals, vecs = np.linalg.eigh(projected[:size, :size])
+            if b * abs(vecs[-1, 0]) <= _LANCZOS_TOL * max(abs(vals[0]), abs(vals[-1])):
+                ritz = vecs[:, 0] @ held
+                return vals[0], ritz / np.linalg.norm(ritz)
+            if full:
+                keep = min(_RESTART_KEEP, size - 1)
+                krylov[:keep] = vecs[:, :keep].T @ held
+                projected[:] = 0.0
+                projected[:keep, :keep] = np.diag(vals[:keep])
+                size = keep
+        krylov[size] = w / b
+        size += 1
+    raise NumericalError("Lanczos iteration did not converge", dim=dim)
+
+
+def lowest_eigenpair(matrix, sector=None):
     """Lowest eigenvalue and eigenvector of a symmetric matrix.
 
-    Dense input, and sparse input no larger than ARPACK's Krylov space, uses
-    the LAPACK subset driver.  Larger sparse input uses plain Lanczos for
-    the smallest algebraic eigenvalue, from a uniform start vector; both
-    exact diagonalizations (the oracle's even-parity block and the
-    truncated zero-T reference) take this path.  Sign convention: the
-    first amplitude above 1e-10 of the largest is nonnegative.
+    ``matrix`` is a dense array or an operator with ``shape``, ``matvec``
+    and ``toarray`` (a ``PhotonAtomOperator``).  ``sector``, a boolean mask
+    of basis states that the matrix leaves invariant (a symmetry block),
+    restricts the solve to them; the returned vector is exactly zero
+    outside it.  Dense input, and sectors no larger than ``_KRYLOV_DIM``,
+    are solved with numpy's ``eigh``.  Larger operators use
+    ``_lanczos_lowest`` from the uniform vector on the sector; both exact
+    diagonalizations (the oracle's even-parity block and the truncated
+    zero-T reference) take this path.  Sign convention: the first
+    amplitude above 1e-10 of the largest is nonnegative.
     """
-    # scipy is imported here: only the oracle and the truncated reference
-    # call this, so the zero-T and finite-T CLI commands start on numpy alone
-    import scipy.linalg
-    import scipy.sparse as sparse
-
-    if sparse.issparse(matrix) and matrix.shape[0] > _KRYLOV_DIM:
-        import scipy.sparse.linalg as sparse_linalg
-
-        dim = matrix.shape[0]
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        try:
-            vals, vecs = sparse_linalg.eigsh(matrix, k=1, which="SA", tol=0, v0=v0)
-        except sparse_linalg.ArpackNoConvergence as exc:
-            raise NumericalError("Lanczos iteration did not converge", dim=dim) from exc
+    dim = matrix.shape[0]
+    keep = np.arange(dim) if sector is None else np.flatnonzero(sector)
+    if hasattr(matrix, "matvec") and len(keep) > _KRYLOV_DIM:
+        start = np.zeros(dim)
+        start[keep] = 1.0
+        value, vec = _lanczos_lowest(matrix.matvec, start)
     else:
-        a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
-    vec = vecs[:, 0]
+        a = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix, dtype=float)
+        vals, vecs = np.linalg.eigh(a[np.ix_(keep, keep)])
+        value, vec = vals[0], np.zeros(dim)
+        vec[keep] = vecs[:, 0]
     significant = np.flatnonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())
     if len(significant) and vec[significant[0]] < 0:
         vec = -vec
-    return vals[0], vec
+    return value, vec
+
+
+def log_sum_exp(log_terms, weights=1.0, axis=None):
+    """ln sum_i weights_i exp(log_terms_i) along ``axis``, for nonnegative weights.
+
+    Shifted by the largest log-term of positive weight, so terms like
+    exp(+-10^4) neither overflow nor all underflow.
+    """
+    log_terms = np.where(np.asarray(weights) > 0, log_terms, -np.inf)
+    shift = log_terms.max(axis=axis, keepdims=True)
+    total = (weights * np.exp(log_terms - shift)).sum(axis=axis)
+    return np.log(total) + np.squeeze(shift, axis=axis)
 
 
 def golden_max(f, lo, hi, tol=1e-11):

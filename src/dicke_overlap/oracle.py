@@ -11,8 +11,8 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
 
 * ``symmetric_basis`` -- the single block j = N/2, dimension cutoff * (N+1).
   The ground state lives here, in the even block of the parity
-  exp[i pi (a'a + J_z + N/2)], which sparse Lanczos solves alone: N = 40
-  takes about 0.1 s.
+  exp[i pi (a'a + J_z + N/2)], which the matrix-free Lanczos of
+  ``numerics`` solves alone: N = 40 takes about 0.1 s.
 * ``full_product_basis`` -- every multiplet j = N/2, N/2-1, ..., together
   all 2^N spin configurations.  Thermal states weight the non-symmetric
   multiplets, so finite-temperature validation uses this basis; its largest
@@ -21,9 +21,7 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   eigendecomposition holds them all.
 
 Thermal and split-trace states take the complete dense eigendecomposition
-of ``numerics``, one block at a time.  scipy is imported inside the
-functions that use it, so importing this module, and with it the CLI, loads
-numpy alone.
+of ``numerics``, one block at a time.  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -36,13 +34,18 @@ import numpy as np
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
-from .numerics import lowest_eigenpair, photon_atom_hamiltonian, symmetric_eigendecomposition
+from .numerics import (
+    log_sum_exp,
+    lowest_eigenpair,
+    photon_atom_hamiltonian,
+    symmetric_eigendecomposition,
+)
 from .separable import SeparableState
 from .witness import MomentSet
 
 # one dense float64 matrix per block, all blocks together: what one
 # eigendecomposition of a thermal or split-trace state holds; the ground
-# state's sparse even block needs far less, so for it this is a
+# state's matrix-free even block needs far less, so for it this is a
 # conservative ceiling
 _DENSE_MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
@@ -140,8 +143,8 @@ def collective_spin_matrices(j):
     return jx, jy, jz
 
 
-def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis, omega):
-    """CSR matrix of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
+def _hamiltonian(params: ModelParams, basis: DickeBasis, omega):
+    """Operator of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
     jx, _, jz = collective_spin_matrices(basis.spin)
@@ -152,7 +155,7 @@ def _sparse_hamiltonian(params: ModelParams, basis: DickeBasis, omega):
 
 def build_hamiltonian(params: ModelParams, basis: DickeBasis):
     """Dense Dicke Hamiltonian of a one-block basis."""
-    return _sparse_hamiltonian(params, basis, params.omega).toarray()
+    return _hamiltonian(params, basis, params.omega).toarray()
 
 
 def parity_diagonal(basis: DickeBasis):
@@ -178,19 +181,24 @@ class OracleState:
     basis: DickeBasis
     blocks: tuple
 
+    @functools.cached_property
     def atomic_blocks(self):
-        """(j, photon-traced atomic density matrix of one copy of block j), per listed block."""
+        """(j, photon-traced atomic density matrix of one copy of block j), per listed block.
+
+        Built once per state: the overlap, the moments and the matched
+        reference state all read it.
+        """
         out = []
         for j, vectors, probabilities in self.blocks:
             psi = (vectors * np.sqrt(probabilities)).reshape(self.basis.cutoff, -1, len(probabilities))
             amplitudes = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
             out.append((j, amplitudes @ amplitudes.T))
-        return out
+        return tuple(out)
 
     def up_spin_distribution(self):
         """Probability of finding exactly n up spins, n = 0..N."""
         p = np.zeros(self.basis.n_atoms + 1)
-        for j, rho in self.atomic_blocks():
+        for j, rho in self.atomic_blocks:
             p[self.basis.up_counts(j)] += self.basis.multiplicity(j) * np.diag(rho)
         return p
 
@@ -207,12 +215,9 @@ def _ground_pair(params: ModelParams, cutoff: int):
     # parity eigenstate even where the odd ground state is degenerate with
     # it to rounding (the superradiant phase)
     basis = symmetric_basis(params.n_atoms, cutoff)
-    even = np.flatnonzero(parity_diagonal(basis) > 0)
-    h = _sparse_hamiltonian(params, basis, params.omega)
-    e0, block_vec = lowest_eigenpair(h[even][:, even])
-    vec = np.zeros(basis.dim)
-    vec[even] = block_vec
-    return e0, vec
+    return lowest_eigenpair(
+        _hamiltonian(params, basis, params.omega), sector=parity_diagonal(basis) > 0
+    )
 
 
 def exact_ground_state(params: ModelParams, cutoff):
@@ -244,7 +249,7 @@ def _block_eigensystems(params: ModelParams, cutoff: int, omega):
     """Full basis and the eigendecomposition of each of its blocks, photon frequency ``omega``."""
     basis = full_product_basis(params.n_atoms, cutoff)
     return basis, tuple(
-        symmetric_eigendecomposition(_sparse_hamiltonian(params, basis.block(j), omega).toarray())
+        symmetric_eigendecomposition(_hamiltonian(params, basis.block(j), omega).toarray())
         for j in basis.spins
     )
 
@@ -303,7 +308,7 @@ def exact_overlap(state: OracleState, sep: SeparableState):
     path_diag = float(np.dot(ref, state.up_spin_distribution()))
     path_matrix = sum(
         state.basis.multiplicity(j) * float(np.trace(rho @ np.diag(ref[state.basis.up_counts(j)])))
-        for j, rho in state.atomic_blocks()
+        for j, rho in state.atomic_blocks
     )
     if abs(path_diag - path_matrix) > _DUAL_PATH_TOL:
         raise InternalConsistencyError(
@@ -316,7 +321,7 @@ def exact_moments(state: OracleState) -> MomentSet:
     """First and second collective moments by direct operator application, block by block."""
     n = state.basis.n_atoms
     totals = np.zeros(6)
-    for j, rho in state.atomic_blocks():
+    for j, rho in state.atomic_blocks:
         jx, jy, jz = collective_spin_matrices(j)
         ops = (jx, jy, jz, jx @ jx, np.real(jy @ jy), jz @ jz)
         totals += state.basis.multiplicity(j) * np.array([np.real(np.trace(rho @ op)) for op in ops])
@@ -344,15 +349,14 @@ def _split_log_terms(params, cutoff, beta):
 
     Returns (basis, log terms, up-spin count of each term).
     """
-    from scipy.special import logsumexp
     # HI: H without its omega a'a term
     basis, eigensystems = _block_eigensystems(params, int(cutoff), 0.0)
     log_terms, n_up = [], []
     for j, (vals, vecs) in zip(basis.spins, eigensystems):
         up = basis.up_counts(j)
         h0_diag = params.omega * np.repeat(np.arange(basis.cutoff, dtype=float), len(up))
-        # ln (exp(-beta HI))_ii = logsumexp_k [ ln U_ik^2 - beta e_k ]
-        log_diag = logsumexp(-beta * vals[None, :], b=vecs**2, axis=1)
+        # ln (exp(-beta HI))_ii = ln sum_k U_ik^2 exp(-beta e_k)
+        log_diag = log_sum_exp(-beta * vals[None, :], vecs**2, axis=1)
         log_terms.append(-beta * h0_diag + log_diag + math.log(basis.multiplicity(j)))
         n_up.append(np.tile(up, basis.cutoff))
     return basis, np.concatenate(log_terms), np.concatenate(n_up)
@@ -360,9 +364,8 @@ def _split_log_terms(params, cutoff, beta):
 
 def split_log_partition(params: ModelParams, cutoff, beta):
     """ln Tr[exp(-beta H0) exp(-beta HI)] over all 2^N spin configurations."""
-    from scipy.special import logsumexp
     _, log_terms, _ = _split_log_terms(params, cutoff, beta)
-    return float(logsumexp(log_terms))
+    return float(log_sum_exp(log_terms))
 
 
 def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
@@ -374,7 +377,6 @@ def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     quadrature up to quadrature and photon truncation error only; the
     O(beta^3) factorization error is common to both.
     """
-    from scipy.special import logsumexp
     basis, log_terms, n_up = _split_log_terms(params, cutoff, beta)
     log_ref = _reference_log_levels(basis, sep)[n_up]
-    return float(np.exp(logsumexp(log_terms + log_ref) - logsumexp(log_terms)))
+    return float(np.exp(log_sum_exp(log_terms + log_ref) - log_sum_exp(log_terms)))

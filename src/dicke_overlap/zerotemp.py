@@ -28,11 +28,12 @@ Holstein-Primakoff moments need nothing else, and the reduced purity
 follows from the covariance alone.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonians in a
-truncated Fock space instead (plain Lanczos on the sparse matrix from
-``numerics.photon_atom_hamiltonian``, the solve path of the oracle too)
-and displaces the reduced atomic matrix with a dense matrix exponential.
-It is the reference the Gaussian backend is checked against, and the
-only user of scipy here, which it imports when called.
+truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
+matrix-free ``numerics.photon_atom_hamiltonian``, the solve path of the
+oracle too) and displaces the reduced atomic matrix with a dense matrix
+exponential.  It is the reference the Gaussian backend is checked
+against; its displacement ``expm`` is the only user of scipy in the
+package, which it imports when called.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _TAIL_FRACTION = 0.1
 _TAIL_TOL = 1e-8
 DEFAULT_PLOT_CUTOFF = 60
 # the bound is Lanczos time, not memory: 360^2 states at lambda/lambda_c - 1
-# = -1e-4, N = 1000 take 45 s and 0.1 GB on a 2-core Xeon host
+# = -1e-4, N = 1000 take 8 s and 0.12 GB peak on a 2-core Xeon host
 MAX_DEFAULT_CUTOFF = 360
 
 
@@ -131,24 +132,20 @@ def _coefficients(params: ModelParams):
 
 
 def effective_hamiltonian(params: ModelParams, cutoffs):
-    """CSR matrix of the quadratic Hamiltonian of ``phase_zero_t(params)``.
+    """Matrix-free operator of the quadratic Hamiltonian of ``phase_zero_t(params)``.
 
     Basis ordering: |m>_a tensor |n>_b with flat index m * cutoff_atom + n.
     Constant offsets (-N omega0/2 below, the mean-field energy above) are
     included on the diagonal.
     """
-    import scipy.sparse as sparse
-
     ca, cb = cutoffs
     if min(ca, cb) < 8:
         raise InvalidParameterError(f"cutoffs must be >= 8, got {cutoffs}")
     omega_b, quad, g, const = _coefficients(params)
-    ladder_b = sparse.diags(np.sqrt(np.arange(1.0, cb)), 1)
+    ladder_b = np.diag(np.sqrt(np.arange(1.0, cb)), 1)
     xb = ladder_b + ladder_b.T
     h_atom = (
-        omega_b * sparse.diags(np.arange(cb, dtype=float))
-        + quad * (xb @ xb)
-        + const * sparse.identity(cb)
+        omega_b * np.diag(np.arange(cb, dtype=float)) + quad * (xb @ xb) + const * np.eye(cb)
     )
     return photon_atom_hamiltonian(params.omega, ca, h_atom, g, xb)
 
@@ -232,7 +229,7 @@ def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     """Truncated-Fock reference for ``gaussian_ground_state``.
 
     Diagonalizes the phase-appropriate Hamiltonian at ``cutoffs`` (default:
-    ``default_cutoffs``) by plain Lanczos on the sparse matrix; the sign
+    ``default_cutoffs``) by Lanczos on the matrix-free operator; the sign
     convention is ``lowest_eigenpair``'s.  Raises ``CutoffError``, naming
     the mode, when the occupation in the top 10% of either mode's levels
     exceeds 1e-8.

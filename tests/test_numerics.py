@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -147,45 +146,9 @@ def test_eigendecomposition_residual_contract(size):
         assert ortho < 1e-10
 
 
-def test_lowest_eigenpair_dense_vs_sparse():
-    import scipy.sparse as sparse
-
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((80, 80))
-    a = (a + a.T) / 2
-    e_dense, v_dense = lowest_eigenpair(a)
-    # plain Lanczos, same sign convention as the dense branch
-    e_lanczos, v_lanczos = lowest_eigenpair(sparse.csr_matrix(a))
-    assert abs(e_dense - e_lanczos) < 1e-10
-    assert np.abs(v_dense - v_lanczos).max() < 1e-9
-    # below ARPACK's Krylov size the sparse input takes the dense branch
-    small = a[:12, :12]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        e_small, v_small = lowest_eigenpair(sparse.csr_matrix(small))
-    e_ref, v_ref = lowest_eigenpair(small)
-    assert e_small == e_ref and np.array_equal(v_small, v_ref)
-
-
-def test_lowest_eigenpair_reports_lanczos_failure(monkeypatch):
-    import scipy.sparse as sparse
-    import scipy.sparse.linalg as sparse_linalg
-
-    def no_convergence(*args, **kwargs):
-        raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(sparse_linalg, "eigsh", no_convergence)
-    with pytest.raises(NumericalError, match="Lanczos") as err:
-        lowest_eigenpair(sparse.identity(40, format="csr"))
-    assert err.value.details == {"dim": 40}
-
-
-@pytest.mark.parametrize("sparse_atom", [False, True])
-def test_photon_atom_hamiltonian_matches_dense_kron(sparse_atom):
-    import scipy.sparse as sparse
-
-    rng = np.random.default_rng(7)
-    cutoff, dim = 6, 5
+def _random_operator(seed, cutoff=8, dim=10):
+    """A photon-atom operator with random symmetric atomic parts, and its kron sum."""
+    rng = np.random.default_rng(seed)
     h_atom, v_atom = rng.standard_normal((2, dim, dim))
     h_atom, v_atom = h_atom + h_atom.T, v_atom + v_atom.T
     ladder = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
@@ -194,8 +157,68 @@ def test_photon_atom_hamiltonian_matches_dense_kron(sparse_atom):
         + np.kron(np.eye(cutoff), h_atom)
         + 0.7 * np.kron(ladder + ladder.T, v_atom)
     )
-    if sparse_atom:
-        h_atom, v_atom = sparse.csr_matrix(h_atom), sparse.csr_matrix(v_atom)
-    h = numerics.photon_atom_hamiltonian(1.3, cutoff, h_atom, 0.7, v_atom)
-    assert h.format == "csr"
+    return numerics.photon_atom_hamiltonian(1.3, cutoff, h_atom, 0.7, v_atom), expected
+
+
+def test_lowest_eigenpair_dense_vs_lanczos():
+    h, dense = _random_operator(3)
+    e_dense, v_dense = lowest_eigenpair(dense)
+    # 80 states, over the Krylov bound: Lanczos, same sign convention as eigh
+    assert h.shape[0] > numerics._KRYLOV_DIM
+    e_lanczos, v_lanczos = lowest_eigenpair(h)
+    assert abs(e_dense - e_lanczos) < 1e-10
+    assert np.abs(v_dense - v_lanczos).max() < 1e-9
+    # at most the Krylov bound the operator takes the dense branch
+    small, small_dense = _random_operator(3, cutoff=4)
+    e_small, v_small = lowest_eigenpair(small)
+    e_ref, v_ref = lowest_eigenpair(small_dense)
+    assert e_small == e_ref and np.array_equal(v_small, v_ref)
+
+
+def test_lanczos_restarts_reach_the_same_pair(monkeypatch):
+    h, dense = _random_operator(5)
+    e_ref, v_ref = lowest_eigenpair(dense)
+    # eight held vectors: the solve restarts from its Ritz vector many times
+    monkeypatch.setattr(numerics, "_KRYLOV_DIM", 8)
+    e0, vec = lowest_eigenpair(h)
+    assert abs(e0 - e_ref) < 1e-10
+    assert np.abs(vec - v_ref).max() < 1e-9
+
+
+def test_lowest_eigenpair_reports_lanczos_failure(monkeypatch):
+    h, _ = _random_operator(3)
+    monkeypatch.setattr(numerics, "_LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(NumericalError, match="Lanczos") as err:
+        lowest_eigenpair(h)
+    assert err.value.details == {"dim": 80}
+
+
+def test_photon_atom_hamiltonian_matches_dense_kron():
+    h, expected = _random_operator(7, cutoff=6, dim=5)
     np.testing.assert_array_equal(h.toarray(), expected)
+
+
+def test_photon_atom_matvec_matches_dense_kron():
+    h, expected = _random_operator(7, cutoff=6, dim=5)
+    x = np.random.default_rng(8).standard_normal(h.shape[0])
+    np.testing.assert_allclose(h.matvec(x), expected @ x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_log_sum_exp_against_direct_sum(weighted):
+    rng = np.random.default_rng(9)
+    logs = rng.uniform(-5.0, 5.0, (4, 6))
+    weights = rng.uniform(0.0, 2.0, (4, 6)) if weighted else np.ones((4, 6))
+    direct = np.log((weights * np.exp(logs)).sum(axis=1))
+    args = (weights,) if weighted else ()
+    assert np.abs(numerics.log_sum_exp(logs, *args, axis=1) - direct).max() < 1e-13
+    assert abs(numerics.log_sum_exp(logs, *args) - np.log((weights * np.exp(logs)).sum())) < 1e-13
+
+
+def test_log_sum_exp_far_outside_double_range():
+    # a shift by the largest term keeps exp(+-1e4) representable, and a term
+    # of zero weight does not set the shift
+    logs = np.array([1e4, 1e4 + math.log(3.0), 5e4])
+    weights = np.array([1.0, 1.0, 0.0])
+    assert abs(numerics.log_sum_exp(logs, weights) - (1e4 + math.log(4.0))) < 1e-11
+    assert abs(numerics.log_sum_exp(-logs[:2]) - (-1e4 + math.log(1.0 + 1.0 / 3.0))) < 1e-11

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_overlap import oracle
+from dicke_overlap import numerics, oracle
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import CapacityError, InvalidParameterError
 from dicke_overlap.numerics import lowest_eigenpair
@@ -224,7 +224,7 @@ def test_thermal_state_decoupled_factorizes():
     # free-spin Gibbs: product of diag(e^-b/2, e^b/2)/2cosh(b/2), a function of
     # J_z, so diagonal in every multiplet with weight p_up^n p_down^(N-n)
     p_up, p_down = (math.exp(s * beta / 2) / (2 * math.cosh(beta / 2)) for s in (-1, 1))
-    for j, rho in state.atomic_blocks():
+    for j, rho in state.atomic_blocks:
         n_up = state.basis.up_counts(j)
         assert np.abs(rho - np.diag(p_up**n_up * p_down ** (3 - n_up))).max() < 1e-10
 
@@ -365,8 +365,8 @@ def test_superradiant_ground_state_keeps_parity(n, lam, cutoff):
 @pytest.mark.parametrize("cutoff", [2, 3, 12])
 @pytest.mark.parametrize("n", [1, 2, 4, 10])
 def test_even_block_solve_matches_dense(n, cutoff, lam):
-    # blocks of 2 to 66 states: the small ones take the dense branch, so
-    # ARPACK never sees a matrix smaller than its Krylov space
+    # even blocks of 1 to 66 states: up to the Krylov bound they take the
+    # dense branch, the largest takes Lanczos
     params = ModelParams(1.0, 1.0, lam, n)
     h = build_hamiltonian(params, symmetric_basis(n, cutoff))
     with warnings.catch_warnings():
@@ -376,6 +376,29 @@ def test_even_block_solve_matches_dense(n, cutoff, lam):
     assert abs(e0 - vals[0]) < 1e-10
     if vals[1] - vals[0] > 1e-6:
         assert np.abs(vec - lowest_eigenpair(h)[1]).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.integers(0, 40),
+    lam=st.sampled_from([0.1, 0.3, 0.45, 0.55, 0.97, 1.0, 1.4]),
+)
+def test_lanczos_matches_dense_on_even_blocks(n, extra, lam):
+    # every even block here is larger than the Krylov bound, so it takes
+    # Lanczos; above lambda_c = 1/2 its ground state is degenerate to
+    # rounding with the odd one, which the sector keeps out exactly
+    cutoff = 2 * (numerics._KRYLOV_DIM + 1) // (n + 1) + 1 + extra
+    params = ModelParams(1.0, 1.0, lam, n)
+    basis = symmetric_basis(n, cutoff)
+    even = parity_diagonal(basis) > 0
+    h = oracle._hamiltonian(params, basis, params.omega)
+    assert np.count_nonzero(even) > numerics._KRYLOV_DIM
+    e0, vec = lowest_eigenpair(h, sector=even)
+    e_dense, v_dense = lowest_eigenpair(h.toarray(), sector=even)
+    assert abs(e0 - e_dense) < 1e-12
+    assert np.abs(vec - v_dense).max() < 1e-10
+    assert np.all(vec[~even] == 0.0)
 
 
 def test_split_log_partition_against_expm():
