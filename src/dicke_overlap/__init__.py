@@ -14,44 +14,61 @@ Library layout:
 * ``cli``       -- sweep/compare/fit commands writing CSV
 """
 
-from .core import (
-    ModelParams,
-    PhaseLabel,
-    critical_coupling,
-    critical_temperature,
-    critical_temperature_tanh_form,
-    order_parameter_zero_t,
-    phase_finite_t,
-    phase_zero_t,
-    reduced_critical_temperature,
-)
-from .numerics import QuadratureSpec
-from .separable import SeparableState, from_jz, log_weight, nearest_a
-from .thermal import (
-    ThermalPoint,
-    log_partition,
-    matched_a,
-    overlap_finite_t,
-    thermal_jz,
-    thermal_moments,
-)
-from .witness import MomentSet, WitnessReport, evaluate, evaluate_finite_n
-from .zerotemp import (
-    GaussianState,
-    PolaritonFrequencies,
-    TwoModeState,
-    atom_diagonal_probabilities,
-    closed_form_overlap_normal,
-    collective_moments_zero_t,
-    effective_ground_state,
-    effective_hamiltonian,
-    gaussian_ground_state,
-    matched_separable_state,
-    overlap_for_params,
-    overlap_zero_t,
-    polariton_frequencies,
-    reduced_atom_purity,
-    scaling_fit,
-)
+import importlib
+
+# Public names by home module.  They load on first access (PEP 562), so
+# ``import dicke_overlap`` imports no numpy: ``cli`` sets its BLAS thread
+# default before numpy loads, and a library user's environment is left alone.
+_HOMES = {
+    "core": (
+        "ModelParams",
+        "PhaseLabel",
+        "critical_coupling",
+        "critical_temperature",
+        "critical_temperature_tanh_form",
+        "order_parameter_zero_t",
+        "phase_finite_t",
+        "phase_zero_t",
+        "reduced_critical_temperature",
+    ),
+    "numerics": ("QuadratureSpec",),
+    "separable": ("SeparableState", "from_jz", "log_weight", "nearest_a"),
+    "thermal": (
+        "ThermalPoint",
+        "log_partition",
+        "matched_a",
+        "overlap_finite_t",
+        "thermal_jz",
+        "thermal_moments",
+    ),
+    "witness": ("MomentSet", "WitnessReport", "evaluate", "evaluate_finite_n"),
+    "zerotemp": (
+        "GaussianState",
+        "PolaritonFrequencies",
+        "TwoModeState",
+        "atom_diagonal_probabilities",
+        "closed_form_overlap_normal",
+        "collective_moments_zero_t",
+        "effective_ground_state",
+        "effective_hamiltonian",
+        "gaussian_ground_state",
+        "matched_separable_state",
+        "overlap_for_params",
+        "overlap_zero_t",
+        "polariton_frequencies",
+        "reduced_atom_purity",
+        "scaling_fit",
+    ),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

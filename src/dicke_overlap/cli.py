@@ -19,12 +19,19 @@ default); identical configuration yields byte-identical output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import math
 import os
 import sys
 import tempfile
+import time
+
+# One BLAS thread per CLI process unless the user sets another count.  Rows
+# are small and run serially or one per pool worker, so OpenBLAS's own
+# thread pool brings no speed, only about 0.1 s of CPU per process to start
+# it when numpy loads.  Hence this line precedes the numpy import: a limit
+# set after the import comes too late.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -154,19 +161,37 @@ def _t_grid(cfg):
     return np.linspace(cfg["grid.t_min"], cfg["grid.t_max"], cfg["grid.t_steps"])
 
 
+# Starting and joining a two-worker pool, the import of
+# concurrent.futures.process included, on a 2-core host: 27 ms median
+# (23-33 ms) over trivial rows, and 23-50 ms of wall time over serial in
+# sweep-zero-t and witness commands of 5 and 10 rows.
+_POOL_START_S = 0.04
+
+
 def _threads(cfg):
     available = os.cpu_count() or 1
     return min(cfg["numerics.threads"] or available, available)
 
 
 def _sweep(cfg, worker, tasks):
-    """One row per task, computed possibly in parallel, written in task order."""
-    n_threads = _threads(cfg)
-    if n_threads <= 1 or len(tasks) <= 1:
-        rows = [worker(t) for t in tasks]
+    """One row per task, written in task order.
+
+    The first row runs here and is timed.  The rest go to a process pool
+    only when that time predicts the pool saves more than it costs to start;
+    otherwise they run here too.
+    """
+    start = time.perf_counter()
+    rows = [worker(tasks[0])]
+    first_row_s = time.perf_counter() - start
+    rest = tasks[1:]
+    workers = min(_threads(cfg), len(rest))
+    if workers > 1 and first_row_s * len(rest) * (1.0 - 1.0 / workers) > _POOL_START_S:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows += pool.map(worker, rest, chunksize=1)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(worker, tasks, chunksize=1))
+        rows += map(worker, rest)
     _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
 
 

@@ -11,6 +11,7 @@ with J_z = sum_i sigma_i^z / 2 and J+- = sum_i sigma_i^+-.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,9 @@ def _beta_c_residual(beta, params):
     )
 
 
+# cached: a finite-T sweep asks for it in every row of a coupling, and its
+# phase label asks again
+@functools.lru_cache(maxsize=64)
 def critical_temperature(params: ModelParams):
     """Critical temperature from the self-consistency relation
 

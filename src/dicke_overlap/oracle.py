@@ -17,8 +17,12 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   all 2^N spin configurations.  Thermal states weight the non-symmetric
   multiplets, so finite-temperature validation uses this basis; its largest
   block is the symmetric one: a thermal state at N = 20 and cutoff 40
-  takes about 0.4 s.  The dense bound counts every block, since one
-  eigendecomposition holds them all.
+  takes about 0.4 s.
+
+Each basis is bounded by the bytes its solve holds at once: the symmetric
+one by the Lanczos vectors of the ground state (N = 100 at the suggested
+cutoff 173 of lambda = 1 solves in about 1.7 s), the full one by the dense
+matrices of every block, since one eigendecomposition holds them all.
 
 Thermal and split-trace states take the complete dense eigendecomposition
 of ``numerics``, one block at a time.  Everything here runs on numpy alone.
@@ -35,6 +39,7 @@ import numpy as np
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
 from .core import ModelParams
 from .numerics import (
+    _KRYLOV_DIM,
     log_sum_exp,
     lowest_eigenpair,
     photon_atom_hamiltonian,
@@ -43,11 +48,10 @@ from .numerics import (
 from .separable import SeparableState
 from .witness import MomentSet
 
-# one dense float64 matrix per block, all blocks together: what one
-# eigendecomposition of a thermal or split-trace state holds; the ground
-# state's matrix-free even block needs far less, so for it this is a
-# conservative ceiling
-_DENSE_MAX_BYTES = 2 * 2**30
+# float64 bytes one solve holds at once: the Lanczos vectors of a ground
+# state, or one dense matrix per block, all blocks together, for the
+# eigendecomposition of a thermal or split-trace state
+_MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
@@ -67,12 +71,6 @@ class DickeBasis:
     def __post_init__(self):
         if self.cutoff < 2:
             raise InvalidParameterError(f"photon cutoff must be >= 2, got {self.cutoff}")
-        dense_bytes = 8 * self.cutoff**2 * sum((int(2 * j) + 1) ** 2 for j in self.spins)
-        if dense_bytes > _DENSE_MAX_BYTES:
-            raise CapacityError(
-                f"{len(self.spins)} dense block(s) need {dense_bytes / 2**30:.1f} GiB "
-                f"together, over the {_DENSE_MAX_BYTES >> 30} GiB bound"
-            )
 
     @property
     def dim(self):
@@ -107,13 +105,31 @@ class DickeBasis:
         return counts
 
 
+def _check_bytes(nbytes, held):
+    if nbytes > _MAX_BYTES:
+        raise CapacityError(
+            f"{held} need {nbytes / 2**30:.1f} GiB together, over the {_MAX_BYTES >> 30} GiB bound"
+        )
+
+
 def symmetric_basis(n_atoms, cutoff):
-    return DickeBasis(n_atoms, cutoff, (n_atoms / 2,))
+    """The block j = N/2, bounded by the Lanczos vectors of its ground state."""
+    basis = DickeBasis(n_atoms, cutoff, (n_atoms / 2,))
+    _check_bytes(8 * _KRYLOV_DIM * basis.dim, f"{_KRYLOV_DIM} Lanczos vectors of {basis.dim} states")
+    return basis
 
 
 def full_product_basis(n_atoms, cutoff):
-    """All 2^N spin configurations: the multiplets j = N/2, N/2-1, ..., 0 or 1/2."""
-    return DickeBasis(n_atoms, cutoff, tuple(n_atoms / 2 - k for k in range(n_atoms // 2 + 1)))
+    """All 2^N spin configurations: the multiplets j = N/2, N/2-1, ..., 0 or 1/2.
+
+    Bounded by the dense matrices of every block.
+    """
+    basis = DickeBasis(n_atoms, cutoff, tuple(n_atoms / 2 - k for k in range(n_atoms // 2 + 1)))
+    _check_bytes(
+        8 * basis.cutoff**2 * sum((int(2 * j) + 1) ** 2 for j in basis.spins),
+        f"{len(basis.spins)} dense block(s)",
+    )
+    return basis
 
 
 def suggested_cutoff(params: ModelParams):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -16,11 +17,44 @@ from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import ConfigError
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _child_env():
-    """The environment with the tested package first on PYTHONPATH, installed or not."""
+    """The environment with the tested package first on PYTHONPATH, installed or not.
+
+    BLAS thread settings are dropped, so a child sees the CLI's own default
+    and not what this process or the calling shell holds.
+    """
     package_root = str(Path(dicke_overlap.__file__).resolve().parent.parent)
     rest = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": package_root + (os.pathsep + rest if rest else "")}
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": package_root + (os.pathsep + rest if rest else "")}
+
+
+def run_python(script, *args, env=None):
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env or _child_env(),
+        timeout=400,
+    )
+
+
+def run_reporting_pool(args, force_pool=False):
+    """Run the CLI in a child whose last stdout line says whether a process pool started.
+
+    ``force_pool`` takes the pool's start-up cost as zero.
+    """
+    return run_python(
+        "import sys\n"
+        "from dicke_overlap import cli\n"
+        + ("cli._POOL_START_S = 0.0\n" if force_pool else "")
+        + "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n",
+        *args,
+    )
 
 
 def run_cli(args, cwd=None):
@@ -164,6 +198,8 @@ _WITNESS_HEADER = (
     + ["any_violation"]
 )
 _TWO_COUPLINGS = {"grid.lambda_min": 0.3, "grid.lambda_max": 0.9, "grid.lambda_steps": 2}
+# three rows: the first runs in the parent, two workers share the rest
+_THREE_COUPLINGS = {"grid.lambda_min": 0.3, "grid.lambda_max": 0.9, "grid.lambda_steps": 3}
 _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
 
 
@@ -186,7 +222,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         ),
         pytest.param(
             "witness",
-            {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 10},
+            {**_THREE_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 10},
             _WITNESS_HEADER,
             id="witness-zero_t",
         ),
@@ -199,7 +235,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         ),
         pytest.param(
             "oracle-compare",
-            {**_TWO_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 10},
+            {**_THREE_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 10},
             ["lambda", "n_atoms", "cutoff", "delta_effective", "delta_oracle", "abs_error",
              "rel_error", "jz_effective", "jz_oracle"],
             id="oracle-compare-ground",
@@ -207,7 +243,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         pytest.param(
             "oracle-compare",
             {"oracle.mode": "thermal", "model.n_atoms": 2, "grid.lambda_min": 1.0,
-             "grid.lambda_max": 1.0, "grid.lambda_steps": 1, "grid.beta_list": "0.1,0.2"},
+             "grid.lambda_max": 1.0, "grid.lambda_steps": 1, "grid.beta_list": "0.1,0.2,0.4"},
             ["lambda", "beta", "n_atoms", "cutoff", "delta_quadrature", "delta_oracle",
              "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
              "max_moment_error"],
@@ -232,12 +268,27 @@ def test_pooled_command_csv_contract(tmp_path, command, sets, header):
     args = [command]
     for key, value in sets.items():
         args += ["--set", f"{key}={value}"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out, threads in ((out1, "1"), (out2, "2")):
-        result = run_cli([*args, "--out", str(out), "--threads", threads])
-        assert result.returncode == 0, result.stderr
-    assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_text().splitlines()[0].split(",") == header
+    serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
+    result = run_cli([*args, "--out", str(serial), "--threads", "1"])
+    assert result.returncode == 0, result.stderr
+    # rows this cheap run serially at any --threads; a free pool start makes
+    # every sweep command cross the pool
+    result = run_reporting_pool([*args, "--out", str(pooled), "--threads", "2"], force_pool=True)
+    assert result.returncode == 0, result.stderr
+    sweeps = command not in ("critical", "scaling-fit")
+    assert result.stdout.splitlines()[-1] == str(sweeps and (os.cpu_count() or 1) > 1)
+    assert serial.read_bytes() == pooled.read_bytes()
+    assert serial.read_text().splitlines()[0].split(",") == header
+
+
+def test_cheap_sweep_runs_without_a_pool(tmp_path):
+    result = run_reporting_pool(
+        ["sweep-zero-t", "--set", "grid.lambda_steps=5", "--out", str(tmp_path / "z.csv"),
+         "--threads", "2"]
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    assert len(read_rows(tmp_path / "z.csv")) == 5
 
 
 def test_sweep_finite_t_validity_flag(tmp_path):
@@ -379,12 +430,13 @@ def test_oracle_compare_capacity_error(tmp_path):
 
 
 def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
-    # cutoff 120 at N = 100 fits the dense bound, but the convergence gate's
-    # cutoff 180 does not: the command fails before any diagonalization
+    # cutoff 30,000 at N = 100 fits the Lanczos bound (1.4 GiB), but the
+    # convergence gate's cutoff 45,000 does not (2.2 GiB): the command fails
+    # before any diagonalization
     out = tmp_path / "never.csv"
     start = time.perf_counter()
     code = cli.main(
-        ["oracle-compare", "--set", "oracle.mode=ground", "--set", "oracle.cutoff=120",
+        ["oracle-compare", "--set", "oracle.mode=ground", "--set", "oracle.cutoff=30000",
          "--set", "model.n_atoms=100", "--out", str(out), "--threads", "1"]
     )
     assert code == 2
@@ -617,20 +669,53 @@ def test_witness_zero_t_small_n_near_critical(tmp_path):
     assert len(read_rows(out)) == 1
 
 
-def test_cli_import_leaves_sparse_eigensolver_unloaded():
-    # no command needs scipy: both exact diagonalizations run numpy's Lanczos,
-    # and only the truncated reference's displacement imports scipy.linalg,
-    # inside the function
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dicke_overlap.cli; print('scipy.sparse.linalg' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=60,
+def test_package_import_loads_no_numpy_and_sets_no_blas_default():
+    result = run_python(
+        "import os, sys, dicke_overlap\n"
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "None"]
+
+
+@pytest.mark.parametrize("user, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_to_one_blas_thread(user, expected):
+    env = _child_env()
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    result = run_python(
+        "import os, dicke_overlap.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n", env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == expected
+
+
+_EXPORTED = {
+    "core": ["ModelParams", "PhaseLabel", "critical_coupling", "critical_temperature",
+             "critical_temperature_tanh_form", "order_parameter_zero_t", "phase_finite_t",
+             "phase_zero_t", "reduced_critical_temperature"],
+    "numerics": ["QuadratureSpec"],
+    "separable": ["SeparableState", "from_jz", "log_weight", "nearest_a"],
+    "thermal": ["ThermalPoint", "log_partition", "matched_a", "overlap_finite_t", "thermal_jz",
+                "thermal_moments"],
+    "witness": ["MomentSet", "WitnessReport", "evaluate", "evaluate_finite_n"],
+    "zerotemp": ["GaussianState", "PolaritonFrequencies", "TwoModeState",
+                 "atom_diagonal_probabilities", "closed_form_overlap_normal",
+                 "collective_moments_zero_t", "effective_ground_state", "effective_hamiltonian",
+                 "gaussian_ground_state", "matched_separable_state", "overlap_for_params",
+                 "overlap_zero_t", "polariton_frequencies", "reduced_atom_purity",
+                 "scaling_fit"],
+}
+
+
+def test_package_exports_resolve_to_their_home_module():
+    for module, names in _EXPORTED.items():
+        home = importlib.import_module(f"dicke_overlap.{module}")
+        for name in names:
+            namespace = {}
+            exec(f"from dicke_overlap import {name}", namespace)
+            assert namespace[name] is getattr(home, name), name
+    assert sorted(dicke_overlap.__all__) == sorted(n for ns in _EXPORTED.values() for n in ns)
 
 
 _SCIPY_MODULES = (

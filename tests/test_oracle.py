@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_overlap import numerics, oracle
+from dicke_overlap import numerics, oracle, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import CapacityError, InvalidParameterError
 from dicke_overlap.numerics import lowest_eigenpair
@@ -129,9 +129,10 @@ def test_parity_and_hermiticity(variant):
 
 
 def test_capacity_bounds():
-    # the dense bound counts every block: 8 cutoff^2 sum_j (2j + 1)^2 bytes
-    with pytest.raises(CapacityError):
-        symmetric_basis(100, 3000)
+    # the symmetric basis holds 64 Lanczos vectors: 8 * 64 * cutoff (N + 1)
+    # bytes; the full one a dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
+    with pytest.raises(CapacityError, match="2.4 GiB"):
+        symmetric_basis(100, 50_000)
     with pytest.raises(CapacityError):
         full_product_basis(100, 200)  # 51 blocks, up to 20,200 states: 52.7 GiB dense
     # neither the atom count nor the spanned dimension is bounded: these
@@ -160,16 +161,21 @@ def test_capacity_bound_counts_every_block():
 
 
 def test_capacity_bound_counts_dense_bytes():
-    # dimension 199,879 would need a 320 GB dense matrix; the check runs
-    # before anything is allocated
+    # one spin-1/2 block of 20,000 states would need a 3.0 GiB dense matrix
+    # for a thermal state, but its ground state's Lanczos holds only 10 MB;
+    # the check runs before anything is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
-            symmetric_basis(100, 1979)
+        with pytest.raises(CapacityError, match="3.0 GiB"):
+            full_product_basis(1, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert symmetric_basis(1, 10_000).dim == 20_000
+    # dimension 199,879 would need a 320 GB dense matrix, but 64 Lanczos
+    # vectors of it take 0.1 GB
+    assert symmetric_basis(100, 1979).dim == 199_879
     # the largest basis in use: the N = 40, lambda = 1 convergence gate
     params = ModelParams(1.0, 1.0, 1.0, 40)
     big = oracle.convergence_cutoff(oracle.suggested_cutoff(params))
@@ -189,6 +195,15 @@ def test_ground_state_normal_phase_jz():
     state = exact_ground_state(params, oracle.suggested_cutoff(params))
     jz = exact_moments(state).first[2]
     assert abs(jz - (-0.5)) < 2.0 / 40
+
+
+def test_large_ground_state_solves_within_the_lanczos_bound():
+    # N = 100 at cutoff 110: the convergence basis, 165 x 101 states, would
+    # need 2.1 GiB as a dense matrix, but its Lanczos holds 8 MiB
+    params = ModelParams(1.0, 1.0, 0.7, 100)
+    state = exact_ground_state(params, 110)
+    delta, _, _ = exact_overlap(state, zerotemp.matched_separable_state(params))
+    assert abs(delta - zerotemp.overlap_for_params(params)) < 1e-3
 
 
 def test_symmetric_and_full_product_ground_energies_agree():
