@@ -62,13 +62,22 @@ _HOMES = {
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = list(_EXPORTS)
+# submodules that resolve as attributes too; ``cli`` is left to an explicit
+# import, since importing it sets the process's BLAS thread default
+_SUBMODULES = ("core", "errors", "numerics", "oracle", "separable", "thermal", "witness", "zerotemp")
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -178,7 +178,9 @@ def _sweep(cfg, worker, tasks):
 
     The first row runs here and is timed.  The rest go to a process pool
     only when that time predicts the pool saves more than it costs to start;
-    otherwise they run here too.
+    otherwise they run here too.  The prediction assumes the workers run
+    their rows as fast as one process alone does, which a host with busy or
+    shared cores does not give.
     """
     start = time.perf_counter()
     rows = [worker(tasks[0])]
@@ -189,7 +191,8 @@ def _sweep(cfg, worker, tasks):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows += pool.map(worker, rest, chunksize=1)
+            # one chunk per worker: one round trip each, not one per row
+            rows += pool.map(worker, rest, chunksize=-(-len(rest) // workers))
     else:
         rows += map(worker, rest)
     _write_csv(cfg["output.csv"], rows, cfg["output.precision"])

@@ -20,8 +20,9 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   takes about 0.4 s.
 
 Each basis is bounded by the bytes its solve holds at once: the symmetric
-one by the Lanczos vectors of the ground state (N = 100 at the suggested
-cutoff 173 of lambda = 1 solves in about 1.7 s), the full one by the dense
+one by the Lanczos vectors of the ground state plus the dense (N+1)^2 atomic
+matrices of its operator and observables (N = 100 at the suggested cutoff
+173 of lambda = 1 solves in about 1.7 s), the full one by the dense
 matrices of every block, since one eigendecomposition holds them all.
 
 Thermal and split-trace states take the complete dense eigendecomposition
@@ -48,10 +49,15 @@ from .numerics import (
 from .separable import SeparableState
 from .witness import MomentSet
 
-# float64 bytes one solve holds at once: the Lanczos vectors of a ground
-# state, or one dense matrix per block, all blocks together, for the
-# eigendecomposition of a thermal or split-trace state
+# float64 bytes one solve holds at once: the Lanczos vectors and atomic
+# matrices of a ground state, or one dense matrix per block, all blocks
+# together, for the eigendecomposition of a thermal or split-trace state
 _MAX_BYTES = 2 * 2**30
+# dense (2j+1)^2 float64 atomic matrices the ground path holds at its peak,
+# in exact_moments: the photon-traced density matrix, J_x, J_y (complex),
+# J_z, their squares and the product being traced; 13.0 under tracemalloc
+# at N = 600 (the Lanczos solve's spin operators peak at 6.0)
+_ATOM_MATRICES = 13
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
@@ -113,9 +119,18 @@ def _check_bytes(nbytes, held):
 
 
 def symmetric_basis(n_atoms, cutoff):
-    """The block j = N/2, bounded by the Lanczos vectors of its ground state."""
+    """The block j = N/2, bounded by what its ground state's solve and observables hold.
+
+    That is the Lanczos vectors of the basis and the dense atomic matrices
+    of dimension N + 1.
+    """
     basis = DickeBasis(n_atoms, cutoff, (n_atoms / 2,))
-    _check_bytes(8 * _KRYLOV_DIM * basis.dim, f"{_KRYLOV_DIM} Lanczos vectors of {basis.dim} states")
+    atom_dim = n_atoms + 1
+    _check_bytes(
+        8 * (_KRYLOV_DIM * basis.dim + _ATOM_MATRICES * atom_dim**2),
+        f"{_KRYLOV_DIM} Lanczos vectors of {basis.dim} states and {_ATOM_MATRICES} "
+        f"atomic matrices of dimension {atom_dim}",
+    )
     return basis
 
 

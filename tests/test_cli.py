@@ -430,7 +430,7 @@ def test_oracle_compare_capacity_error(tmp_path):
 
 
 def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
-    # cutoff 30,000 at N = 100 fits the Lanczos bound (1.4 GiB), but the
+    # cutoff 30,000 at N = 100 fits the ground-state bound (1.4 GiB), but the
     # convergence gate's cutoff 45,000 does not (2.2 GiB): the command fails
     # before any diagonalization
     out = tmp_path / "never.csv"
@@ -716,6 +716,15 @@ def test_package_exports_resolve_to_their_home_module():
             exec(f"from dicke_overlap import {name}", namespace)
             assert namespace[name] is getattr(home, name), name
     assert sorted(dicke_overlap.__all__) == sorted(n for ns in _EXPORTED.values() for n in ns)
+    # in a fresh interpreter, submodules resolve as attributes on first
+    # access, and dir() lists the exports before any of them is loaded
+    result = run_python(
+        "import dicke_overlap\n"
+        "print(set(dicke_overlap.__all__) <= set(dir(dicke_overlap)))\n"
+        "print(dicke_overlap.thermal.__name__, dicke_overlap.errors.CapacityError.__name__)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "dicke_overlap.thermal", "CapacityError"]
 
 
 _SCIPY_MODULES = (

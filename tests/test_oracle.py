@@ -129,8 +129,9 @@ def test_parity_and_hermiticity(variant):
 
 
 def test_capacity_bounds():
-    # the symmetric basis holds 64 Lanczos vectors: 8 * 64 * cutoff (N + 1)
-    # bytes; the full one a dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
+    # the symmetric basis holds 64 Lanczos vectors, 8 * 64 * cutoff (N + 1)
+    # bytes, and 13 atomic matrices, 8 * 13 (N + 1)^2 bytes; the full one a
+    # dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
     with pytest.raises(CapacityError, match="2.4 GiB"):
         symmetric_basis(100, 50_000)
     with pytest.raises(CapacityError):
@@ -158,6 +159,22 @@ def test_capacity_bound_counts_every_block():
     assert peak < 2**20
     # N = 20 needs 23 MB there
     assert full_product_basis(20, 40).dim == 40 * 2**20
+
+
+def test_capacity_bound_counts_ground_atomic_matrices():
+    # N = 20,000 at cutoff 60: the Lanczos vectors need 0.6 GB, but the
+    # dense spin operators and the photon-traced density matrix, 20,001^2
+    # each, need 39 GiB; the check runs before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="39.3 GiB"):
+            symmetric_basis(20_000, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # N = 4,000 needs 1.6 GiB of atomic matrices and passes
+    assert symmetric_basis(4000, 10).dim == 40_010
 
 
 def test_capacity_bound_counts_dense_bytes():
