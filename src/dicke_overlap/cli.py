@@ -41,7 +41,7 @@ from .errors import ConfigError, DickeError
 from .numerics import QuadratureSpec
 from .separable import SeparableState
 
-# key -> (parser, default); None default means "required if used"
+# key -> (parser, default)
 _SCHEMA = {
     "model.omega": (float, 1.0),
     "model.omega0": (float, 1.0),
@@ -54,11 +54,9 @@ _SCHEMA = {
     "grid.t_min": (float, 0.2),
     "grid.t_max": (float, 3.0),
     "grid.t_steps": (int, 15),
-    "grid.beta_list": (lambda s: [float(x) for x in str(s).split(",")], None),
+    "grid.beta_list": (lambda s: [float(x) for x in str(s).split(",")], [0.1, 0.2, 0.4]),
     "numerics.rel_tol": (float, 1e-9),
     "numerics.max_nodes": (int, 200_000),
-    "numerics.threads": (int, 0),  # 0 = hardware parallelism
-    "output.csv": (str, ""),
     "output.precision": (int, 12),
     "witness.mode": (str, "zero_t"),
     "witness.finite_n": (lambda s: str(s).lower() in ("1", "true", "yes"), False),
@@ -91,6 +89,10 @@ def parse_config_text(text, origin="<config>"):
 
 
 def build_config(config_path=None, overrides=(), out=None, threads=None):
+    """Schema values from the file and ``--set``, plus ``out`` and ``threads`` from the flags.
+
+    ``out`` None writes to stdout; ``threads`` None or 0 allows one worker per core.
+    """
     raw = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -102,11 +104,7 @@ def build_config(config_path=None, overrides=(), out=None, threads=None):
         if key not in _SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}", field=key)
         raw[key] = value
-    if out is not None:
-        raw["output.csv"] = out
-    if threads is not None:
-        raw["numerics.threads"] = threads
-    values = {}
+    values = {"out": out or "", "threads": threads or 0}
     for key, (parse, default) in _SCHEMA.items():
         if key in raw:
             try:
@@ -123,17 +121,13 @@ def _validate(v):
     for key in ("grid.lambda_steps", "grid.t_steps"):
         if v[key] < 1:
             raise ConfigError(f"{key} must be >= 1", field=key)
-    if v["grid.lambda_steps"] < 2 and v["grid.t_steps"] < 2:
-        raise ConfigError(
-            "empty grid: at least one swept axis needs steps >= 2", field="grid.lambda_steps"
-        )
     if any(n < 1 for n in v["model.n_atoms"]):
         raise ConfigError("model.n_atoms entries must be positive", field="model.n_atoms")
     for key in ("model.omega", "model.omega0"):
         if not 0 < v[key] < math.inf:
             raise ConfigError(f"{key} must be positive and finite", field=key)
-    if v["numerics.threads"] < 0:
-        raise ConfigError("numerics.threads must be >= 0", field="numerics.threads")
+    if v["threads"] < 0:
+        raise ConfigError("--threads must be >= 0", field="--threads")
     if v["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1", field="output.precision")
 
@@ -155,6 +149,11 @@ def _lambda_grid(cfg):
 
 
 def _t_grid(cfg):
+    # only the lambda x T commands read this axis, so only they need one swept
+    if cfg["grid.lambda_steps"] < 2 and cfg["grid.t_steps"] < 2:
+        raise ConfigError(
+            "empty grid: at least one swept axis needs steps >= 2", field="grid.lambda_steps"
+        )
     for key in ("grid.t_min", "grid.t_max"):
         if not cfg[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}", field=key)
@@ -170,7 +169,7 @@ _POOL_START_S = 0.04
 
 def _threads(cfg):
     available = os.cpu_count() or 1
-    return min(cfg["numerics.threads"] or available, available)
+    return min(cfg["threads"] or available, available)
 
 
 def _sweep(cfg, worker, tasks):
@@ -195,7 +194,7 @@ def _sweep(cfg, worker, tasks):
             rows += pool.map(worker, rest, chunksize=-(-len(rest) // workers))
     else:
         rows += map(worker, rest)
-    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
+    _write_csv(cfg["out"], rows, cfg["output.precision"])
 
 
 def _format(value, precision):
@@ -412,7 +411,7 @@ def cmd_oracle_compare(cfg):
         _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
         oracle.full_product_basis(n, cutoff)  # capacity check up front, on every block held
-        betas = cfg["grid.beta_list"] or [0.1, 0.2, 0.4]
+        betas = cfg["grid.beta_list"]
         quad_args = _quad_args(cfg)
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), float(b), n, cutoff, quad_args)
@@ -461,14 +460,14 @@ def cmd_scaling_fit(cfg):
         print(
             f"{pipeline}: exponent = {fit.exponent:.6f} +- {fit.stderr:.6f} "
             f"(intercept {fit.intercept:.6f}, {len(lams)} points)",
-            file=sys.stdout if cfg["output.csv"] else sys.stderr,
+            file=sys.stdout if cfg["out"] else sys.stderr,
         )
         for lam, t, delta, x, y, r in zip(
             lams, t_grid, deltas, fit.log_t, fit.neg_log_delta, fit.residuals
         ):
             rows.append({"pipeline": pipeline, "lambda": float(lam), "t": float(t), "delta": delta,
                          "neg_log_t": float(x), "neg_log_delta": float(y), "residual": float(r)})
-    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
+    _write_csv(cfg["out"], rows, cfg["output.precision"])
 
 
 def cmd_critical(cfg):
@@ -488,7 +487,7 @@ def cmd_critical(cfg):
             "tc_resonant_line": core.reduced_critical_temperature(params),
             "tc_tanh_form": tc_tanh if tc_tanh is not None else float("nan"),
         })
-    _write_csv(cfg["output.csv"], rows, cfg["output.precision"])
+    _write_csv(cfg["out"], rows, cfg["output.precision"])
 
 
 _COMMANDS = {

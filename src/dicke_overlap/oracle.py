@@ -325,11 +325,11 @@ def exact_overlap(state: OracleState, sep: SeparableState):
       with the reference state represented by its per-configuration
       product weights.
 
-    The two agree for every state only at a = 0 and a = 1.  Either is
-    computed two independent ways and cross-checked to 1e-10: (i) the
-    n-resolved atomic diagonal contracted with the weights, (ii) a direct
-    trace of each block's photon-traced atomic density matrix against the
-    explicitly assembled reference-state matrix, summed over the copies.
+    The two agree for every state only at a = 0 and a = 1.  Two paths sum
+    the same block diagonals against the same weights and must agree to
+    1e-10, which catches a mis-binned P(n), not an error in the state:
+    (i) bins each block's diagonal by up-spin count into P(n), (ii) traces
+    each block's atomic matrix against its own levels' weights, per copy.
 
     Returns (value, path_diagonal, path_matrix).
     """

@@ -31,9 +31,8 @@ follows from the covariance alone.
 truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
 matrix-free ``numerics.photon_atom_hamiltonian``, the solve path of the
 oracle too) and displaces the reduced atomic matrix with a dense matrix
-exponential.  It is the reference the Gaussian backend is checked
-against; its displacement ``expm`` is the only user of scipy in the
-package, which it imports when called.
+exponential, taken from the eigendecomposition of the Hermitian generator.
+It is the reference the Gaussian backend is checked against.
 """
 
 from __future__ import annotations
@@ -336,9 +335,10 @@ def _reduced_atom_matrix(state: TwoModeState):
 
 
 def _displacement_matrix(alpha, dim):
-    import scipy.linalg
+    """exp(alpha (a' - a)) on ``dim`` levels, as exp(-i H) of the Hermitian H = i alpha (a' - a)."""
     creation = np.diag(np.sqrt(np.arange(1.0, dim)), -1)
-    return scipy.linalg.expm(alpha * (creation - creation.T))
+    levels, vecs = np.linalg.eigh(1j * alpha * (creation - creation.T))
+    return ((vecs * np.exp(-1j * levels)) @ vecs.conj().T).real
 
 
 def _physical_atom_matrix(state: TwoModeState):

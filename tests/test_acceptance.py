@@ -244,11 +244,12 @@ def test_criterion_8_witness_suite():
     )
     c_lhs = witness.evaluate(half).lhs("c", ("x", "y", "z"))
     assert abs(c_lhs - (-0.25)) < 1e-12
-    # ground state: some (c)/(d) violation in the superradiant phase
+    # ground state: some (c)/(d) violation in the superradiant phase, from
+    # the Gaussian state that the witness command evaluates
     found = False
     for lam in (0.6, 0.8, 1.0, 1.2, 1.5):
         params = ModelParams(1, 1, lam, n)
-        state = zerotemp.effective_ground_state(params)
+        state = zerotemp.gaussian_ground_state(params)
         report = witness.evaluate(zerotemp.collective_moments_zero_t(state, params))
         if any(e.violated and e.inequality in ("c", "d") for e in report.entries):
             found = True

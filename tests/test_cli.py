@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dicke_overlap
-from dicke_overlap import cli, numerics, oracle, thermal, zerotemp
+from dicke_overlap import cli, numerics, oracle, thermal, witness, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import ConfigError
 
@@ -100,9 +100,50 @@ def test_config_rejects_bad_value():
         cli.build_config(None, overrides=["grid.lambda_steps=three"])
 
 
-def test_empty_grid_rejected():
-    with pytest.raises(ConfigError):
-        cli.build_config(None, overrides=["grid.lambda_steps=1", "grid.t_steps=1"])
+_ONE_POINT = ["--set", "grid.lambda_steps=1", "--set", "grid.t_steps=1"]
+
+
+def test_empty_grid_rejected(tmp_path, capsys):
+    # only the commands that sweep a grid need one: the lambda x T commands
+    # at least two points on one axis, sweep-zero-t at least two couplings
+    cli.build_config(None, overrides=["grid.lambda_steps=1", "grid.t_steps=1"])
+    out = tmp_path / "never.csv"
+    empty = "empty grid: at least one swept axis needs steps >= 2"
+    for args, message in [
+        (["sweep-finite-t"], empty),
+        (["witness", "--set", "witness.mode=finite_t"], empty),
+        (["sweep-zero-t"], "sweep-zero-t needs grid.lambda_steps >= 2"),
+    ]:
+        assert cli.main([*args, *_ONE_POINT, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"kind=ConfigError field=grid.lambda_steps message={message}" in err
+        assert not out.exists()
+
+
+def test_single_point_commands_run(tmp_path):
+    # commands without a swept grid run on one coupling; scaling-fit reads no grid key
+    runs = [
+        (["oracle-compare", "--set", "model.n_atoms=4", "--set", "grid.lambda_min=0.3",
+          "--set", "grid.lambda_max=0.3"], 1),
+        (["critical"], 1),
+        (["witness", "--set", "witness.mode=zero_t"], 1),
+        (["scaling-fit", "--set", "scaling.points=4"], 8),
+    ]
+    for i, (args, n_rows) in enumerate(runs):
+        out = tmp_path / f"run{i}.csv"
+        assert cli.main([*args, *_ONE_POINT, "--out", str(out), "--threads", "1"]) == 0, args
+        assert len(read_rows(out)) == n_rows
+
+
+@pytest.mark.parametrize("key", ["numerics.threads", "output.csv"])
+def test_flag_only_settings_are_not_keys(tmp_path, capsys, key):
+    # the worker cap and the output path are set by --threads and --out alone
+    out = tmp_path / "never.csv"
+    assert cli.main(["critical", "--set", f"{key}=2", "--out", str(out)]) == 2
+    assert f"kind=ConfigError field={key} message=--set: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="unknown key"):
+        cli.parse_config_text(f"{key} = 2\n")
 
 
 @pytest.mark.parametrize("key", ["numerics.cutoff_photon", "numerics.cutoff_atom"])
@@ -365,6 +406,61 @@ def test_witness_command_finite_t_no_violations(tmp_path):
     assert all(r["any_violation"] == "0" for r in rows)
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [{"witness.mode": "zero_t", **_TWO_COUPLINGS},
+     {"witness.mode": "finite_t", **_TWO_COUPLINGS, **_TWO_TEMPERATURES}],
+    ids=["zero_t", "finite_t"],
+)
+def test_witness_finite_n_columns(tmp_path, sets):
+    # the finite-N forms fill the same columns, from the same moments
+    args = ["witness", "--set", "model.n_atoms=10", "--threads", "1"]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={value}"]
+    large, finite = tmp_path / "large.csv", tmp_path / "finite.csv"
+    assert cli.main([*args, "--out", str(large)]) == 0
+    assert cli.main([*args, "--set", "witness.finite_n=1", "--out", str(finite)]) == 0
+    assert finite.read_text().splitlines()[0] == large.read_text().splitlines()[0]
+    rows = read_rows(finite)
+    assert rows != read_rows(large)
+    row = rows[-1]
+    params = ModelParams(1.0, 1.0, float(row["lambda"]), 10)
+    temp = float(row["temperature"])
+    if temp == 0.0:
+        moments = zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params), params)
+    else:
+        quad = numerics.QuadratureSpec(*cli._quad_args(cli.build_config(None)))
+        moments = thermal.thermal_moments(thermal.ThermalPoint(params, 1.0 / temp), quad)
+    report = witness.evaluate_finite_n(moments)
+    assert {f"lhs_{e.name}": cli._format(e.lhs, 12) for e in report.entries} == {
+        k: v for k, v in row.items() if k.startswith("lhs_")
+    }
+
+
+def test_output_precision(tmp_path):
+    args = ["sweep-zero-t", "--set", "model.n_atoms=10", "--set", "grid.lambda_min=0.2",
+            "--set", "grid.lambda_max=0.8", "--set", "grid.lambda_steps=4", "--threads", "1"]
+    full = tmp_path / "full.csv"
+    assert run_cli([*args, "--out", str(full)]).returncode == 0
+    short = []
+    for i in range(2):
+        short.append(tmp_path / f"short{i}.csv")
+        result = run_cli([*args, "--set", "output.precision=6", "--out", str(short[i])])
+        assert result.returncode == 0, result.stderr
+    assert short[0].read_bytes() == short[1].read_bytes()
+    rounded = 0
+    for row6, row12 in zip(read_rows(short[0]), read_rows(full), strict=True):
+        for cell6, cell12 in zip(row6.values(), row12.values(), strict=True):
+            if cell12 in ("normal", "superradiant"):
+                assert cell6 == cell12
+                continue
+            digits = cell6.lower().split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+            assert len(digits) <= 6, cell6
+            assert float(cell6) == float("%.6g" % float(cell12))
+            rounded += cell6 != cell12
+    assert rounded > 0
+
+
 def test_oracle_compare_thermal_error_ordering(tmp_path):
     out = tmp_path / "oracle.csv"
     result = run_cli(
@@ -611,11 +707,12 @@ def test_nonfinite_model_inputs_exit_with_typed_error(tmp_path, capsys, args, er
     assert not out.exists()
 
 
-def test_negative_thread_count_rejected():
-    for kwargs in ({"threads": -3}, {"overrides": ["numerics.threads=-3"]}):
-        with pytest.raises(ConfigError) as err:
-            cli.build_config(None, **kwargs)
-        assert err.value.field == "numerics.threads"
+def test_negative_thread_count_rejected(capsys):
+    with pytest.raises(ConfigError) as err:
+        cli.build_config(None, threads=-3)
+    assert err.value.field == "--threads"
+    assert cli.main(["critical", "--threads", "-3"]) == 2
+    assert "kind=ConfigError field=--threads" in capsys.readouterr().err
     # zero keeps its meaning: hardware parallelism
     assert cli._threads(cli.build_config(None, threads=0)) == (os.cpu_count() or 1)
 
@@ -747,12 +844,15 @@ def test_import_loads_no_scipy(module):
 
 
 def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):
-    # all six commands run on numpy alone, the oracle's ground and thermal
-    # modes included; scipy is left to the truncated reference and the tests
+    # every command runs on numpy alone, the oracle's ground and thermal
+    # modes included, and so does the truncated reference's displacement:
+    # scipy is blocked outright, so any import of it fails the run
     runs = [
         ("sweep-zero-t", {"model.n_atoms": 100, "grid.lambda_min": 0.2,
                           "grid.lambda_max": 1.0, "grid.lambda_steps": 5}),
         ("witness", {**_TWO_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 100}),
+        ("witness", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "witness.mode": "finite_t",
+                     "model.n_atoms": 10}),
         ("sweep-finite-t", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10}),
         ("critical", {"grid.lambda_min": 0.5, "grid.lambda_max": 1.0, "grid.lambda_steps": 2}),
         ("scaling-fit", {"scaling.points": 4}),
@@ -767,9 +867,16 @@ def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):
         for i, (command, kv) in enumerate(runs)
     ]
     script = (
-        "from dicke_overlap import cli\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dicke_overlap import cli, zerotemp\n"
+        "from dicke_overlap.core import ModelParams\n"
         f"assert [cli.main(args) for args in {argvs!r}] == [0] * {len(argvs)}\n"
-        + _SCIPY_MODULES
+        # superradiant, so the reference displaces its reduced matrix
+        "params = ModelParams(1.0, 1.0, 1.0, 40)\n"
+        "state = zerotemp.effective_ground_state(params, (41, 41))\n"
+        "assert state.displacement_atom > 0\n"
+        "print(zerotemp.overlap_zero_t(state, zerotemp.matched_separable_state(params)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -780,7 +887,7 @@ def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     # scaling-fit prints its fit summary first
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert 0.0 < float(result.stdout.strip().splitlines()[-1]) < 1.0
 
 
 def _traced_replay(tmp_path, args):

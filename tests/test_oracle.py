@@ -336,6 +336,24 @@ def test_overlap_functional_depends_on_basis():
         assert abs(exact_overlap(sym, ref)[0] - exact_overlap(prod, ref)[0]) < 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), lam=st.floats(0.0, 1.5), a=st.floats(0.0, 1.0))
+def test_overlap_functionals_equal_at_ends_and_ordered_between(n, lam, a):
+    # sum_n C(N,n) w_n P(n) against sum_n w_n P(n), w_n = a^n (1-a)^(N-n):
+    # C(N,n) >= 1 orders them, and only n = 0 (a = 0) or n = N (a = 1),
+    # where C(N,n) = 1, carries weight at the ends
+    params = ModelParams(1.0, 1.0, lam, n)
+    cutoff = oracle.suggested_cutoff(params)
+    sym = exact_ground_state(params, cutoff)
+    prod = OracleState(full_product_basis(n, cutoff), sym.blocks)
+    for end in (0.0, 1.0):
+        ref = SeparableState.from_a(end, n)
+        assert abs(exact_overlap(sym, ref)[0] - exact_overlap(prod, ref)[0]) < 1e-12
+    ref = SeparableState.from_a(a, n)
+    # rounding only: at N = 1 the two are equal
+    assert exact_overlap(sym, ref)[0] >= exact_overlap(prod, ref)[0] - 1e-14
+
+
 def test_overlap_rejects_mismatched_n():
     params = ModelParams(1.0, 1.0, 0.5, 4)
     state = exact_thermal_state(params, 20, beta=0.2)

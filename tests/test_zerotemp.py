@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,29 @@ def test_atom_diagonal_displaced_frame():
     mean_n = float(np.dot(np.arange(len(probs)), probs))
     # mean occupation ~ mean-field shift + O(1) quantum correction
     assert abs(mean_n - state.displacement_atom) < 1.0
+
+
+@pytest.mark.parametrize("n", [40, 300, 1000])
+def test_displacement_matches_scipy_expm(monkeypatch, n):
+    # the reference displaces with numpy's eigh of the Hermitian generator;
+    # scipy's expm of the same truncated generator is the independent check,
+    # on the columns that the embedded reduced matrix occupies
+    calls = []
+    displacement = zerotemp._displacement_matrix
+
+    def recording(alpha, dim):
+        calls.append((alpha, dim, displacement(alpha, dim)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(zerotemp, "_displacement_matrix", recording)
+    state = effective_ground_state(ModelParams(1, 1, 1.0, n), (40, 41))
+    atom_diagonal_probabilities(state)
+    (alpha, dim, d), = calls
+    assert alpha == math.sqrt(state.displacement_atom)
+    assert dim > state.cutoff_atom + state.displacement_atom
+    creation = np.diag(np.sqrt(np.arange(1.0, dim)), -1)
+    reference = scipy.linalg.expm(alpha * (creation - creation.T))
+    assert np.abs(d - reference)[:, : state.cutoff_atom].max() < 1e-13
 
 
 def test_purity_decoupled_is_one():
