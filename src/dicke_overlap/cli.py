@@ -165,6 +165,13 @@ def _t_grid(cfg):
 # (23-33 ms) over trivial rows, and 23-50 ms of wall time over serial in
 # sweep-zero-t and witness commands of 5 and 10 rows.
 _POOL_START_S = 0.04
+# The same finite-T rows ran 1.15x slower in a forked worker than in the
+# parent process (188 against 161 ms).
+_FORK_SLOWDOWN = 1.15
+# Two processes of numpy work (150 products of 300x300 matrices each) ran
+# 1.0-1.7x as fast as one on a shared 2-core host, from minute to minute:
+# each worker is counted as 0.65 of a core, a little below the middle.
+_WORKER_SHARE = 0.65
 
 
 def _threads(cfg):
@@ -172,21 +179,32 @@ def _threads(cfg):
     return min(cfg["threads"] or available, available)
 
 
+def _pool_pays(first_row_s, rows, workers):
+    """Whether a pool of ``workers`` is predicted to run ``rows`` rows faster than serial.
+
+    Each row is taken to cost ``first_row_s`` here.  On the pool it costs
+    ``_FORK_SLOWDOWN`` times that, spread over ``workers`` times
+    ``_WORKER_SHARE`` cores, and the pool costs ``_POOL_START_S`` to start.
+    """
+    if workers < 2:
+        return False
+    serial = first_row_s * rows
+    return _POOL_START_S + serial * _FORK_SLOWDOWN / (workers * _WORKER_SHARE) < serial
+
+
 def _sweep(cfg, worker, tasks):
     """One row per task, written in task order.
 
     The first row runs here and is timed.  The rest go to a process pool
-    only when that time predicts the pool saves more than it costs to start;
-    otherwise they run here too.  The prediction assumes the workers run
-    their rows as fast as one process alone does, which a host with busy or
-    shared cores does not give.
+    only when ``_pool_pays`` predicts from that time that the pool is
+    faster; otherwise they run here too.
     """
     start = time.perf_counter()
     rows = [worker(tasks[0])]
     first_row_s = time.perf_counter() - start
     rest = tasks[1:]
     workers = min(_threads(cfg), len(rest))
-    if workers > 1 and first_row_s * len(rest) * (1.0 - 1.0 / workers) > _POOL_START_S:
+    if _pool_pays(first_row_s, len(rest), workers):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,10 +15,27 @@ with grid doubling until the Richardson error estimate |S_h - S_2h|/15
 meets the relative tolerance.  All accumulation across windows happens in
 log space, so integrands with values like exp(+-10^4) are handled without
 overflow.
+
+Each node is evaluated once.  The scan starts at span 8 with 4,096
+intervals, and the central half of a doubled scan is every other point of
+the one before, so a doubling evaluates only its two outer quarters.
+Each Simpson doubling evaluates only its new odd nodes.  With ``even``,
+the caller promises an even log-integrand and even h functions (in
+practice computed from x only through x^2); then only the x <= 0 half of
+the scan and of each window centred on 0 is evaluated and mirrored, and a
+window shares its evaluations, reversed, with its mirror image (-hi, -lo).
+Windows start at 128 intervals, so every node is an exact multiple of
+span / 2^(18 + m) at 128 * 2^m intervals: reused and mirrored nodes are
+exactly the ones a fresh grid would hold, and each Simpson sum still runs
+forward over the same values, so the results are the same bit for bit.
+The node budget counts every grid's nodes, evaluated or reused.  The scan
+grids are built once and cached, and every array of nodes is read-only:
+an integrand that writes into its argument raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +45,8 @@ from .errors import BracketError, InvalidParameterError, NumericalError
 
 _LOG_FLOOR = -745.0  # exp() underflows below this
 _SCAN_POINTS = 4097
+_SCAN_QUARTER = (_SCAN_POINTS - 1) // 4  # nodes a span doubling adds on each side
+_SCAN_LEVELS = 18  # span doublings before the scan gives up
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
 _PEAK_KEEP = 60.0  # windows cover the scan points within this of the maximum
 _KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
@@ -265,22 +284,58 @@ def golden_max(f, lo, hi, tol=1e-11):
     return 0.5 * (a + b)
 
 
-def _scan(log_f):
+def _evaluate(fn, xs):
+    """fn at the nodes ``xs``, made read-only first, as a float array."""
+    xs.flags.writeable = False
+    return np.asarray(fn(xs), dtype=float)
+
+
+def _mirror(half):
+    """Values along the last axis of a grid symmetric about 0 from those on its x <= 0 half.
+
+    That half ends at the node x = 0, which is not repeated.
+    """
+    return np.concatenate((half, half[..., -2::-1]), axis=-1)
+
+
+@functools.lru_cache(maxsize=_SCAN_LEVELS)
+def _scan_grid(level):
+    """The scan grid of span 8 * 2^level and the nodes of it that a scan evaluates.
+
+    Returns (grid, fresh, fresh_even), all read-only.  Above level 0,
+    ``fresh`` is the grid's outer quarters, since its central half is every
+    other node of the grid one level down.  ``fresh_even`` is the x <= 0
+    part of ``fresh``.
+    """
+    grid = np.linspace(-8.0 * 2.0**level, 8.0 * 2.0**level, _SCAN_POINTS)
+    grid.flags.writeable = False
+    if level == 0:
+        return grid, grid, grid[: _SCAN_POINTS // 2 + 1]
+    fresh = np.concatenate((grid[:_SCAN_QUARTER], grid[-_SCAN_QUARTER:]))
+    fresh.flags.writeable = False
+    return grid, fresh, grid[:_SCAN_QUARTER]
+
+
+def _scan(log_f, even=False):
     """Expanding symmetric scan; returns (grid, values) with decayed edges."""
-    span = 8.0
-    for _ in range(18):
-        xs = np.linspace(-span, span, _SCAN_POINTS)
-        vals = np.asarray(log_f(xs), dtype=float)
+    for level in range(_SCAN_LEVELS):
+        grid, fresh, fresh_even = _scan_grid(level)
+        new = _evaluate(log_f, fresh_even if even else fresh)
+        if level == 0:
+            vals = _mirror(new) if even else new
+        else:
+            right = new[::-1] if even else new[_SCAN_QUARTER:]
+            vals = np.concatenate((new[:_SCAN_QUARTER], vals[::2], right))
         top = vals.max()
+        span = float(grid[-1])
         if not np.isfinite(top):
             raise NumericalError("log-integrand is -inf on the whole scan range", span=span)
         if max(vals[0], vals[-1]) < top - _SCAN_DECAY:
-            return xs, vals
-        span *= 2.0
-    raise NumericalError("log-integrand does not decay within the scan range", span=span)
+            return grid, vals
+    raise NumericalError("log-integrand does not decay within the scan range", span=2.0 * span)
 
 
-def _windows(log_f):
+def _windows(log_f, even=False):
     """Integration windows (lo, hi, shift) from the scan of ``log_f``.
 
     Each window is a maximal run of scan points whose log-value lies within
@@ -288,7 +343,7 @@ def _windows(log_f):
     its shift is the run's largest scan value.  The scan edges lie
     ``_SCAN_DECAY`` below the maximum, so every run is interior.
     """
-    xs, vals = _scan(log_f)
+    xs, vals = _scan(log_f, even)
     keep = (vals > vals.max() - _PEAK_KEEP).astype(np.int8)
     steps = np.diff(keep)
     starts = np.flatnonzero(steps == 1) + 1
@@ -304,32 +359,82 @@ def _simpson(values, h):
     )
 
 
-def _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs):
-    """Composite-Simpson integrals of w = exp(log_f - shift) and each h * w on one window.
+class _WindowNodes:
+    """w = exp(log_f - shift) and each h * w on the Simpson grids of one window.
 
-    The shift (the window's peak log-value) stays fixed across grid
-    refinements so successive Simpson sums share a common scale; the grid
-    doubles until the Richardson estimate |S_h - S_2h|/15 of every integral
-    is below ``rel_tol`` times the larger of its own and the base integral's
-    magnitude.  Returns (integrals, nodes_used, err), base integral first.
+    ``level(m)`` holds them as the rows of one array, on the grid of
+    n = 128 * 2^m intervals whose nodes arange(n + 1) * (hi - lo) / n + lo,
+    the last one at hi, are np.linspace's.  Each node is evaluated once:
+    level m + 1 evaluates only its odd nodes, and its even ones are level
+    m's.  A ``centred`` window (lo = -hi) of an even integrand evaluates its
+    x <= 0 half.
     """
-    n = 128
+
+    def __init__(self, log_f, h_funcs, lo, hi, shift, centred):
+        self._log_f, self._h_funcs, self._shift = log_f, h_funcs, shift
+        self._lo, self._hi, self._centred = lo, hi, centred
+        self._levels = []
+
+    def _values(self, xs):
+        rows = np.empty((1 + len(self._h_funcs), len(xs)))
+        np.exp(np.maximum(_evaluate(self._log_f, xs) - self._shift, _LOG_FLOOR), out=rows[0])
+        for row, h in zip(rows[1:], self._h_funcs):
+            np.multiply(rows[0], np.asarray(h(xs), dtype=float), out=row)
+        return rows
+
+    def level(self, m):
+        while len(self._levels) <= m:
+            depth = len(self._levels)
+            n = 128 << depth
+            half = n // 2
+            step = (self._hi - self._lo) / n
+            if depth == 0:
+                xs = np.arange(half + 1 if self._centred else n + 1) * step + self._lo
+                if not self._centred:
+                    xs[-1] = self._hi
+                new = self._values(xs)
+                if self._centred:
+                    new = _mirror(new)
+            else:
+                odd = self._values(np.arange(1, half if self._centred else n, 2) * step + self._lo)
+                new = np.empty((len(odd), n + 1))
+                new[:, ::2] = self._levels[-1]
+                if self._centred:
+                    new[:, 1:half:2], new[:, half + 1 :: 2] = odd, odd[:, ::-1]
+                else:
+                    new[:, 1::2] = odd
+            self._levels.append(new)
+        return self._levels[m]
+
+
+def _integrate_window(nodes, lo, hi, mirrored, quad, budget):
+    """Composite-Simpson integrals of w and each h * w on the window (lo, hi) of ``nodes``.
+
+    ``mirrored``: the window is the mirror image (-hi, -lo) of the one
+    ``nodes`` evaluates, whose values it reads reversed.  The shift (the
+    window's peak log-value) stays fixed across grid refinements so
+    successive Simpson sums share a common scale; the grid doubles until the
+    Richardson estimate |S_h - S_2h|/15 of every integral is below
+    ``rel_tol`` times the larger of its own and the base integral's
+    magnitude.  Every grid counts its n + 1 nodes against ``budget``,
+    evaluated or reused.  Returns (integrals, nodes_used), base integral
+    first.
+    """
+    m = 0
     prev = None
     used = 0
     while True:
-        xs = np.linspace(lo, hi, n + 1)
+        n = 128 << m
         used += n + 1
-        logs = np.asarray(log_f(xs), dtype=float)
-        ys = np.exp(np.maximum(logs - shift, _LOG_FLOOR))
+        values = nodes.level(m)
+        if mirrored:
+            values = values[:, ::-1].copy()
         step = (hi - lo) / n
-        sums = np.array(
-            [_simpson(ys, step)]
-            + [_simpson(ys * np.asarray(h(xs), dtype=float), step) for h in h_funcs]
-        )
+        sums = np.array([_simpson(v, step) for v in values])
         if prev is not None:
             errs = np.abs(sums - prev) / 15.0
             if np.all(errs <= quad.rel_tol * np.maximum(np.abs(sums), abs(sums[0]))):
-                return sums, used, errs[0] / abs(sums[0]) if sums[0] else 0.0
+                return sums, used
         if used + 2 * n + 1 > budget:
             achieved = errs[0] / abs(sums[0]) if (prev is not None and sums[0]) else math.inf
             raise NumericalError(
@@ -339,19 +444,27 @@ def _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs):
                 window=(lo, hi),
             )
         prev = sums
-        n *= 2
+        m += 1
 
 
-def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
+def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
     """(ln I, [integral(f h) / I for each h]) with I the integral of f = exp(log_f).
 
     ``log_f`` must decay at +-infinity (in practice a Gaussian envelope
-    exp(-x^2/2) is folded in); the ``h_funcs`` are O(1)-bounded.
+    exp(-x^2/2) is folded in); the ``h_funcs`` are O(1)-bounded.  Both are
+    called on read-only arrays.  ``even`` promises that ``log_f`` and every
+    h are even functions of x, computed from x only through x^2: then only
+    the x <= 0 half of the scan and of each window centred on 0 is
+    evaluated, and a window shares its evaluations with its mirror image.
+    The result is the same, bit for bit.
     """
     budget = quad.max_nodes
-    shifts, sums = [], []
-    for lo, hi, shift in _windows(log_f):
-        window_sums, used, _ = _integrate_window(log_f, lo, hi, shift, quad, budget, h_funcs)
+    shifts, sums, evaluated = [], [], {}
+    for lo, hi, shift in _windows(log_f, even):
+        mirror = evaluated.get((-hi, -lo, shift)) if even else None
+        nodes = mirror or _WindowNodes(log_f, h_funcs, lo, hi, shift, centred=even and lo == -hi)
+        evaluated[lo, hi, shift] = nodes
+        window_sums, used = _integrate_window(nodes, lo, hi, mirror is not None, quad, budget)
         budget -= used
         shifts.append(shift)
         sums.append(window_sums)
@@ -362,6 +475,6 @@ def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
     return float(top + math.log(totals[0])), [float(t / totals[0]) for t in totals[1:]]
 
 
-def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec()):
-    """ln of the integral of f over the real line, given ln f."""
-    return integrate(log_f, (), quad)[0]
+def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
+    """ln of the integral of f over the real line, given ln f; ``even`` as for ``integrate``."""
+    return integrate(log_f, (), quad, even=even)[0]

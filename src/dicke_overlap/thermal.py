@@ -57,48 +57,58 @@ class ThermalPoint:
 
 
 def _epsilon_factory(point: ThermalPoint):
-    """eps(x) and its x^2 coefficient lambda^2 coth(beta omega / 2) / N."""
+    """eps as a function of x^2, and its x^2 coefficient lambda^2 coth(beta omega / 2) / N."""
     p = point.params
     coth = 1.0 / math.tanh(point.beta * p.omega / 2.0)
     scale = p.coupling**2 * coth / p.n_atoms
-    return lambda x: np.sqrt(p.omega0**2 / 4.0 + scale * np.asarray(x) ** 2), scale
+    return lambda x2: np.sqrt(p.omega0**2 / 4.0 + scale * x2), scale
 
 
 def _log_weight_factory(point: ThermalPoint, a=0.5):
     """ln of the integrand of I(a): -x^2/2 + N [y + log1p(c + (1 - c) e^(-2y))]
-    with y = beta eps and c = (1 - 2a) omega0 / (2 eps)."""
+    with y = beta eps and c = (1 - 2a) omega0 / (2 eps).  Even in x."""
     eps, _ = _epsilon_factory(point)
     n, beta, omega0 = point.params.n_atoms, point.beta, point.params.omega0
 
     def log_weight(x):
-        e = eps(x)
+        x2 = np.asarray(x) ** 2
+        e = eps(x2)
         y = beta * e
         c = (1.0 - 2.0 * a) * omega0 / (2.0 * e)
         t = c + (1.0 - c) * np.exp(-2.0 * y)
-        if np.any(t <= -1.0):
+        if (t <= -1.0).any():
             raise InternalConsistencyError("nonpositive per-atom overlap factor; a outside [0,1]?")
-        return -0.5 * np.asarray(x) ** 2 + n * (y + np.log1p(t))
+        return -0.5 * x2 + n * (y + np.log1p(t))
 
     return log_weight
 
 
-@functools.lru_cache(maxsize=64)
-def _partition(point: ThermalPoint, quad: QuadratureSpec):
-    """ln I(1/2) and the weighted averages of <sigma_z>_x, <sigma_z>_x^2, <sigma_x>_x^2."""
+def _moment_integrands(point: ThermalPoint):
+    """<sigma_z>_x, <sigma_z>_x^2 and <sigma_x>_x^2 as functions of x; each is even in x."""
     p, beta = point.params, point.beta
     eps, sx_scale = _epsilon_factory(point)
 
     def sz(x):
-        return -(p.omega0 / (2.0 * eps(x))) * np.tanh(beta * eps(x))
+        e = eps(np.asarray(x) ** 2)
+        return -(p.omega0 / (2.0 * e)) * np.tanh(beta * e)
 
     def sz2(x):
         return sz(x) ** 2
 
     def sx2(x):
-        e = eps(x)
-        return sx_scale * np.asarray(x) ** 2 / e**2 * np.tanh(beta * e) ** 2
+        x2 = np.asarray(x) ** 2
+        e = eps(x2)
+        return sx_scale * x2 / e**2 * np.tanh(beta * e) ** 2
 
-    log_i, averages = integrate(_log_weight_factory(point), (sz, sz2, sx2), quad)
+    return sz, sz2, sx2
+
+
+@functools.lru_cache(maxsize=64)
+def _partition(point: ThermalPoint, quad: QuadratureSpec):
+    """ln I(1/2) and the weighted averages of <sigma_z>_x, <sigma_z>_x^2, <sigma_x>_x^2."""
+    log_i, averages = integrate(
+        _log_weight_factory(point), _moment_integrands(point), quad, even=True
+    )
     return (log_i, *averages)
 
 
@@ -130,7 +140,7 @@ def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD
     if not 0.0 <= a <= 1.0:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a}")
     log_delta = (
-        log_integral(_log_weight_factory(point, a), quad)
+        log_integral(_log_weight_factory(point, a), quad, even=True)
         - point.params.n_atoms * math.log(2.0)
         - _partition(point, quad)[0]
     )

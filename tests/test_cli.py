@@ -332,6 +332,33 @@ def test_cheap_sweep_runs_without_a_pool(tmp_path):
     assert len(read_rows(tmp_path / "z.csv")) == 5
 
 
+@pytest.mark.parametrize(
+    "first_row_s, rows, workers, pays",
+    [
+        (1.3e-3, 175, 2, False),  # the finite-T benchmark sweeps: 175 rows after 1.3 ms
+        (1.9e-3, 175, 2, False),
+        (0.3e-3, 4, 2, False),  # a cheap zero-T sweep
+        (0.01, 100, 2, True),
+        (0.01, 100, 1, False),  # one worker is no pool
+        (0.01, 100, 0, False),
+        (2.5e-3, 175, 2, True),
+        (2.5e-3, 175, 4, True),
+        (1.0e-3, 175, 4, True),  # four workers pay sooner than two
+    ],
+)
+def test_pool_decision(first_row_s, rows, workers, pays):
+    assert cli._pool_pays(first_row_s, rows, workers) is pays
+
+
+def test_pool_decision_without_start_cost(monkeypatch):
+    # a free pool start still pays for the fork and for shared cores, but
+    # any row time then crosses the pool, at two workers and more
+    monkeypatch.setattr(cli, "_POOL_START_S", 0.0)
+    for workers in (2, 3, 8):
+        assert cli._pool_pays(1e-6, 2, workers)
+    assert not cli._pool_pays(1e-6, 2, 1)
+
+
 def test_sweep_finite_t_validity_flag(tmp_path):
     out = tmp_path / "finite.csv"
     result = run_cli(
@@ -582,9 +609,9 @@ def test_thermal_row_runs_two_quadratures(monkeypatch, row, task):
     scans = []
     scan = numerics._scan
 
-    def counting_scan(log_f):
+    def counting_scan(*args, **kwargs):
         scans.append(1)
-        return scan(log_f)
+        return scan(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "_scan", counting_scan)
     thermal._partition.cache_clear()

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dicke_overlap import numerics
+from dicke_overlap import numerics, thermal
+from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import BracketError, InvalidParameterError, NumericalError
 from dicke_overlap.numerics import (
     QuadratureSpec,
@@ -99,6 +102,161 @@ def test_integrate_moments():
     assert abs(second - 1.0) < 1e-9
     assert abs(fourth - 3.0) < 1e-8
     assert abs(odd) < 1e-9
+
+
+def _outcome(call):
+    """A call's result, or its NumericalError's type, message and details."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def _failed(outcome):
+    return outcome[0] is NumericalError
+
+
+def _both_paths(log_f, h_funcs, quad):
+    """The outcomes of ``integrate`` on the generic and on the even path."""
+    return [
+        _outcome(lambda even=even: integrate(log_f, h_funcs, quad, even=even))
+        for even in (False, True)
+    ]
+
+
+def _x_squared(x):
+    return np.asarray(x) ** 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.floats(0.2, 4.0), tight=st.booleans(), moments=st.booleans())
+def test_even_path_is_exact_on_far_bimodal_mixtures(width, tight, moments):
+    # peaks at +-50, 78 nats or more above the valley between them: two
+    # mirror-image windows that share their evaluations
+    def log_f(x):
+        x = np.asarray(x)
+        return np.logaddexp(-0.5 * ((x - 50.0) / width) ** 2, -0.5 * ((x + 50.0) / width) ** 2)
+
+    h_funcs = (_x_squared, lambda x: np.cos(np.asarray(x))) if moments else ()
+    generic, even = _both_paths(log_f, h_funcs, TIGHT if tight else QuadratureSpec())
+    assert len(numerics._windows(log_f, even=True)) == 2
+    assert not _failed(generic)
+    assert even == generic
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.floats(0.05, 50.0), height=st.floats(-1e4, 1e4), moments=st.booleans())
+def test_even_path_is_exact_on_centred_gaussians(width, height, moments):
+    # one window centred on 0, evaluated on its x <= 0 half
+    def log_f(x):
+        return height - 0.5 * np.asarray(x) ** 2 / width**2
+
+    generic, even = _both_paths(log_f, (_x_squared,) if moments else (), TIGHT)
+    assert not _failed(generic)
+    assert even == generic
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.5),
+    temp=st.floats(0.05, 3.0),
+    n=st.integers(1, 1000),
+    a=st.floats(0.0, 1.0),
+    moments=st.booleans(),
+)
+def test_even_path_is_exact_on_thermal_weights(lam, temp, n, a, moments):
+    point = thermal.ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
+    h_funcs = thermal._moment_integrands(point) if moments else ()
+    generic, even = _both_paths(thermal._log_weight_factory(point, a), h_funcs, QuadratureSpec())
+    assert even == generic
+
+
+def test_both_paths_exhaust_the_node_budget_at_the_same_max_nodes():
+    # below T_c: a bimodal weight, a window and its mirror image
+    point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 1.0, 100), 1.0 / 0.5)
+    log_f, h_funcs = thermal._log_weight_factory(point), thermal._moment_integrands(point)
+    assert len(numerics._windows(log_f, even=True)) == 2
+
+    def outcomes(max_nodes):
+        return _both_paths(log_f, h_funcs, QuadratureSpec(max_nodes, 1e-12))
+
+    # the fewest nodes that the generic path needs, by bisection
+    lo, hi = 64, 200_000
+    assert _failed(outcomes(lo)[0]) and not _failed(outcomes(hi)[0])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _failed(outcomes(mid)[0]) else (lo, mid)
+    short, enough = outcomes(lo), outcomes(hi)
+    assert "node budget" in short[0][1]
+    assert short[1] == short[0]
+    assert enough[1] == enough[0]
+
+
+def test_reused_nodes_equal_fresh_grids():
+    # an asymmetric integrand that needs a few span doublings: every value
+    # the scan and the Simpson refinements reuse is the value on a fresh
+    # np.linspace grid
+    def log_f(x):
+        x = np.asarray(x)
+        return -0.5 * ((x - 30.0) / 9.0) ** 2 + np.sin(x)
+
+    grid, vals = numerics._scan(log_f)
+    span = grid[-1]
+    assert span == 256.0
+    assert np.array_equal(grid, np.linspace(-span, span, 4097))
+    assert np.array_equal(vals, log_f(np.linspace(-span, span, 4097)))
+    [(lo, hi, shift)] = numerics._windows(log_f)
+    nodes = numerics._WindowNodes(log_f, (np.cos,), lo, hi, shift, centred=False)
+    for m in range(4):
+        xs = np.linspace(lo, hi, 128 * 2**m + 1)
+        ys = np.exp(np.maximum(log_f(xs) - shift, numerics._LOG_FLOOR))
+        w, hw = nodes.level(m)
+        assert np.array_equal(w, ys) and np.array_equal(hw, ys * np.cos(xs))
+
+
+def test_mirrored_nodes_equal_fresh_grids():
+    def log_f(x):
+        return -0.5 * (np.asarray(x) / 7.0) ** 2 + np.cos(np.asarray(x))
+
+    grid, vals = numerics._scan(log_f, even=True)
+    assert np.array_equal(vals, log_f(grid))
+    lo, hi = -13.375, 5.5  # an off-centre window and its mirror image
+    window = numerics._WindowNodes(log_f, (_x_squared,), lo, hi, 1.0, centred=False)
+    centred = numerics._WindowNodes(log_f, (_x_squared,), -hi, hi, 1.0, centred=True)
+    for m in range(4):
+        n = 128 * 2**m
+        for nodes, (a, b) in ((window, (lo, hi)), (centred, (-hi, hi))):
+            xs = np.linspace(a, b, n + 1)
+            ys = np.exp(np.maximum(log_f(xs) - 1.0, numerics._LOG_FLOOR))
+            w, hw = nodes.level(m)
+            assert np.array_equal(w, ys) and np.array_equal(hw, ys * xs**2)
+        mirror = np.linspace(-hi, -lo, n + 1)
+        assert np.array_equal(window.level(m)[0][::-1], np.exp(log_f(mirror) - 1.0))
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_integrands_cannot_write_into_the_nodes(even):
+    def gaussian(x):
+        return -0.5 * np.asarray(x) ** 2
+
+    def scaling_log_f(x):
+        x *= 2.0
+        return -0.5 * x**2
+
+    def zeroing_h(x):
+        x[0] = 0.0
+        return np.ones_like(x)
+
+    before = integrate(gaussian, (_x_squared,), TIGHT, even=even)
+    with pytest.raises(ValueError, match="read-only"):
+        log_integral(scaling_log_f, TIGHT, even=even)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(gaussian, (zeroing_h,), TIGHT, even=even)
+    assert integrate(gaussian, (_x_squared,), TIGHT, even=even) == before
+    assert abs(before[0] - LOG_SQRT_2PI) < 1e-12
+    for level in range(3):
+        span = 8.0 * 2.0**level
+        assert np.array_equal(numerics._scan_grid(level)[0], np.linspace(-span, span, 4097))
 
 
 def test_find_root_examples():
