@@ -179,32 +179,34 @@ def _threads(cfg):
     return min(cfg["threads"] or available, available)
 
 
-def _pool_pays(first_row_s, rows, workers):
+def _pool_pays(row_s, rows, workers):
     """Whether a pool of ``workers`` is predicted to run ``rows`` rows faster than serial.
 
-    Each row is taken to cost ``first_row_s`` here.  On the pool it costs
+    Each row is taken to cost ``row_s`` here.  On the pool it costs
     ``_FORK_SLOWDOWN`` times that, spread over ``workers`` times
     ``_WORKER_SHARE`` cores, and the pool costs ``_POOL_START_S`` to start.
     """
     if workers < 2:
         return False
-    serial = first_row_s * rows
+    serial = row_s * rows
     return _POOL_START_S + serial * _FORK_SLOWDOWN / (workers * _WORKER_SHARE) < serial
 
 
 def _sweep(cfg, worker, tasks):
     """One row per task, written in task order.
 
-    The first row runs here and is timed.  The rest go to a process pool
-    only when ``_pool_pays`` predicts from that time that the pool is
-    faster; otherwise they run here too.
+    The first two rows run here and are timed.  The rest go to a process
+    pool only when ``_pool_pays`` predicts, from the faster of the two times
+    (one alone is too noisy), that the pool is faster; else they run here.
     """
-    start = time.perf_counter()
-    rows = [worker(tasks[0])]
-    first_row_s = time.perf_counter() - start
-    rest = tasks[1:]
+    rows, row_s = [], []
+    for task in tasks[:2]:
+        start = time.perf_counter()
+        rows.append(worker(task))
+        row_s.append(time.perf_counter() - start)
+    rest = tasks[2:]
     workers = min(_threads(cfg), len(rest))
-    if _pool_pays(first_row_s, len(rest), workers):
+    if _pool_pays(min(row_s), len(rest), workers):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

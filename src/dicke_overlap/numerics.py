@@ -1,6 +1,6 @@
 """Shared numerical kernels: bisection (``find_root``), golden-section
 maximization (``golden_max``), the matrix-free photon (x) atom Hamiltonian
-of both exact diagonalizations (``photon_atom_hamiltonian``), the symmetric
+of both exact diagonalizations (``PhotonAtomOperator``), the symmetric
 eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
 numpy's ``eigh`` or a thick-restart Lanczos written in numpy), a weighted
 log-sum-exp, and quadrature.  Everything here runs on numpy alone.
@@ -120,57 +120,64 @@ def symmetric_eigendecomposition(matrix):
     return np.linalg.eigh(a)
 
 
+def traced_band(psi, weights):
+    """Diagonals 0, 1 and 2 of sum_k w_k Tr_photon |psi_k><psi_k|, from amplitudes psi[m, n, k]."""
+    d = psi.shape[1]
+    return tuple((psi[:, : d - s] * psi[:, s:]).sum(axis=0) @ weights for s in (0, 1, 2))
+
+
 @dataclass(frozen=True)
 class PhotonAtomOperator:
     """omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom, matrix-free.
 
-    The photon mode keeps its lowest ``cutoff`` Fock levels; ``h_atom`` and
-    ``v_atom`` are dense square atomic operators of one dimension d.  Basis
-    ordering is photon-major: |m> (x) |n> has flat index m * d + n, so a
-    vector is the (cutoff, d) grid psi[m, n] flattened.
+    The photon mode keeps its lowest ``cutoff`` Fock levels.  ``h_atom`` is
+    the pair of diagonals, at offsets 0 and 2 (the second may be 0), and
+    ``v_atom`` the offset-1 diagonal of real symmetric atomic bands on d
+    levels.  In the photon-major basis, |m> (x) |n> at index m * d + n, H is
+    a symmetric band too: the coupling sqrt(m + 1) v_n joins |m, n> to
+    |m + 1, n + 1> (offset d + 1) and |m, n + 1> to |m + 1, n> (offset d - 1).
     """
 
     omega: float
     cutoff: int
-    h_atom: np.ndarray
+    h_atom: tuple
     coupling: float
     v_atom: np.ndarray
 
     @property
     def shape(self):
-        dim = self.cutoff * self.h_atom.shape[0]
+        dim = self.cutoff * len(self.h_atom[0])
         return dim, dim
 
+    @functools.cached_property
+    def bands(self):
+        """(diagonal, ((offset, diagonal), ...)) of H in the flat basis, zero diagonals left out."""
+        c, (diagonal, second), d = self.cutoff, self.h_atom, len(self.h_atom[0])
+        grids = np.zeros((4, c, d))
+        grids[0] = self.omega * np.arange(c, dtype=float)[:, None] + diagonal
+        grids[1, :, : d - 2] = second
+        ladder = np.sqrt(np.arange(1.0, c))[:, None]
+        grids[2, :-1, :-1] = grids[3, :-1, 1:] = self.coupling * (ladder * self.v_atom)
+        flat = grids.reshape(4, -1)
+        offsets = zip((2, d + 1, d - 1), flat[1:])
+        return flat[0], tuple((k, f[: c * d - k]) for k, f in offsets if k and f.any())
+
     def matvec(self, x):
-        """H x: omega m psi + psi h_atom^T + coupling (a'+a) psi v_atom^T on the grid psi of x."""
-        psi = x.reshape(self.cutoff, -1)
-        root = np.sqrt(np.arange(1.0, self.cutoff))[:, None]
-        # ((a'+a) psi)[m] = sqrt(m) psi[m-1] + sqrt(m+1) psi[m+1]
-        lifted = np.zeros_like(psi)
-        lifted[1:] = root * psi[:-1]
-        lifted[:-1] += root * psi[1:]
-        photon = self.omega * np.arange(self.cutoff, dtype=float)[:, None]
-        return (
-            photon * psi + psi @ self.h_atom.T + self.coupling * (lifted @ self.v_atom.T)
-        ).ravel()
+        """H x by one pair of slice multiply-adds per off-diagonal band."""
+        diagonal, bands = self.bands
+        out = diagonal * x
+        for k, band in bands:
+            out[: len(x) - k] += band * x[k:]
+            out[k:] += band * x[: len(x) - k]
+        return out
 
     def toarray(self):
-        """The dense matrix: the explicit np.kron sum."""
-        ladder = np.diag(np.sqrt(np.arange(1.0, self.cutoff)), 1)
-        photon_number = np.diag(np.arange(self.cutoff, dtype=float))
-        return (
-            self.omega * np.kron(photon_number, np.eye(self.h_atom.shape[0]))
-            + np.kron(np.eye(self.cutoff), self.h_atom)
-            + self.coupling * np.kron(ladder + ladder.T, self.v_atom)
-        )
-
-
-def photon_atom_hamiltonian(omega, cutoff, h_atom, coupling, v_atom):
-    """The ``PhotonAtomOperator`` of omega a'a (x) 1 + 1 (x) h_atom + coupling (a'+a) (x) v_atom."""
-    return PhotonAtomOperator(
-        float(omega), int(cutoff), np.asarray(h_atom, dtype=float), float(coupling),
-        np.asarray(v_atom, dtype=float),
-    )
+        """The dense matrix, entry for entry the np.kron sum of the dense terms."""
+        diagonal, bands = self.bands
+        dense = np.diag(diagonal)
+        for k, band in bands:
+            dense += np.diag(band, k) + np.diag(band, -k)
+        return dense
 
 
 def _lanczos_lowest(matvec, start):
@@ -183,8 +190,10 @@ def _lanczos_lowest(matvec, start):
     coefficients, so it holds the restart's Ritz values and couplings with
     no special case.  Converged when the Ritz residual |beta s_last| is
     below ``_LANCZOS_TOL`` times the largest Ritz value in magnitude,
-    checked every ``_CHECK_EVERY`` steps and before each restart; raises
-    ``NumericalError`` after ``_LANCZOS_MAX_STEPS`` operator applications.
+    checked every ``_CHECK_EVERY`` steps, before each restart, and once
+    |beta| < ``_LANCZOS_TOL`` |H q|, where the Krylov space is invariant to
+    rounding and a further vector would be noise; raises ``NumericalError``
+    after ``_LANCZOS_MAX_STEPS`` operator applications.
     """
     dim = len(start)
     # a start vector on a sector (an invariant subspace) spans no more than it
@@ -194,6 +203,7 @@ def _lanczos_lowest(matvec, start):
     size = 1
     for step in range(1, _LANCZOS_MAX_STEPS + 1):
         w = matvec(krylov[size - 1])
+        scale = np.linalg.norm(w)
         held = krylov[:size]
         # full reorthogonalization, twice: once is not enough in rounding
         coefficients = held @ w
@@ -203,7 +213,8 @@ def _lanczos_lowest(matvec, start):
         projected[size - 1, :size] = projected[:size, size - 1] = coefficients + correction
         b = float(np.linalg.norm(w))
         full = size == len(krylov)
-        if full or b == 0.0 or step % _CHECK_EVERY == 0 or step == _LANCZOS_MAX_STEPS:
+        invariant = b <= _LANCZOS_TOL * scale
+        if full or invariant or step % _CHECK_EVERY == 0 or step == _LANCZOS_MAX_STEPS:
             vals, vecs = np.linalg.eigh(projected[:size, :size])
             if b * abs(vecs[-1, 0]) <= _LANCZOS_TOL * max(abs(vals[0]), abs(vals[-1])):
                 ritz = vecs[:, 0] @ held

@@ -20,13 +20,15 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   takes 0.45 s on one BLAS thread.
 
 Each basis is bounded by the bytes its solve holds at once: the symmetric
-one by the Lanczos vectors of the ground state plus the dense (N+1)^2 atomic
-matrices of its operator and observables (N = 100 at the suggested cutoff
-173 of lambda = 1 solves in about 1.7 s), the full one by the dense
-matrices of every block, since one eigendecomposition holds them all.
+one by the 64 Lanczos vectors of the ground state (N = 100 at the suggested
+cutoff 173 of lambda = 1 solves, with its convergence gate, in about 1.1 s
+on one BLAS thread of a 2-core Xeon), the full one by the dense matrices of
+every block, since one eigendecomposition holds them all.
 
-Thermal and split-trace states take the complete dense eigendecomposition
-of ``numerics``, one block at a time.  Everything here runs on numpy alone.
+A state keeps the diagonals 0, 1 and 2 of each block's photon-traced
+atomic matrix.  Thermal and split-trace states take the complete dense
+eigendecomposition of ``numerics``, one block at a time.  Everything here
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -41,23 +43,19 @@ from .errors import CapacityError, CutoffError, InternalConsistencyError, Invali
 from .core import ModelParams
 from .numerics import (
     _KRYLOV_DIM,
+    PhotonAtomOperator,
     log_sum_exp,
     lowest_eigenpair,
-    photon_atom_hamiltonian,
     symmetric_eigendecomposition,
+    traced_band,
 )
 from .separable import SeparableState
-from .witness import MomentSet
+from .witness import MomentSet, spin_ladder
 
-# float64 bytes one solve holds at once: the Lanczos vectors and atomic
-# matrices of a ground state, or one dense matrix per block, all blocks
-# together, for the eigendecomposition of a thermal or split-trace state
+# float64 bytes one solve holds at once: the Lanczos vectors of a ground
+# state, or one dense matrix per block, all blocks together, for the
+# eigendecomposition of a thermal or split-trace state
 _MAX_BYTES = 2 * 2**30
-# dense (2j+1)^2 float64 atomic matrices the ground path holds at its peak,
-# in exact_moments: the photon-traced density matrix, J_x, J_y (complex),
-# J_z, their squares and the product being traced; 13.0 under tracemalloc
-# at N = 600 (the Lanczos solve's spin operators peak at 6.0)
-_ATOM_MATRICES = 13
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
 
@@ -119,18 +117,9 @@ def _check_bytes(nbytes, held):
 
 
 def symmetric_basis(n_atoms, cutoff):
-    """The block j = N/2, bounded by what its ground state's solve and observables hold.
-
-    That is the Lanczos vectors of the basis and the dense atomic matrices
-    of dimension N + 1.
-    """
+    """The block j = N/2, bounded by the Lanczos vectors of its ground state's solve."""
     basis = DickeBasis(n_atoms, cutoff, (n_atoms / 2,))
-    atom_dim = n_atoms + 1
-    _check_bytes(
-        8 * (_KRYLOV_DIM * basis.dim + _ATOM_MATRICES * atom_dim**2),
-        f"{_KRYLOV_DIM} Lanczos vectors of {basis.dim} states and {_ATOM_MATRICES} "
-        f"atomic matrices of dimension {atom_dim}",
-    )
+    _check_bytes(8 * _KRYLOV_DIM * basis.dim, f"{_KRYLOV_DIM} Lanczos vectors of {basis.dim} states")
     return basis
 
 
@@ -163,25 +152,20 @@ def suggested_cutoff(params: ModelParams):
 
 
 def collective_spin_matrices(j):
-    """J_x, J_y, J_z of the spin-j multiplet, on |j, m> in ascending m (J_y complex; the rest real)."""
-    i = np.arange(int(2 * j) + 1)
-    jp = np.zeros((len(i), len(i)))
-    # <j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)), m = i - j
-    jp[i[:-1] + 1, i[:-1]] = np.sqrt((2 * j - i[:-1]) * (i[:-1] + 1.0))
-    jz = np.diag(i - j)
-    jx = (jp + jp.T) / 2.0
-    jy = (jp - jp.T) / 2.0j
-    return jx, jy, jz
+    """Dense J_x, J_y, J_z of the spin-j multiplet, on |j, m> in ascending m (J_y complex)."""
+    jp = np.diag(spin_ladder(j), -1)
+    jz = np.diag(np.arange(len(jp)) - j)
+    return (jp + jp.T) / 2.0, (jp - jp.T) / 2.0j, jz
 
 
 def _hamiltonian(params: ModelParams, basis: DickeBasis, omega):
     """Operator of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
     if basis.n_atoms != params.n_atoms:
         raise InvalidParameterError("basis and params disagree on the atom count")
-    jx, _, jz = collective_spin_matrices(basis.spin)
+    m = np.arange(int(2 * basis.spin) + 1) - basis.spin
+    h_atom = (params.omega0 * m, 0.0)
     coupling = params.coupling / math.sqrt(params.n_atoms)
-    # (J+ + J-) = 2 Jx
-    return photon_atom_hamiltonian(omega, basis.cutoff, params.omega0 * jz, coupling, 2.0 * jx)
+    return PhotonAtomOperator(omega, basis.cutoff, h_atom, coupling, spin_ladder(basis.spin))
 
 
 def build_hamiltonian(params: ModelParams, basis: DickeBasis):
@@ -213,24 +197,18 @@ class OracleState:
     blocks: tuple
 
     @functools.cached_property
-    def atomic_blocks(self):
-        """(j, photon-traced atomic density matrix of one copy of block j), per listed block.
-
-        Built once per state: the overlap, the moments and the matched
-        reference state all read it.
-        """
-        out = []
-        for j, vectors, probabilities in self.blocks:
-            psi = (vectors * np.sqrt(probabilities)).reshape(self.basis.cutoff, -1, len(probabilities))
-            amplitudes = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
-            out.append((j, amplitudes @ amplitudes.T))
-        return tuple(out)
+    def atomic_bands(self):
+        """(j, diagonals 0, 1, 2 of the photon-traced atomic matrix) of one copy of each block j."""
+        return tuple(
+            (j, traced_band(vectors.reshape(self.basis.cutoff, -1, len(p)), p))
+            for j, vectors, p in self.blocks
+        )
 
     def up_spin_distribution(self):
         """Probability of finding exactly n up spins, n = 0..N."""
         p = np.zeros(self.basis.n_atoms + 1)
-        for j, rho in self.atomic_blocks:
-            p[self.basis.up_counts(j)] += self.basis.multiplicity(j) * np.diag(rho)
+        for j, (probs, _, _) in self.atomic_bands:
+            p[self.basis.up_counts(j)] += self.basis.multiplicity(j) * probs
         return p
 
 
@@ -328,37 +306,31 @@ def exact_overlap(state: OracleState, sep: SeparableState):
     The two agree for every state only at a = 0 and a = 1.  Two paths sum
     the same block diagonals against the same weights and must agree to
     1e-10, which catches a mis-binned P(n), not an error in the state:
-    (i) bins each block's diagonal by up-spin count into P(n), (ii) traces
-    each block's atomic matrix against its own levels' weights, per copy.
+    (i) bins each block's diagonal by up-spin count into P(n), (ii) sums
+    each block's diagonal against its own levels' weights, per copy.
 
-    Returns (value, path_diagonal, path_matrix).
+    Returns (value, path_diagonal, path_blocks).
     """
     if sep.n_atoms != state.basis.n_atoms:
         raise InvalidParameterError("separable state and oracle basis disagree on N")
     ref = np.exp(_reference_log_levels(state.basis, sep))
     path_diag = float(np.dot(ref, state.up_spin_distribution()))
-    path_matrix = sum(
-        state.basis.multiplicity(j) * float(np.trace(rho @ np.diag(ref[state.basis.up_counts(j)])))
-        for j, rho in state.atomic_blocks
+    path_blocks = sum(
+        state.basis.multiplicity(j) * float(probs @ ref[state.basis.up_counts(j)])
+        for j, (probs, _, _) in state.atomic_bands
     )
-    if abs(path_diag - path_matrix) > _DUAL_PATH_TOL:
+    if abs(path_diag - path_blocks) > _DUAL_PATH_TOL:
         raise InternalConsistencyError(
-            f"overlap paths disagree: {path_diag} vs {path_matrix}"
+            f"overlap paths disagree: {path_diag} vs {path_blocks}"
         )
-    return path_diag, path_diag, path_matrix
+    return path_diag, path_diag, path_blocks
 
 
 def exact_moments(state: OracleState) -> MomentSet:
-    """First and second collective moments by direct operator application, block by block."""
-    n = state.basis.n_atoms
-    totals = np.zeros(6)
-    for j, rho in state.atomic_blocks:
-        jx, jy, jz = collective_spin_matrices(j)
-        ops = (jx, jy, jz, jx @ jx, np.real(jy @ jy), jz @ jz)
-        totals += state.basis.multiplicity(j) * np.array([np.real(np.trace(rho @ op)) for op in ops])
-    first = tuple(float(t) / n for t in totals[:3])
-    second = tuple(float(t) / n**2 for t in totals[3:])
-    return MomentSet(n_atoms=n, first=first, second=second)
+    """First and second collective moments from each block's band, weighted by its copies."""
+    return MomentSet.from_bands(state.basis.n_atoms, [
+        (j, state.basis.multiplicity(j), band) for j, band in state.atomic_bands
+    ])
 
 
 def matched_separable_state(state: OracleState) -> SeparableState:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 AXES = ("x", "y", "z")
@@ -31,6 +33,12 @@ PERMUTATIONS = tuple(itertools.permutations(AXES))
 TOL_WITNESS = 1e-9
 
 _INVARIANT_SLACK = 1e-10
+
+
+def spin_ladder(j):
+    """<j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)) = sqrt((2j - i)(i + 1)), i = m + j < 2j."""
+    i = np.arange(round(2 * j), dtype=float)
+    return np.sqrt((2 * j - i) * (i + 1.0))
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,34 @@ class MomentSet:
     n_atoms: int
     first: tuple
     second: tuple
+
+    @classmethod
+    def from_bands(cls, n_atoms, bands):
+        """Moments of a real state from (j, copies, band) per spin multiplet.
+
+        ``band`` is (rho_{i,i}, rho_{i,i+1}, rho_{i,i+2}) on the levels
+        |j, i - j>, i < L <= 2j + 1.  With J+|i> = c_i |i+1> (``spin_ladder``):
+        <J_x> = sum_i c_i rho_{i,i+1}, <J_y> = 0, and <J_x^2> and <J_y^2> are
+        [sum_i P(i) (c_{i-1}^2 + c_i^2) +- 2 sum_i c_i c_{i+1} rho_{i,i+2}] / 4.
+        """
+        terms = []
+        for j, copies, (probs, off1, off2) in bands:
+            level = np.arange(len(probs), dtype=float)
+            c = np.append(spin_ladder(j), 0.0)[: len(probs)]  # c = 0 above the multiplet
+            # <J+ J- + J- J+>, with c_{i-1}^2 = i (2j - i + 1) exactly
+            ladder = probs @ (level * (2 * j - level + 1.0) + c**2)
+            squared = 2.0 * (off2 @ (c[:-2] * c[1:-1]))  # <J+^2 + J-^2>
+            jz = level - j
+            terms.append(copies * np.array([
+                off1 @ c[:-1], 0.0, probs @ jz, 0.25 * (ladder + squared),
+                0.25 * (ladder - squared), probs @ jz**2,
+            ]))
+        totals = sum(terms[1:], terms[0])
+        return cls(
+            n_atoms=n_atoms,
+            first=tuple(float(t) / n_atoms for t in totals[:3]),
+            second=tuple(float(t) / n_atoms**2 for t in totals[3:]),
+        )
 
     def variance(self, axis):
         """variance(J_axis)/N^2."""

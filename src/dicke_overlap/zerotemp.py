@@ -29,8 +29,8 @@ follows from the covariance alone.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonians in a
 truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
-matrix-free ``numerics.photon_atom_hamiltonian``, the solve path of the
-oracle too) and displaces the reduced atomic matrix with a dense matrix
+matrix-free ``numerics.PhotonAtomOperator``, the solve path of the
+oracle too) and displaces the atomic amplitudes with a dense matrix
 exponential, taken from the eigendecomposition of the Hermitian generator.
 It is the reference the Gaussian backend is checked against.
 """
@@ -50,7 +50,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .numerics import lowest_eigenpair, photon_atom_hamiltonian
+from .numerics import PhotonAtomOperator, lowest_eigenpair, traced_band
 from .separable import SeparableState, from_jz
 from .witness import MomentSet
 
@@ -81,13 +81,9 @@ class TwoModeState:
     displacement_atom: float  # mean-field b'b shift; 0 in the normal phase
     n_atoms: int
 
-    def grid(self):
-        return self.amplitudes.reshape(self.cutoff_photon, self.cutoff_atom)
-
     def fock_band(self):
         """Diagonals 0, 1 and 2 of the physical-basis reduced atomic matrix."""
-        rho = _physical_atom_matrix(self)
-        return np.diag(rho).copy(), np.diag(rho, 1).copy(), np.diag(rho, 2).copy()
+        return traced_band(_physical_amplitudes(self)[:, :, None], np.ones(1))
 
     def purity(self):
         rho = _reduced_atom_matrix(self)
@@ -141,12 +137,14 @@ def effective_hamiltonian(params: ModelParams, cutoffs):
     if min(ca, cb) < 8:
         raise InvalidParameterError(f"cutoffs must be >= 8, got {cutoffs}")
     omega_b, quad, g, const = _coefficients(params)
-    ladder_b = np.diag(np.sqrt(np.arange(1.0, cb)), 1)
-    xb = ladder_b + ladder_b.T
+    level = np.arange(cb, dtype=float)
+    # (b+b')^2 on the truncated ladder: 2n + 1, but n at the top level
+    square = np.append(2.0 * level[:-1] + 1.0, level[-1])
     h_atom = (
-        omega_b * np.diag(np.arange(cb, dtype=float)) + quad * (xb @ xb) + const * np.eye(cb)
+        omega_b * level + quad * square + const,
+        quad * np.sqrt((level[:-2] + 1.0) * (level[:-2] + 2.0)),
     )
-    return photon_atom_hamiltonian(params.omega, ca, h_atom, g, xb)
+    return PhotonAtomOperator(params.omega, ca, h_atom, g, np.sqrt(level[1:]))
 
 
 def _reject_critical(params: ModelParams):
@@ -330,7 +328,7 @@ def gaussian_ground_state(params: ModelParams) -> GaussianState:
 
 
 def _reduced_atom_matrix(state: TwoModeState):
-    psi = state.grid()
+    psi = state.amplitudes.reshape(state.cutoff_photon, state.cutoff_atom)
     return psi.T @ psi
 
 
@@ -341,22 +339,19 @@ def _displacement_matrix(alpha, dim):
     return ((vecs * np.exp(-1j * levels)) @ vecs.conj().T).real
 
 
-def _physical_atom_matrix(state: TwoModeState):
-    """Reduced atomic density matrix in the physical (undisplaced) Fock basis.
+def _physical_amplitudes(state: TwoModeState):
+    """The grid psi[m, n] with the atom in the physical (undisplaced) Fock basis.
 
     The displacement acts on enough levels to hold the shifted state, and
     only then is the result cut to the N + 1 physical levels.
     """
-    rho = _reduced_atom_matrix(state)
+    psi = state.amplitudes.reshape(state.cutoff_photon, state.cutoff_atom)
     beta_disp = state.displacement_atom
     if beta_disp == 0.0:
-        return rho
+        return psi
     extent = state.cutoff_atom + int(math.ceil(beta_disp + 8.0 * math.sqrt(beta_disp + 1.0)))
-    embedded = np.zeros((extent, extent))
-    embedded[: state.cutoff_atom, : state.cutoff_atom] = rho
     d = _displacement_matrix(math.sqrt(beta_disp), extent)
-    physical = state.n_atoms + 1
-    return (d @ embedded @ d.T)[:physical, :physical]
+    return psi @ d[: state.n_atoms + 1, : state.cutoff_atom].T
 
 
 def atom_diagonal_probabilities(state: TwoModeState | GaussianState):
@@ -467,38 +462,20 @@ def collective_moments_zero_t(
 ) -> MomentSet:
     """Collective-spin moments of the effective ground state.
 
-    Uses the exact HP operator forms (including the sqrt(N - b'b) factor)
-    on the physical-basis Fock band: J+|n> = c_n |n+1> with
-    c_n = sqrt((n+1)(N-n)), so
-
-        <J_z>   = sum_n P(n) (n - N/2)
-        <J_x>   = sum_n c_n rho_{n,n+1}
-        <J_x^2> = [sum_n P(n) (c_{n-1}^2 + c_n^2) + 2 sum_n c_n c_{n+1} rho_{n,n+2}] / 4
-
-    and <J_y^2> is <J_x^2> with the rho_{n,n+2} sum subtracted.  In the
-    superradiant phase this is the displaced (symmetry-broken) branch, so
-    <J_x> is macroscopic there while the parity-even moments match the
-    collective model.  <J_y> vanishes identically (real state).
+    The exact HP operators (with the sqrt(N - b'b) factor) on the physical
+    Fock band are the spin-N/2 ones, J+|n> = sqrt((n+1)(N-n)) |n+1>, so this
+    is ``MomentSet.from_bands`` of one copy of j = N/2.  In the superradiant
+    phase the band is the displaced (symmetry-broken) branch, so <J_x> is
+    macroscopic there while the parity-even moments match the collective model.
     """
     if state.n_atoms != params.n_atoms:
         raise InvalidParameterError("state and params disagree on N")
-    probs, off1, off2 = state.fock_band()
+    band = state.fock_band()
     n = params.n_atoms
-    if len(probs) > n + 1:
+    if len(band[0]) > n + 1:
         raise CutoffError(
             f"HP square root sqrt(N - b'b) is undefined beyond n = N = {n}; "
-            f"got atomic dimension {len(probs)}",
+            f"got atomic dimension {len(band[0])}",
             mode="atom",
         )
-    level = np.arange(len(probs), dtype=float)
-    c = np.sqrt((level + 1.0) * (n - level))
-    ladder = float(probs @ (level * (n - level + 1.0) + c**2))  # <J+ J- + J- J+>
-    squared = 2.0 * float(off2 @ (c[:-2] * c[1:-1]))  # <J+^2 + J-^2>
-    jz = level - n / 2.0
-    first = (float(off1 @ c[:-1]) / n, 0.0, float(probs @ jz) / n)
-    second = (
-        0.25 * (ladder + squared) / n**2,
-        0.25 * (ladder - squared) / n**2,
-        float(probs @ jz**2) / n**2,
-    )
-    return MomentSet(n_atoms=n, first=first, second=second)
+    return MomentSet.from_bands(n, [(n / 2, 1, band)])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib
 import io
@@ -239,8 +240,8 @@ _WITNESS_HEADER = (
     + ["any_violation"]
 )
 _TWO_COUPLINGS = {"grid.lambda_min": 0.3, "grid.lambda_max": 0.9, "grid.lambda_steps": 2}
-# three rows: the first runs in the parent, two workers share the rest
-_THREE_COUPLINGS = {"grid.lambda_min": 0.3, "grid.lambda_max": 0.9, "grid.lambda_steps": 3}
+# four rows: the first two run in the parent, two workers share the rest
+_FOUR_COUPLINGS = {"grid.lambda_min": 0.2, "grid.lambda_max": 0.8, "grid.lambda_steps": 4}
 _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
 
 
@@ -263,7 +264,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         ),
         pytest.param(
             "witness",
-            {**_THREE_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 10},
+            {**_FOUR_COUPLINGS, "witness.mode": "zero_t", "model.n_atoms": 10},
             _WITNESS_HEADER,
             id="witness-zero_t",
         ),
@@ -276,7 +277,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         ),
         pytest.param(
             "oracle-compare",
-            {**_THREE_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 10},
+            {**_FOUR_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 10},
             ["lambda", "n_atoms", "cutoff", "delta_effective", "delta_oracle", "abs_error",
              "rel_error", "jz_effective", "jz_oracle"],
             id="oracle-compare-ground",
@@ -284,7 +285,7 @@ _TWO_TEMPERATURES = {"grid.t_min": 0.5, "grid.t_max": 1.5, "grid.t_steps": 2}
         pytest.param(
             "oracle-compare",
             {"oracle.mode": "thermal", "model.n_atoms": 2, "grid.lambda_min": 1.0,
-             "grid.lambda_max": 1.0, "grid.lambda_steps": 1, "grid.beta_list": "0.1,0.2,0.4"},
+             "grid.lambda_max": 1.0, "grid.lambda_steps": 1, "grid.beta_list": "0.1,0.2,0.4,0.8"},
             ["lambda", "beta", "n_atoms", "cutoff", "delta_quadrature", "delta_oracle",
              "delta_split", "abs_error", "rel_error", "jz_quadrature", "jz_oracle",
              "max_moment_error"],
@@ -357,6 +358,46 @@ def test_pool_decision_without_start_cost(monkeypatch):
     for workers in (2, 3, 8):
         assert cli._pool_pays(1e-6, 2, workers)
     assert not cli._pool_pays(1e-6, 2, 1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records that a pool started, runs the rows here."""
+
+    started = 0
+
+    def __init__(self, max_workers):
+        type(self).started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("slow_calls, pooled", [(1, False), (2, True)])
+def test_sweep_decides_on_the_faster_of_two_rows(tmp_path, monkeypatch, slow_calls, pooled):
+    # 0.05 s a row would pay for the pool over 100 rows; one slow first
+    # call among fast ones must not start it, two slow calls do
+    calls = []
+
+    def worker(task):
+        calls.append(task)
+        if len(calls) <= slow_calls:
+            time.sleep(0.05)
+        return {"task": task}
+
+    monkeypatch.setattr(_RecordingPool, "started", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = {"threads": 2, "out": str(tmp_path / "rows.csv"), "output.precision": 6}
+    cli._sweep(cfg, worker, list(range(102)))
+    assert _RecordingPool.started == int(pooled)
+    assert calls == list(range(102))
+    assert [row["task"] for row in read_rows(tmp_path / "rows.csv")] == [str(t) for t in range(102)]
 
 
 def test_sweep_finite_t_validity_flag(tmp_path):

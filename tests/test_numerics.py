@@ -305,17 +305,21 @@ def test_eigendecomposition_residual_contract(size):
 
 
 def _random_operator(seed, cutoff=8, dim=10):
-    """A photon-atom operator with random symmetric atomic parts, and its kron sum."""
+    """A photon-atom operator with random symmetric atomic bands, and its kron sum.
+
+    h_atom has diagonals at offsets 0 and +-2, v_atom at offsets +-1.
+    """
     rng = np.random.default_rng(seed)
-    h_atom, v_atom = rng.standard_normal((2, dim, dim))
-    h_atom, v_atom = h_atom + h_atom.T, v_atom + v_atom.T
+    diagonal, second, first = (rng.standard_normal(dim - k) for k in (0, 2, 1))
+    h_atom = np.diag(diagonal) + np.diag(second, 2) + np.diag(second, -2)
+    v_atom = np.diag(first, 1) + np.diag(first, -1)
     ladder = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     expected = (
         1.3 * np.kron(np.diag(np.arange(cutoff, dtype=float)), np.eye(dim))
         + np.kron(np.eye(cutoff), h_atom)
         + 0.7 * np.kron(ladder + ladder.T, v_atom)
     )
-    return numerics.photon_atom_hamiltonian(1.3, cutoff, h_atom, 0.7, v_atom), expected
+    return numerics.PhotonAtomOperator(1.3, cutoff, (diagonal, second), 0.7, first), expected
 
 
 def test_lowest_eigenpair_dense_vs_lanczos():

@@ -41,6 +41,16 @@ def pure_vector(state):
     return vectors[:, 0]
 
 
+def dense_atomic_blocks(state):
+    """(j, dense photon-traced atomic density matrix of one copy of block j), per listed block."""
+    out = []
+    for j, vectors, probabilities in state.blocks:
+        psi = (vectors * np.sqrt(probabilities)).reshape(state.basis.cutoff, -1, len(probabilities))
+        amplitudes = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
+        out.append((j, amplitudes @ amplitudes.T))
+    return out
+
+
 def product_basis_reference(params, cutoff):
     """H0 = omega a'a and HI = H - H0 over all 2^N spin configurations, dense.
 
@@ -130,8 +140,7 @@ def test_parity_and_hermiticity(variant):
 
 def test_capacity_bounds():
     # the symmetric basis holds 64 Lanczos vectors, 8 * 64 * cutoff (N + 1)
-    # bytes, and 13 atomic matrices, 8 * 13 (N + 1)^2 bytes; the full one a
-    # dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
+    # bytes; the full one a dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
     with pytest.raises(CapacityError, match="2.4 GiB"):
         symmetric_basis(100, 50_000)
     with pytest.raises(CapacityError):
@@ -161,20 +170,22 @@ def test_capacity_bound_counts_every_block():
     assert full_product_basis(20, 40).dim == 40 * 2**20
 
 
-def test_capacity_bound_counts_ground_atomic_matrices():
-    # N = 20,000 at cutoff 60: the Lanczos vectors need 0.6 GB, but the
-    # dense spin operators and the photon-traced density matrix, 20,001^2
-    # each, need 39 GiB; the check runs before anything is allocated
+def test_capacity_bound_counts_ground_lanczos_vectors_alone():
+    # the ground bound is 8 * 64 * cutoff (N + 1) bytes and nothing else:
+    # N = 20,000 at cutoff 60 needs 0.6 GB; at N = 20,000 cutoff 209 needs
+    # 1.99 GiB and the first refused one, 210, 2.00 GiB, refused before
+    # anything is allocated
+    assert symmetric_basis(20_000, 60).dim == 60 * 20_001
+    assert symmetric_basis(20_000, 209).dim == 209 * 20_001
+    assert 8 * 64 * 209 * 20_001 <= 2 * 2**30 < 8 * 64 * 210 * 20_001
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="39.3 GiB"):
-            symmetric_basis(20_000, 60)
+        with pytest.raises(CapacityError, match="2.0 GiB"):
+            symmetric_basis(20_000, 210)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 4,000 needs 1.6 GiB of atomic matrices and passes
-    assert symmetric_basis(4000, 10).dim == 40_010
 
 
 def test_capacity_bound_counts_dense_bytes():
@@ -205,6 +216,15 @@ def test_ground_state_decoupled_is_product_vacuum():
     expected = np.zeros(12 * 5)
     expected[0] = 1.0  # |m=0> x |all down> is the first basis vector
     assert np.abs(pure_vector(state) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7, 8])
+def test_decoupled_ground_state_on_an_invariant_krylov_space(n):
+    # at lambda = 0 the even block holds few distinct levels, so the Krylov
+    # space closes within a few steps, between residual checks, with |beta|
+    # at rounding level rather than exactly zero
+    params = ModelParams(1.0, 1.0, 0.0, n)
+    assert abs(oracle.ground_energy(params, oracle.suggested_cutoff(params)) + n / 2) < 1e-12
 
 
 def test_ground_state_normal_phase_jz():
@@ -256,9 +276,37 @@ def test_thermal_state_decoupled_factorizes():
     # free-spin Gibbs: product of diag(e^-b/2, e^b/2)/2cosh(b/2), a function of
     # J_z, so diagonal in every multiplet with weight p_up^n p_down^(N-n)
     p_up, p_down = (math.exp(s * beta / 2) / (2 * math.cosh(beta / 2)) for s in (-1, 1))
-    for j, rho in state.atomic_blocks:
+    for j, rho in dense_atomic_blocks(state):
         n_up = state.basis.up_counts(j)
         assert np.abs(rho - np.diag(p_up**n_up * p_down ** (3 - n_up))).max() < 1e-10
+
+
+def band_moments_against_dense_traces(state):
+    """Each block's band against the dense matrix's diagonals, and the moments against traces."""
+    n = state.basis.n_atoms
+    totals = np.zeros(6)
+    bands = dict(state.atomic_bands)
+    for j, rho in dense_atomic_blocks(state):
+        for offset, diagonal in enumerate(bands[j]):
+            np.testing.assert_allclose(diagonal, np.diag(rho, offset), rtol=0, atol=1e-15)
+        jx, jy, jz = oracle.collective_spin_matrices(j)
+        traces = [np.real(np.trace(rho @ op)) for op in (jx, jy, jz, jx @ jx, jy @ jy, jz @ jz)]
+        totals += state.basis.multiplicity(j) * np.array(traces)
+    moments = exact_moments(state)
+    assert np.abs(np.array(moments.first) - totals[:3] / n).max() < 1e-14
+    assert np.abs(np.array(moments.second) - totals[3:] / n**2).max() < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.8])
+def test_ground_band_moments_match_dense_traces(lam):
+    params = ModelParams(1.0, 1.0, lam, 20)
+    band_moments_against_dense_traces(exact_ground_state(params, oracle.suggested_cutoff(params)))
+
+
+def test_thermal_band_moments_match_dense_traces():
+    state = exact_thermal_state(ModelParams(1.0, 1.0, 0.9, 6), 12, beta=0.7)
+    assert [j for j, _, _ in state.blocks] == [3.0, 2.0, 1.0, 0.0]
+    band_moments_against_dense_traces(state)
 
 
 def test_thermal_cutoff_convergence():
