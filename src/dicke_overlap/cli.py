@@ -333,13 +333,15 @@ def _oracle_ground_row(task):
 def _oracle_thermal_row(task):
     omega, omega0, lam, beta, n, cutoff, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
+    # the oracle state first: an N over its capacity bound fails there with
+    # CapacityError, before the quadratures underflow (near N = 1500)
+    state = oracle.exact_thermal_state(params, cutoff, beta)
+    sep = oracle.matched_separable_state(state)
+    delta_ed, _, _ = oracle.exact_overlap(state, sep)
     quad = QuadratureSpec(*quad_args)
     point = thermal.ThermalPoint(params, beta)
     a = thermal.matched_a(point, quad)
     delta_quad = thermal.overlap_finite_t(point, a, quad)
-    state = oracle.exact_thermal_state(params, cutoff, beta)
-    sep = oracle.matched_separable_state(state)
-    delta_ed, _, _ = oracle.exact_overlap(state, sep)
     delta_split = oracle.split_overlap(params, cutoff, beta, SeparableState.from_a(a, n))
     m_quad = thermal.thermal_moments(point, quad)
     m_ed = oracle.exact_moments(state)
@@ -422,15 +424,12 @@ def cmd_oracle_compare(cfg):
     cutoff = cfg["oracle.cutoff"]
     lams = _lambda_grid(cfg)
     if mode == "ground":
-        # capacity check up front, on the larger basis of the convergence gate
-        oracle.symmetric_basis(n, oracle.convergence_cutoff(cutoff))
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff)
             for lam in lams
         ]
         _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
-        oracle.full_product_basis(n, cutoff)  # capacity check up front, on every block held
         betas = cfg["grid.beta_list"]
         quad_args = _quad_args(cfg)
         tasks = [

@@ -105,21 +105,6 @@ def find_root(f, bracket, rel_width=1e-12, max_iter=200):
     )
 
 
-def symmetric_eigendecomposition(matrix):
-    """Full eigendecomposition of a real symmetric matrix (ascending eigenvalues).
-
-    Delegates to LAPACK; this module is the only place the eigensolver
-    dependency enters.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max() if a.size else 0.0
-    if scale and np.abs(a - a.T).max() > 1e-10 * scale:
-        raise InvalidParameterError("matrix is not symmetric")
-    return np.linalg.eigh(a)
-
-
 def traced_band(psi, weights):
     """Diagonals 0, 1 and 2 of sum_k w_k Tr_photon |psi_k><psi_k|, from amplitudes psi[m, n, k]."""
     d = psi.shape[1]

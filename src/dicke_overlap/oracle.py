@@ -19,16 +19,20 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   block is the symmetric one: a thermal state at N = 20 and cutoff 40
   takes 0.45 s on one BLAS thread.
 
-Each basis is bounded by the bytes its solve holds at once: the symmetric
-one by the 64 Lanczos vectors of the ground state (N = 100 at the suggested
-cutoff 173 of lambda = 1 solves, with its convergence gate, in about 1.1 s
-on one BLAS thread of a 2-core Xeon), the full one by the dense matrices of
-every block, since one eigendecomposition holds them all.
+Each basis is bounded by the bytes its solves hold at once, checked before
+anything is allocated.  The symmetric one counts the 64 Lanczos vectors of
+the ground state (N = 100 at the suggested cutoff 173 of lambda = 1 solves,
+with its convergence gate, in about 1.1 s on one BLAS thread of a 2-core
+Xeon).  The full one counts three sets of dense block eigenvectors,
+8 cutoff^2 sum_j (2j+1)^2 bytes each, and four dense matrices of its
+largest block: the rows of one coupling share two sets (H for the thermal
+state, H_I for the split trace), the next coupling builds its first set
+while those two are still held, and the split trace's log-sum-exp holds
+four largest-block matrices at once.  At cutoff 40 that admits N up to 65.
 
 A state keeps the diagonals 0, 1 and 2 of each block's photon-traced
 atomic matrix.  Thermal and split-trace states take the complete dense
-eigendecomposition of ``numerics``, one block at a time.  Everything here
-runs on numpy alone.
+eigendecomposition of each block.  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -46,15 +50,13 @@ from .numerics import (
     PhotonAtomOperator,
     log_sum_exp,
     lowest_eigenpair,
-    symmetric_eigendecomposition,
     traced_band,
 )
 from .separable import SeparableState
 from .witness import MomentSet, spin_ladder
 
-# float64 bytes one solve holds at once: the Lanczos vectors of a ground
-# state, or one dense matrix per block, all blocks together, for the
-# eigendecomposition of a thermal or split-trace state
+# float64 bytes the solves of a basis hold at once: the Lanczos vectors of a
+# ground state, or the dense blocks of the thermal and split-trace states
 _MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
@@ -126,12 +128,14 @@ def symmetric_basis(n_atoms, cutoff):
 def full_product_basis(n_atoms, cutoff):
     """All 2^N spin configurations: the multiplets j = N/2, N/2-1, ..., 0 or 1/2.
 
-    Bounded by the dense matrices of every block.
+    Bounded by three sets of dense block eigenvectors and four dense
+    matrices of the largest block (see the module docstring).
     """
     basis = DickeBasis(n_atoms, cutoff, tuple(n_atoms / 2 - k for k in range(n_atoms // 2 + 1)))
     _check_bytes(
-        8 * basis.cutoff**2 * sum((int(2 * j) + 1) ** 2 for j in basis.spins),
-        f"{len(basis.spins)} dense block(s)",
+        8 * basis.cutoff**2 * (3 * sum((int(2 * j) + 1) ** 2 for j in basis.spins)
+                               + 4 * (n_atoms + 1) ** 2),
+        f"3 sets of {len(basis.spins)} dense block(s) and 4 matrices of the largest",
     )
     return basis
 
@@ -217,13 +221,11 @@ def convergence_cutoff(cutoff):
     return int(math.ceil(1.5 * cutoff))
 
 
-@functools.lru_cache(maxsize=64)
-def _ground_pair(params: ModelParams, cutoff: int):
+def _ground_pair(params: ModelParams, basis: DickeBasis):
     # H conserves the parity, and the ground state is the lowest state of
     # the even block; solving only that block keeps the state an exact
     # parity eigenstate even where the odd ground state is degenerate with
     # it to rounding (the superradiant phase)
-    basis = symmetric_basis(params.n_atoms, cutoff)
     return lowest_eigenpair(
         _hamiltonian(params, basis, params.omega), sector=parity_diagonal(basis) > 0
     )
@@ -233,32 +235,36 @@ def exact_ground_state(params: ModelParams, cutoff):
     """Symmetric-sector ground state; errors out unless the photon cutoff is converged.
 
     Convergence gate: the ground energy moves by less than 1e-8 when the
-    cutoff grows by 50%.
+    cutoff grows by 50%.  Its larger basis is checked against the capacity
+    bound before the first solve.
     """
-    cutoff = int(cutoff)
-    e0, vec = _ground_pair(params, cutoff)
-    big = convergence_cutoff(cutoff)
-    e0_big, _ = _ground_pair(params, big)
+    big_basis = symmetric_basis(params.n_atoms, convergence_cutoff(int(cutoff)))
+    basis = symmetric_basis(params.n_atoms, int(cutoff))
+    e0, vec = _ground_pair(params, basis)
+    e0_big, _ = _ground_pair(params, big_basis)
     if abs(e0 - e0_big) > _GROUND_ENERGY_TOL:
         raise CutoffError(
             f"ground energy shifted by {abs(e0 - e0_big):.3e} under cutoff growth "
-            f"({cutoff} -> {big}); increase the photon cutoff",
+            f"({basis.cutoff} -> {big_basis.cutoff}); increase the photon cutoff",
             mode="photon",
         )
-    basis = symmetric_basis(params.n_atoms, cutoff)
     return OracleState(basis, ((basis.spin, vec[:, None], np.ones(1)),))
 
 
 def ground_energy(params: ModelParams, cutoff):
-    return _ground_pair(params, int(cutoff))[0]
+    return _ground_pair(params, symmetric_basis(params.n_atoms, int(cutoff)))[0]
 
 
-@functools.lru_cache(maxsize=64)
+# one coupling's two sets: H at omega for the thermal state and H_I at 0 for
+# the split trace; a sweep runs its rows coupling-major, so every later beta
+# row of a coupling reads both and no later coupling reads either
+@functools.lru_cache(maxsize=2)
 def _block_eigensystems(params: ModelParams, cutoff: int, omega):
     """Full basis and the eigendecomposition of each of its blocks, photon frequency ``omega``."""
     basis = full_product_basis(params.n_atoms, cutoff)
+    # each dense block is symmetric by construction
     return basis, tuple(
-        symmetric_eigendecomposition(_hamiltonian(params, basis.block(j), omega).toarray())
+        np.linalg.eigh(_hamiltonian(params, basis.block(j), omega).toarray())
         for j in basis.spins
     )
 

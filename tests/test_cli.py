@@ -576,8 +576,8 @@ def test_oracle_compare_ground_mode(tmp_path):
 
 
 def test_oracle_compare_capacity_error(tmp_path):
-    # at the default cutoff 40 the 51 multiplet blocks of N = 100 need
-    # 2.1 GiB of dense matrices together, though the largest alone needs 0.12
+    # at the default cutoff 40 the dense blocks a thermal sweep holds at N = 100
+    # need 6.8 GiB together, though the largest alone needs 0.12
     out = tmp_path / "never.csv"
     result = run_cli(
         [
@@ -591,6 +591,22 @@ def test_oracle_compare_capacity_error(tmp_path):
     assert "error:" in result.stderr
     assert "CapacityError" in result.stderr
     assert not out.exists()  # no partial output
+
+
+def test_oracle_compare_thermal_keeps_one_coupling_cached(tmp_path):
+    # rows run coupling-major: the later beta rows of a coupling reuse its
+    # two sets of block eigensystems, and no later coupling reads them
+    oracle._block_eigensystems.cache_clear()
+    code = cli.main(
+        ["oracle-compare", "--set", "oracle.mode=thermal", "--set", "model.n_atoms=4",
+         "--set", "oracle.cutoff=6", "--set", "grid.lambda_min=0.7",
+         "--set", "grid.lambda_max=1.1", "--set", "grid.lambda_steps=3",
+         "--set", "grid.beta_list=0.2,0.4", "--out", str(tmp_path / "out.csv"),
+         "--threads", "1"]
+    )
+    assert code == 0
+    info = oracle._block_eigensystems.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 6, 6)
 
 
 def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
@@ -990,7 +1006,7 @@ def test_traced_replay_still_binds(tmp_path):
 
 def test_traced_oracle_ground_replay(tmp_path):
     # the replay fails a traced command that hits an oracle cache inside a
-    # span, so the ground path keeps _ground_pair as its only cache
+    # span; the ground path keeps no cache, so its two solves both run
     recorded, out = _traced_replay(tmp_path, [
         "oracle-compare", "--set", "oracle.mode=ground", "--set", "model.n_atoms=6",
         "--set", "oracle.cutoff=20", "--set", "grid.lambda_min=0.3",

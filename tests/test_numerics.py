@@ -14,7 +14,6 @@ from dicke_overlap.numerics import (
     integrate,
     log_integral,
     lowest_eigenpair,
-    symmetric_eigendecomposition,
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-12)
@@ -273,35 +272,6 @@ def test_find_root_examples():
 def test_find_root_requires_sign_change():
     with pytest.raises(BracketError):
         find_root(lambda x: x**2 + 1.0, (-1.0, 1.0))
-
-
-def test_eigendecomposition_small_cases():
-    vals, vecs = symmetric_eigendecomposition(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [-1.0, 1.0])
-    d = np.diag([3.0, -1.0, 2.0])
-    vals, vecs = symmetric_eigendecomposition(d)
-    assert np.allclose(vals, [-1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
-
-
-def test_eigendecomposition_rejects_asymmetric():
-    with pytest.raises(InvalidParameterError):
-        symmetric_eigendecomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
-@pytest.mark.parametrize("size", [10, 100, 500])
-def test_eigendecomposition_residual_contract(size):
-    rng = np.random.default_rng(size)
-    trials = 50 if size < 500 else 10
-    for _ in range(trials):
-        a = rng.standard_normal((size, size))
-        a = (a + a.T) / 2
-        vals, vecs = symmetric_eigendecomposition(a)
-        norm = np.linalg.norm(a, 2)
-        residual = np.abs(a @ vecs - vecs * vals).max()
-        assert residual < 1e-10 * norm
-        ortho = np.abs(vecs.T @ vecs - np.eye(size)).max()
-        assert ortho < 1e-10
 
 
 def _random_operator(seed, cutoff=8, dim=10):

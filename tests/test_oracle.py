@@ -140,34 +140,38 @@ def test_parity_and_hermiticity(variant):
 
 def test_capacity_bounds():
     # the symmetric basis holds 64 Lanczos vectors, 8 * 64 * cutoff (N + 1)
-    # bytes; the full one a dense matrix per block: 8 cutoff^2 sum_j (2j + 1)^2
+    # bytes; the full one three sets of dense blocks and four matrices of the
+    # largest: 8 cutoff^2 (3 sum_j (2j + 1)^2 + 4 (N + 1)^2)
     with pytest.raises(CapacityError, match="2.4 GiB"):
         symmetric_basis(100, 50_000)
-    with pytest.raises(CapacityError):
-        full_product_basis(100, 200)  # 51 blocks, up to 20,200 states: 52.7 GiB dense
+    with pytest.raises(CapacityError, match="170.3 GiB"):
+        full_product_basis(100, 200)  # 51 blocks, up to 20,200 states
     # neither the atom count nor the spanned dimension is bounded: these
-    # blocks need 0.1 MB and 0.67 GB in all
+    # blocks need 0.5 MB and 1.8 GB in all
     assert full_product_basis(7, 10).dim == 10 * 2**7
-    assert full_product_basis(6, 1000).dim == 64_000
+    assert full_product_basis(6, 700).dim == 44_800
     with pytest.raises(InvalidParameterError):
         build_hamiltonian(ModelParams(1.0, 1.0, 0.5, 4), full_product_basis(4, 10))
 
 
 def test_capacity_bound_counts_every_block():
     # at cutoff 40 the largest N = 100 block, 4,040 states, needs 0.12 GiB,
-    # but all 51 blocks of one eigendecomposition need 2.1 GiB; the check
-    # runs before anything is allocated
+    # but three sets of all 51 blocks and four matrices of the largest need
+    # 6.8 GiB; the check runs before anything is allocated
     assert symmetric_basis(100, 40).dim == 4040
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="2.1 GiB"):
+        with pytest.raises(CapacityError, match="6.8 GiB"):
             full_product_basis(100, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 20 needs 23 MB there
+    # N = 20 needs 91 MB there, and N = 65 is the largest admitted
     assert full_product_basis(20, 40).dim == 40 * 2**20
+    assert full_product_basis(65, 40).dim == 40 * 2**65
+    with pytest.raises(CapacityError, match="2.1 GiB"):
+        full_product_basis(66, 40)
 
 
 def test_capacity_bound_counts_ground_lanczos_vectors_alone():
@@ -189,12 +193,12 @@ def test_capacity_bound_counts_ground_lanczos_vectors_alone():
 
 
 def test_capacity_bound_counts_dense_bytes():
-    # one spin-1/2 block of 20,000 states would need a 3.0 GiB dense matrix
-    # for a thermal state, but its ground state's Lanczos holds only 10 MB;
-    # the check runs before anything is allocated
+    # one spin-1/2 block of 20,000 states would need seven 3.0 GiB dense
+    # matrices for a thermal sweep, but its ground state's Lanczos holds only
+    # 10 MB; the check runs before anything is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="3.0 GiB"):
+        with pytest.raises(CapacityError, match="20.9 GiB"):
             full_product_basis(1, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -208,6 +212,41 @@ def test_capacity_bound_counts_dense_bytes():
     params = ModelParams(1.0, 1.0, 1.0, 40)
     big = oracle.convergence_cutoff(oracle.suggested_cutoff(params))
     assert symmetric_basis(40, big).dim == 5781
+
+
+def test_ground_state_checks_the_gate_basis_before_any_solve(monkeypatch):
+    # cutoff 140 at N = 20,000 fits the ground bound (1.3 GiB), but the
+    # convergence gate's cutoff 210 does not (2.0 GiB): no solve starts
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the capacity check")
+
+    monkeypatch.setattr(oracle, "lowest_eigenpair", no_solve)
+    symmetric_basis(20_000, 140)
+    with pytest.raises(CapacityError, match="2.0 GiB"):
+        exact_ground_state(ModelParams(1.0, 1.0, 0.3, 20_000), 140)
+
+
+def test_thermal_bound_covers_what_a_sweep_holds():
+    # two couplings of two betas each, coupling-major as the CLI runs them;
+    # the peak comes while the second coupling builds its first set of
+    # blocks, or while a split trace reduces the largest block
+    n, cutoff = 12, 20
+    counted = 8 * cutoff**2 * (
+        3 * sum((n + 1 - 2 * k) ** 2 for k in range(n // 2 + 1)) + 4 * (n + 1) ** 2
+    )
+    sep = SeparableState.from_a(0.3, n)
+    oracle._block_eigensystems.cache_clear()
+    tracemalloc.start()
+    try:
+        for lam in (0.7, 1.1):
+            params = ModelParams(1.0, 1.0, lam, n)
+            for beta in (0.2, 0.4):
+                exact_moments(exact_thermal_state(params, cutoff, beta))
+                oracle.split_overlap(params, cutoff, beta, sep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.6 * counted < peak <= counted
 
 
 def test_ground_state_decoupled_is_product_vacuum():
@@ -469,7 +508,7 @@ def test_even_block_solve_matches_dense(n, cutoff, lam):
     h = build_hamiltonian(params, symmetric_basis(n, cutoff))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e0, vec = oracle._ground_pair.__wrapped__(params, cutoff)
+        e0, vec = oracle._ground_pair(params, symmetric_basis(n, cutoff))
     vals = np.linalg.eigvalsh(h)
     assert abs(e0 - vals[0]) < 1e-10
     if vals[1] - vals[0] > 1e-6:
