@@ -4,7 +4,7 @@ Library layout:
 
 * ``core``      -- parameters, critical coupling/temperature, order parameter
 * ``separable`` -- the symmetry-determined product reference state
-* ``numerics``  -- windowed log-space quadrature, root finding, eigensolvers
+* ``numerics``  -- log-space trapezoid quadrature, root finding, eigensolvers
 * ``zerotemp``  -- effective quadratic Hamiltonians, their exact Gaussian
                    ground state, overlap, purity, scaling fit, moments;
                    the truncated-Fock ground state as the tests' reference

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import core, oracle, thermal, witness, zerotemp
 from .core import ModelParams
-from .errors import ConfigError, DickeError
+from .errors import ConfigError, DickeError, InvalidParameterError
 from .numerics import QuadratureSpec
 from .separable import SeparableState
 
@@ -130,6 +130,12 @@ def _validate(v):
         raise ConfigError("--threads must be >= 0", field="--threads")
     if v["output.precision"] < 1:
         raise ConfigError("output.precision must be >= 1", field="output.precision")
+    try:
+        QuadratureSpec(*_quad_args(v))
+    except InvalidParameterError as exc:
+        # its message starts with the field: "max_nodes must be >= 64, ..."
+        key = "numerics." + str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{key}: {exc}", field=key) from None
 
 
 def _quad_args(cfg):

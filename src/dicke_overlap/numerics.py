@@ -7,35 +7,44 @@ log-sum-exp, and quadrature.  Everything here runs on numpy alone.
 
 The quadrature routines integrate functions supplied as *log-integrands*
 ``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
-vanishes).  Integration is windowed: a symmetric scan of ln f widens
-until both its edges lie 80 nats below its maximum; every maximal run of
-scan points within 60 nats of that maximum, widened by one scan point per
-side, is a window; and each window is integrated by composite Simpson
-with grid doubling until the Richardson error estimate |S_h - S_2h|/15
-meets the relative tolerance.  All accumulation across windows happens in
-log space, so integrands with values like exp(+-10^4) are handled without
-overflow.
+vanishes).  A symmetric scan of ln f on 4,097 equally spaced nodes doubles
+its span from 8 until both its edges lie 80 nats below its maximum; the
+central half of a doubled scan is every other node of the one before, so a
+doubling evaluates only its outer quarters.  The integral is the trapezoid
+rule on the scan's own nodes within 60 nats of the maximum, plus one node
+on each side of each run of them, all shifted by the maximum, so values
+like exp(+-10^4) neither overflow nor underflow.  For an integrand
+analytic in the strip |Im x| < a, the rule's error falls like
+exp(-2 pi a / h) with the spacing h (Trefethen & Weideman, SIAM Rev. 56,
+385 (2014)).  The thermal weights are entire in x, since cosh(beta eps)
+and sinh(beta eps) / eps are even in eps, and the moment integrands are
+analytic for |Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta omega/2) / N.
 
-Each node is evaluated once.  The scan starts at span 8 with 4,096
-intervals, and the central half of a doubled scan is every other point of
-the one before, so a doubling evaluates only its two outer quarters.
-Each Simpson doubling evaluates only its new odd nodes.  With ``even``,
-the caller promises an even log-integrand and even h functions (in
-practice computed from x only through x^2); then only the x <= 0 half of
-the scan and of each window centred on 0 is evaluated and mirrored, and a
-window shares its evaluations, reversed, with its mirror image (-hi, -lo).
-Windows start at 128 intervals, so every node is an exact multiple of
-span / 2^(18 + m) at 128 * 2^m intervals: reused and mirrored nodes are
-exactly the ones a fresh grid would hold, and each Simpson sum still runs
-forward over the same values, so the results are the same bit for bit.
-The node budget counts every grid's nodes, evaluated or reused.  The scan
-grids are built once and cached, and every array of nodes is read-only:
-an integrand that writes into its argument raises ``ValueError``.
+The rule on every other kept node, of twice the spacing, checks it: while
+the two differ by more than ``rel_tol`` times the larger of the integral's
+and the base integral's magnitude, the spacing halves on the kept
+intervals alone (a valley between far peaks is never refined), evaluating
+only their midpoints, and each rule is checked against the last.  The
+node budget counts the nodes of every level, the first included, before
+it evaluates them.  A non-smooth integrand converges only like h^2 and may
+exhaust the budget: a ``NumericalError``, not a wrong number.  An
+oscillating one can alias alike onto both rules and pass the check; no
+caller passes one.
+
+At the m-th halving every node is an exact multiple of span / 2^(11 + m),
+so refined nodes are np.linspace's and every node array is symmetric about
+0 to the bit.  With ``even``, the caller promises an even log-integrand
+and even h functions (in practice computed from x only through x^2), and
+``_values`` evaluates the first half of each node array and mirrors it:
+the results are the same bit for bit.  Scan grids are built once and
+cached, and every array of nodes is read-only: an integrand that writes
+into its argument raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,12 +52,11 @@ import numpy as np
 
 from .errors import BracketError, InvalidParameterError, NumericalError
 
-_LOG_FLOOR = -745.0  # exp() underflows below this
 _SCAN_POINTS = 4097
 _SCAN_QUARTER = (_SCAN_POINTS - 1) // 4  # nodes a span doubling adds on each side
 _SCAN_LEVELS = 18  # span doublings before the scan gives up
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
-_PEAK_KEEP = 60.0  # windows cover the scan points within this of the maximum
+_PEAK_KEEP = 60.0  # the quadrature keeps the scan nodes within this of the maximum
 _KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
 _RESTART_KEEP = 16  # Ritz vectors a restart keeps
 _CHECK_EVERY = 8  # Lanczos steps between Ritz-residual checks
@@ -280,48 +288,47 @@ def golden_max(f, lo, hi, tol=1e-11):
     return 0.5 * (a + b)
 
 
-def _evaluate(fn, xs):
-    """fn at the nodes ``xs``, made read-only first, as a float array."""
-    xs.flags.writeable = False
-    return np.asarray(fn(xs), dtype=float)
+def _values(fn, xs, even):
+    """fn at the nodes ``xs``, made read-only first, as a float array.
 
-
-def _mirror(half):
-    """Values along the last axis of a grid symmetric about 0 from those on its x <= 0 half.
-
-    That half ends at the node x = 0, which is not repeated.
+    With ``even``, ``xs`` is symmetric about 0 and fn is even: fn runs on
+    the first half of ``xs``, the centre node included when there is one,
+    and its values are mirrored onto the second half.
     """
-    return np.concatenate((half, half[..., -2::-1]), axis=-1)
+    half = xs[: (len(xs) + 1) // 2] if even else xs
+    half.flags.writeable = False
+    values = np.asarray(fn(half), dtype=float)
+    if even:
+        values = np.concatenate((values, values[: len(xs) - len(half)][::-1]))
+    return values
 
 
 @functools.lru_cache(maxsize=_SCAN_LEVELS)
 def _scan_grid(level):
     """The scan grid of span 8 * 2^level and the nodes of it that a scan evaluates.
 
-    Returns (grid, fresh, fresh_even), all read-only.  Above level 0,
-    ``fresh`` is the grid's outer quarters, since its central half is every
-    other node of the grid one level down.  ``fresh_even`` is the x <= 0
-    part of ``fresh``.
+    Returns (grid, fresh), both read-only.  Above level 0, ``fresh`` is the
+    grid's outer quarters, since its central half is every other node of
+    the grid one level down.
     """
     grid = np.linspace(-8.0 * 2.0**level, 8.0 * 2.0**level, _SCAN_POINTS)
     grid.flags.writeable = False
     if level == 0:
-        return grid, grid, grid[: _SCAN_POINTS // 2 + 1]
+        return grid, grid
     fresh = np.concatenate((grid[:_SCAN_QUARTER], grid[-_SCAN_QUARTER:]))
     fresh.flags.writeable = False
-    return grid, fresh, grid[:_SCAN_QUARTER]
+    return grid, fresh
 
 
 def _scan(log_f, even=False):
     """Expanding symmetric scan; returns (grid, values) with decayed edges."""
     for level in range(_SCAN_LEVELS):
-        grid, fresh, fresh_even = _scan_grid(level)
-        new = _evaluate(log_f, fresh_even if even else fresh)
+        grid, fresh = _scan_grid(level)
+        new = _values(log_f, fresh, even)
         if level == 0:
-            vals = _mirror(new) if even else new
+            vals = new
         else:
-            right = new[::-1] if even else new[_SCAN_QUARTER:]
-            vals = np.concatenate((new[:_SCAN_QUARTER], vals[::2], right))
+            vals = np.concatenate((new[:_SCAN_QUARTER], vals[::2], new[_SCAN_QUARTER:]))
         top = vals.max()
         span = float(grid[-1])
         if not np.isfinite(top):
@@ -331,144 +338,56 @@ def _scan(log_f, even=False):
     raise NumericalError("log-integrand does not decay within the scan range", span=2.0 * span)
 
 
-def _windows(log_f, even=False):
-    """Integration windows (lo, hi, shift) from the scan of ``log_f``.
-
-    Each window is a maximal run of scan points whose log-value lies within
-    ``_PEAK_KEEP`` of the scan maximum, widened by one scan point per side;
-    its shift is the run's largest scan value.  The scan edges lie
-    ``_SCAN_DECAY`` below the maximum, so every run is interior.
-    """
-    xs, vals = _scan(log_f, even)
-    keep = (vals > vals.max() - _PEAK_KEEP).astype(np.int8)
-    steps = np.diff(keep)
-    starts = np.flatnonzero(steps == 1) + 1
-    stops = np.flatnonzero(steps == -1) + 1
-    return [
-        (xs[start - 1], xs[stop], vals[start:stop].max()) for start, stop in zip(starts, stops)
-    ]
-
-
-def _simpson(values, h):
-    return (h / 3.0) * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
-    )
-
-
-class _WindowNodes:
-    """w = exp(log_f - shift) and each h * w on the Simpson grids of one window.
-
-    ``level(m)`` holds them as the rows of one array, on the grid of
-    n = 128 * 2^m intervals whose nodes arange(n + 1) * (hi - lo) / n + lo,
-    the last one at hi, are np.linspace's.  Each node is evaluated once:
-    level m + 1 evaluates only its odd nodes, and its even ones are level
-    m's.  A ``centred`` window (lo = -hi) of an even integrand evaluates its
-    x <= 0 half.
-    """
-
-    def __init__(self, log_f, h_funcs, lo, hi, shift, centred):
-        self._log_f, self._h_funcs, self._shift = log_f, h_funcs, shift
-        self._lo, self._hi, self._centred = lo, hi, centred
-        self._levels = []
-
-    def _values(self, xs):
-        rows = np.empty((1 + len(self._h_funcs), len(xs)))
-        np.exp(np.maximum(_evaluate(self._log_f, xs) - self._shift, _LOG_FLOOR), out=rows[0])
-        for row, h in zip(rows[1:], self._h_funcs):
-            np.multiply(rows[0], np.asarray(h(xs), dtype=float), out=row)
-        return rows
-
-    def level(self, m):
-        while len(self._levels) <= m:
-            depth = len(self._levels)
-            n = 128 << depth
-            half = n // 2
-            step = (self._hi - self._lo) / n
-            if depth == 0:
-                xs = np.arange(half + 1 if self._centred else n + 1) * step + self._lo
-                if not self._centred:
-                    xs[-1] = self._hi
-                new = self._values(xs)
-                if self._centred:
-                    new = _mirror(new)
-            else:
-                odd = self._values(np.arange(1, half if self._centred else n, 2) * step + self._lo)
-                new = np.empty((len(odd), n + 1))
-                new[:, ::2] = self._levels[-1]
-                if self._centred:
-                    new[:, 1:half:2], new[:, half + 1 :: 2] = odd, odd[:, ::-1]
-                else:
-                    new[:, 1::2] = odd
-            self._levels.append(new)
-        return self._levels[m]
-
-
-def _integrate_window(nodes, lo, hi, mirrored, quad, budget):
-    """Composite-Simpson integrals of w and each h * w on the window (lo, hi) of ``nodes``.
-
-    ``mirrored``: the window is the mirror image (-hi, -lo) of the one
-    ``nodes`` evaluates, whose values it reads reversed.  The shift (the
-    window's peak log-value) stays fixed across grid refinements so
-    successive Simpson sums share a common scale; the grid doubles until the
-    Richardson estimate |S_h - S_2h|/15 of every integral is below
-    ``rel_tol`` times the larger of its own and the base integral's
-    magnitude.  Every grid counts its n + 1 nodes against ``budget``,
-    evaluated or reused.  Returns (integrals, nodes_used), base integral
-    first.
-    """
-    m = 0
-    prev = None
-    used = 0
-    while True:
-        n = 128 << m
-        used += n + 1
-        values = nodes.level(m)
-        if mirrored:
-            values = values[:, ::-1].copy()
-        step = (hi - lo) / n
-        sums = np.array([_simpson(v, step) for v in values])
-        if prev is not None:
-            errs = np.abs(sums - prev) / 15.0
-            if np.all(errs <= quad.rel_tol * np.maximum(np.abs(sums), abs(sums[0]))):
-                return sums, used
-        if used + 2 * n + 1 > budget:
-            achieved = errs[0] / abs(sums[0]) if (prev is not None and sums[0]) else math.inf
-            raise NumericalError(
-                "quadrature tolerance not reached within the node budget",
-                achieved=achieved,
-                requested=quad.rel_tol,
-                window=(lo, hi),
-            )
-        prev = sums
-        m += 1
-
-
 def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
     """(ln I, [integral(f h) / I for each h]) with I the integral of f = exp(log_f).
 
     ``log_f`` must decay at +-infinity (in practice a Gaussian envelope
-    exp(-x^2/2) is folded in); the ``h_funcs`` are O(1)-bounded.  Both are
-    called on read-only arrays.  ``even`` promises that ``log_f`` and every
-    h are even functions of x, computed from x only through x^2: then only
-    the x <= 0 half of the scan and of each window centred on 0 is
-    evaluated, and a window shares its evaluations with its mirror image.
-    The result is the same, bit for bit.
+    exp(-x^2/2) is folded in), f and each f h must be analytic in a strip
+    about the real axis (see the module notes), and the ``h_funcs`` are
+    O(1)-bounded.  Both are called on read-only arrays.  ``even`` promises
+    that ``log_f`` and every h are even in x, computed from x only through
+    x^2: then half of every node array is evaluated, and the result is the
+    same bit for bit.
     """
-    budget = quad.max_nodes
-    shifts, sums, evaluated = [], [], {}
-    for lo, hi, shift in _windows(log_f, even):
-        mirror = evaluated.get((-hi, -lo, shift)) if even else None
-        nodes = mirror or _WindowNodes(log_f, h_funcs, lo, hi, shift, centred=even and lo == -hi)
-        evaluated[lo, hi, shift] = nodes
-        window_sums, used = _integrate_window(nodes, lo, hi, mirror is not None, quad, budget)
-        budget -= used
-        shifts.append(shift)
-        sums.append(window_sums)
-    top = max(shifts)
-    totals = np.exp(np.array(shifts) - top) @ np.array(sums)
-    if totals[0] <= 0.0:
-        raise NumericalError("integral underflowed to zero on all windows")
-    return float(top + math.log(totals[0])), [float(t / totals[0]) for t in totals[1:]]
+    grid, vals = _scan(log_f, even)
+    top = vals.max()
+    near = vals > top - _PEAK_KEEP
+    kept = near.copy()  # every run widened by one node per side
+    kept[1:] |= near[:-1]
+    kept[:-1] |= near[1:]
+    index = np.flatnonzero(kept)
+    left = np.flatnonzero(kept[:-1] & kept[1:])  # the kept intervals, by their left node
+    window = (float(grid[index[0]]), float(grid[index[-1]]))
+    xs, logs = grid[index], vals[index]
+    span, step = float(grid[-1]), float(grid[1] - grid[0])
+    nodes = used = 0
+    error = math.inf
+    for level in itertools.count():
+        nodes += len(xs)
+        used += nodes
+        if used > quad.max_nodes:
+            raise NumericalError(
+                "quadrature tolerance not reached within the node budget",
+                achieved=error,
+                requested=quad.rel_tol,
+                window=window,
+            )
+        rows = np.empty((1 + len(h_funcs), len(xs)))
+        np.exp(logs - top, out=rows[0])
+        for row, h in zip(rows[1:], h_funcs):
+            np.multiply(rows[0], _values(h, xs, even), out=row)
+        sums = step * rows.sum(axis=1)
+        if level:
+            previous, total = total, 0.5 * total + sums
+        else:  # every other kept node: the rule of twice the spacing on each run
+            previous, total = 2.0 * step * rows[:, ::2].sum(axis=1), sums
+        error = float(np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0])))
+        if error <= quad.rel_tol:
+            return float(top + math.log(total[0])), [float(t / total[0]) for t in total[1:]]
+        # the midpoints of the kept intervals, odd nodes of the grid of half the spacing
+        step /= 2.0
+        xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
+        logs = _values(log_f, xs, even)
 
 
 def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec(), *, even=False):

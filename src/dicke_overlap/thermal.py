@@ -17,10 +17,12 @@ Tr[rho rho_s] = 2^-N both force it; a doubled cosh would force Delta = 1 at
 a = 1/2.)  Each point integrates the partition weight once: ln z, <J_z>,
 the moments and the overlap's denominator all read that one integral.
 
-Integrands are handled entirely in log space and integrated over
-adaptive windows around the maxima of the log-integrand: below the
-critical temperature the weight is bimodal with peaks far from the
-origin, where naive fixed-node quadrature sees nothing.
+Integrands are handled entirely in log space and integrated by the
+trapezoid rule on the nodes of a scan that finds the maxima of the
+log-integrand: below the critical temperature the weight is bimodal with
+peaks far from the origin, where naive fixed-node quadrature sees nothing.
+The weight is entire in x and the moment integrands are analytic in a
+strip about the real axis, so the rule converges geometrically.
 
 Validity: the factorization error is O(beta^3); results at large beta
 (low temperature, T below ~0.1 in the resonant units) are qualitative

@@ -801,6 +801,25 @@ def test_negative_thread_count_rejected(capsys):
     assert cli._threads(cli.build_config(None, threads=0)) == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["critical", "--set", "numerics.rel_tol=5"], "numerics.rel_tol"),
+        (["sweep-finite-t", "--set", "numerics.max_nodes=10"], "numerics.max_nodes"),
+    ],
+    ids=["critical-rel_tol", "sweep-finite-t-max_nodes"],
+)
+def test_invalid_quadrature_keys_exit_with_config_error(tmp_path, capsys, args, key):
+    # refused when the config is built, before any row runs
+    out = tmp_path / "never.csv"
+    with pytest.raises(ConfigError) as err:
+        cli.build_config(None, overrides=args[2:])
+    assert err.value.field == key
+    assert cli.main([*args, "--out", str(out), "--threads", "1"]) == 2
+    assert f"kind=ConfigError field={key} message={key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_returns_nonzero_on_config_error():
     assert cli.main(["sweep-zero-t", "--set", "bogus.key=1"]) == 2
 

@@ -127,18 +127,40 @@ def _x_squared(x):
     return np.asarray(x) ** 2
 
 
+def _kept_runs(log_f):
+    """The runs of scan nodes within ``_PEAK_KEEP`` of the scan maximum."""
+    _, vals = numerics._scan(log_f, even=True)
+    near = (vals > vals.max() - numerics._PEAK_KEEP).astype(np.int8)
+    return np.count_nonzero(np.diff(near) == 1)
+
+
+def _recorded(fn, calls):
+    """``fn``, recording a copy of every node array it is called on."""
+
+    def recorder(x):
+        calls.append(np.array(x))
+        return fn(x)
+
+    return recorder
+
+
+def _scan_levels(grid):
+    """How many scan grids, each of twice the span, a scan ending on ``grid`` evaluated."""
+    return int(math.log2(grid[-1] / 8.0)) + 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(width=st.floats(0.2, 4.0), tight=st.booleans(), moments=st.booleans())
 def test_even_path_is_exact_on_far_bimodal_mixtures(width, tight, moments):
     # peaks at +-50, 78 nats or more above the valley between them: two
-    # mirror-image windows that share their evaluations
+    # mirror-image kept runs, and no node in the valley between them
     def log_f(x):
         x = np.asarray(x)
         return np.logaddexp(-0.5 * ((x - 50.0) / width) ** 2, -0.5 * ((x + 50.0) / width) ** 2)
 
     h_funcs = (_x_squared, lambda x: np.cos(np.asarray(x))) if moments else ()
     generic, even = _both_paths(log_f, h_funcs, TIGHT if tight else QuadratureSpec())
-    assert len(numerics._windows(log_f, even=True)) == 2
+    assert _kept_runs(log_f) == 2
     assert not _failed(generic)
     assert even == generic
 
@@ -146,7 +168,7 @@ def test_even_path_is_exact_on_far_bimodal_mixtures(width, tight, moments):
 @settings(max_examples=30, deadline=None)
 @given(width=st.floats(0.05, 50.0), height=st.floats(-1e4, 1e4), moments=st.booleans())
 def test_even_path_is_exact_on_centred_gaussians(width, height, moments):
-    # one window centred on 0, evaluated on its x <= 0 half
+    # one kept run centred on 0, evaluated on its x <= 0 half
     def log_f(x):
         return height - 0.5 * np.asarray(x) ** 2 / width**2
 
@@ -171,10 +193,10 @@ def test_even_path_is_exact_on_thermal_weights(lam, temp, n, a, moments):
 
 
 def test_both_paths_exhaust_the_node_budget_at_the_same_max_nodes():
-    # below T_c: a bimodal weight, a window and its mirror image
+    # below T_c: a bimodal weight, a kept run and its mirror image
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 1.0, 100), 1.0 / 0.5)
     log_f, h_funcs = thermal._log_weight_factory(point), thermal._moment_integrands(point)
-    assert len(numerics._windows(log_f, even=True)) == 2
+    assert _kept_runs(log_f) == 2
 
     def outcomes(max_nodes):
         return _both_paths(log_f, h_funcs, QuadratureSpec(max_nodes, 1e-12))
@@ -192,45 +214,100 @@ def test_both_paths_exhaust_the_node_budget_at_the_same_max_nodes():
 
 
 def test_reused_nodes_equal_fresh_grids():
-    # an asymmetric integrand that needs a few span doublings: every value
-    # the scan and the Simpson refinements reuse is the value on a fresh
-    # np.linspace grid
+    # an asymmetric integrand that needs a few span doublings, with a bump
+    # too narrow for the scan's spacing: every node a halving evaluates is
+    # an odd node of the np.linspace grid of the finer spacing
     def log_f(x):
         x = np.asarray(x)
-        return -0.5 * ((x - 30.0) / 9.0) ** 2 + np.sin(x)
+        return np.logaddexp(-0.5 * ((x - 30.0) / 9.0) ** 2, -0.5 * ((x - 31.0) / 0.02) ** 2)
 
     grid, vals = numerics._scan(log_f)
     span = grid[-1]
     assert span == 256.0
     assert np.array_equal(grid, np.linspace(-span, span, 4097))
     assert np.array_equal(vals, log_f(np.linspace(-span, span, 4097)))
-    [(lo, hi, shift)] = numerics._windows(log_f)
-    nodes = numerics._WindowNodes(log_f, (np.cos,), lo, hi, shift, centred=False)
-    for m in range(4):
-        xs = np.linspace(lo, hi, 128 * 2**m + 1)
-        ys = np.exp(np.maximum(log_f(xs) - shift, numerics._LOG_FLOOR))
-        w, hw = nodes.level(m)
-        assert np.array_equal(w, ys) and np.array_equal(hw, ys * np.cos(xs))
+    f_calls, h_calls = [], []
+    log_i, (mean_cos,) = integrate(_recorded(log_f, f_calls), (_recorded(np.cos, h_calls),))
+    # each Gaussian of width s about m has mass s sqrt(2 pi) and <cos x> = e^(-s^2/2) cos m
+    assert abs(log_i - math.log(9.02) - LOG_SQRT_2PI) < 1e-9
+    cos_mass = 9.0 * math.exp(-40.5) * math.cos(30.0) + 0.02 * math.exp(-2e-4) * math.cos(31.0)
+    assert abs(mean_cos - cos_mass / 9.02) < 1e-9
+    refinements = f_calls[_scan_levels(grid) :]
+    assert len(refinements) >= 2
+    assert np.isin(h_calls[0], grid).all()
+    for m, xs in enumerate(refinements, start=1):
+        assert np.isin(xs, np.linspace(-span, span, 4096 * 2**m + 1)[1::2]).all()
+        assert np.array_equal(h_calls[m], xs)
 
 
 def test_mirrored_nodes_equal_fresh_grids():
+    # narrow bumps at +-5 on a broad Gaussian, computed from x only through x^2
     def log_f(x):
-        return -0.5 * (np.asarray(x) / 7.0) ** 2 + np.cos(np.asarray(x))
+        x2 = np.asarray(x) ** 2
+        return np.logaddexp(-0.5 * x2 / 49.0, -0.5 * ((x2 - 25.0) / 0.2) ** 2)
 
     grid, vals = numerics._scan(log_f, even=True)
     assert np.array_equal(vals, log_f(grid))
-    lo, hi = -13.375, 5.5  # an off-centre window and its mirror image
-    window = numerics._WindowNodes(log_f, (_x_squared,), lo, hi, 1.0, centred=False)
-    centred = numerics._WindowNodes(log_f, (_x_squared,), -hi, hi, 1.0, centred=True)
-    for m in range(4):
-        n = 128 * 2**m
-        for nodes, (a, b) in ((window, (lo, hi)), (centred, (-hi, hi))):
-            xs = np.linspace(a, b, n + 1)
-            ys = np.exp(np.maximum(log_f(xs) - 1.0, numerics._LOG_FLOOR))
-            w, hw = nodes.level(m)
-            assert np.array_equal(w, ys) and np.array_equal(hw, ys * xs**2)
-        mirror = np.linspace(-hi, -lo, n + 1)
-        assert np.array_equal(window.level(m)[0][::-1], np.exp(log_f(mirror) - 1.0))
+    calls = []
+    result = integrate(_recorded(log_f, calls), (_x_squared,), even=True)
+    assert result == integrate(log_f, (_x_squared,))
+    span, refinements = grid[-1], calls[_scan_levels(grid) :]
+    assert len(refinements) >= 2
+    for m, half in enumerate(refinements, start=1):
+        # a halving evaluates its x < 0 half: the midpoints never include 0
+        assert (half < 0).all()
+        xs = np.concatenate((half, -half[::-1]))
+        assert np.isin(xs, np.linspace(-span, span, 4096 * 2**m + 1)[1::2]).all()
+        assert np.array_equal(numerics._values(log_f, xs, True), log_f(xs))
+        assert np.array_equal(numerics._values(_x_squared, xs, True), xs**2)
+
+
+def test_entire_integrands_need_no_point_beyond_the_scan():
+    # the thermal weight is entire in x: the rule on the scan's own nodes
+    # meets the default tolerance, and no node is evaluated twice
+    point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 0.8, 100), 1.0 / 0.5)
+    weight = thermal._log_weight_factory(point)
+    quadrature, scan = [], []
+    log_integral(_recorded(weight, quadrature), even=True)
+    numerics._scan(_recorded(weight, scan), even=True)
+    assert sum(map(len, quadrature)) == sum(map(len, scan))
+
+
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("n, b", [(10, 0.2), (10, 1.0), (1000, 0.2), (1000, 1.0)])
+def test_cosh_power_closed_form(n, b, even):
+    # integral of e^(-x^2/2) cosh(bx)^N = sqrt(2 pi) 2^-N sum_k C(N,k) e^(c_k^2/2)
+    # with c_k = (N - 2k) b; the x^2 moment weighs each term by 1 + c_k^2.
+    # At N = 1000 the peaks at +-N b are far apart
+    def log_f(x):
+        y = np.abs(b * np.asarray(x))
+        return -0.5 * np.asarray(x) ** 2 + n * (y + np.log1p(np.exp(-2.0 * y)) - math.log(2.0))
+
+    c = (n - 2.0 * np.arange(n + 1)) * b
+    log_binomial = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                             for k in range(n + 1)])
+    log_terms = log_binomial + 0.5 * c**2
+    exact = LOG_SQRT_2PI - n * math.log(2.0) + numerics.log_sum_exp(log_terms)
+    weights = np.exp(log_terms - log_terms.max())
+    exact_x2 = (weights * (1.0 + c**2)).sum() / weights.sum()
+    log_i, (x2,) = integrate(log_f, (_x_squared,), TIGHT, even=even)
+    assert abs(log_i - exact) <= 1e-12 * abs(exact)
+    assert abs(x2 - exact_x2) <= 1e-12 * exact_x2
+
+
+def test_kinked_integrand_meets_tolerance_or_fails_typed():
+    # e^-|x - 0.3| has a kink off the nodes: the rule converges only like
+    # h^2, so it reaches the tolerance or raises at the node budget
+    def log_f(x):
+        return -np.abs(np.asarray(x) - 0.3)
+
+    quad = QuadratureSpec()
+    try:
+        value = log_integral(log_f, quad)
+    except NumericalError as exc:
+        assert exc.details["achieved"] > quad.rel_tol
+    else:
+        assert abs(value - math.log(2.0)) <= quad.rel_tol
 
 
 @pytest.mark.parametrize("even", [False, True])
