@@ -35,7 +35,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import core, oracle, thermal, witness, zerotemp
+# oracle, thermal, witness and zerotemp are imported by the rows and
+# commands that use them, so a command loads only its own layers
+from . import core
 from .core import ModelParams
 from .errors import ConfigError, DickeError, InvalidParameterError
 from .numerics import QuadratureSpec
@@ -261,6 +263,8 @@ def _write_csv(path, rows, precision):
 
 
 def _zero_t_row(task):
+    from . import zerotemp
+
     omega, omega0, lam, n = task
     params = ModelParams(omega, omega0, lam, n)
     state = zerotemp.gaussian_ground_state(params)
@@ -278,6 +282,8 @@ def _zero_t_row(task):
 
 
 def _finite_t_row(task):
+    from . import thermal
+
     omega, omega0, lam, temp, n, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
     quad = QuadratureSpec(*quad_args)
@@ -299,12 +305,18 @@ def _finite_t_row(task):
 
 
 def _witness_row(task):
+    from . import witness
+
     omega, omega0, lam, temp, n, finite_n, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
     if temp == 0.0:
+        from . import zerotemp
+
         state = zerotemp.gaussian_ground_state(params)
         moments = zerotemp.collective_moments_zero_t(state, params)
     else:
+        from . import thermal
+
         point = thermal.ThermalPoint(params, 1.0 / temp)
         moments = thermal.thermal_moments(point, QuadratureSpec(*quad_args))
     report = (witness.evaluate_finite_n if finite_n else witness.evaluate)(moments)
@@ -316,6 +328,8 @@ def _witness_row(task):
 
 
 def _oracle_ground_row(task):
+    from . import oracle, zerotemp
+
     omega, omega0, lam, n, cutoff = task
     params = ModelParams(omega, omega0, lam, n)
     state_ed = oracle.exact_ground_state(params, cutoff)
@@ -337,6 +351,8 @@ def _oracle_ground_row(task):
 
 
 def _oracle_thermal_row(task):
+    from . import oracle, thermal
+
     omega, omega0, lam, beta, n, cutoff, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
     # the oracle state first: an N over its capacity bound fails there with
@@ -449,6 +465,8 @@ def cmd_oracle_compare(cfg):
 
 
 def cmd_scaling_fit(cfg):
+    from . import zerotemp
+
     pipelines = [p.strip() for p in cfg["scaling.pipeline"].split(",") if p.strip()]
     if not pipelines:
         raise ConfigError("scaling.pipeline names no pipeline", field="scaling.pipeline")

@@ -27,8 +27,9 @@ intervals alone (a valley between far peaks is never refined), evaluating
 only their midpoints, and each rule is checked against the last.  The
 node budget counts the nodes of every level, the first included, before
 it evaluates them.  A non-smooth integrand converges only like h^2 and may
-exhaust the budget: a ``NumericalError``, not a wrong number.  An
-oscillating one can alias alike onto both rules and pass the check; no
+exhaust the budget: a ``NumericalError``, not a wrong number.  A NaN of
+ln f at any node, of the scan or of a halving, raises a ``NumericalError``
+that names it.  An oscillating one can alias alike onto both rules and pass the check; no
 caller passes one.
 
 At the m-th halving every node is an exact multiple of span / 2^(11 + m),
@@ -168,8 +169,10 @@ class PhotonAtomOperator:
         """The dense matrix, entry for entry the np.kron sum of the dense terms."""
         diagonal, bands = self.bands
         dense = np.diag(diagonal)
+        index = np.arange(len(diagonal))
         for k, band in bands:
-            dense += np.diag(band, k) + np.diag(band, -k)
+            dense[index[:-k], index[k:]] += band
+            dense[index[k:], index[:-k]] += band
         return dense
 
 
@@ -303,6 +306,15 @@ def _values(fn, xs, even):
     return values
 
 
+def _log_values(log_f, xs, even):
+    """``_values`` of the log-integrand; a NaN among them raises ``NumericalError``."""
+    values = _values(log_f, xs, even)
+    nan = np.isnan(values)
+    if nan.any():
+        raise NumericalError("log-integrand is NaN", x=float(xs[np.argmax(nan)]))
+    return values
+
+
 @functools.lru_cache(maxsize=_SCAN_LEVELS)
 def _scan_grid(level):
     """The scan grid of span 8 * 2^level and the nodes of it that a scan evaluates.
@@ -324,7 +336,7 @@ def _scan(log_f, even=False):
     """Expanding symmetric scan; returns (grid, values) with decayed edges."""
     for level in range(_SCAN_LEVELS):
         grid, fresh = _scan_grid(level)
-        new = _values(log_f, fresh, even)
+        new = _log_values(log_f, fresh, even)
         if level == 0:
             vals = new
         else:
@@ -387,7 +399,7 @@ def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=F
         # the midpoints of the kept intervals, odd nodes of the grid of half the spacing
         step /= 2.0
         xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
-        logs = _values(log_f, xs, even)
+        logs = _log_values(log_f, xs, even)
 
 
 def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec(), *, even=False):

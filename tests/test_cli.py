@@ -577,7 +577,7 @@ def test_oracle_compare_ground_mode(tmp_path):
 
 def test_oracle_compare_capacity_error(tmp_path):
     # at the default cutoff 40 the dense blocks a thermal sweep holds at N = 100
-    # need 6.8 GiB together, though the largest alone needs 0.12
+    # need 2.7 GiB together, though the largest alone needs 0.12
     out = tmp_path / "never.csv"
     result = run_cli(
         [
@@ -595,18 +595,20 @@ def test_oracle_compare_capacity_error(tmp_path):
 
 def test_oracle_compare_thermal_keeps_one_coupling_cached(tmp_path):
     # rows run coupling-major: the later beta rows of a coupling reuse its
-    # two sets of block eigensystems, and no later coupling reads them
+    # one set of block eigensystems, and no later coupling reads it; each
+    # build drops the set before it and zeroes the counters, so they count
+    # the last coupling alone: its two later beta rows hit
     oracle._block_eigensystems.cache_clear()
     code = cli.main(
         ["oracle-compare", "--set", "oracle.mode=thermal", "--set", "model.n_atoms=4",
          "--set", "oracle.cutoff=6", "--set", "grid.lambda_min=0.7",
          "--set", "grid.lambda_max=1.1", "--set", "grid.lambda_steps=3",
-         "--set", "grid.beta_list=0.2,0.4", "--out", str(tmp_path / "out.csv"),
+         "--set", "grid.beta_list=0.2,0.3,0.4", "--out", str(tmp_path / "out.csv"),
          "--threads", "1"]
     )
     assert code == 0
     info = oracle._block_eigensystems.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (2, 6, 6)
+    assert (info.currsize, info.hits, info.misses) == (1, 2, 0)
 
 
 def test_oracle_compare_checks_convergence_basis_up_front(tmp_path, capsys):
@@ -944,6 +946,37 @@ def test_import_loads_no_scipy(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_commands_load_only_their_own_layers(tmp_path):
+    # cli imports oracle, thermal, witness and zerotemp in the rows and
+    # commands that use them; each run is a fresh process
+    runs = [
+        ("sweep-finite-t", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10},
+         {"thermal"}, {"oracle", "zerotemp"}),
+        ("witness", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "witness.mode": "finite_t",
+                     "model.n_atoms": 10}, {"thermal", "witness"}, {"oracle", "zerotemp"}),
+        ("critical", {"grid.lambda_min": 0.5, "grid.lambda_max": 1.0, "grid.lambda_steps": 2},
+         set(), {"oracle", "thermal", "zerotemp"}),
+        ("sweep-zero-t", {"model.n_atoms": 100, "grid.lambda_min": 0.2, "grid.lambda_max": 1.0,
+                          "grid.lambda_steps": 3}, {"zerotemp"}, {"oracle", "thermal"}),
+        ("oracle-compare", {**_TWO_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 4},
+         {"oracle", "zerotemp"}, {"thermal"}),
+    ]
+    for i, (command, kv, loaded, unloaded) in enumerate(runs):
+        args = [command, *(x for k, v in kv.items() for x in ("--set", f"{k}={v}")),
+                "--out", str(tmp_path / f"run{i}.csv"), "--threads", "1"]
+        result = run_python(
+            "import sys\n"
+            "from dicke_overlap import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(m.rsplit('.', 1)[1] for m in sys.modules\n"
+            "                      if m.startswith('dicke_overlap.'))))\n",
+            *args,
+        )
+        assert result.returncode == 0, result.stderr
+        modules = set(result.stdout.split())
+        assert loaded <= modules and not unloaded & modules, (command, modules)
 
 
 def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):

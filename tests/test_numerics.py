@@ -85,6 +85,27 @@ def test_node_budget_error_carries_estimate():
     assert "achieved" in err.value.details
 
 
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("where", ["scan", "halving"])
+def test_nan_log_integrand_is_named(where, even):
+    # a NaN of ln f used to read as "-inf on the whole scan range" on the
+    # scan, and to run a halving into the node budget
+    if where == "scan":
+        def log_f(x):
+            x = np.asarray(x)
+            return np.where(np.abs(x) > 5.0, np.nan, -0.5 * x**2)
+    else:
+        # a peak narrower than the scan spacing (1/256) needs halvings; the
+        # NaN lies between two scan nodes, on the first halving's 1/512
+        def log_f(x):
+            x = np.asarray(x)
+            return np.where(np.abs(np.abs(x) - 0.002) < 0.0005, np.nan, -0.5 * (x / 0.002) ** 2)
+
+    with pytest.raises(NumericalError, match="log-integrand is NaN") as err:
+        log_integral(log_f, even=even)
+    assert np.isnan(log_f(np.array([err.value.details["x"]])))[0]
+
+
 def test_integrate_moments():
     quad = QuadratureSpec(rel_tol=1e-11)
     log_w = lambda x: -0.5 * np.asarray(x) ** 2

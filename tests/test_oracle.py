@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from dicke_overlap.oracle import (
     symmetric_basis,
 )
 from dicke_overlap.separable import SeparableState
+from dicke_overlap.witness import spin_ladder
 
 
 def commutator_with_parity(h, basis):
@@ -140,11 +146,11 @@ def test_parity_and_hermiticity(variant):
 
 def test_capacity_bounds():
     # the symmetric basis holds 64 Lanczos vectors, 8 * 64 * cutoff (N + 1)
-    # bytes; the full one three sets of dense blocks and four matrices of the
-    # largest: 8 cutoff^2 (3 sum_j (2j + 1)^2 + 4 (N + 1)^2)
+    # bytes; the full one a set of dense blocks and five matrices of the
+    # largest: 8 cutoff^2 (sum_j (2j + 1)^2 + 5 (N + 1)^2)
     with pytest.raises(CapacityError, match="2.4 GiB"):
         symmetric_basis(100, 50_000)
-    with pytest.raises(CapacityError, match="170.3 GiB"):
+    with pytest.raises(CapacityError, match="67.9 GiB"):
         full_product_basis(100, 200)  # 51 blocks, up to 20,200 states
     # neither the atom count nor the spanned dimension is bounded: these
     # blocks need 0.5 MB and 1.8 GB in all
@@ -156,22 +162,22 @@ def test_capacity_bounds():
 
 def test_capacity_bound_counts_every_block():
     # at cutoff 40 the largest N = 100 block, 4,040 states, needs 0.12 GiB,
-    # but three sets of all 51 blocks and four matrices of the largest need
-    # 6.8 GiB; the check runs before anything is allocated
+    # but a set of all 51 blocks (2.1 GiB alone) and five matrices of the
+    # largest need 2.7 GiB; the check runs before anything is allocated
     assert symmetric_basis(100, 40).dim == 4040
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="6.8 GiB"):
+        with pytest.raises(CapacityError, match="2.7 GiB"):
             full_product_basis(100, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 20 needs 91 MB there, and N = 65 is the largest admitted
+    # N = 20 needs 51 MB there, and N = 89 is the largest admitted
     assert full_product_basis(20, 40).dim == 40 * 2**20
-    assert full_product_basis(65, 40).dim == 40 * 2**65
-    with pytest.raises(CapacityError, match="2.1 GiB"):
-        full_product_basis(66, 40)
+    assert full_product_basis(89, 40).dim == 40 * 2**89
+    with pytest.raises(CapacityError, match="2.0 GiB"):
+        full_product_basis(90, 40)
 
 
 def test_capacity_bound_counts_ground_lanczos_vectors_alone():
@@ -193,12 +199,12 @@ def test_capacity_bound_counts_ground_lanczos_vectors_alone():
 
 
 def test_capacity_bound_counts_dense_bytes():
-    # one spin-1/2 block of 20,000 states would need seven 3.0 GiB dense
+    # one spin-1/2 block of 20,000 states would need six 3.0 GiB dense
     # matrices for a thermal sweep, but its ground state's Lanczos holds only
     # 10 MB; the check runs before anything is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="20.9 GiB"):
+        with pytest.raises(CapacityError, match="17.9 GiB"):
             full_product_basis(1, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -226,27 +232,66 @@ def test_ground_state_checks_the_gate_basis_before_any_solve(monkeypatch):
         exact_ground_state(ModelParams(1.0, 1.0, 0.3, 20_000), 140)
 
 
-def test_thermal_bound_covers_what_a_sweep_holds():
-    # two couplings of two betas each, coupling-major as the CLI runs them;
-    # the peak comes while the second coupling builds its first set of
-    # blocks, or while a split trace reduces the largest block
-    n, cutoff = 12, 20
-    counted = 8 * cutoff**2 * (
-        3 * sum((n + 1 - 2 * k) ** 2 for k in range(n // 2 + 1)) + 4 * (n + 1) ** 2
-    )
+def eigenvector_bytes(n, cutoff):
+    """One set of dense block eigenvectors of the full basis, 8 cutoff^2 sum_j (2j + 1)^2."""
+    return 8 * cutoff**2 * sum((n + 1 - 2 * k) ** 2 for k in range(n // 2 + 1))
+
+
+def thermal_bound(n, cutoff):
+    """The bytes ``full_product_basis`` counts: one set of eigenvectors and five largest blocks."""
+    return eigenvector_bytes(n, cutoff) + 5 * 8 * cutoff**2 * (n + 1) ** 2
+
+
+def two_coupling_sweep(n, cutoff):
+    """Two couplings of two betas each, coupling-major as the CLI runs them."""
     sep = SeparableState.from_a(0.3, n)
+    for lam in (0.7, 1.1):
+        params = ModelParams(1.0, 1.0, lam, n)
+        for beta in (0.2, 0.4):
+            exact_moments(exact_thermal_state(params, cutoff, beta))
+            oracle.split_overlap(params, cutoff, beta, sep)
+
+
+def test_thermal_bound_covers_what_a_sweep_holds():
+    # tracemalloc sees one set of blocks and about one largest block on top,
+    # while the moments of a state are taken; the rest of the count is
+    # LAPACK's copy and workspace, which only the resident size shows
+    n, cutoff = 32, 8
     oracle._block_eigensystems.cache_clear()
     tracemalloc.start()
     try:
-        for lam in (0.7, 1.1):
-            params = ModelParams(1.0, 1.0, lam, n)
-            for beta in (0.2, 0.4):
-                exact_moments(exact_thermal_state(params, cutoff, beta))
-                oracle.split_overlap(params, cutoff, beta, sep)
+        two_coupling_sweep(n, cutoff)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.6 * counted < peak <= counted
+    assert 0.6 * thermal_bound(n, cutoff) < peak <= thermal_bound(n, cutoff)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+def test_thermal_bound_covers_the_resident_growth_of_a_sweep():
+    # at small N the solve of the largest block dominates, with LAPACK's copy
+    # and workspace; measured in a fresh process on one BLAS thread, after a
+    # first LAPACK call, which maps OpenBLAS's buffers once per process.
+    # VmHWM, not ru_maxrss: after a fork the latter starts from the parent's
+    n, cutoff = 8, 60
+    script = (
+        "import numpy as np\n"
+        "from test_oracle import two_coupling_sweep\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
+        "np.linalg.eigh(np.diag(np.arange(100.0)) + 1.0)\n"
+        "two_coupling_sweep(2, 4)\n"
+        "base = status('VmRSS:')\n"
+        f"two_coupling_sweep({n}, {cutoff})\n"
+        "print(status('VmHWM:') - base)\n"
+    )
+    paths = [str(Path(oracle.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert eigenvector_bytes(n, cutoff) < int(result.stdout) <= thermal_bound(n, cutoff)
 
 
 def test_ground_state_decoupled_is_product_vacuum():
@@ -529,7 +574,7 @@ def test_lanczos_matches_dense_on_even_blocks(n, extra, lam):
     params = ModelParams(1.0, 1.0, lam, n)
     basis = symmetric_basis(n, cutoff)
     even = parity_diagonal(basis) > 0
-    h = oracle._hamiltonian(params, basis, params.omega)
+    h = oracle._hamiltonian(params, basis)
     assert np.count_nonzero(even) > numerics._KRYLOV_DIM
     e0, vec = lowest_eigenpair(h, sector=even)
     e_dense, v_dense = lowest_eigenpair(h.toarray(), sector=even)
@@ -557,6 +602,140 @@ def test_split_overlap_against_expm():
     ref = np.tile(sep.a**n_up * (1.0 - sep.a) ** (3 - n_up), cutoff)
     direct = np.trace(split_op @ np.diag(ref)) / np.trace(split_op)
     assert abs(oracle.split_overlap(params, cutoff, beta, sep) - direct) < 1e-10
+
+
+def dense_split_terms(params, cutoff, beta):
+    """The split trace's log terms from one dense eigh per block of HI, and each term's up spins.
+
+    The earlier implementation of ``oracle._split_log_terms``: the block j
+    of HI = omega0 Jz + (lambda/sqrt(N)) (a + a')(J+ + J-) is built whole,
+    c (2j+1) states, and ln (exp(-beta HI))_ii = ln sum_k U_ik^2 exp(-beta e_k).
+    """
+    basis = full_product_basis(params.n_atoms, cutoff)
+    log_terms, n_up = [], []
+    for j in basis.spins:
+        up = basis.up_counts(j)
+        hi = numerics.PhotonAtomOperator(
+            0.0, cutoff, (params.omega0 * (np.arange(len(up)) - j), 0.0),
+            params.coupling / math.sqrt(params.n_atoms), spin_ladder(j),
+        ).toarray()
+        vals, vecs = np.linalg.eigh(hi)
+        h0 = params.omega * np.repeat(np.arange(cutoff, dtype=float), len(up))
+        log_diag = numerics.log_sum_exp(-beta * vals[None, :], vecs**2, axis=1)
+        log_terms.append(-beta * h0 + log_diag + math.log(basis.multiplicity(j)))
+        n_up.append(np.tile(up, cutoff))
+    return np.concatenate(log_terms), np.concatenate(n_up)
+
+
+def assert_split_matches(params, cutoff, beta, log_partition, overlap_at, rtol):
+    """split_log_partition and split_overlap (a = 0.3 and 0.8) against a reference, relative."""
+    n = params.n_atoms
+    assert abs(split_log_partition(params, cutoff, beta) / log_partition - 1) <= rtol
+    for a in (0.3, 0.8):
+        value = oracle.split_overlap(params, cutoff, beta, SeparableState.from_a(a, n))
+        assert abs(value / overlap_at(a) - 1) <= rtol, (a, value)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_trace_matches_dense_blocks_of_hi(n):
+    # the quadrature eigenbasis splits each block of HI into cutoff atomic
+    # problems; exact in the truncated space, so it equals the dense blocks
+    # to rounding. Left out: beta = 2, cutoff 30 and lambda >= 1, where the
+    # dense eigenvectors' tiny photon components cost the overlap up to 3e-11;
+    # there a 30-digit evaluation checks the split instead
+    # (test_split_trace_matches_high_precision_where_dense_blocks_lose_digits)
+    cases = [(1.0, 1.0, lam, beta, cutoff)
+             for lam in (0.0, 0.3, 1.0, 1.5) for beta in (0.05, 0.5, 2.0) for cutoff in (4, 12, 30)
+             if not (beta == 2.0 and cutoff == 30 and lam >= 1.0)]
+    if n == 6:
+        cases.append((1.3, 0.7, 0.9, 0.7, 20))
+    for omega, omega0, lam, beta, cutoff in cases:
+        params = ModelParams(omega, omega0, lam, n)
+        log_terms, n_up = dense_split_terms(params, cutoff, beta)
+        weights = np.exp(log_terms - log_terms.max())
+
+        def overlap_at(a):
+            return float(weights @ (a**n_up * (1 - a) ** (n - n_up)) / weights.sum())
+
+        assert_split_matches(params, cutoff, beta, float(numerics.log_sum_exp(log_terms)),
+                             overlap_at, 1e-12)
+
+
+def test_split_trace_matches_high_precision_where_dense_blocks_lose_digits():
+    # N = 5, lambda = 1.5, beta = 2, cutoff 30: the dense blocks of HI give
+    # the overlap 1.8e-11 off; the same factorized trace in 30-digit
+    # arithmetic (mpmath's eigsy for X and each A(x_m)) agrees to 1e-13
+    mp = pytest.importorskip("mpmath")
+    n, lam, beta, cutoff = 5, 1.5, 2.0, 30
+    with mp.workdps(30):
+        ladder = mp.matrix(cutoff, cutoff)
+        for k in range(1, cutoff):
+            ladder[k - 1, k] = ladder[k, k - 1] = mp.sqrt(k)
+        nodes, photon = mp.eigsy(ladder)
+        coupling = mp.mpf(lam) / mp.sqrt(n)
+        terms = []  # (weight, up spins) of every diagonal element
+        for k in range(n // 2 + 1):
+            j = mp.mpf(n) / 2 - k
+            d = n + 1 - 2 * k
+            copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            atomic = []  # diagonal of exp(-beta A(x_m)) at each node
+            for m in range(cutoff):
+                a_m = mp.matrix(d, d)
+                for i in range(d):
+                    a_m[i, i] = i - j
+                for i in range(d - 1):
+                    a_m[i, i + 1] = a_m[i + 1, i] = coupling * nodes[m] * mp.sqrt((2 * j - i) * (i + 1))
+                e, u = mp.eigsy(a_m)
+                boltzmann = [mp.exp(-beta * e_k) for e_k in e]
+                atomic.append([mp.fsum(u[i, q] ** 2 * boltzmann[q] for q in range(d))
+                               for i in range(d)])
+            for level in range(cutoff):
+                h0 = copies * mp.exp(-beta * level)
+                for i in range(d):
+                    diagonal = mp.fsum(photon[level, m] ** 2 * atomic[m][i] for m in range(cutoff))
+                    terms.append((h0 * diagonal, i + k))
+        total = mp.fsum(w for w, _ in terms)
+        log_partition = float(mp.log(total))
+        overlaps = {a: float(mp.fsum(w * mp.mpf(a) ** up * (1 - mp.mpf(a)) ** (n - up)
+                                     for w, up in terms) / total) for a in (0.3, 0.8)}
+    assert_split_matches(ModelParams(1.0, 1.0, lam, n), cutoff, beta, log_partition,
+                         overlaps.__getitem__, 1e-13)
+
+
+def test_split_trace_builds_no_block_of_hi(monkeypatch):
+    # every eigh of the split trace is of X (cutoff x cutoff) or of a stack
+    # of atomic matrices of 2j + 1 <= N + 1 levels
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    split_log_partition(ModelParams(1.0, 1.0, 0.8, 6), 12, 0.3)
+    assert shapes[0] == (12, 12)
+    assert shapes[1:] == [(12, d, d) for d in (7, 5, 3, 1)]
+
+
+def test_block_eigensystems_drop_a_coupling_before_building_the_next(monkeypatch):
+    oracle._block_eigensystems.cache_clear()
+    _, held = oracle._block_eigensystems(ModelParams(1.0, 1.0, 0.7, 4), 6)
+    vectors = weakref.ref(held[0][1])
+    del held
+    alive_at_build = []
+    full = oracle.full_product_basis
+
+    def recording_basis(*args):
+        alive_at_build.append(vectors() is not None)
+        return full(*args)
+
+    monkeypatch.setattr(oracle, "full_product_basis", recording_basis)
+    oracle._block_eigensystems(ModelParams(1.0, 1.0, 0.7, 4), 6)
+    assert alive_at_build == []  # a later row of the same coupling reuses the set
+    oracle._block_eigensystems(ModelParams(1.0, 1.0, 1.1, 4), 6)
+    assert alive_at_build == [False]
+    assert oracle._block_eigensystems.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
