@@ -56,6 +56,14 @@ class ModelParams:
         return critical_coupling(self.omega, self.omega0)
 
 
+def check_beta(params: ModelParams, beta):
+    """Reject a beta that is not positive and finite, or whose product with omega overflows."""
+    if not (beta > 0 and math.isfinite(beta)):
+        raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
+    if not math.isfinite(beta * max(params.omega, params.omega0)):
+        raise InvalidParameterError("beta * max(omega, omega0) must be finite")
+
+
 def critical_coupling(omega, omega0):
     """Normal/superradiant boundary coupling sqrt(omega * omega0) / 2."""
     if not (omega > 0 and omega0 > 0):

@@ -114,10 +114,19 @@ def find_root(f, bracket, rel_width=1e-12, max_iter=200):
     )
 
 
-def traced_band(psi, weights):
-    """Diagonals 0, 1 and 2 of sum_k w_k Tr_photon |psi_k><psi_k|, from amplitudes psi[m, n, k]."""
+def traced_band(psi):
+    """Diagonals 0, 1 and 2 of Tr_photon |psi><psi|, from amplitudes psi[m, n] or psi[m, n, k].
+
+    With a state index k, each diagonal has one column per state.  The sum
+    over the photon level m runs one level at a time, so no temporary is as
+    large as psi.
+    """
     d = psi.shape[1]
-    return tuple((psi[:, : d - s] * psi[:, s:]).sum(axis=0) @ weights for s in (0, 1, 2))
+    bands = [psi[0, : d - s] * psi[0, s:] for s in (0, 1, 2)]
+    for row in psi[1:]:
+        for s, band in enumerate(bands):
+            band += row[: d - s] * row[s:]
+    return tuple(bands)
 
 
 @dataclass(frozen=True)

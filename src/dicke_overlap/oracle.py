@@ -35,22 +35,26 @@ Each basis is bounded by the bytes its solves hold at once, checked before
 anything is allocated.  The symmetric one counts the 64 Lanczos vectors of
 the ground state (N = 100 at the suggested cutoff 173 of lambda = 1 solves,
 with its convergence gate, in about 1.1 s on one BLAS thread of a 2-core
-Xeon).  The full one counts one set of dense block eigenvectors of H,
-S = 8 cutoff^2 sum_j (2j+1)^2 bytes, and five dense matrices of its
-largest block, L = 8 cutoff^2 (N+1)^2 bytes each.  A sweep holds one
-coupling's set and drops it before it builds the next.  The solve of a
-block holds four more of its matrices beside its eigenvectors (the dense
-block, LAPACK's copy of it and a workspace of two), and the blocks come
-largest first, so the solves hold at most S + 4L; the fifth covers the
-freed blocks that the allocator keeps resident (a sweep's peak RSS growth
-measured S + 4.9 L at N = 1 and cutoff 200, S + 1.4 L at N = 30 and cutoff
-40).  The split trace holds a few arrays of c (2j+1)^2 or c^2 (2j+1)
-numbers per block, a c-th or a (2j+1)-th of one block matrix.  At cutoff 40
-the bound admits N up to 89.
+Xeon).  The full one counts the bands a thermal sweep keeps, at most
+3 cutoff sum_j (2j+1)^2 numbers, and six dense matrices of its largest
+block, L = 8 cutoff^2 (N+1)^2 bytes each.  Each block is reduced as soon as
+it is solved, to its eigenvalues and each eigenvector's traced band (three
+diagonals of 2j+1 levels: 3/c of the eigenvectors' size), and its
+eigenvectors are freed before the next block is built.  A sweep holds one
+coupling's bands and drops them before it builds the next.  The solve of a
+block holds five of its matrices (the dense block, LAPACK's copy of it, a
+workspace of two and the eigenvectors), and the blocks come largest first,
+so the solves hold at most the bands and 5L; the sixth covers the freed
+blocks that the allocator keeps resident (a sweep's peak RSS growth
+measured the bands plus 2.6 L to 5.6 L for N = 1 to 40 at cutoff 40, and
+5.6 L at N = 1 and cutoff 200).  The split trace holds a few arrays of
+c (2j+1)^2 or c^2 (2j+1) numbers per block, a c-th or a (2j+1)-th of one
+block matrix.  At cutoff 40 the bound admits N up to 145.
 
 A state keeps the diagonals 0, 1 and 2 of each block's photon-traced
-atomic matrix.  Thermal states take the complete dense eigendecomposition
-of each block.  Everything here runs on numpy alone.
+atomic matrix, the ground state's traced from its one vector, the thermal
+state's weighted from its blocks' reduced eigensystems.  Everything here
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
-from .core import ModelParams
+from .core import ModelParams, check_beta
 from .numerics import (
     _KRYLOV_DIM,
     PhotonAtomOperator,
@@ -74,7 +78,7 @@ from .separable import SeparableState
 from .witness import MomentSet, spin_ladder
 
 # float64 bytes the solves of a basis hold at once: the Lanczos vectors of a
-# ground state, or the dense blocks of the thermal and split-trace states
+# ground state, or the bands and dense blocks of a thermal sweep
 _MAX_BYTES = 2 * 2**30
 _GROUND_ENERGY_TOL = 1e-8
 _DUAL_PATH_TOL = 1e-10
@@ -146,14 +150,14 @@ def symmetric_basis(n_atoms, cutoff):
 def full_product_basis(n_atoms, cutoff):
     """All 2^N spin configurations: the multiplets j = N/2, N/2-1, ..., 0 or 1/2.
 
-    Bounded by one set of dense block eigenvectors and five dense matrices
-    of the largest block (see the module docstring).
+    Bounded by the traced bands of every block's eigenvectors and six dense
+    matrices of the largest block (see the module docstring).
     """
     basis = DickeBasis(n_atoms, cutoff, tuple(n_atoms / 2 - k for k in range(n_atoms // 2 + 1)))
     _check_bytes(
-        8 * basis.cutoff**2 * (sum((int(2 * j) + 1) ** 2 for j in basis.spins)
-                               + 5 * (n_atoms + 1) ** 2),
-        f"1 set of {len(basis.spins)} dense block(s) and 5 matrices of the largest",
+        8 * basis.cutoff * (3 * sum((int(2 * j) + 1) ** 2 for j in basis.spins)
+                            + 6 * basis.cutoff * (n_atoms + 1) ** 2),
+        f"the bands of {len(basis.spins)} block(s) and 6 matrices of the largest",
     )
     return basis
 
@@ -165,7 +169,8 @@ def suggested_cutoff(params: ModelParams):
     growth) still guards every use; this only sets the starting point.
     """
     lc = params.critical
-    mu = min((lc / params.coupling) ** 2, 1.0) if params.coupling > 0 else 1.0
+    # min before squaring: (lc / lambda)^2 overflows for lambda below ~1e-154
+    mu = min(lc / params.coupling, 1.0) ** 2 if params.coupling > 0 else 1.0
     mean = params.n_atoms * (params.coupling / params.omega) ** 2 * max(0.0, 1.0 - mu**2)
     return int(math.ceil(mean + 6.5 * math.sqrt(mean + 4.0) + 14.0))
 
@@ -208,23 +213,15 @@ def parity_diagonal(basis: DickeBasis):
 
 @dataclass(frozen=True)
 class OracleState:
-    """Pure ground state or Gibbs state in an oracle basis, held block by block.
+    """Pure ground state or Gibbs state in an oracle basis, reduced to its atomic bands.
 
-    Each entry of ``blocks`` is (j, vectors, probabilities): the columns of
-    ``vectors`` are eigenvectors of block j, and ``probabilities`` their
-    weights in each copy of it.  Blocks not listed carry no weight.
+    Each entry of ``atomic_bands`` is (j, (diagonal 0, 1, 2)): the diagonals
+    of the photon-traced atomic matrix of one copy of block j, on |j, m> in
+    ascending m.  Blocks not listed carry no weight.
     """
 
     basis: DickeBasis
-    blocks: tuple
-
-    @functools.cached_property
-    def atomic_bands(self):
-        """(j, diagonals 0, 1, 2 of the photon-traced atomic matrix) of one copy of each block j."""
-        return tuple(
-            (j, traced_band(vectors.reshape(self.basis.cutoff, -1, len(p)), p))
-            for j, vectors, p in self.blocks
-        )
+    atomic_bands: tuple
 
     def up_spin_distribution(self):
         """Probability of finding exactly n up spins, n = 0..N."""
@@ -266,11 +263,19 @@ def exact_ground_state(params: ModelParams, cutoff):
             f"({basis.cutoff} -> {big_basis.cutoff}); increase the photon cutoff",
             mode="photon",
         )
-    return OracleState(basis, ((basis.spin, vec[:, None], np.ones(1)),))
+    return OracleState(basis, ((basis.spin, traced_band(vec.reshape(basis.cutoff, -1))),))
 
 
 def ground_energy(params: ModelParams, cutoff):
     return _ground_pair(params, symmetric_basis(params.n_atoms, int(cutoff)))[0]
+
+
+def _reduced_eigensystem(params: ModelParams, block: DickeBasis):
+    """Eigenvalues of a block of H and the traced band of each eigenvector, one column each."""
+    # the dense block is symmetric by construction; its eigenvectors are
+    # freed on return, before the next block is built
+    vals, vecs = np.linalg.eigh(_hamiltonian(params, block).toarray())
+    return vals, traced_band(vecs.reshape(block.cutoff, -1, len(vals)))
 
 
 # one coupling's set: a sweep runs its rows coupling-major, so every later
@@ -279,26 +284,26 @@ def ground_energy(params: ModelParams, cutoff):
 # never holds two
 @functools.lru_cache(maxsize=1)
 def _block_eigensystems(params: ModelParams, cutoff: int):
-    """Full basis and the eigendecomposition of each of its blocks of H."""
+    """Full basis and the reduced eigensystem of each of its blocks of H."""
     _block_eigensystems.cache_clear()
     basis = full_product_basis(params.n_atoms, cutoff)
-    # each dense block is symmetric by construction
-    return basis, tuple(
-        np.linalg.eigh(_hamiltonian(params, basis.block(j)).toarray())
-        for j in basis.spins
-    )
+    return basis, tuple(_reduced_eigensystem(params, basis.block(j)) for j in basis.spins)
 
 
 def exact_thermal_state(params: ModelParams, cutoff, beta):
-    """Gibbs state over all 2^N spin configurations, one eigendecomposition per multiplet."""
-    if beta <= 0:
-        raise InvalidParameterError(f"beta must be positive, got {beta}")
+    """Gibbs state over all 2^N spin configurations, one eigendecomposition per multiplet.
+
+    Each block's band is its eigenvectors' traced bands weighted by their
+    Boltzmann probabilities.
+    """
+    check_beta(params, beta)
     basis, eigensystems = _block_eigensystems(params, int(cutoff))
     e_min = min(vals[0] for vals, _ in eigensystems)
     boltzmann = [np.exp(-beta * (vals - e_min)) for vals, _ in eigensystems]
     z = sum(basis.multiplicity(j) * w.sum() for j, w in zip(basis.spins, boltzmann))
     return OracleState(basis, tuple(
-        (j, vecs, w / z) for j, (_, vecs), w in zip(basis.spins, eigensystems, boltzmann)
+        (j, tuple(band @ (w / z) for band in bands))
+        for j, (_, bands), w in zip(basis.spins, eigensystems, boltzmann)
     ))
 
 
@@ -334,8 +339,6 @@ def exact_overlap(state: OracleState, sep: SeparableState):
     1e-10, which catches a mis-binned P(n), not an error in the state:
     (i) bins each block's diagonal by up-spin count into P(n), (ii) sums
     each block's diagonal against its own levels' weights, per copy.
-
-    Returns (value, path_diagonal, path_blocks).
     """
     if sep.n_atoms != state.basis.n_atoms:
         raise InvalidParameterError("separable state and oracle basis disagree on N")
@@ -349,7 +352,7 @@ def exact_overlap(state: OracleState, sep: SeparableState):
         raise InternalConsistencyError(
             f"overlap paths disagree: {path_diag} vs {path_blocks}"
         )
-    return path_diag, path_diag, path_blocks
+    return path_diag
 
 
 def exact_moments(state: OracleState) -> MomentSet:
@@ -384,6 +387,7 @@ def _split_log_terms(params, cutoff, beta):
 
     Returns (basis, log terms, up-spin count of each term).
     """
+    check_beta(params, beta)
     basis = full_product_basis(params.n_atoms, int(cutoff))
     c = basis.cutoff
     # X is tridiagonal; its eigenvalues are the c-point Gauss-Hermite nodes times sqrt(2)

@@ -88,6 +88,8 @@ def nearest_a(diagonal_probs, tol=1e-8):
     p = np.asarray(diagonal_probs, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise InvalidDistributionError("diagonal_probs must be a vector of length N+1 >= 2")
+    if not np.isfinite(p).all():
+        raise InvalidDistributionError(f"probabilities must be finite, got {p}")
     if p.min() < -1e-12:
         raise InvalidDistributionError(f"negative probability {p.min()}")
     if abs(p.sum() - 1.0) > 1e-8:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, check_beta
 from .errors import InternalConsistencyError, InvalidParameterError, NumericalError
 from .numerics import QuadratureSpec, integrate, log_integral
 from .witness import MomentSet
@@ -52,10 +52,7 @@ class ThermalPoint:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise InvalidParameterError(f"beta must be positive and finite, got {self.beta}")
-        if not math.isfinite(self.beta * max(self.params.omega, self.params.omega0)):
-            raise InvalidParameterError("beta * max(omega, omega0) must be finite")
+        check_beta(self.params, self.beta)
 
 
 def _epsilon_factory(point: ThermalPoint):

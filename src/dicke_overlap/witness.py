@@ -90,7 +90,9 @@ class MomentSet:
         return sum(self.second)
 
     def validate(self, slack=_INVARIANT_SLACK):
-        """Check variance nonnegativity and the universal sum bound (a)."""
+        """Check finite moments, nonnegative variances and the universal sum bound (a)."""
+        if not np.isfinite([*self.first, *self.second]).all():
+            raise InvalidParameterError(f"moments must be finite, got {self.first}, {self.second}")
         for axis in AXES:
             if self.variance(axis) < -slack:
                 raise InvalidParameterError(

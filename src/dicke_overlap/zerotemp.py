@@ -83,7 +83,7 @@ class TwoModeState:
 
     def fock_band(self):
         """Diagonals 0, 1 and 2 of the physical-basis reduced atomic matrix."""
-        return traced_band(_physical_amplitudes(self)[:, :, None], np.ones(1))
+        return traced_band(_physical_amplitudes(self))
 
     def purity(self):
         rho = _reduced_atom_matrix(self)

@@ -576,14 +576,14 @@ def test_oracle_compare_ground_mode(tmp_path):
 
 
 def test_oracle_compare_capacity_error(tmp_path):
-    # at the default cutoff 40 the dense blocks a thermal sweep holds at N = 100
-    # need 2.7 GiB together, though the largest alone needs 0.12
+    # at the default cutoff 40 the bands and dense blocks a thermal sweep holds
+    # at N = 150 need 2.2 GiB together, though the largest block alone needs 0.27
     out = tmp_path / "never.csv"
     result = run_cli(
         [
             "oracle-compare",
             "--set", "oracle.mode=thermal",
-            "--set", "model.n_atoms=100",
+            "--set", "model.n_atoms=150",
             "--out", str(out),
         ]
     )

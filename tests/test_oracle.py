@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dicke_overlap import numerics, oracle, zerotemp
 from dicke_overlap.core import ModelParams
-from dicke_overlap.errors import CapacityError, InvalidParameterError
+from dicke_overlap.errors import CapacityError, InternalConsistencyError, InvalidParameterError
 from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.oracle import (
     OracleState,
@@ -42,16 +42,34 @@ def blocks_of(basis):
     return [basis.block(j) for j in basis.spins]
 
 
-def pure_vector(state):
-    (_, vectors, _), = state.blocks
-    return vectors[:, 0]
+def pure_vector(params, cutoff):
+    """The symmetric-sector ground vector that ``exact_ground_state`` reduces, solved again."""
+    return oracle._ground_pair(params, symmetric_basis(params.n_atoms, cutoff))[1]
 
 
-def dense_atomic_blocks(state):
-    """(j, dense photon-traced atomic density matrix of one copy of block j), per listed block."""
+def gibbs_blocks(params, cutoff, beta):
+    """(j, eigenvectors, Boltzmann probabilities) of each block of H, from one dense eigh each."""
+    basis = full_product_basis(params.n_atoms, cutoff)
+    spectra = [np.linalg.eigh(build_hamiltonian(params, block)) for block in blocks_of(basis)]
+    e_min = min(vals[0] for vals, _ in spectra)
+    weights = [np.exp(-beta * (vals - e_min)) for vals, _ in spectra]
+    z = sum(basis.multiplicity(j) * w.sum() for j, w in zip(basis.spins, weights))
+    return [(j, vecs, w / z) for j, (_, vecs), w in zip(basis.spins, spectra, weights)]
+
+
+def dense_atomic_blocks(params, cutoff, beta=None):
+    """(j, dense photon-traced atomic density matrix of one copy of block j), per block.
+
+    The ground state's (``beta`` None) or the Gibbs state's, from this
+    module's own solves.
+    """
+    if beta is None:
+        blocks = [(params.n_atoms / 2, pure_vector(params, cutoff)[:, None], np.ones(1))]
+    else:
+        blocks = gibbs_blocks(params, cutoff, beta)
     out = []
-    for j, vectors, probabilities in state.blocks:
-        psi = (vectors * np.sqrt(probabilities)).reshape(state.basis.cutoff, -1, len(probabilities))
+    for j, vectors, probabilities in blocks:
+        psi = (vectors * np.sqrt(probabilities)).reshape(cutoff, -1, len(probabilities))
         amplitudes = psi.transpose(1, 0, 2).reshape(psi.shape[1], -1)
         out.append((j, amplitudes @ amplitudes.T))
     return out
@@ -146,11 +164,11 @@ def test_parity_and_hermiticity(variant):
 
 def test_capacity_bounds():
     # the symmetric basis holds 64 Lanczos vectors, 8 * 64 * cutoff (N + 1)
-    # bytes; the full one a set of dense blocks and five matrices of the
-    # largest: 8 cutoff^2 (sum_j (2j + 1)^2 + 5 (N + 1)^2)
+    # bytes; the full one the bands of every block and six matrices of the
+    # largest: 8 cutoff (3 sum_j (2j + 1)^2 + 6 cutoff (N + 1)^2)
     with pytest.raises(CapacityError, match="2.4 GiB"):
         symmetric_basis(100, 50_000)
-    with pytest.raises(CapacityError, match="67.9 GiB"):
+    with pytest.raises(CapacityError, match="19.0 GiB"):
         full_product_basis(100, 200)  # 51 blocks, up to 20,200 states
     # neither the atom count nor the spanned dimension is bounded: these
     # blocks need 0.5 MB and 1.8 GB in all
@@ -161,23 +179,21 @@ def test_capacity_bounds():
 
 
 def test_capacity_bound_counts_every_block():
-    # at cutoff 40 the largest N = 100 block, 4,040 states, needs 0.12 GiB,
-    # but a set of all 51 blocks (2.1 GiB alone) and five matrices of the
-    # largest need 2.7 GiB; the check runs before anything is allocated
-    assert symmetric_basis(100, 40).dim == 4040
+    # at cutoff 40 the largest N = 146 block, 5,880 states, needs 0.26 GiB,
+    # and the bands of all 74 blocks 0.48 GiB, but the bands and six matrices
+    # of the largest need 2.0 GiB; the check runs before anything is allocated
+    assert symmetric_basis(146, 40).dim == 5880
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="2.7 GiB"):
-            full_product_basis(100, 40)
+        with pytest.raises(CapacityError, match="2.0 GiB"):
+            full_product_basis(146, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 20 needs 51 MB there, and N = 89 is the largest admitted
+    # N = 20 needs 36 MB there, and N = 145 is the largest admitted
     assert full_product_basis(20, 40).dim == 40 * 2**20
-    assert full_product_basis(89, 40).dim == 40 * 2**89
-    with pytest.raises(CapacityError, match="2.0 GiB"):
-        full_product_basis(90, 40)
+    assert full_product_basis(145, 40).dim == 40 * 2**145
 
 
 def test_capacity_bound_counts_ground_lanczos_vectors_alone():
@@ -232,14 +248,19 @@ def test_ground_state_checks_the_gate_basis_before_any_solve(monkeypatch):
         exact_ground_state(ModelParams(1.0, 1.0, 0.3, 20_000), 140)
 
 
-def eigenvector_bytes(n, cutoff):
-    """One set of dense block eigenvectors of the full basis, 8 cutoff^2 sum_j (2j + 1)^2."""
-    return 8 * cutoff**2 * sum((n + 1 - 2 * k) ** 2 for k in range(n // 2 + 1))
+def band_bytes(n, cutoff):
+    """The bands of every block of the full basis, counted as 8 * 3 cutoff sum_j (2j + 1)^2."""
+    return 8 * 3 * cutoff * sum((n + 1 - 2 * k) ** 2 for k in range(n // 2 + 1))
+
+
+def block_bytes(n, cutoff):
+    """One dense matrix of the largest block, 8 cutoff^2 (N + 1)^2."""
+    return 8 * cutoff**2 * (n + 1) ** 2
 
 
 def thermal_bound(n, cutoff):
-    """The bytes ``full_product_basis`` counts: one set of eigenvectors and five largest blocks."""
-    return eigenvector_bytes(n, cutoff) + 5 * 8 * cutoff**2 * (n + 1) ** 2
+    """The bytes ``full_product_basis`` counts: the bands and six matrices of the largest block."""
+    return band_bytes(n, cutoff) + 6 * block_bytes(n, cutoff)
 
 
 def two_coupling_sweep(n, cutoff):
@@ -253,10 +274,11 @@ def two_coupling_sweep(n, cutoff):
 
 
 def test_thermal_bound_covers_what_a_sweep_holds():
-    # tracemalloc sees one set of blocks and about one largest block on top,
-    # while the moments of a state are taken; the rest of the count is
-    # LAPACK's copy and workspace, which only the resident size shows
-    n, cutoff = 32, 8
+    # tracemalloc sees the bands and about two matrices of the largest block
+    # (the dense block and its eigenvectors); the rest of the count is
+    # LAPACK's copy and workspace, which only the resident size shows. At
+    # cutoff 2 the bands outweigh the matrices
+    n, cutoff = 32, 2
     oracle._block_eigensystems.cache_clear()
     tracemalloc.start()
     try:
@@ -269,10 +291,12 @@ def test_thermal_bound_covers_what_a_sweep_holds():
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
 def test_thermal_bound_covers_the_resident_growth_of_a_sweep():
-    # at small N the solve of the largest block dominates, with LAPACK's copy
-    # and workspace; measured in a fresh process on one BLAS thread, after a
-    # first LAPACK call, which maps OpenBLAS's buffers once per process.
-    # VmHWM, not ru_maxrss: after a fork the latter starts from the parent's
+    # the solve of the largest block dominates: the dense block, LAPACK's
+    # copy, a workspace of two and the eigenvectors, so the growth exceeds
+    # the bands and four of its matrices. Measured in a fresh process on one
+    # BLAS thread, after a first LAPACK call, which maps OpenBLAS's buffers
+    # once per process. VmHWM, not ru_maxrss: after a fork the latter starts
+    # from the parent's
     n, cutoff = 8, 60
     script = (
         "import numpy as np\n"
@@ -291,7 +315,8 @@ def test_thermal_bound_covers_the_resident_growth_of_a_sweep():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert eigenvector_bytes(n, cutoff) < int(result.stdout) <= thermal_bound(n, cutoff)
+    growth = int(result.stdout)
+    assert band_bytes(n, cutoff) + 4 * block_bytes(n, cutoff) < growth <= thermal_bound(n, cutoff)
 
 
 def test_ground_state_decoupled_is_product_vacuum():
@@ -299,7 +324,8 @@ def test_ground_state_decoupled_is_product_vacuum():
     state = exact_ground_state(params, 12)
     expected = np.zeros(12 * 5)
     expected[0] = 1.0  # |m=0> x |all down> is the first basis vector
-    assert np.abs(pure_vector(state) - expected).max() < 1e-12
+    assert np.abs(pure_vector(params, 12) - expected).max() < 1e-12
+    assert np.abs(state.up_spin_distribution() - expected[:5]).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 7, 8])
@@ -323,7 +349,7 @@ def test_large_ground_state_solves_within_the_lanczos_bound():
     # need 2.1 GiB as a dense matrix, but its Lanczos holds 8 MiB
     params = ModelParams(1.0, 1.0, 0.7, 100)
     state = exact_ground_state(params, 110)
-    delta, _, _ = exact_overlap(state, zerotemp.matched_separable_state(params))
+    delta = exact_overlap(state, zerotemp.matched_separable_state(params))
     assert abs(delta - zerotemp.overlap_for_params(params)) < 1e-3
 
 
@@ -346,31 +372,37 @@ def test_symmetric_and_full_product_ground_energies_agree():
 def test_thermal_state_high_temperature_is_maximally_mixed():
     params = ModelParams(1.0, 1.0, 0.6, 3)
     state = exact_thermal_state(params, 40, beta=1e-6)
-    dim = state.basis.dim
-    trace_distance = 0.5 * sum(
-        state.basis.multiplicity(j) * np.abs(p - 1.0 / dim).sum() for j, _, p in state.blocks
-    )
-    assert trace_distance < 1e-5
+    # the atomic marginal of 1/dim: 2^-N on every level of every copy, no coherence
+    deviation = 0.0
+    for j, (probs, off1, off2) in state.atomic_bands:
+        deviation += state.basis.multiplicity(j) * (
+            np.abs(probs - 2.0**-3).sum() + np.abs(off1).sum() + np.abs(off2).sum())
+    assert deviation < 1e-5
 
 
 def test_thermal_state_decoupled_factorizes():
     beta = 0.7
     params = ModelParams(1.0, 1.0, 0.0, 3)
-    state = exact_thermal_state(params, 30, beta=beta)
     # free-spin Gibbs: product of diag(e^-b/2, e^b/2)/2cosh(b/2), a function of
     # J_z, so diagonal in every multiplet with weight p_up^n p_down^(N-n)
     p_up, p_down = (math.exp(s * beta / 2) / (2 * math.cosh(beta / 2)) for s in (-1, 1))
-    for j, rho in dense_atomic_blocks(state):
+    state = exact_thermal_state(params, 30, beta=beta)
+    for j, band in state.atomic_bands:
         n_up = state.basis.up_counts(j)
-        assert np.abs(rho - np.diag(p_up**n_up * p_down ** (3 - n_up))).max() < 1e-10
+        assert np.abs(band[0] - p_up**n_up * p_down ** (3 - n_up)).max() < 1e-10
+        assert all(np.abs(off).max(initial=0.0) < 1e-10 for off in band[1:])
 
 
-def band_moments_against_dense_traces(state):
-    """Each block's band against the dense matrix's diagonals, and the moments against traces."""
+def band_moments_against_dense_traces(state, params, beta=None):
+    """Each block's band against the dense matrix's diagonals, and the moments against traces.
+
+    The dense matrices are the ground state's (``beta`` None) or the Gibbs
+    state's of ``params``, at the state's cutoff.
+    """
     n = state.basis.n_atoms
     totals = np.zeros(6)
     bands = dict(state.atomic_bands)
-    for j, rho in dense_atomic_blocks(state):
+    for j, rho in dense_atomic_blocks(params, state.basis.cutoff, beta):
         for offset, diagonal in enumerate(bands[j]):
             np.testing.assert_allclose(diagonal, np.diag(rho, offset), rtol=0, atol=1e-15)
         jx, jy, jz = oracle.collective_spin_matrices(j)
@@ -384,13 +416,63 @@ def band_moments_against_dense_traces(state):
 @pytest.mark.parametrize("lam", [0.3, 0.8])
 def test_ground_band_moments_match_dense_traces(lam):
     params = ModelParams(1.0, 1.0, lam, 20)
-    band_moments_against_dense_traces(exact_ground_state(params, oracle.suggested_cutoff(params)))
+    band_moments_against_dense_traces(
+        exact_ground_state(params, oracle.suggested_cutoff(params)), params)
 
 
 def test_thermal_band_moments_match_dense_traces():
-    state = exact_thermal_state(ModelParams(1.0, 1.0, 0.9, 6), 12, beta=0.7)
-    assert [j for j, _, _ in state.blocks] == [3.0, 2.0, 1.0, 0.0]
-    band_moments_against_dense_traces(state)
+    params = ModelParams(1.0, 1.0, 0.9, 6)
+    state = exact_thermal_state(params, 12, beta=0.7)
+    assert [j for j, _ in state.atomic_bands] == [3.0, 2.0, 1.0, 0.0]
+    band_moments_against_dense_traces(state, params, beta=0.7)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.7])
+def test_thermal_bands_equal_bands_traced_from_dense_eigenvectors(beta):
+    # each block's eigenvectors traced with the Boltzmann weights applied
+    # last, in the same order of sums: equal to the bit
+    params, cutoff = ModelParams(1.0, 1.0, 0.9, 6), 10
+    state = exact_thermal_state(params, cutoff, beta)
+    reference = gibbs_blocks(params, cutoff, beta)
+    assert [j for j, _ in state.atomic_bands] == [j for j, _, _ in reference]
+    for (_, band), (_, vecs, p) in zip(state.atomic_bands, reference):
+        psi = vecs.reshape(cutoff, -1, len(p))
+        d = psi.shape[1]
+        for s, diagonal in enumerate(band):
+            assert np.array_equal(diagonal, (psi[:, : d - s] * psi[:, s:]).sum(axis=0) @ p)
+
+
+def test_coupling_cache_holds_no_eigenvectors():
+    # after a sweep the cached set of one coupling holds, per block of
+    # 2j + 1 levels, its eigenvalues and three diagonals of (2j + 1)
+    # cutoff columns: linear in the cutoff, where the eigenvectors of the
+    # largest block alone are cutoff^2 (N + 1)^2 numbers
+    n, cutoff = 4, 30
+    two_coupling_sweep(n, cutoff)
+    hits = oracle._block_eigensystems.cache_info().hits
+    _, held = oracle._block_eigensystems(ModelParams(1.0, 1.0, 1.1, n), cutoff)
+    assert oracle._block_eigensystems.cache_info().hits == hits + 1
+    arrays = [vals for vals, _ in held] + [d for _, band in held for d in band]
+    assert max(a.size for a in arrays) <= cutoff * (n + 1) ** 2
+    assert sum(a.nbytes for a in arrays) <= band_bytes(n, cutoff)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5, math.inf, math.nan])
+@pytest.mark.parametrize("call", ["thermal", "split_overlap", "split_log_partition"])
+def test_oracle_rejects_a_bad_beta_before_any_solve(monkeypatch, call, beta):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the beta check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    params = ModelParams(1.0, 1.0, 0.8, 3)
+    sep = SeparableState.from_a(0.3, 3)
+    run = {
+        "thermal": lambda: exact_thermal_state(params, 6, beta),
+        "split_overlap": lambda: oracle.split_overlap(params, 6, beta, sep),
+        "split_log_partition": lambda: split_log_partition(params, 6, beta),
+    }[call]
+    with pytest.raises(InvalidParameterError, match="beta must be positive and finite"):
+        run()
 
 
 def test_thermal_cutoff_convergence():
@@ -400,7 +482,7 @@ def test_thermal_cutoff_convergence():
     for cutoff in (60, 90):
         state = exact_thermal_state(params, cutoff, beta)
         sep = oracle.matched_separable_state(state)
-        delta, _, _ = exact_overlap(state, sep)
+        delta = exact_overlap(state, sep)
         moments = exact_moments(state)
         values.append((delta, moments.first[2], moments.second[0]))
     assert abs(values[0][0] - values[1][0]) < 1e-6
@@ -412,30 +494,38 @@ def test_overlap_decoupled_ground_state():
     params = ModelParams(1.0, 1.0, 0.0, 5)
     state = exact_ground_state(params, 12)
     sep = SeparableState.from_a(0.0, 5)
-    delta, path_a, path_b = exact_overlap(state, sep)
+    delta = exact_overlap(state, sep)
     assert abs(delta - 1.0) < 1e-12
-    assert abs(path_a - path_b) < 1e-12
+    # the per-block path, which exact_overlap checks only to 1e-10
+    ref = np.exp(oracle._reference_log_levels(state.basis, sep))
+    (j, (probs, _, _)), = state.atomic_bands
+    assert abs(delta - float(probs @ ref[state.basis.up_counts(j)])) < 1e-12
 
 
 def test_overlap_infinite_temperature_limit():
     params = ModelParams(1.0, 1.0, 0.9, 4)
     state = exact_thermal_state(params, 40, beta=1e-6)
     for a in (0.0, 0.3, 0.5, 0.8):
-        delta, _, _ = exact_overlap(state, SeparableState.from_a(a, 4))
+        delta = exact_overlap(state, SeparableState.from_a(a, 4))
         assert abs(delta - 2.0**-4) < 1e-6
 
 
-def test_overlap_dual_paths_agree():
-    # symmetric sector
+def test_overlap_dual_paths_agree(monkeypatch):
+    # exact_overlap raises InternalConsistencyError when its two paths differ
+    # by more than 1e-10: they agree on a symmetric-sector ground state and a
+    # full-product thermal state, and a mis-binned P(n) trips the check
     params = ModelParams(1.0, 1.0, 1.0, 12)
-    state = exact_ground_state(params, oracle.suggested_cutoff(params))
-    _, path_a, path_b = exact_overlap(state, oracle.matched_separable_state(state))
-    assert abs(path_a - path_b) < 1e-10
-    # full product, thermal
-    params4 = ModelParams(1.0, 1.0, 0.8, 4)
-    state4 = exact_thermal_state(params4, 50, beta=0.3)
-    _, path_a, path_b = exact_overlap(state4, SeparableState.from_a(0.37, 4))
-    assert abs(path_a - path_b) < 1e-10
+    ground = exact_ground_state(params, oracle.suggested_cutoff(params))
+    thermal = exact_thermal_state(ModelParams(1.0, 1.0, 0.8, 4), 50, beta=0.3)
+    cases = [(ground, oracle.matched_separable_state(ground)),
+             (thermal, SeparableState.from_a(0.37, 4))]
+    for state, sep in cases:
+        exact_overlap(state, sep)
+    binned = OracleState.up_spin_distribution
+    monkeypatch.setattr(OracleState, "up_spin_distribution", lambda self: binned(self)[::-1])
+    for state, sep in cases:
+        with pytest.raises(InternalConsistencyError, match="overlap paths disagree"):
+            exact_overlap(state, sep)
 
 
 def test_overlap_functional_depends_on_basis():
@@ -448,24 +538,24 @@ def test_overlap_functional_depends_on_basis():
     psi = np.linalg.eigh(h0 + hi)[1][:, 0].reshape(40, 2**4)
     p_product = np.bincount(n_up, weights=(psi**2).sum(axis=0), minlength=5)
     assert np.abs(p_product - p_n).max() < 1e-12
-    prod = OracleState(full_product_basis(4, 40), sym.blocks)
+    prod = OracleState(full_product_basis(4, 40), sym.atomic_bands)
     sep = oracle.matched_separable_state(sym)
     assert abs(sep.a - 0.36720) < 1e-5
     n = np.arange(5)
     per_config = sep.a**n * (1.0 - sep.a) ** (4 - n)
     binomial = np.array([math.comb(4, k) for k in n])
     # symmetric sector: the overlap of the J_z distributions
-    delta_sym = exact_overlap(sym, sep)[0]
+    delta_sym = exact_overlap(sym, sep)
     assert abs(delta_sym - 0.284093) < 1e-6
     assert abs(delta_sym - np.dot(binomial * per_config, p_n)) < 1e-12
     # full product basis: Tr[rho_A rho_s]
-    delta_prod = exact_overlap(prod, sep)[0]
+    delta_prod = exact_overlap(prod, sep)
     assert abs(delta_prod - 0.082231) < 1e-6
     assert abs(delta_prod - np.dot(per_config, p_n)) < 1e-12
     # C(N, n) = 1 at the only n an a of 0 or 1 weights, so there they agree
     for a in (0.0, 1.0):
         ref = SeparableState.from_a(a, 4)
-        assert abs(exact_overlap(sym, ref)[0] - exact_overlap(prod, ref)[0]) < 1e-12
+        assert abs(exact_overlap(sym, ref) - exact_overlap(prod, ref)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -477,13 +567,13 @@ def test_overlap_functionals_equal_at_ends_and_ordered_between(n, lam, a):
     params = ModelParams(1.0, 1.0, lam, n)
     cutoff = oracle.suggested_cutoff(params)
     sym = exact_ground_state(params, cutoff)
-    prod = OracleState(full_product_basis(n, cutoff), sym.blocks)
+    prod = OracleState(full_product_basis(n, cutoff), sym.atomic_bands)
     for end in (0.0, 1.0):
         ref = SeparableState.from_a(end, n)
-        assert abs(exact_overlap(sym, ref)[0] - exact_overlap(prod, ref)[0]) < 1e-12
+        assert abs(exact_overlap(sym, ref) - exact_overlap(prod, ref)) < 1e-12
     ref = SeparableState.from_a(a, n)
     # rounding only: at N = 1 the two are equal
-    assert exact_overlap(sym, ref)[0] >= exact_overlap(prod, ref)[0] - 1e-14
+    assert exact_overlap(sym, ref) >= exact_overlap(prod, ref) - 1e-14
 
 
 def test_overlap_rejects_mismatched_n():
@@ -520,9 +610,8 @@ def test_moments_thermal_decoupled_analytic():
 
 def test_ground_state_parity_eigenstate():
     params = ModelParams(1.0, 1.0, 0.35, 6)
-    state = exact_ground_state(params, 20)
-    pi = parity_diagonal(state.basis)
-    vector = pure_vector(state)
+    pi = parity_diagonal(symmetric_basis(6, 20))
+    vector = pure_vector(params, 20)
     overlap = float(vector @ (pi * vector))
     assert abs(abs(overlap) - 1.0) < 1e-12
 
@@ -535,7 +624,7 @@ def test_superradiant_ground_state_keeps_parity(n, lam, cutoff):
     params = ModelParams(1.0, 1.0, lam, n)
     cutoff = cutoff or oracle.suggested_cutoff(params)
     state = exact_ground_state(params, cutoff)
-    assert np.all(pure_vector(state)[parity_diagonal(state.basis) < 0] == 0.0)
+    assert np.all(pure_vector(params, cutoff)[parity_diagonal(state.basis) < 0] == 0.0)
     first = exact_moments(state).first
     assert abs(first[0] * n) < 1e-12 and abs(first[1] * n) < 1e-12
     if n == 20:
@@ -721,13 +810,13 @@ def test_split_trace_builds_no_block_of_hi(monkeypatch):
 def test_block_eigensystems_drop_a_coupling_before_building_the_next(monkeypatch):
     oracle._block_eigensystems.cache_clear()
     _, held = oracle._block_eigensystems(ModelParams(1.0, 1.0, 0.7, 4), 6)
-    vectors = weakref.ref(held[0][1])
+    band = weakref.ref(held[0][1][0])
     del held
     alive_at_build = []
     full = oracle.full_product_basis
 
     def recording_basis(*args):
-        alive_at_build.append(vectors() is not None)
+        alive_at_build.append(band() is not None)
         return full(*args)
 
     monkeypatch.setattr(oracle, "full_product_basis", recording_basis)
@@ -758,7 +847,7 @@ def test_multiplet_oracle_matches_product_basis(n):
 
     p_n = np.bincount(n_up, weights=np.diag(rho), minlength=n + 1)
     assert all(close(x, y) for x, y in zip(state.up_spin_distribution(), p_n))
-    assert close(exact_overlap(state, sep)[0], float(np.dot(np.diag(rho), per_config)))
+    assert close(exact_overlap(state, sep), float(np.dot(np.diag(rho), per_config)))
     moments = exact_moments(state)
     jx, jy, jz = spins
     expected = [np.real(np.trace(rho @ op)) for op in (jx, jy, jz)]
@@ -788,14 +877,14 @@ def test_thermal_and_split_oracles_at_twenty_atoms():
     # ... and Tr[rho_A rho_s] is a product over atoms, exactly and split alike
     sep = SeparableState.from_a(0.3, n)
     single = (sep.a * math.exp(-beta / 2) + (1 - sep.a) * math.exp(beta / 2)) / (2 * math.cosh(beta / 2))
-    assert abs(exact_overlap(exact_thermal_state(free, cutoff, beta), sep)[0] / single**n - 1) < 1e-6
+    assert abs(exact_overlap(exact_thermal_state(free, cutoff, beta), sep) / single**n - 1) < 1e-6
     assert abs(oracle.split_overlap(free, cutoff, beta, sep) / single**n - 1) < 1e-6
     # beta -> 0 at any coupling: the maximally mixed state, Delta = 2^-N at any a
     coupled = ModelParams(1.0, 1.0, 1.0, n)
     hot = exact_thermal_state(coupled, cutoff, 1e-9)
     for a in (0.1, 0.5, 0.8):
         ref = SeparableState.from_a(a, n)
-        assert abs(exact_overlap(hot, ref)[0] * 2**n - 1.0) < 1e-6
+        assert abs(exact_overlap(hot, ref) * 2**n - 1.0) < 1e-6
         assert abs(oracle.split_overlap(coupled, cutoff, 1e-9, ref) * 2**n - 1.0) < 1e-6
 
 
@@ -810,8 +899,8 @@ def test_multiplet_thermal_state_properties(n, cutoff, lam, beta):
     state = exact_thermal_state(ModelParams(1.0, 1.0, lam, n), cutoff, beta)
     assert abs(state.up_spin_distribution().sum() - 1.0) < 1e-12
     exact_moments(state).validate()  # nonnegative variances and witness bound (a)
-    delta = exact_overlap(state, oracle.matched_separable_state(state))[0]
+    delta = exact_overlap(state, oracle.matched_separable_state(state))
     assert 0.0 <= delta <= 1.0
     # rho_s(1/2) = 1/2^N: Delta = Tr[rho_A] / 2^N at any temperature
-    half = exact_overlap(state, SeparableState.from_a(0.5, n))[0]
+    half = exact_overlap(state, SeparableState.from_a(0.5, n))
     assert abs(half * 2**n - 1.0) < 1e-12

@@ -152,6 +152,13 @@ def test_nearest_a_rejects_bad_input():
         nearest_a(np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_a_rejects_a_non_finite_probability(bad):
+    # NaN passes both the sign and the sum checks, which compare with it
+    with pytest.raises(InvalidDistributionError, match="finite"):
+        nearest_a([bad, 1.0])
+
+
 def test_state_is_immutable():
     state = SeparableState.from_a(0.4, 6)
     with pytest.raises(Exception):

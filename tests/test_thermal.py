@@ -115,7 +115,7 @@ def test_overlap_matches_thermal_oracle():
     a = matched_a(point, QUAD)
     delta_quad = overlap_finite_t(point, a, QUAD)
     state = oracle.exact_thermal_state(params, 60, 0.2)
-    delta_exact, _, _ = oracle.exact_overlap(state, oracle.matched_separable_state(state))
+    delta_exact = oracle.exact_overlap(state, oracle.matched_separable_state(state))
     assert abs(delta_quad - delta_exact) / delta_exact < 0.05
 
 
@@ -127,7 +127,7 @@ def test_split_error_grows_with_beta():
         a = matched_a(point, QUAD)
         delta_quad = overlap_finite_t(point, a, QUAD)
         state = oracle.exact_thermal_state(params, 60, beta)
-        delta_exact, _, _ = oracle.exact_overlap(state, oracle.matched_separable_state(state))
+        delta_exact = oracle.exact_overlap(state, oracle.matched_separable_state(state))
         errors.append(abs(delta_quad - delta_exact) / delta_exact)
     assert errors[0] < errors[1] < errors[2]
 

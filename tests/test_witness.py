@@ -46,6 +46,18 @@ def test_momentset_validation():
         too_large.validate()
 
 
+@pytest.mark.parametrize("field", ["first", "second"])
+def test_momentset_rejects_non_finite_moments(field):
+    # a NaN moment fails no comparison, so it used to pass validation and
+    # report no violation
+    moments = {"first": (0.0, 0.0, -0.5), "second": (0.025, 0.025, 0.25)}
+    moments[field] = (np.nan, *moments[field][1:])
+    bad = MomentSet(n_atoms=10, **moments)
+    for check in (bad.validate, lambda: evaluate(bad), lambda: evaluate_finite_n(bad)):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            check()
+
+
 def test_report_shape():
     report = evaluate(coherent_all_down(50))
     kinds = [e.inequality for e in report.entries]
