@@ -334,7 +334,7 @@ def _oracle_ground_row(task):
     params = ModelParams(omega, omega0, lam, n)
     state_ed = oracle.exact_ground_state(params, cutoff)
     sep = zerotemp.matched_separable_state(params)
-    delta_ed = oracle.exact_overlap(state_ed, sep)
+    delta_ed = oracle.exact_overlap(state_ed, sep.log_weights)
     delta_eff = zerotemp.overlap_for_params(params)
     abs_err = abs(delta_eff - delta_ed)
     return {
@@ -359,7 +359,7 @@ def _oracle_thermal_row(task):
     # CapacityError, before the quadratures underflow (near N = 1500)
     state = oracle.exact_thermal_state(params, cutoff, beta)
     sep = oracle.matched_separable_state(state)
-    delta_ed = oracle.exact_overlap(state, sep)
+    delta_ed = oracle.exact_overlap(state, sep.trace_log_weights)
     quad = QuadratureSpec(*quad_args)
     point = thermal.ThermalPoint(params, beta)
     a = thermal.matched_a(point, quad)

@@ -102,7 +102,9 @@ def critical_temperature(params: ModelParams):
     ``critical_temperature_tanh_form`` for the variant that closes at the
     T = 0 transition point.
     """
-    if params.coupling == 0.0:
+    # lambda = 0, or lambda^2 underflowing to 0 below ~1.5e-162, where
+    # beta_c would lie far above the bracket anyway
+    if params.coupling**2 == 0.0:
         return None
     lo, hi = BETA_BRACKET
     f = lambda beta: _beta_c_residual(beta, params)
@@ -128,7 +130,8 @@ def critical_temperature_tanh_form(params: ModelParams):
     ``critical_temperature``; the two relations disagree except in the
     lambda >> lambda_c regime.
     """
-    mu = (params.critical / params.coupling) ** 2 if params.coupling > 0 else math.inf
+    # min before squaring: (lambda_c / lambda)^2 overflows for lambda below ~1e-154
+    mu = min(params.critical / params.coupling, 1.0) ** 2 if params.coupling > 0 else 1.0
     if mu >= 1.0:
         return None
     beta_c = 2.0 * math.atanh(mu) / params.omega0

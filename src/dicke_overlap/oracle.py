@@ -53,8 +53,10 @@ block matrix.  At cutoff 40 the bound admits N up to 145.
 
 A state keeps the diagonals 0, 1 and 2 of each block's photon-traced
 atomic matrix, the ground state's traced from its one vector, the thermal
-state's weighted from its blocks' reduced eigensystems.  Everything here
-runs on numpy alone.
+state's weighted from its blocks' reduced eigensystems.  Its overlap with a
+reference state is ``separable.overlap`` of the blocks' diagonals with the
+per-level weights the caller passes, which name the functional; the basis
+does not.  Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .numerics import (
     lowest_eigenpair,
     traced_band,
 )
-from .separable import SeparableState
+from .separable import SeparableState, overlap
 from .witness import MomentSet, spin_ladder
 
 # float64 bytes the solves of a basis hold at once: the Lanczos vectors of a
@@ -125,13 +127,6 @@ class DickeBasis:
         """Number of up spins, m + N/2, of each |j, m> in ascending m."""
         return np.arange(int(2 * j) + 1) + round(self.n_atoms / 2 - j)
 
-    def level_counts(self):
-        """Number of atomic basis states with n up spins, n = 0..N, every copy counted."""
-        counts = np.zeros(self.n_atoms + 1)
-        for j in self.spins:
-            counts[self.up_counts(j)] += self.multiplicity(j)
-        return counts
-
 
 def _check_bytes(nbytes, held):
     if nbytes > _MAX_BYTES:
@@ -178,13 +173,6 @@ def suggested_cutoff(params: ModelParams):
 # ---------------------------------------------------------------- operators
 
 
-def collective_spin_matrices(j):
-    """Dense J_x, J_y, J_z of the spin-j multiplet, on |j, m> in ascending m (J_y complex)."""
-    jp = np.diag(spin_ladder(j), -1)
-    jz = np.diag(np.arange(len(jp)) - j)
-    return (jp + jp.T) / 2.0, (jp - jp.T) / 2.0j, jz
-
-
 def _hamiltonian(params: ModelParams, basis: DickeBasis):
     """Operator of omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(J+ + J-) on a one-block basis."""
     if basis.n_atoms != params.n_atoms:
@@ -193,11 +181,6 @@ def _hamiltonian(params: ModelParams, basis: DickeBasis):
     h_atom = (params.omega0 * m, 0.0)
     coupling = params.coupling / math.sqrt(params.n_atoms)
     return PhotonAtomOperator(params.omega, basis.cutoff, h_atom, coupling, spin_ladder(basis.spin))
-
-
-def build_hamiltonian(params: ModelParams, basis: DickeBasis):
-    """Dense Dicke Hamiltonian of a one-block basis."""
-    return _hamiltonian(params, basis).toarray()
 
 
 def parity_diagonal(basis: DickeBasis):
@@ -266,10 +249,6 @@ def exact_ground_state(params: ModelParams, cutoff):
     return OracleState(basis, ((basis.spin, traced_band(vec.reshape(basis.cutoff, -1))),))
 
 
-def ground_energy(params: ModelParams, cutoff):
-    return _ground_pair(params, symmetric_basis(params.n_atoms, int(cutoff)))[0]
-
-
 def _reduced_eigensystem(params: ModelParams, block: DickeBasis):
     """Eigenvalues of a block of H and the traced band of each eigenvector, one column each."""
     # the dense block is symmetric by construction; its eigenvectors are
@@ -310,44 +289,23 @@ def exact_thermal_state(params: ModelParams, cutoff, beta):
 # ---------------------------------------------------------------- observables
 
 
-def _reference_log_levels(basis: DickeBasis, sep: SeparableState):
-    """ln of the reference state's weight on one atomic basis state with n up spins, n = 0..N.
+def exact_overlap(state: OracleState, log_levels):
+    """Overlap of the atomic marginal with a reference state, in the functional of ``log_levels``.
 
-    The reference J_z distribution C(N,n) a^n (1-a)^(N-n), shared evenly by
-    the basis states with n up spins: over all multiplets that is
-    a^n (1-a)^(N-n) = <n|rho_s|n>, on the symmetric block alone the whole
-    binomial weight.
-    """
-    return sep.log_weights - np.log(basis.level_counts())
-
-
-def exact_overlap(state: OracleState, sep: SeparableState):
-    """Overlap of the atomic marginal with the separable reference state.
-
-    The functional depends on the basis, through the reference state's
-    weight on each of its states.  With P(n) the probability of n up spins:
-
-    * symmetric sector: sum_n C(N,n) a^n (1-a)^(N-n) P(n), the overlap of
-      the J_z distributions, with the reference state represented by its
-      collective (Dicke-level) binomial weights;
-    * full product basis: Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n),
-      with the reference state represented by its per-configuration
-      product weights.
-
-    The two agree for every state only at a = 0 and a = 1.  Two paths sum
-    the same block diagonals against the same weights and must agree to
+    ``log_levels`` are the reference state's per-level log weights, which
+    name the functional (see ``separable``): ``SeparableState.log_weights``
+    for the overlap of the J_z distributions, ``trace_log_weights`` for
+    Tr[rho_A rho_s].  The basis does not choose it.  Two paths contract
+    the same block diagonals with ``separable.overlap`` and must agree to
     1e-10, which catches a mis-binned P(n), not an error in the state:
-    (i) bins each block's diagonal by up-spin count into P(n), (ii) sums
-    each block's diagonal against its own levels' weights, per copy.
+    (i) bins each block's diagonal by up-spin count into P(n), one copy of
+    j = N/2, (ii) contracts each block's diagonal, per copy.
     """
-    if sep.n_atoms != state.basis.n_atoms:
-        raise InvalidParameterError("separable state and oracle basis disagree on N")
-    ref = np.exp(_reference_log_levels(state.basis, sep))
-    path_diag = float(np.dot(ref, state.up_spin_distribution()))
-    path_blocks = sum(
-        state.basis.multiplicity(j) * float(probs @ ref[state.basis.up_counts(j)])
-        for j, (probs, _, _) in state.atomic_bands
-    )
+    n = state.basis.n_atoms
+    path_diag = overlap(n, [(n / 2, 1, state.up_spin_distribution())], log_levels)
+    path_blocks = overlap(n, [
+        (j, state.basis.multiplicity(j), probs) for j, (probs, _, _) in state.atomic_bands
+    ], log_levels)
     if abs(path_diag - path_blocks) > _DUAL_PATH_TOL:
         raise InternalConsistencyError(
             f"overlap paths disagree: {path_diag} vs {path_blocks}"
@@ -385,7 +343,7 @@ def _split_log_terms(params, cutoff, beta):
     e_k(m), u_k(m), and (exp(-beta HI))_(n i, n i) =
     sum_m <n|x_m>^2 sum_k u_ik(m)^2 exp(-beta e_k(m)).
 
-    Returns (basis, log terms, up-spin count of each term).
+    Returns (log terms, up-spin count of each term).
     """
     check_beta(params, beta)
     basis = full_product_basis(params.n_atoms, int(cutoff))
@@ -409,24 +367,20 @@ def _split_log_terms(params, cutoff, beta):
         log_diag = log_sum_exp(log_atomic[None], photon[:, :, None] ** 2, axis=1)
         log_terms.append((h0[:, None] + log_diag + math.log(basis.multiplicity(j))).ravel())
         n_up.append(np.tile(up, c))
-    return basis, np.concatenate(log_terms), np.concatenate(n_up)
-
-
-def split_log_partition(params: ModelParams, cutoff, beta):
-    """ln Tr[exp(-beta H0) exp(-beta HI)] over all 2^N spin configurations."""
-    _, log_terms, _ = _split_log_terms(params, cutoff, beta)
-    return float(log_sum_exp(log_terms))
+    return np.concatenate(log_terms), np.concatenate(n_up)
 
 
 def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     """Overlap of the split-trace state with the reference state.
 
-    The full-product-basis functional of ``exact_overlap``: Tr[rho_A rho_s] =
-    sum_n a^n (1-a)^(N-n) P(n), with rho_A the photon-traced atomic state
-    of exp(-beta H0) exp(-beta HI) / Tr[...].  Matches the finite-temperature
-    quadrature up to quadrature and photon truncation error only; the
-    O(beta^3) factorization error is common to both.
+    The trace Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n), contracted with
+    ``sep.trace_log_weights`` in log space, with rho_A the photon-traced
+    atomic state of exp(-beta H0) exp(-beta HI) / Tr[...].  Matches the
+    finite-temperature quadrature up to quadrature and photon truncation
+    error only; the O(beta^3) factorization error is common to both.
     """
-    basis, log_terms, n_up = _split_log_terms(params, cutoff, beta)
-    log_ref = _reference_log_levels(basis, sep)[n_up]
+    if sep.n_atoms != params.n_atoms:
+        raise InvalidParameterError("separable state and params disagree on N")
+    log_terms, n_up = _split_log_terms(params, cutoff, beta)
+    log_ref = sep.trace_log_weights[n_up]
     return float(np.exp(log_sum_exp(log_terms + log_ref) - log_sum_exp(log_terms)))

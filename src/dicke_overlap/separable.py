@@ -6,6 +6,19 @@ diag(a, 1-a) with a the single-atom spin-up probability.  In the
 collective J_z basis the resulting N-atom state is diagonal with
 binomial weights C(N,n) a^n (1-a)^(N-n) over the number n of up spins;
 only (a, N, log-weights) are ever stored, never a 2^N matrix.
+
+Every overlap of a state with it is one contraction, ``overlap``, of the
+state's up-spin distribution with per-level weights, and the weights name
+the functional.  With P(n) the probability of n up spins:
+
+* ``SeparableState.log_weights``, ln[C(N,n) a^n (1-a)^(N-n)]: the overlap
+  of the J_z distributions, sum_n C(N,n) a^n (1-a)^(N-n) P(n);
+* ``SeparableState.trace_log_weights``, ln[a^n (1-a)^(N-n)]: the trace
+  Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n), the reference state's
+  weight on each single spin configuration.
+
+The two agree for every state only at a = 0 and a = 1; in between the
+first is never the smaller.
 """
 
 from __future__ import annotations
@@ -56,6 +69,12 @@ class SeparableState:
         """The N+1 binomial probabilities (exact zeros where log-weight is -inf)."""
         return np.exp(self.log_weights)
 
+    @property
+    def trace_log_weights(self):
+        """ln[a^n (1-a)^(N-n)], n = 0..N: ``log_weights`` less ln C(N,n), of the exact integer."""
+        n = self.n_atoms
+        return self.log_weights - np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+
 
 def from_jz(jz_per_atom, n_atoms) -> SeparableState:
     """Reference state matched to a target <J_z>/N through a = 1/2 + <J_z>/N."""
@@ -71,17 +90,36 @@ def log_weight(state: SeparableState, n):
     return float(state.log_weights[n])
 
 
-def _overlap_with_weights(a, n_atoms, probs):
-    w = np.exp(_binomial_log_weights(a, n_atoms))
-    return float(np.dot(w, probs))
+def overlap(n_atoms, blocks, log_levels):
+    """The overlap functional whose per-level log weights are ``log_levels``, n = 0..N.
+
+    ``blocks`` are (j, copies, P) per spin multiplet, as in
+    ``MomentSet.from_bands`` but with P the diagonal alone: P[i] is the
+    probability of |j, i - j> in one copy, whose up-spin count is
+    n = N/2 - j + i.  Returns sum over blocks of copies * sum_i P[i] w(n);
+    levels of P above the multiplet are dropped.
+    """
+    if len(log_levels) != n_atoms + 1:
+        raise InvalidParameterError(
+            f"per-level weights hold {len(log_levels)} levels, not the N + 1 = {n_atoms + 1} "
+            "of the state"
+        )
+    weights = np.exp(log_levels)
+    total = 0.0
+    for j, copies, probs in blocks:
+        k = min(len(probs), int(2 * j) + 1)
+        low = round(n_atoms / 2 - j)
+        total += copies * float(np.dot(weights[low : low + k], probs[:k]))
+    return total
 
 
 def nearest_a(diagonal_probs, tol=1e-8):
     """Reference-state parameter for a given atomic J_z-basis diagonal.
 
     Returns ``(a_jz_matched, a_argmax)``: the <J_z>-matching prescription
-    a = mean(n)/N, and the a maximizing the weighted overlap
-    sum_n C(N,n) a^n (1-a)^(N-n) p_n located by golden-section search.
+    a = mean(n)/N, and the a maximizing the overlap of the J_z
+    distributions sum_n C(N,n) a^n (1-a)^(N-n) p_n located by
+    golden-section search.
     The two coincide exactly when p is itself binomial; callers can
     compare them when it is not.
     """
@@ -97,5 +135,8 @@ def nearest_a(diagonal_probs, tol=1e-8):
     n_atoms = len(p) - 1
     mean_n = float(np.dot(np.arange(n_atoms + 1), p))
     a_matched = min(max(mean_n / n_atoms, 0.0), 1.0)
-    a_best = golden_max(lambda a: _overlap_with_weights(a, n_atoms, p), 0.0, 1.0, tol)
+    blocks = [(n_atoms / 2, 1, p)]
+    a_best = golden_max(
+        lambda a: overlap(n_atoms, blocks, _binomial_log_weights(a, n_atoms)), 0.0, 1.0, tol
+    )
     return a_matched, a_best

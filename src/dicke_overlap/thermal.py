@@ -128,10 +128,11 @@ def thermal_jz(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
 def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD):
     """Overlap with the reference state diag(a, 1-a)^(x N) at inverse temperature beta.
 
-    The functional is Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n), with
-    P(n) the probability of n up spins (the product-basis functional of
-    ``oracle.exact_overlap``; ``zerotemp.overlap_zero_t`` carries an extra
-    C(N,n)).  Typically a = 1/2 + thermal_jz(point).  Computed as
+    The functional is the trace Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n),
+    with P(n) the probability of n up spins: the one whose per-level weights
+    are ``SeparableState.trace_log_weights`` (``zerotemp.overlap_zero_t``
+    reports the overlap of the J_z distributions, with an extra C(N,n)).
+    Typically a = 1/2 + thermal_jz(point).  Computed as
     I(a) / (2^N I(1/2)) in log space; raises ``NumericalError``
     (``log_delta`` in its details) when the overlap lies below the
     smallest normal double.

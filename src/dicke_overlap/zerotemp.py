@@ -51,7 +51,7 @@ from .errors import (
     NumericalError,
 )
 from .numerics import PhotonAtomOperator, lowest_eigenpair, traced_band
-from .separable import SeparableState, from_jz
+from .separable import SeparableState, from_jz, overlap
 from .witness import MomentSet
 
 _TAIL_FRACTION = 0.1
@@ -367,31 +367,21 @@ def reduced_atom_purity(state: TwoModeState | GaussianState):
 def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
     """Ground-state overlap with the matched separable reference state.
 
-    Contracts the physical spin-excitation distribution P(n) with the
-    binomial weights: sum_n C(N,n) a^n (1-a)^(N-n) P(n), the overlap of
-    the J_z distributions (the symmetric-sector functional of
-    ``oracle.exact_overlap``, not Tr[rho_A rho_s]).  The result lies in
+    The overlap of the J_z distributions, sum_n C(N,n) a^n (1-a)^(N-n) P(n):
+    ``separable.overlap`` of the physical spin-excitation distribution P(n),
+    one copy of j = N/2, with ``sep.log_weights``.  Levels of P above N are
+    dropped; the truncated reference's normal-phase P stops at its atom
+    cutoff, where a = 0 leaves weight on n = 0 alone.  The result lies in
     [0, 1] by construction.
     """
-    if sep.n_atoms != state.n_atoms:
-        raise InvalidParameterError("separable state and ground state disagree on N")
     expected_a = state.displacement_atom / sep.n_atoms
     if abs(sep.a - expected_a) > 1e-9:
         raise InvalidParameterError(
             f"reference state a={sep.a} does not match the order parameter "
             f"(expected a={expected_a})"
         )
-    probs = atom_diagonal_probabilities(state)
-    log_w = sep.log_weights
-    supported = np.flatnonzero(log_w > math.log(1e-12))
-    if len(supported) and supported.max() >= len(probs):
-        raise CutoffError(
-            f"binomial weights carry mass up to n={supported.max()} but the physical "
-            f"basis stops at n={len(probs) - 1}",
-            mode="atom",
-        )
-    k = min(len(probs), len(log_w))
-    return float(np.dot(np.exp(log_w[:k]), probs[:k]))
+    n = state.n_atoms
+    return overlap(n, [(n / 2, 1, atom_diagonal_probabilities(state))], sep.log_weights)
 
 
 def matched_separable_state(params: ModelParams) -> SeparableState:

@@ -15,6 +15,7 @@ import pytest
 from dicke_overlap import core, oracle, thermal, witness, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.numerics import QuadratureSpec
+from oracle_helpers import build_hamiltonian, collective_spin_matrices
 
 QUAD = QuadratureSpec()
 
@@ -87,7 +88,7 @@ def test_criterion_4_zero_t_oracle_equivalence():
             params = ModelParams(1, 1, lam, n)
             ed = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
             sep = zerotemp.matched_separable_state(params)
-            delta_ed = oracle.exact_overlap(ed, sep)
+            delta_ed = oracle.exact_overlap(ed, sep.log_weights)
             delta_eff = zerotemp.overlap_for_params(params)
             rel[(n, lam)] = abs(delta_eff - delta_ed) / delta_ed
     within = all(rel[(40, lam)] < 0.10 for lam in lams)
@@ -111,7 +112,8 @@ def test_criterion_5_finite_t_oracle_equivalence():
         a = thermal.matched_a(point, QUAD)
         delta_quad = thermal.overlap_finite_t(point, a, QUAD)
         state40 = oracle.exact_thermal_state(params, 40, 0.2)
-        delta40 = oracle.exact_overlap(state40, oracle.matched_separable_state(state40))
+        delta40 = oracle.exact_overlap(
+            state40, oracle.matched_separable_state(state40).trace_log_weights)
         rel40 = abs(delta_quad - delta40) / delta40
         assert rel40 < 0.05
         # split-error ordering needs the oracle's own truncation error out of
@@ -122,7 +124,7 @@ def test_criterion_5_finite_t_oracle_equivalence():
             a_b = thermal.matched_a(pt, QUAD)
             dq = thermal.overlap_finite_t(pt, a_b, QUAD)
             st = oracle.exact_thermal_state(params, 60, beta)
-            de = oracle.exact_overlap(st, oracle.matched_separable_state(st))
+            de = oracle.exact_overlap(st, oracle.matched_separable_state(st).trace_log_weights)
             errors.append(abs(dq - de) / de)
         assert errors[0] < errors[1] < errors[2]
         # thermal moments at beta = 0.2 within 0.02 absolute per atom
@@ -230,7 +232,7 @@ def test_criterion_8_witness_suite():
     b_lhs = witness.evaluate(coherent).lhs("b")
     assert abs(b_lhs) < 1e-9
     # half-excited symmetric state: derived value -1/4 for (c) with gamma = z
-    jx, jy, jz = oracle.collective_spin_matrices(n / 2)
+    jx, jy, jz = collective_spin_matrices(n / 2)
     vec = np.zeros(n + 1)
     vec[n // 2] = 1.0
     half = witness.MomentSet(
@@ -276,10 +278,10 @@ def test_criterion_9_internal_consistency():
     # when its two paths differ by more than 1e-10
     params = ModelParams(1, 1, 1.0, 12)
     ground = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
-    oracle.exact_overlap(ground, oracle.matched_separable_state(ground))
+    oracle.exact_overlap(ground, oracle.matched_separable_state(ground).log_weights)
     params4 = ModelParams(1, 1, 0.8, 4)
     th = oracle.exact_thermal_state(params4, 40, 0.3)
-    oracle.exact_overlap(th, oracle.matched_separable_state(th))
+    oracle.exact_overlap(th, oracle.matched_separable_state(th).trace_log_weights)
     # excitation energies against the truncated diagonalization
     worst_gap = 0.0
     for lam in (0.1, 0.3, 0.45, 0.6, 1.0):
@@ -295,7 +297,7 @@ def test_criterion_9_internal_consistency():
     worst_parity = 0.0
     full = oracle.full_product_basis(4, 14)
     for basis in (oracle.symmetric_basis(4, 14), *(full.block(j) for j in full.spins)):
-        h = oracle.build_hamiltonian(ModelParams(1, 1, 0.9, 4), basis)
+        h = build_hamiltonian(ModelParams(1, 1, 0.9, 4), basis)
         pi = oracle.parity_diagonal(basis)
         worst_parity = max(worst_parity, float(np.abs(h * (pi[None, :] - pi[:, None])).max()))
     assert worst_parity < 1e-12

@@ -205,6 +205,22 @@ def test_critical_command_values(tmp_path):
     assert abs(float(rows[1]["tc_resonant_line"]) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("command", ["critical", "sweep-finite-t"])
+def test_tiny_couplings_give_no_critical_temperature(tmp_path, command):
+    out = tmp_path / "tiny.csv"
+    result = run_cli([
+        command, "--set", "grid.lambda_min=1e-200", "--set", "grid.lambda_max=1e-199",
+        "--set", "grid.lambda_steps=2", "--set", "grid.t_steps=1", "--out", str(out),
+    ])
+    assert result.returncode == 0, result.stderr
+    rows = read_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isnan(float(row["tc_self_consistent"]))
+        if command == "critical":
+            assert math.isnan(float(row["tc_tanh_form"]))
+
+
 def test_sweep_zero_t_endpoint_and_schema(tmp_path):
     out = tmp_path / "zero.csv"
     result = run_cli(

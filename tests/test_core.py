@@ -72,6 +72,16 @@ def test_critical_temperature_no_root():
     assert core.critical_temperature(ModelParams(1, 1, 0.0, 5)) is None
 
 
+@pytest.mark.parametrize("coupling", [1e-150, 1e-160, 1e-200, 4e-286])
+@pytest.mark.parametrize("omega0", [1.0, 3.0])
+def test_critical_temperatures_at_tiny_couplings(coupling, omega0):
+    # lambda^2 underflows below ~1.5e-162 and (lambda_c / lambda)^2 overflows
+    # below ~1e-154; both relations answer as at lambda = 0
+    params = ModelParams(1.0, omega0, coupling, 5)
+    assert core.critical_temperature(params) is None
+    assert core.critical_temperature_tanh_form(params) is None
+
+
 def test_tanh_form_only_above_critical():
     assert core.critical_temperature_tanh_form(ModelParams(1, 1, 0.4, 5)) is None
     assert core.critical_temperature_tanh_form(ModelParams(1, 1, 0.5, 5)) is None

@@ -19,18 +19,22 @@ from dicke_overlap.errors import CapacityError, InternalConsistencyError, Invali
 from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.oracle import (
     OracleState,
-    build_hamiltonian,
     exact_ground_state,
     exact_moments,
     exact_overlap,
     exact_thermal_state,
     full_product_basis,
     parity_diagonal,
-    split_log_partition,
     symmetric_basis,
 )
 from dicke_overlap.separable import SeparableState
 from dicke_overlap.witness import spin_ladder
+from oracle_helpers import (
+    build_hamiltonian,
+    collective_spin_matrices,
+    ground_energy,
+    split_log_partition,
+)
 
 
 def commutator_with_parity(h, basis):
@@ -111,7 +115,7 @@ def test_build_hamiltonian_bit_identical_to_dense_formula(basis):
     # omega a'a + omega0 Jz + (lambda/sqrt(N)) (a'+a)(2 Jx) in each block, assembled with dense kron
     params = ModelParams(1.3, 0.7, 0.9, basis.n_atoms)
     for block in blocks_of(basis):
-        jx, _, jz = oracle.collective_spin_matrices(block.spin)
+        jx, _, jz = collective_spin_matrices(block.spin)
         c, d = block.cutoff, len(jz)
         a = np.diag(np.sqrt(np.arange(1.0, c)), 1)
         expected = (
@@ -124,14 +128,20 @@ def test_build_hamiltonian_bit_identical_to_dense_formula(basis):
 
 def test_multiplets_span_the_product_space():
     # d_j copies of 2j + 1 states: C(N, n) states with n up spins, 2^N in all
+    def level_counts(basis):
+        counts = np.zeros(basis.n_atoms + 1)
+        for j in basis.spins:
+            counts[basis.up_counts(j)] += basis.multiplicity(j)
+        return counts
+
     for n in range(1, 9):
         basis = full_product_basis(n, 3)
         assert basis.dim == 3 * 2**n
-        assert basis.level_counts().tolist() == [math.comb(n, k) for k in range(n + 1)]
+        assert level_counts(basis).tolist() == [math.comb(n, k) for k in range(n + 1)]
     six = full_product_basis(6, 3)
     assert six.spins == (3.0, 2.0, 1.0, 0.0)
     assert [six.multiplicity(j) for j in six.spins] == [1, 5, 9, 5]
-    assert symmetric_basis(6, 3).level_counts().tolist() == [1.0] * 7
+    assert level_counts(symmetric_basis(6, 3)).tolist() == [1.0] * 7
 
 
 def test_decoupled_hamiltonian_is_diagonal():
@@ -334,7 +344,7 @@ def test_decoupled_ground_state_on_an_invariant_krylov_space(n):
     # space closes within a few steps, between residual checks, with |beta|
     # at rounding level rather than exactly zero
     params = ModelParams(1.0, 1.0, 0.0, n)
-    assert abs(oracle.ground_energy(params, oracle.suggested_cutoff(params)) + n / 2) < 1e-12
+    assert abs(ground_energy(params, oracle.suggested_cutoff(params)) + n / 2) < 1e-12
 
 
 def test_ground_state_normal_phase_jz():
@@ -349,7 +359,7 @@ def test_large_ground_state_solves_within_the_lanczos_bound():
     # need 2.1 GiB as a dense matrix, but its Lanczos holds 8 MiB
     params = ModelParams(1.0, 1.0, 0.7, 100)
     state = exact_ground_state(params, 110)
-    delta = exact_overlap(state, zerotemp.matched_separable_state(params))
+    delta = exact_overlap(state, zerotemp.matched_separable_state(params).log_weights)
     assert abs(delta - zerotemp.overlap_for_params(params)) < 1e-3
 
 
@@ -358,7 +368,7 @@ def test_symmetric_and_full_product_ground_energies_agree():
     # over all multiplets or over the 2^N product configurations
     for n in (2, 3, 4):
         params = ModelParams(1.0, 1.0, 0.7, n)
-        e_sym = oracle.ground_energy(params, 40)
+        e_sym = ground_energy(params, 40)
         e_full = min(
             np.linalg.eigvalsh(build_hamiltonian(params, block))[0]
             for block in blocks_of(full_product_basis(n, 40))
@@ -405,7 +415,7 @@ def band_moments_against_dense_traces(state, params, beta=None):
     for j, rho in dense_atomic_blocks(params, state.basis.cutoff, beta):
         for offset, diagonal in enumerate(bands[j]):
             np.testing.assert_allclose(diagonal, np.diag(rho, offset), rtol=0, atol=1e-15)
-        jx, jy, jz = oracle.collective_spin_matrices(j)
+        jx, jy, jz = collective_spin_matrices(j)
         traces = [np.real(np.trace(rho @ op)) for op in (jx, jy, jz, jx @ jx, jy @ jy, jz @ jz)]
         totals += state.basis.multiplicity(j) * np.array(traces)
     moments = exact_moments(state)
@@ -482,7 +492,7 @@ def test_thermal_cutoff_convergence():
     for cutoff in (60, 90):
         state = exact_thermal_state(params, cutoff, beta)
         sep = oracle.matched_separable_state(state)
-        delta = exact_overlap(state, sep)
+        delta = exact_overlap(state, sep.trace_log_weights)
         moments = exact_moments(state)
         values.append((delta, moments.first[2], moments.second[0]))
     assert abs(values[0][0] - values[1][0]) < 1e-6
@@ -494,10 +504,10 @@ def test_overlap_decoupled_ground_state():
     params = ModelParams(1.0, 1.0, 0.0, 5)
     state = exact_ground_state(params, 12)
     sep = SeparableState.from_a(0.0, 5)
-    delta = exact_overlap(state, sep)
+    delta = exact_overlap(state, sep.log_weights)
     assert abs(delta - 1.0) < 1e-12
     # the per-block path, which exact_overlap checks only to 1e-10
-    ref = np.exp(oracle._reference_log_levels(state.basis, sep))
+    ref = np.exp(sep.log_weights)
     (j, (probs, _, _)), = state.atomic_bands
     assert abs(delta - float(probs @ ref[state.basis.up_counts(j)])) < 1e-12
 
@@ -506,7 +516,7 @@ def test_overlap_infinite_temperature_limit():
     params = ModelParams(1.0, 1.0, 0.9, 4)
     state = exact_thermal_state(params, 40, beta=1e-6)
     for a in (0.0, 0.3, 0.5, 0.8):
-        delta = exact_overlap(state, SeparableState.from_a(a, 4))
+        delta = exact_overlap(state, SeparableState.from_a(a, 4).trace_log_weights)
         assert abs(delta - 2.0**-4) < 1e-6
 
 
@@ -517,19 +527,19 @@ def test_overlap_dual_paths_agree(monkeypatch):
     params = ModelParams(1.0, 1.0, 1.0, 12)
     ground = exact_ground_state(params, oracle.suggested_cutoff(params))
     thermal = exact_thermal_state(ModelParams(1.0, 1.0, 0.8, 4), 50, beta=0.3)
-    cases = [(ground, oracle.matched_separable_state(ground)),
-             (thermal, SeparableState.from_a(0.37, 4))]
-    for state, sep in cases:
-        exact_overlap(state, sep)
+    cases = [(ground, oracle.matched_separable_state(ground).log_weights),
+             (thermal, SeparableState.from_a(0.37, 4).trace_log_weights)]
+    for state, log_levels in cases:
+        exact_overlap(state, log_levels)
     binned = OracleState.up_spin_distribution
     monkeypatch.setattr(OracleState, "up_spin_distribution", lambda self: binned(self)[::-1])
-    for state, sep in cases:
+    for state, log_levels in cases:
         with pytest.raises(InternalConsistencyError, match="overlap paths disagree"):
-            exact_overlap(state, sep)
+            exact_overlap(state, log_levels)
 
 
-def test_overlap_functional_depends_on_basis():
-    # one N = 4 ground state in both bases: the same P(n), two functionals
+def test_overlap_functional_is_named_by_its_weights():
+    # one N = 4 ground state, one P(n), two functionals named by their weights
     params = ModelParams(1.0, 1.0, 1.0, 4)
     sym = exact_ground_state(params, 40)
     p_n = sym.up_spin_distribution()
@@ -538,24 +548,24 @@ def test_overlap_functional_depends_on_basis():
     psi = np.linalg.eigh(h0 + hi)[1][:, 0].reshape(40, 2**4)
     p_product = np.bincount(n_up, weights=(psi**2).sum(axis=0), minlength=5)
     assert np.abs(p_product - p_n).max() < 1e-12
-    prod = OracleState(full_product_basis(4, 40), sym.atomic_bands)
     sep = oracle.matched_separable_state(sym)
     assert abs(sep.a - 0.36720) < 1e-5
     n = np.arange(5)
     per_config = sep.a**n * (1.0 - sep.a) ** (4 - n)
     binomial = np.array([math.comb(4, k) for k in n])
-    # symmetric sector: the overlap of the J_z distributions
-    delta_sym = exact_overlap(sym, sep)
-    assert abs(delta_sym - 0.284093) < 1e-6
-    assert abs(delta_sym - np.dot(binomial * per_config, p_n)) < 1e-12
-    # full product basis: Tr[rho_A rho_s]
-    delta_prod = exact_overlap(prod, sep)
-    assert abs(delta_prod - 0.082231) < 1e-6
-    assert abs(delta_prod - np.dot(per_config, p_n)) < 1e-12
+    # the overlap of the J_z distributions
+    delta_jz = exact_overlap(sym, sep.log_weights)
+    assert abs(delta_jz - 0.284093) < 1e-6
+    assert abs(delta_jz - np.dot(binomial * per_config, p_n)) < 1e-12
+    # the trace Tr[rho_A rho_s]
+    delta_trace = exact_overlap(sym, sep.trace_log_weights)
+    assert abs(delta_trace - 0.082231) < 1e-6
+    assert abs(delta_trace - np.dot(per_config, p_n)) < 1e-12
     # C(N, n) = 1 at the only n an a of 0 or 1 weights, so there they agree
     for a in (0.0, 1.0):
         ref = SeparableState.from_a(a, 4)
-        assert abs(exact_overlap(sym, ref) - exact_overlap(prod, ref)) < 1e-12
+        assert abs(exact_overlap(sym, ref.log_weights)
+                   - exact_overlap(sym, ref.trace_log_weights)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -567,20 +577,30 @@ def test_overlap_functionals_equal_at_ends_and_ordered_between(n, lam, a):
     params = ModelParams(1.0, 1.0, lam, n)
     cutoff = oracle.suggested_cutoff(params)
     sym = exact_ground_state(params, cutoff)
-    prod = OracleState(full_product_basis(n, cutoff), sym.atomic_bands)
     for end in (0.0, 1.0):
         ref = SeparableState.from_a(end, n)
-        assert abs(exact_overlap(sym, ref) - exact_overlap(prod, ref)) < 1e-12
+        assert abs(exact_overlap(sym, ref.log_weights)
+                   - exact_overlap(sym, ref.trace_log_weights)) < 1e-12
     ref = SeparableState.from_a(a, n)
     # rounding only: at N = 1 the two are equal
-    assert exact_overlap(sym, ref) >= exact_overlap(prod, ref) - 1e-14
+    assert exact_overlap(sym, ref.log_weights) >= exact_overlap(sym, ref.trace_log_weights) - 1e-14
+
+
+def test_low_temperature_thermal_trace_overlap_is_the_ground_states():
+    # at beta = 40 the Gibbs state over all 2^N configurations is the
+    # symmetric ground state up to e^(-beta gap): one trace overlap for both
+    params = ModelParams(1.0, 1.0, 0.3, 4)
+    ground = exact_ground_state(params, 30)
+    trace = oracle.matched_separable_state(ground).trace_log_weights
+    delta = exact_overlap(ground, trace)
+    assert abs(exact_overlap(exact_thermal_state(params, 30, 40.0), trace) / delta - 1) < 1e-10
 
 
 def test_overlap_rejects_mismatched_n():
     params = ModelParams(1.0, 1.0, 0.5, 4)
     state = exact_thermal_state(params, 20, beta=0.2)
     with pytest.raises(InvalidParameterError):
-        exact_overlap(state, SeparableState.from_a(0.2, 5))
+        exact_overlap(state, SeparableState.from_a(0.2, 5).trace_log_weights)
 
 
 def test_moments_decoupled_ground_state():
@@ -629,7 +649,7 @@ def test_superradiant_ground_state_keeps_parity(n, lam, cutoff):
     assert abs(first[0] * n) < 1e-12 and abs(first[1] * n) < 1e-12
     if n == 20:
         dense = np.linalg.eigvalsh(build_hamiltonian(params, state.basis))[0]
-        assert abs(oracle.ground_energy(params, cutoff) - dense) < 1e-10
+        assert abs(ground_energy(params, cutoff) - dense) < 1e-10
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
@@ -847,7 +867,8 @@ def test_multiplet_oracle_matches_product_basis(n):
 
     p_n = np.bincount(n_up, weights=np.diag(rho), minlength=n + 1)
     assert all(close(x, y) for x, y in zip(state.up_spin_distribution(), p_n))
-    assert close(exact_overlap(state, sep), float(np.dot(np.diag(rho), per_config)))
+    assert close(exact_overlap(state, sep.trace_log_weights),
+                 float(np.dot(np.diag(rho), per_config)))
     moments = exact_moments(state)
     jx, jy, jz = spins
     expected = [np.real(np.trace(rho @ op)) for op in (jx, jy, jz)]
@@ -877,14 +898,15 @@ def test_thermal_and_split_oracles_at_twenty_atoms():
     # ... and Tr[rho_A rho_s] is a product over atoms, exactly and split alike
     sep = SeparableState.from_a(0.3, n)
     single = (sep.a * math.exp(-beta / 2) + (1 - sep.a) * math.exp(beta / 2)) / (2 * math.cosh(beta / 2))
-    assert abs(exact_overlap(exact_thermal_state(free, cutoff, beta), sep) / single**n - 1) < 1e-6
+    delta = exact_overlap(exact_thermal_state(free, cutoff, beta), sep.trace_log_weights)
+    assert abs(delta / single**n - 1) < 1e-6
     assert abs(oracle.split_overlap(free, cutoff, beta, sep) / single**n - 1) < 1e-6
     # beta -> 0 at any coupling: the maximally mixed state, Delta = 2^-N at any a
     coupled = ModelParams(1.0, 1.0, 1.0, n)
     hot = exact_thermal_state(coupled, cutoff, 1e-9)
     for a in (0.1, 0.5, 0.8):
         ref = SeparableState.from_a(a, n)
-        assert abs(exact_overlap(hot, ref) * 2**n - 1.0) < 1e-6
+        assert abs(exact_overlap(hot, ref.trace_log_weights) * 2**n - 1.0) < 1e-6
         assert abs(oracle.split_overlap(coupled, cutoff, 1e-9, ref) * 2**n - 1.0) < 1e-6
 
 
@@ -899,8 +921,8 @@ def test_multiplet_thermal_state_properties(n, cutoff, lam, beta):
     state = exact_thermal_state(ModelParams(1.0, 1.0, lam, n), cutoff, beta)
     assert abs(state.up_spin_distribution().sum() - 1.0) < 1e-12
     exact_moments(state).validate()  # nonnegative variances and witness bound (a)
-    delta = exact_overlap(state, oracle.matched_separable_state(state))
+    delta = exact_overlap(state, oracle.matched_separable_state(state).trace_log_weights)
     assert 0.0 <= delta <= 1.0
     # rho_s(1/2) = 1/2^N: Delta = Tr[rho_A] / 2^N at any temperature
-    half = exact_overlap(state, SeparableState.from_a(0.5, n))
+    half = exact_overlap(state, SeparableState.from_a(0.5, n).trace_log_weights)
     assert abs(half * 2**n - 1.0) < 1e-12

@@ -109,6 +109,32 @@ def test_normalization_and_mean(a):
     assert abs(np.dot(np.arange(n_atoms + 1), w) - n_atoms * a) < 1e-9
 
 
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(3, 10), Fraction(7, 8), Fraction(1)])
+def test_trace_log_weights_are_one_configuration(a):
+    # ln[a^n (1-a)^(N-n)]: the binomial weight shared by its C(N, n) configurations
+    n_atoms = 9
+    trace = SeparableState.from_a(float(a), n_atoms).trace_log_weights
+    for n in range(n_atoms + 1):
+        w = a**n * (1 - a) ** (n_atoms - n)
+        expected = math.log(w) if w > 0 else -math.inf
+        assert trace[n] == expected or abs(trace[n] - expected) < 1e-12
+
+
+def test_overlap_contracts_each_block_per_copy():
+    # N = 3: one copy of j = 3/2 on n = 0..3, two copies of j = 1/2 on n = 1, 2
+    log_levels = np.log([0.1, 0.2, 0.3, 0.4])
+    quartet, doublet = np.array([0.5, 0.2, 0.1, 0.05]), np.array([0.03, 0.045])
+    value = separable.overlap(3, [(1.5, 1, quartet), (0.5, 2, doublet)], log_levels)
+    expected = quartet @ [0.1, 0.2, 0.3, 0.4] + 2 * (doublet @ [0.2, 0.3])
+    assert abs(value - expected) < 1e-15
+    # levels above the multiplet are dropped; a shorter diagonal stops early
+    longer = separable.overlap(3, [(0.5, 2, np.append(doublet, 0.7))], log_levels)
+    assert longer == separable.overlap(3, [(0.5, 2, doublet)], log_levels)
+    assert separable.overlap(3, [(1.5, 1, quartet[:2])], log_levels) == quartet[:2] @ [0.1, 0.2]
+    with pytest.raises(InvalidParameterError, match="N \\+ 1 = 4"):
+        separable.overlap(3, [(1.5, 1, quartet)], log_levels[:3])
+
+
 def test_nearest_a_concentrated():
     p = np.zeros(11)
     p[0] = 1.0
@@ -126,8 +152,11 @@ def test_nearest_a_binomial_self_consistency():
         a_match, a_best = nearest_a(state.weights())
         assert abs(a_match - 0.3) < 1e-12
         assert abs(a_best - 0.3) < tol
-        f_match = separable._overlap_with_weights(0.3, n_atoms, state.weights())
-        f_best = separable._overlap_with_weights(a_best, n_atoms, state.weights())
+        blocks = [(n_atoms / 2, 1, state.weights())]
+        f_match = separable.overlap(n_atoms, blocks, state.log_weights)
+        f_best = separable.overlap(
+            n_atoms, blocks, SeparableState.from_a(a_best, n_atoms).log_weights
+        )
         assert f_best >= f_match
 
 

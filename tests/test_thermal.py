@@ -18,6 +18,7 @@ from dicke_overlap.thermal import (
     thermal_jz,
     thermal_moments,
 )
+from oracle_helpers import split_log_partition
 
 QUAD = QuadratureSpec()
 
@@ -51,7 +52,7 @@ def test_log_partition_matches_split_trace_oracle():
     params = ModelParams(1.0, 1.0, 1.0, 4)
     beta = 0.2
     point = ThermalPoint(params, beta)
-    assert abs(log_partition(point, QUAD) - oracle.split_log_partition(params, 120, beta)) < 1e-6
+    assert abs(log_partition(point, QUAD) - split_log_partition(params, 120, beta)) < 1e-6
 
 
 def test_log_partition_monotone_in_beta():
@@ -115,7 +116,8 @@ def test_overlap_matches_thermal_oracle():
     a = matched_a(point, QUAD)
     delta_quad = overlap_finite_t(point, a, QUAD)
     state = oracle.exact_thermal_state(params, 60, 0.2)
-    delta_exact = oracle.exact_overlap(state, oracle.matched_separable_state(state))
+    sep = oracle.matched_separable_state(state)
+    delta_exact = oracle.exact_overlap(state, sep.trace_log_weights)
     assert abs(delta_quad - delta_exact) / delta_exact < 0.05
 
 
@@ -127,7 +129,8 @@ def test_split_error_grows_with_beta():
         a = matched_a(point, QUAD)
         delta_quad = overlap_finite_t(point, a, QUAD)
         state = oracle.exact_thermal_state(params, 60, beta)
-        delta_exact = oracle.exact_overlap(state, oracle.matched_separable_state(state))
+        sep = oracle.matched_separable_state(state)
+        delta_exact = oracle.exact_overlap(state, sep.trace_log_weights)
         errors.append(abs(delta_quad - delta_exact) / delta_exact)
     assert errors[0] < errors[1] < errors[2]
 

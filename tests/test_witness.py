@@ -4,8 +4,8 @@ import pytest
 from dicke_overlap import witness, zerotemp
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import InvalidParameterError
-from dicke_overlap.oracle import collective_spin_matrices, symmetric_basis
 from dicke_overlap.witness import MomentSet, evaluate, evaluate_finite_n
+from oracle_helpers import collective_spin_matrices
 
 # production's exact Gaussian ground state and the truncated reference
 ZERO_T_BACKENDS = (zerotemp.gaussian_ground_state, zerotemp.effective_ground_state)

@@ -262,7 +262,7 @@ def test_overlap_matches_oracle_normal_phase():
     params = ModelParams(1, 1, 0.4, 20)
     delta_eff = zerotemp.overlap_for_params(params)
     ed = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
-    delta_ed = oracle.exact_overlap(ed, zerotemp.matched_separable_state(params))
+    delta_ed = oracle.exact_overlap(ed, zerotemp.matched_separable_state(params).log_weights)
     assert abs(delta_eff - delta_ed) / delta_ed < 0.1
 
 
