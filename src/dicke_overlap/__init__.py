@@ -2,9 +2,10 @@
 
 Library layout:
 
-* ``core``      -- parameters, critical coupling/temperature, order parameter
+* ``core``      -- parameters, critical coupling/temperature, order parameter,
+                   quadrature settings and bisection (no numpy)
 * ``separable`` -- the symmetry-determined product reference state
-* ``numerics``  -- log-space trapezoid quadrature, root finding, eigensolvers
+* ``numerics``  -- batched log-space trapezoid quadrature, eigensolvers
 * ``zerotemp``  -- effective quadratic Hamiltonians, their exact Gaussian
                    ground state, overlap, purity, scaling fit, moments;
                    the truncated-Fock ground state as the tests' reference
@@ -23,6 +24,7 @@ _HOMES = {
     "core": (
         "ModelParams",
         "PhaseLabel",
+        "QuadratureSpec",
         "critical_coupling",
         "critical_temperature",
         "critical_temperature_tanh_form",
@@ -31,7 +33,6 @@ _HOMES = {
         "phase_zero_t",
         "reduced_critical_temperature",
     ),
-    "numerics": ("QuadratureSpec",),
     "separable": ("SeparableState", "from_jz", "log_weight", "nearest_a"),
     "thermal": (
         "ThermalPoint",

@@ -29,19 +29,15 @@ import time
 # One BLAS thread per CLI process unless the user sets another count.  Rows
 # are small and run serially or one per pool worker, so OpenBLAS's own
 # thread pool brings no speed, only about 0.1 s of CPU per process to start
-# it when numpy loads.  Hence this line precedes the numpy import: a limit
-# set after the import comes too late.
+# it when numpy loads.  Hence this line precedes every import of numpy: a
+# limit set after the import comes too late.  numpy and the layers that use
+# it are imported by the rows and commands that use them, so a command
+# loads only its own layers, and critical loads no numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-# oracle, thermal, witness and zerotemp are imported by the rows and
-# commands that use them, so a command loads only its own layers
 from . import core
-from .core import ModelParams
+from .core import ModelParams, QuadratureSpec
 from .errors import ConfigError, DickeError, InvalidParameterError
-from .numerics import QuadratureSpec
-from .separable import SeparableState
 
 # key -> (parser, default)
 _SCHEMA = {
@@ -152,8 +148,17 @@ def _one_atom_count(cfg):
     return cfg["model.n_atoms"][0]
 
 
+def _linspace(lo, hi, num):
+    """``np.linspace(lo, hi, num).tolist()`` for num >= 1, bit for bit, without numpy."""
+    div, delta = max(num - 1, 1), hi - lo
+    step = delta / div  # numpy scales by delta instead when the step underflows to 0
+    values = [(i / div * delta if step == 0 else i * step) + lo for i in range(num)]
+    values[-1] = hi if num > 1 else values[-1]
+    return values
+
+
 def _lambda_grid(cfg):
-    return np.linspace(cfg["grid.lambda_min"], cfg["grid.lambda_max"], cfg["grid.lambda_steps"])
+    return _linspace(cfg["grid.lambda_min"], cfg["grid.lambda_max"], cfg["grid.lambda_steps"])
 
 
 def _t_grid(cfg):
@@ -165,7 +170,7 @@ def _t_grid(cfg):
     for key in ("grid.t_min", "grid.t_max"):
         if not cfg[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]!r}", field=key)
-    return np.linspace(cfg["grid.t_min"], cfg["grid.t_max"], cfg["grid.t_steps"])
+    return _linspace(cfg["grid.t_min"], cfg["grid.t_max"], cfg["grid.t_steps"])
 
 
 # Starting and joining a two-worker pool, the import of
@@ -226,10 +231,12 @@ def _sweep(cfg, worker, tasks):
 
 
 def _format(value, precision):
-    if isinstance(value, (bool, np.bool_)):
+    if hasattr(value, "item"):  # a numpy scalar
+        value = value.item()
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, float):
         return f"%.{precision}g" % value
     return str(value)
@@ -352,6 +359,7 @@ def _oracle_ground_row(task):
 
 def _oracle_thermal_row(task):
     from . import oracle, thermal
+    from .separable import SeparableState
 
     omega, omega0, lam, beta, n, cutoff, quad_args = task
     params = ModelParams(omega, omega0, lam, n)
@@ -388,6 +396,16 @@ def _oracle_thermal_row(task):
     }
 
 
+def _precompute_thermal(tasks, overlap):
+    """Integrate the grid of finite-T row ``tasks`` in batches, for the rows to read."""
+    from . import thermal
+
+    points = [
+        thermal.ThermalPoint(ModelParams(w, w0, lam, n), 1.0 / t) for w, w0, lam, t, n, *_ in tasks
+    ]
+    thermal.precompute(points, QuadratureSpec(*tasks[0][-1]), overlap=overlap)
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -413,6 +431,7 @@ def cmd_sweep_finite_t(cfg):
         for lam in lams
         for t in temps
     ]
+    _precompute_thermal(tasks, overlap=True)
     _sweep(cfg, _finite_t_row, tasks)
 
 
@@ -421,7 +440,7 @@ def cmd_witness(cfg):
     if mode not in ("zero_t", "finite_t"):
         raise ConfigError("witness.mode must be zero_t or finite_t", field="witness.mode")
     lams = _lambda_grid(cfg)
-    temps = [0.0] if mode == "zero_t" else list(_t_grid(cfg))
+    temps = [0.0] if mode == "zero_t" else _t_grid(cfg)
     n = _one_atom_count(cfg)
     quad_args = _quad_args(cfg)
     tasks = [
@@ -437,6 +456,8 @@ def cmd_witness(cfg):
         for lam in lams
         for t in temps
     ]
+    if mode == "finite_t":
+        _precompute_thermal(tasks, overlap=False)
     _sweep(cfg, _witness_row, tasks)
 
 
@@ -480,6 +501,8 @@ def cmd_scaling_fit(cfg):
             f"the closed_form pipeline holds only at omega = omega0, got {omega!r} and {omega0!r}",
             field="scaling.pipeline",
         )
+    import numpy as np
+
     t_grid = np.geomspace(cfg["scaling.t_max"], cfg["scaling.t_min"], cfg["scaling.points"])
     lc = core.critical_coupling(omega, omega0)
     lams = lc * (1.0 - t_grid)

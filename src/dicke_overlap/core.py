@@ -1,4 +1,6 @@
-"""Model parameters, critical coupling/temperature, and the order parameter.
+"""Model parameters, critical coupling/temperature, the order parameter, and
+the two numpy-free numerical pieces the front end needs: the quadrature
+settings (``QuadratureSpec``) and bisection (``find_root``).
 
 Units: hbar = k_B = 1 throughout; frequencies, couplings and temperatures
 are dimensionless.  The Hamiltonian is
@@ -15,8 +17,56 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
-from .numerics import find_root
+from .errors import BracketError, InvalidParameterError, NumericalError
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Node budget and relative tolerance for the quadratures."""
+
+    max_nodes: int = 200_000
+    rel_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.max_nodes < 64:
+            raise InvalidParameterError(f"max_nodes must be >= 64, got {self.max_nodes}")
+        if not (0.0 < self.rel_tol <= 1e-3):
+            raise InvalidParameterError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
+
+
+def find_root(f, bracket, rel_width=1e-12, max_iter=200):
+    """Bisection root of a continuous sign-changing f on ``bracket``.
+
+    Deterministic; iterates until the bracket width is below
+    ``rel_width * max(|lo|, |hi|, 1)``.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise InvalidParameterError(f"bracket must satisfy lo < hi, got {bracket}")
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise BracketError(
+            f"no sign change on bracket [{lo}, {hi}]", bracket=(lo, hi), values=(flo, fhi)
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel_width * max(abs(lo), abs(hi), 1.0):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    raise NumericalError(
+        f"bisection did not reach relative width {rel_width} in {max_iter} iterations",
+        bracket=(lo, hi),
+    )
 
 
 class PhaseLabel(enum.Enum):
@@ -73,7 +123,8 @@ def critical_coupling(omega, omega0):
     return math.sqrt(omega * omega0) / 2.0
 
 
-# Default search bracket for the inverse critical temperature.
+# Default search bracket for the inverse critical temperature.  Its upper end
+# grows to cover the root when the small-coupling asymptote lies above it.
 BETA_BRACKET = (1e-6, 1e3)
 
 
@@ -92,8 +143,13 @@ def critical_temperature(params: ModelParams):
 
         beta_c = (omega0 / 2 lambda^2) tanh(beta_c omega / 2) / tanh(beta_c omega0 / 2),
 
-    solved by bisection on beta in ``BETA_BRACKET``; returns None when the
-    bracket contains no sign change (e.g. lambda = 0).
+    solved by bisection on beta.  The bracket is ``BETA_BRACKET`` with its
+    upper end raised, where it lies lower, to twice the asymptote
+    omega0 / (2 lambda^2) times max(1, omega / omega0): the tanh ratio is
+    at most that maximum, so the residual is positive there.  Returns None
+    at lambda = 0 and when that upper end overflows (lambda below ~1e-154),
+    and, as before, for couplings so strong (above ~700 at omega = omega0 =
+    1) that the root lies below the bracket's lower end.
 
     For omega = omega0 the tanh factors cancel and the root is exactly
     beta_c = omega0 / (2 lambda^2), i.e. T_c = 2 lambda^2 / omega0.  Note
@@ -102,16 +158,17 @@ def critical_temperature(params: ModelParams):
     ``critical_temperature_tanh_form`` for the variant that closes at the
     T = 0 transition point.
     """
-    # lambda = 0, or lambda^2 underflowing to 0 below ~1.5e-162, where
-    # beta_c would lie far above the bracket anyway
-    if params.coupling**2 == 0.0:
+    square = params.coupling**2
+    if square == 0.0:
         return None
-    lo, hi = BETA_BRACKET
+    ratio = max(1.0, params.omega / params.omega0)
+    lo, hi = BETA_BRACKET[0], max(BETA_BRACKET[1], params.omega0 / square * ratio)
+    if not math.isfinite(hi):
+        return None
     f = lambda beta: _beta_c_residual(beta, params)
     if f(lo) * f(hi) > 0:
         return None
-    beta_c = find_root(f, (lo, hi))
-    return 1.0 / beta_c
+    return 1.0 / find_root(f, (lo, hi))
 
 
 def reduced_critical_temperature(params: ModelParams):

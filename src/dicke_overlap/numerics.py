@@ -1,45 +1,56 @@
-"""Shared numerical kernels: bisection (``find_root``), golden-section
-maximization (``golden_max``), the matrix-free photon (x) atom Hamiltonian
-of both exact diagonalizations (``PhotonAtomOperator``), the symmetric
-eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
-numpy's ``eigh`` or a thick-restart Lanczos written in numpy), a weighted
-log-sum-exp, and quadrature.  Everything here runs on numpy alone.
+"""Shared numerical kernels: golden-section maximization (``golden_max``),
+the matrix-free photon (x) atom Hamiltonian of both exact diagonalizations
+(``PhotonAtomOperator``), the symmetric eigensolvers with the eigenvector
+sign convention (``lowest_eigenpair``: numpy's ``eigh`` or a thick-restart
+Lanczos written in numpy), a weighted log-sum-exp, and quadrature.  The
+quadrature settings and bisection (``QuadratureSpec``, ``find_root``) live
+in ``core``, which needs no numpy, and are imported here.
 
-The quadrature routines integrate functions supplied as *log-integrands*
-``x -> ln f(x)`` (vectorized over numpy arrays, returning -inf where f
-vanishes).  A symmetric scan of ln f on 4,097 equally spaced nodes doubles
-its span from 8 until both its edges lie 80 nats below its maximum; the
-central half of a doubled scan is every other node of the one before, so a
-doubling evaluates only its outer quarters.  The integral is the trapezoid
+The quadrature integrates functions supplied as *log-integrands*
+``x -> ln f(x)`` (returning -inf where f vanishes), a batch of them at a
+time: ``integrate_batch`` calls each integrand with nodes and the indices
+of the rows still being evaluated; ``integrate`` and ``log_integral`` are
+its batch of one.  Every scan has the one node spacing h = 1/16.  All rows
+start on the nodes of [-8, 8]; a row whose edges do not yet lie 80 nats
+below its maximum grows to twice the half-width by adding outer nodes, and
+only the growing rows are evaluated there.  The integral is the trapezoid
 rule on the scan's own nodes within 60 nats of the maximum, plus one node
 on each side of each run of them, all shifted by the maximum, so values
 like exp(+-10^4) neither overflow nor underflow.  For an integrand
 analytic in the strip |Im x| < a, the rule's error falls like
-exp(-2 pi a / h) with the spacing h (Trefethen & Weideman, SIAM Rev. 56,
-385 (2014)).  The thermal weights are entire in x, since cosh(beta eps)
-and sinh(beta eps) / eps are even in eps, and the moment integrands are
-analytic for |Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta omega/2) / N.
+exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A
+Gaussian peak of width sigma is off by about 2 exp(-2 pi^2 sigma^2 / h^2),
+so the narrowest peak the scan resolves to the default tolerance 1e-9,
+wherever it sits, is sigma = 1.05 h, about 0.066.  A narrower one is
+refined by halvings only if the check below sees its error, which it can
+miss when the peak sits midway between two nodes (at sigma = 0.05 and
+x = 1/32, ln I comes out 6.5e-6 low).  The thermal weights are entire in
+x, since cosh(beta eps) and sinh(beta eps) / eps are even in eps, and
+their peaks are about 1 wide; the moment integrands are analytic for
+|Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta omega/2) / N.
 
-The rule on every other kept node, of twice the spacing, checks it: while
-the two differ by more than ``rel_tol`` times the larger of the integral's
-and the base integral's magnitude, the spacing halves on the kept
-intervals alone (a valley between far peaks is never refined), evaluating
-only their midpoints, and each rule is checked against the last.  The
-node budget counts the nodes of every level, the first included, before
-it evaluates them.  A non-smooth integrand converges only like h^2 and may
+The rule of twice the spacing, on every other node, checks it: while the
+two differ by more than ``rel_tol`` times the larger of the integral's and
+the base integral's magnitude, the spacing halves on the kept intervals
+alone (a valley between far peaks is never refined), evaluating only their
+midpoints, and each rule is checked against the last.  The node budget is
+per row; it counts the nodes of every level, the first included, before it
+evaluates them.  A non-smooth integrand converges only like h^2 and may
 exhaust the budget: a ``NumericalError``, not a wrong number.  A NaN of
 ln f at any node, of the scan or of a halving, raises a ``NumericalError``
-that names it.  An oscillating one can alias alike onto both rules and pass the check; no
-caller passes one.
+that names it.  An oscillating one can alias alike onto both rules and
+pass the check; no caller passes one.
 
-At the m-th halving every node is an exact multiple of span / 2^(11 + m),
-so refined nodes are np.linspace's and every node array is symmetric about
+Batches are exact: a row's sums run over its own nodes alone, each along
+its own grid, so its numbers are bit-identical whatever else is in its
+batch.  Every node is an exact multiple of h / 2^m at the m-th halving, so
+refined nodes are np.linspace's and every row's nodes are symmetric about
 0 to the bit.  With ``even``, the caller promises an even log-integrand
-and even h functions (in practice computed from x only through x^2), and
-``_values`` evaluates the first half of each node array and mirrors it:
-the results are the same bit for bit.  Scan grids are built once and
-cached, and every array of nodes is read-only: an integrand that writes
-into its argument raises ``ValueError``.
+and even h functions (in practice computed from x only through x^2):
+the first half of each row's nodes is evaluated and mirrored, and the
+results are the same bit for bit.  Scan grids are built once and cached,
+and every array of nodes is read-only: an integrand that writes into its
+argument raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -51,11 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InvalidParameterError, NumericalError
+from .core import QuadratureSpec, find_root  # noqa: F401  (re-exported)
+from .errors import NumericalError
 
-_SCAN_POINTS = 4097
-_SCAN_QUARTER = (_SCAN_POINTS - 1) // 4  # nodes a span doubling adds on each side
-_SCAN_LEVELS = 18  # span doublings before the scan gives up
+_STEP = 1.0 / 16.0  # node spacing of every scan
+_SCAN_START = 128  # nodes on each side of 0 at the first scan level: half-width 8
+_SCAN_LEVELS = 12  # scan levels, each of twice the half-width, up to 16384; then it gives up
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
 _PEAK_KEEP = 60.0  # the quadrature keeps the scan nodes within this of the maximum
 _KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
@@ -63,55 +75,6 @@ _RESTART_KEEP = 16  # Ritz vectors a restart keeps
 _CHECK_EVERY = 8  # Lanczos steps between Ritz-residual checks
 _LANCZOS_TOL = 1e-14  # Ritz residual, relative to the largest Ritz value in magnitude
 _LANCZOS_MAX_STEPS = 20_000  # operator applications before a solve gives up
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget and relative tolerance for the quadratures."""
-
-    max_nodes: int = 200_000
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_nodes < 64:
-            raise InvalidParameterError(f"max_nodes must be >= 64, got {self.max_nodes}")
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise InvalidParameterError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-
-
-def find_root(f, bracket, rel_width=1e-12, max_iter=200):
-    """Bisection root of a continuous sign-changing f on ``bracket``.
-
-    Deterministic; iterates until the bracket width is below
-    ``rel_width * max(|lo|, |hi|, 1)``.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise InvalidParameterError(f"bracket must satisfy lo < hi, got {bracket}")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change on bracket [{lo}, {hi}]", bracket=(lo, hi), values=(flo, fhi)
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_width * max(abs(lo), abs(hi), 1.0):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    raise NumericalError(
-        f"bisection did not reach relative width {rel_width} in {max_iter} iterations",
-        bracket=(lo, hi),
-    )
 
 
 def traced_band(psi):
@@ -300,8 +263,8 @@ def golden_max(f, lo, hi, tol=1e-11):
     return 0.5 * (a + b)
 
 
-def _values(fn, xs, even):
-    """fn at the nodes ``xs``, made read-only first, as a float array.
+def _values(fn, xs, rows, even):
+    """fn(xs, rows) at the read-only 1-D nodes ``xs``, as a (len(rows), len(xs)) float array.
 
     With ``even``, ``xs`` is symmetric about 0 and fn is even: fn runs on
     the first half of ``xs``, the centre node included when there is one,
@@ -309,54 +272,161 @@ def _values(fn, xs, even):
     """
     half = xs[: (len(xs) + 1) // 2] if even else xs
     half.flags.writeable = False
-    values = np.asarray(fn(half), dtype=float)
+    values = np.asarray(fn(half, rows), dtype=float)
+    if values.shape != (len(rows), len(half)):
+        values = np.broadcast_to(values, (len(rows), len(half)))
     if even:
-        values = np.concatenate((values, values[: len(xs) - len(half)][::-1]))
+        return np.concatenate((values, values[:, : len(xs) - len(half)][:, ::-1]), axis=1)
     return values
 
 
-def _log_values(log_f, xs, even):
+def _log_values(log_f, xs, rows, even):
     """``_values`` of the log-integrand; a NaN among them raises ``NumericalError``."""
-    values = _values(log_f, xs, even)
+    values = _values(log_f, xs, rows, even)
     nan = np.isnan(values)
     if nan.any():
-        raise NumericalError("log-integrand is NaN", x=float(xs[np.argmax(nan)]))
+        raise NumericalError("log-integrand is NaN", x=float(xs[np.argmax(nan.any(axis=0))]))
     return values
 
 
 @functools.lru_cache(maxsize=_SCAN_LEVELS)
 def _scan_grid(level):
-    """The scan grid of span 8 * 2^level and the nodes of it that a scan evaluates.
+    """The scan grid of half-width 8 * 2^level, and the nodes of it outside the one below.
 
-    Returns (grid, fresh), both read-only.  Above level 0, ``fresh`` is the
-    grid's outer quarters, since its central half is every other node of
-    the grid one level down.
+    Returns (grid, fresh), both read-only; at level 0, ``fresh`` is the grid.
     """
-    grid = np.linspace(-8.0 * 2.0**level, 8.0 * 2.0**level, _SCAN_POINTS)
+    reach = _SCAN_START << level
+    grid = np.arange(-reach, reach + 1) * _STEP
     grid.flags.writeable = False
     if level == 0:
         return grid, grid
-    fresh = np.concatenate((grid[:_SCAN_QUARTER], grid[-_SCAN_QUARTER:]))
+    fresh = np.concatenate((grid[: reach // 2], grid[-(reach // 2) :]))
     fresh.flags.writeable = False
     return grid, fresh
 
 
-def _scan(log_f, even=False):
-    """Expanding symmetric scan; returns (grid, values) with decayed edges."""
-    for level in range(_SCAN_LEVELS):
-        grid, fresh = _scan_grid(level)
-        new = _log_values(log_f, fresh, even)
-        if level == 0:
-            vals = new
-        else:
-            vals = np.concatenate((new[:_SCAN_QUARTER], vals[::2], new[_SCAN_QUARTER:]))
-        top = vals.max()
-        span = float(grid[-1])
-        if not np.isfinite(top):
+def _scan(log_f, count, even=False):
+    """Expanding symmetric scans of ``count`` rows; [(grid, rows, values, maxima)], edges decayed.
+
+    Each level evaluates its fresh nodes for the rows not yet decayed only.
+    """
+    rows, (grid, fresh) = np.arange(count), _scan_grid(0)
+    vals = np.array(_log_values(log_f, fresh, rows, even))  # owned: integrate_batch writes it
+    scans = []
+    for level in range(1, _SCAN_LEVELS + 1):
+        top = vals.max(axis=1)
+        if not np.isfinite(top).all():
+            span = float(grid[-1])
             raise NumericalError("log-integrand is -inf on the whole scan range", span=span)
-        if max(vals[0], vals[-1]) < top - _SCAN_DECAY:
-            return grid, vals
-    raise NumericalError("log-integrand does not decay within the scan range", span=2.0 * span)
+        grow = np.maximum(vals[:, 0], vals[:, -1]) >= top - _SCAN_DECAY
+        growing = np.count_nonzero(grow)
+        if not growing:
+            return scans + [(grid, rows, vals, top)]
+        if growing < len(rows):
+            scans.append((grid, rows[~grow], vals[~grow], top[~grow]))
+            rows, vals = rows[grow], vals[grow]
+        if level == _SCAN_LEVELS:
+            span = 2.0 * float(grid[-1])
+            raise NumericalError("log-integrand does not decay within the scan range", span=span)
+        grid, fresh = _scan_grid(level)
+        new, side = _log_values(log_f, fresh, rows, even), len(fresh) // 2
+        vals = np.concatenate((new[:, :side], vals, new[:, side:]), axis=1)
+
+
+def _result(top, total):
+    return float(top + math.log(total[0])), [float(t / total[0]) for t in total[1:]]
+
+
+def _over_budget(error, quad, grid, kept):
+    index = np.flatnonzero(kept)
+    return NumericalError(
+        "quadrature tolerance not reached within the node budget",
+        achieved=error,
+        requested=quad.rel_tol,
+        window=(float(grid[index[0]]), float(grid[index[-1]])),
+    )
+
+
+def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
+    """[(ln I, [integral(f h) / I for each h]) for each of ``count`` rows] with f = exp(log_f).
+
+    The integrands are batched: ``log_f(x, rows)`` and each ``h(x, rows)``
+    take read-only 1-D nodes ``x`` and an integer array ``rows`` of the rows
+    being evaluated there, and return a (len(rows), len(x)) array.  Each
+    row's integral is as described for ``integrate``, and its sums run
+    along its own nodes alone: its numbers are bit-identical whatever else
+    is in the batch.
+    """
+    results, scans = [None] * count, _scan(log_f, count, even)
+    while scans:  # popped, so that each group's arrays are freed once it is done
+        grid, rows, weight, top = scans.pop()
+        near = weight > (top - _PEAK_KEEP)[:, None]
+        kept = near.copy()  # every run widened by one node per side
+        kept[:, 1:] |= near[:, :-1]
+        kept[:, :-1] |= near[:, 1:]
+        nodes = np.count_nonzero(kept, axis=1)
+        if nodes.max() > quad.max_nodes:
+            raise _over_budget(math.inf, quad, grid, kept[np.argmax(nodes > quad.max_nodes)])
+        # the rule on each row's kept nodes, summed along the row's own grid
+        # with zeros elsewhere, checked against the rule of twice the spacing
+        weight -= top[:, None]
+        weight[~kept] = -np.inf
+        np.exp(weight, out=weight)
+        total, previous = np.empty((2, 1 + len(h_funcs), len(rows)))
+        weight.sum(axis=1, out=total[0])
+        weight[:, ::2].sum(axis=1, out=previous[0])
+        if h_funcs:
+            columns = np.flatnonzero(kept.any(axis=0))
+            span = slice(columns[0], columns[-1] + 1)
+            weighted = np.zeros_like(weight)
+        for i, h in enumerate(h_funcs, start=1):
+            values = _values(h, grid[span], rows, even)
+            np.multiply(weight[:, span], values, out=weighted[:, span], where=kept[:, span])
+            weighted.sum(axis=1, out=total[i])
+            weighted[:, ::2].sum(axis=1, out=previous[i])
+        total *= _STEP
+        previous *= 2.0 * _STEP
+        error = np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0]), axis=0)
+        for i, row in enumerate(rows):
+            if error[i] <= quad.rel_tol:
+                results[row] = _result(top[i], total[:, i])
+            else:
+                results[row] = _halve(
+                    log_f, h_funcs, quad, even, grid, kept[i], rows[i : i + 1], top[i],
+                    nodes[i], float(error[i]), total[:, i],
+                )
+    return results
+
+
+def _halve(log_f, h_funcs, quad, even, grid, kept, row, top, nodes, error, total):
+    """One row's result, halving the spacing on its kept intervals until its rule converges.
+
+    Each halving evaluates the midpoints of the kept intervals, the odd
+    nodes of the grid of half the spacing, and adds their rule to half the
+    last; ``nodes``, ``error`` and ``total`` are the first rule's.
+    """
+    left = np.flatnonzero(kept[:-1] & kept[1:])  # the kept intervals, by their left node
+    used, step, span = nodes, _STEP, grid[-1]
+    for level in itertools.count():
+        step /= 2.0
+        xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
+        nodes += len(xs)
+        used += nodes
+        if used > quad.max_nodes:
+            raise _over_budget(error, quad, grid, kept)
+        terms = np.empty((1 + len(h_funcs), len(xs)))
+        np.exp(_log_values(log_f, xs, row, even)[0] - top, out=terms[0])
+        for term, h in zip(terms[1:], h_funcs):
+            np.multiply(terms[0], _values(h, xs, row, even)[0], out=term)
+        previous, total = total, 0.5 * total + step * terms.sum(axis=1)
+        error = float(np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0])))
+        if error <= quad.rel_tol:
+            return _result(top, total)
+
+
+def _one(fn):
+    """A function of the nodes alone, as the batched integrand of one row."""
+    return lambda x, rows: fn(x)
 
 
 def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
@@ -365,50 +435,12 @@ def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=F
     ``log_f`` must decay at +-infinity (in practice a Gaussian envelope
     exp(-x^2/2) is folded in), f and each f h must be analytic in a strip
     about the real axis (see the module notes), and the ``h_funcs`` are
-    O(1)-bounded.  Both are called on read-only arrays.  ``even`` promises
-    that ``log_f`` and every h are even in x, computed from x only through
-    x^2: then half of every node array is evaluated, and the result is the
-    same bit for bit.
+    O(1)-bounded.  Both are called on read-only 1-D arrays.  ``even``
+    promises that ``log_f`` and every h are even in x, computed from x only
+    through x^2: then half of every node array is evaluated, and the result
+    is the same bit for bit.  This is ``integrate_batch`` on a batch of one.
     """
-    grid, vals = _scan(log_f, even)
-    top = vals.max()
-    near = vals > top - _PEAK_KEEP
-    kept = near.copy()  # every run widened by one node per side
-    kept[1:] |= near[:-1]
-    kept[:-1] |= near[1:]
-    index = np.flatnonzero(kept)
-    left = np.flatnonzero(kept[:-1] & kept[1:])  # the kept intervals, by their left node
-    window = (float(grid[index[0]]), float(grid[index[-1]]))
-    xs, logs = grid[index], vals[index]
-    span, step = float(grid[-1]), float(grid[1] - grid[0])
-    nodes = used = 0
-    error = math.inf
-    for level in itertools.count():
-        nodes += len(xs)
-        used += nodes
-        if used > quad.max_nodes:
-            raise NumericalError(
-                "quadrature tolerance not reached within the node budget",
-                achieved=error,
-                requested=quad.rel_tol,
-                window=window,
-            )
-        rows = np.empty((1 + len(h_funcs), len(xs)))
-        np.exp(logs - top, out=rows[0])
-        for row, h in zip(rows[1:], h_funcs):
-            np.multiply(rows[0], _values(h, xs, even), out=row)
-        sums = step * rows.sum(axis=1)
-        if level:
-            previous, total = total, 0.5 * total + sums
-        else:  # every other kept node: the rule of twice the spacing on each run
-            previous, total = 2.0 * step * rows[:, ::2].sum(axis=1), sums
-        error = float(np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0])))
-        if error <= quad.rel_tol:
-            return float(top + math.log(total[0])), [float(t / total[0]) for t in total[1:]]
-        # the midpoints of the kept intervals, odd nodes of the grid of half the spacing
-        step /= 2.0
-        xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
-        logs = _log_values(log_f, xs, even)
+    return integrate_batch(_one(log_f), [_one(h) for h in h_funcs], 1, quad, even=even)[0]
 
 
 def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec(), *, even=False):

@@ -22,7 +22,11 @@ trapezoid rule on the nodes of a scan that finds the maxima of the
 log-integrand: below the critical temperature the weight is bimodal with
 peaks far from the origin, where naive fixed-node quadrature sees nothing.
 The weight is entire in x and the moment integrands are analytic in a
-strip about the real axis, so the rule converges geometrically.
+strip about the real axis, so the rule converges geometrically.  A grid of
+points is integrated in batches (``precompute``), from one batched body
+built from per-point parameter columns, into a memo that every reader
+below consults; a point's numbers are the same bit for bit alone or in
+any batch, and a point not in the memo is integrated alone.
 
 Validity: the factorization error is O(beta^3); results at large beta
 (low temperature, T below ~0.1 in the resonant units) are qualitative
@@ -31,7 +35,6 @@ only.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,8 +43,7 @@ import numpy as np
 
 from .core import ModelParams, check_beta
 from .errors import InternalConsistencyError, InvalidParameterError, NumericalError
-from .numerics import QuadratureSpec, integrate, log_integral
-from .witness import MomentSet
+from .numerics import QuadratureSpec, integrate_batch
 
 DEFAULT_QUAD = QuadratureSpec()
 
@@ -55,60 +57,148 @@ class ThermalPoint:
         check_beta(self.params, self.beta)
 
 
-def _epsilon_factory(point: ThermalPoint):
-    """eps as a function of x^2, and its x^2 coefficient lambda^2 coth(beta omega / 2) / N."""
-    p = point.params
-    coth = 1.0 / math.tanh(point.beta * p.omega / 2.0)
-    scale = p.coupling**2 * coth / p.n_atoms
-    return lambda x2: np.sqrt(p.omega0**2 / 4.0 + scale * x2), scale
+def _columns(points, a):
+    """Per-point parameters, one row per point, for the batched bodies.
+
+    The columns are N, beta, omega0^2 / 4, the x^2 coefficient of eps^2,
+    lambda^2 coth(beta omega / 2) / N, and (1 - 2a) omega0, with ``a`` one
+    value per point.  A body reads its rows' columns as
+    ``columns[rows].T[..., None]``, each of shape (len(rows), 1).
+    """
+    columns = []
+    for point, a_point in zip(points, a):
+        p = point.params
+        coth = 1.0 / math.tanh(point.beta * p.omega / 2.0)
+        scale = p.coupling**2 * coth / p.n_atoms
+        tilt = (1.0 - 2.0 * a_point) * p.omega0
+        columns.append((p.n_atoms, point.beta, p.omega0**2 / 4.0, scale, tilt))
+    return np.array(columns, dtype=float)
 
 
-def _log_weight_factory(point: ThermalPoint, a=0.5):
-    """ln of the integrand of I(a): -x^2/2 + N [y + log1p(c + (1 - c) e^(-2y))]
-    with y = beta eps and c = (1 - 2a) omega0 / (2 eps).  Even in x."""
-    eps, _ = _epsilon_factory(point)
-    n, beta, omega0 = point.params.n_atoms, point.beta, point.params.omega0
+def _log_weight(points, a):
+    """Batched ln of the integrand of I(a) at each point, ``a`` one value per point:
+    -x^2/2 + N [y + log1p(c + (1 - c) e^(-2y))] with y = beta eps and
+    c = (1 - 2a) omega0 / (2 eps).  Even in x."""
+    columns = _columns(points, a)
 
-    def log_weight(x):
-        x2 = np.asarray(x) ** 2
-        e = eps(x2)
+    def log_weight(x, rows):
+        n, beta, quarter, scale, tilt = columns[rows].T[..., None]
+        x2 = x**2
+        e = np.sqrt(quarter + scale * x2)
         y = beta * e
-        c = (1.0 - 2.0 * a) * omega0 / (2.0 * e)
-        t = c + (1.0 - c) * np.exp(-2.0 * y)
+        c = tilt / (2.0 * e)
+        t = np.exp(-2.0 * y)
+        t *= 1.0 - c
+        t += c
         if (t <= -1.0).any():
             raise InternalConsistencyError("nonpositive per-atom overlap factor; a outside [0,1]?")
-        return -0.5 * x2 + n * (y + np.log1p(t))
+        y += np.log1p(t)
+        y *= n
+        y -= 0.5 * x2
+        return y
 
     return log_weight
 
 
-def _moment_integrands(point: ThermalPoint):
-    """<sigma_z>_x, <sigma_z>_x^2 and <sigma_x>_x^2 as functions of x; each is even in x."""
-    p, beta = point.params, point.beta
-    eps, sx_scale = _epsilon_factory(point)
+def _moments(points):
+    """Batched <sigma_z>_x, <sigma_z>_x^2 and <sigma_x>_x^2 at each point; each is even in x."""
+    columns = _columns(points, [0.0] * len(points))  # a = 0: the last column is omega0
 
-    def sz(x):
-        e = eps(np.asarray(x) ** 2)
-        return -(p.omega0 / (2.0 * e)) * np.tanh(beta * e)
+    def sz(x, rows):
+        _, beta, quarter, scale, omega0 = columns[rows].T[..., None]
+        e = np.sqrt(quarter + scale * x**2)
+        return -(omega0 / (2.0 * e)) * np.tanh(beta * e)
 
-    def sz2(x):
-        return sz(x) ** 2
+    def sz2(x, rows):
+        return sz(x, rows) ** 2
 
-    def sx2(x):
-        x2 = np.asarray(x) ** 2
-        e = eps(x2)
-        return sx_scale * x2 / e**2 * np.tanh(beta * e) ** 2
+    def sx2(x, rows):
+        _, beta, quarter, scale, _ = columns[rows].T[..., None]
+        x2 = x**2
+        e = np.sqrt(quarter + scale * x2)
+        return scale * x2 / e**2 * np.tanh(beta * e) ** 2
 
     return sz, sz2, sx2
 
 
-@functools.lru_cache(maxsize=64)
+def _one_point(body):
+    """The batched ``body`` of one point as a function of x alone."""
+    row = np.zeros(1, dtype=int)
+    return lambda x: body(np.asarray(x), row)[0]
+
+
+def _log_weight_factory(point: ThermalPoint, a=0.5):
+    """ln of the integrand of I(a) at one point, as a function of x: a view of ``_log_weight``."""
+    return _one_point(_log_weight([point], [a]))
+
+
+def _moment_integrands(point: ThermalPoint):
+    """The three moment integrands at one point, as functions of x: a view of ``_moments``."""
+    return tuple(_one_point(h) for h in _moments([point]))
+
+
+# Points per batched quadrature, whose node arrays are held at once.  The
+# 176-point finite-T witness command of the benchmark peaked at 30.5-30.7 MB
+# RSS with 16 points per batch, as with 4 or 8, and at 34.5 MB with all 176.
+_BATCH_POINTS = 16
+# Memo entries kept, oldest dropped first: a sweep holds two per point (a
+# default grid has 480 points), and a library user's loop over points must
+# not grow it without bound.
+_MEMO_SIZE = 4096
+# (point, quad) -> (ln I(1/2), <sigma_z>, <sigma_z>^2, <sigma_x>^2 averages),
+# and (point, quad, a) -> ln I(a)
+_MEMO = {}
+
+
+def _remember(key, value):
+    _MEMO[key] = value
+    while len(_MEMO) > _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+
+
+def precompute(points, quad: QuadratureSpec = DEFAULT_QUAD, *, overlap=False):
+    """Fill the memo for ``points`` in batches of at most ``_BATCH_POINTS``.
+
+    For each point the partition integral ln I(1/2) and its three weighted
+    averages and, with ``overlap``, the overlap numerator ln I(a) at
+    a = ``matched_a(point, quad)``.  A batch's numbers are bit-identical to
+    those of each point computed alone, so this changes no result: it lets
+    the readers below find them.
+    """
+    points = list(dict.fromkeys(points))
+    for start in range(0, len(points), _BATCH_POINTS):
+        batch = points[start : start + _BATCH_POINTS]
+        missing = [p for p in batch if (p, quad) not in _MEMO]
+        if missing:
+            results = integrate_batch(
+                _log_weight(missing, [0.5] * len(missing)), _moments(missing), len(missing),
+                quad, even=True,
+            )
+            for point, (log_i, averages) in zip(missing, results):
+                _remember((point, quad), (log_i, *averages))
+        if overlap:
+            _numerators([(p, quad, matched_a(p, quad)) for p in batch])
+
+
+def _numerators(keys):
+    """Memo entries ln I(a) for the (point, quad, a) ``keys``, all of one quad, in one batch."""
+    missing = [key for key in keys if key not in _MEMO]
+    if missing:
+        points, quads, a = zip(*missing)
+        results = integrate_batch(_log_weight(points, a), (), len(points), quads[0], even=True)
+        for key, (log_i, _) in zip(missing, results):
+            _remember(key, log_i)
+
+
 def _partition(point: ThermalPoint, quad: QuadratureSpec):
     """ln I(1/2) and the weighted averages of <sigma_z>_x, <sigma_z>_x^2, <sigma_x>_x^2."""
-    log_i, averages = integrate(
-        _log_weight_factory(point), _moment_integrands(point), quad, even=True
-    )
-    return (log_i, *averages)
+    if (point, quad) not in _MEMO:
+        precompute([point], quad)
+    return _MEMO[point, quad]
+
+
+# clearing the partitions, as with the lru_cache this memo replaced, clears it all
+_partition.cache_clear = _MEMO.clear
 
 
 def log_partition(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -139,8 +229,10 @@ def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD
     """
     if not 0.0 <= a <= 1.0:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a}")
+    key = (point, quad, a)
+    _numerators([key])
     log_delta = (
-        log_integral(_log_weight_factory(point, a), quad, even=True)
+        _MEMO[key]
         - point.params.n_atoms * math.log(2.0)
         - _partition(point, quad)[0]
     )
@@ -168,6 +260,10 @@ def thermal_moments(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD) ->
     <J_a^2> = N/4 + (N(N-1)/4) E[<sigma_a>_x^2].  The <sigma_x> integrand
     is odd, so <J_x> = 0 identically.
     """
+    # imported here: sweep-finite-t reads no moments, and its process need
+    # not compile the witness module
+    from .witness import MomentSet
+
     n = point.params.n_atoms
     _, avg_sz, avg_sz2, avg_sx2 = _partition(point, quad)
     pair = (n - 1) / (4.0 * n)

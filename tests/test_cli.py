@@ -10,7 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dicke_overlap
 from dicke_overlap import cli, numerics, oracle, thermal, witness, zerotemp
@@ -965,15 +968,15 @@ def test_import_loads_no_scipy(module):
 
 
 def test_commands_load_only_their_own_layers(tmp_path):
-    # cli imports oracle, thermal, witness and zerotemp in the rows and
-    # commands that use them; each run is a fresh process
+    # cli imports numpy and the layers that use it in the rows and commands
+    # that use them; each run is a fresh process, and critical needs none
     runs = [
         ("sweep-finite-t", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10},
          {"thermal"}, {"oracle", "zerotemp"}),
         ("witness", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "witness.mode": "finite_t",
                      "model.n_atoms": 10}, {"thermal", "witness"}, {"oracle", "zerotemp"}),
         ("critical", {"grid.lambda_min": 0.5, "grid.lambda_max": 1.0, "grid.lambda_steps": 2},
-         set(), {"oracle", "thermal", "zerotemp"}),
+         set(), {"numpy", "numerics", "oracle", "separable", "thermal", "zerotemp"}),
         ("sweep-zero-t", {"model.n_atoms": 100, "grid.lambda_min": 0.2, "grid.lambda_max": 1.0,
                           "grid.lambda_steps": 3}, {"zerotemp"}, {"oracle", "thermal"}),
         ("oracle-compare", {**_TWO_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 4},
@@ -986,13 +989,50 @@ def test_commands_load_only_their_own_layers(tmp_path):
             "import sys\n"
             "from dicke_overlap import cli\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "print(' '.join(sorted(m.rsplit('.', 1)[1] for m in sys.modules\n"
-            "                      if m.startswith('dicke_overlap.'))))\n",
+            "print(' '.join(sorted(m.rsplit('.', 1)[-1] for m in sys.modules\n"
+            "                      if m.startswith('dicke_overlap.') or m == 'numpy')))\n",
             *args,
         )
         assert result.returncode == 0, result.stderr
         modules = set(result.stdout.split())
         assert loaded <= modules and not unloaded & modules, (command, modules)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--help"], 0), (["sweep-finite-t", "--set", "grid.lambda_steps=0"], 2)],
+    ids=["help", "config_error"],
+)
+def test_front_end_exits_load_no_numpy(args, code):
+    # parsing, validation and the error report need no numpy: a mistyped
+    # command line fails fast, without its import
+    result = run_python(
+        "import sys\n"
+        "from dicke_overlap import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, 'numpy' in sys.modules)\n",
+        *args,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == [str(code), "False"]
+
+
+_BOUNDS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_BOUNDS, hi=_BOUNDS, num=st.integers(1, 60))
+@example(lo=0.0, hi=5e-324, num=3)  # a step that underflows to 0
+@example(lo=1.0, hi=1.0, num=4)
+@example(lo=-0.0, hi=0.0, num=1)
+def test_linspace_equals_numpy_bit_for_bit(lo, hi, num):
+    # the lambda and T grids are built without numpy; their values must be
+    # numpy's to the bit, or a CSV row could move in its last digit
+    ours, numpys = cli._linspace(lo, hi, num), np.linspace(lo, hi, num).tolist()
+    assert [x.hex() for x in ours] == [x.hex() for x in numpys]
 
 
 def test_zero_t_and_finite_t_commands_load_no_scipy(tmp_path):

@@ -75,11 +75,37 @@ def test_critical_temperature_no_root():
 @pytest.mark.parametrize("coupling", [1e-150, 1e-160, 1e-200, 4e-286])
 @pytest.mark.parametrize("omega0", [1.0, 3.0])
 def test_critical_temperatures_at_tiny_couplings(coupling, omega0):
-    # lambda^2 underflows below ~1.5e-162 and (lambda_c / lambda)^2 overflows
-    # below ~1e-154; both relations answer as at lambda = 0
+    # (lambda_c / lambda)^2 overflows below ~1e-154, and lambda^2 underflows
+    # below ~1.5e-162: the tanh form answers as at lambda = 0 for all four.
+    # The self-consistent relation's bracket grows to omega0 / lambda^2,
+    # which is finite at 1e-150: there both tanh are 1.0 and the root is the
+    # asymptote omega0 / (2 lambda^2).  It overflows at 1e-160 and below,
+    # which answer as at lambda = 0
     params = ModelParams(1.0, omega0, coupling, 5)
-    assert core.critical_temperature(params) is None
+    tc = core.critical_temperature(params)
+    if coupling == 1e-150:
+        assert abs(tc - 2.0 * coupling**2 / omega0) <= 1e-12 * tc
+    else:
+        assert tc is None
     assert core.critical_temperature_tanh_form(params) is None
+
+
+@pytest.mark.parametrize("coupling", [1e-3, 0.01, 0.02])
+def test_critical_temperature_at_small_couplings(coupling):
+    # beta_c = 1 / (2 lambda^2) lies above the default bracket's 1e3 for
+    # lambda below ~0.0224; the bracket grows to cover it
+    tc = core.critical_temperature(ModelParams(1.0, 1.0, coupling, 10))
+    assert abs(tc - 2.0 * coupling**2) <= 1e-12 * 2.0 * coupling**2
+
+
+def test_critical_temperature_small_coupling_off_resonance():
+    # omega = 2 omega0 puts the tanh ratio above 1 below beta ~ 20; at
+    # lambda = 0.01 the root, near 5000, still zeroes the relation to the
+    # bisection's relative width
+    params = ModelParams(2.0, 1.0, 0.01, 10)
+    beta_c = 1.0 / core.critical_temperature(params)
+    assert beta_c > core.BETA_BRACKET[1]
+    assert abs(core._beta_c_residual(beta_c, params)) <= 1e-12 * beta_c
 
 
 def test_tanh_form_only_above_critical():

@@ -95,8 +95,8 @@ def test_nan_log_integrand_is_named(where, even):
             x = np.asarray(x)
             return np.where(np.abs(x) > 5.0, np.nan, -0.5 * x**2)
     else:
-        # a peak narrower than the scan spacing (1/256) needs halvings; the
-        # NaN lies between two scan nodes, on the first halving's 1/512
+        # a peak narrower than the scan spacing (1/16) needs halvings; the
+        # NaN lies between two scan nodes, on the fifth halving's 1/512
         def log_f(x):
             x = np.asarray(x)
             return np.where(np.abs(np.abs(x) - 0.002) < 0.0005, np.nan, -0.5 * (x / 0.002) ** 2)
@@ -148,9 +148,15 @@ def _x_squared(x):
     return np.asarray(x) ** 2
 
 
+def _scan(log_f, even=False):
+    """The (grid, values) of the scan of one 1-D log-integrand, a batch of one."""
+    ((grid, _, vals, _),) = numerics._scan(numerics._one(log_f), 1, even)
+    return grid, vals[0]
+
+
 def _kept_runs(log_f):
     """The runs of scan nodes within ``_PEAK_KEEP`` of the scan maximum."""
-    _, vals = numerics._scan(log_f, even=True)
+    _, vals = _scan(log_f, even=True)
     near = (vals > vals.max() - numerics._PEAK_KEEP).astype(np.int8)
     return np.count_nonzero(np.diff(near) == 1)
 
@@ -242,11 +248,11 @@ def test_reused_nodes_equal_fresh_grids():
         x = np.asarray(x)
         return np.logaddexp(-0.5 * ((x - 30.0) / 9.0) ** 2, -0.5 * ((x - 31.0) / 0.02) ** 2)
 
-    grid, vals = numerics._scan(log_f)
+    grid, vals = _scan(log_f)
     span = grid[-1]
     assert span == 256.0
-    assert np.array_equal(grid, np.linspace(-span, span, 4097))
-    assert np.array_equal(vals, log_f(np.linspace(-span, span, 4097)))
+    assert np.array_equal(grid, np.linspace(-span, span, 8193))
+    assert np.array_equal(vals, log_f(np.linspace(-span, span, 8193)))
     f_calls, h_calls = [], []
     log_i, (mean_cos,) = integrate(_recorded(log_f, f_calls), (_recorded(np.cos, h_calls),))
     # each Gaussian of width s about m has mass s sqrt(2 pi) and <cos x> = e^(-s^2/2) cos m
@@ -257,7 +263,7 @@ def test_reused_nodes_equal_fresh_grids():
     assert len(refinements) >= 2
     assert np.isin(h_calls[0], grid).all()
     for m, xs in enumerate(refinements, start=1):
-        assert np.isin(xs, np.linspace(-span, span, 4096 * 2**m + 1)[1::2]).all()
+        assert np.isin(xs, np.linspace(-span, span, (len(grid) - 1) * 2**m + 1)[1::2]).all()
         assert np.array_equal(h_calls[m], xs)
 
 
@@ -267,7 +273,7 @@ def test_mirrored_nodes_equal_fresh_grids():
         x2 = np.asarray(x) ** 2
         return np.logaddexp(-0.5 * x2 / 49.0, -0.5 * ((x2 - 25.0) / 0.2) ** 2)
 
-    grid, vals = numerics._scan(log_f, even=True)
+    grid, vals = _scan(log_f, even=True)
     assert np.array_equal(vals, log_f(grid))
     calls = []
     result = integrate(_recorded(log_f, calls), (_x_squared,), even=True)
@@ -278,9 +284,10 @@ def test_mirrored_nodes_equal_fresh_grids():
         # a halving evaluates its x < 0 half: the midpoints never include 0
         assert (half < 0).all()
         xs = np.concatenate((half, -half[::-1]))
-        assert np.isin(xs, np.linspace(-span, span, 4096 * 2**m + 1)[1::2]).all()
-        assert np.array_equal(numerics._values(log_f, xs, True), log_f(xs))
-        assert np.array_equal(numerics._values(_x_squared, xs, True), xs**2)
+        assert np.isin(xs, np.linspace(-span, span, (len(grid) - 1) * 2**m + 1)[1::2]).all()
+        for fn in (log_f, _x_squared):
+            mirrored = numerics._values(numerics._one(fn), xs, np.arange(1), True)
+            assert np.array_equal(mirrored[0], fn(xs))
 
 
 def test_entire_integrands_need_no_point_beyond_the_scan():
@@ -290,7 +297,7 @@ def test_entire_integrands_need_no_point_beyond_the_scan():
     weight = thermal._log_weight_factory(point)
     quadrature, scan = [], []
     log_integral(_recorded(weight, quadrature), even=True)
-    numerics._scan(_recorded(weight, scan), even=True)
+    _scan(_recorded(weight, scan), even=True)
     assert sum(map(len, quadrature)) == sum(map(len, scan))
 
 
@@ -353,7 +360,8 @@ def test_integrands_cannot_write_into_the_nodes(even):
     assert abs(before[0] - LOG_SQRT_2PI) < 1e-12
     for level in range(3):
         span = 8.0 * 2.0**level
-        assert np.array_equal(numerics._scan_grid(level)[0], np.linspace(-span, span, 4097))
+        grid = np.linspace(-span, span, 256 * 2**level + 1)
+        assert np.array_equal(numerics._scan_grid(level)[0], grid)
 
 
 def test_find_root_examples():

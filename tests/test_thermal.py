@@ -181,6 +181,66 @@ def test_thermal_values_independent_of_call_order(lam, temp, n, order):
     assert 0.0 <= got["overlap_finite_t"] <= 1.0
 
 
+def _memo_entries(points):
+    """ln I(1/2) with its three averages, and ln I(a) at the matched a, of each point."""
+    return [
+        (thermal._partition(p, QUAD), thermal._MEMO[p, QUAD, matched_a(p, QUAD)]) for p in points
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.5), st.floats(0.05, 3.0), st.integers(1, 1000)),
+        min_size=1,
+        max_size=2 * thermal._BATCH_POINTS + 3,
+    )
+)
+def test_batched_points_equal_points_alone(draws):
+    # a point's sums run over its own nodes alone, so a batch (here up to
+    # three of them) changes no bit of its numbers
+    points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp) for lam, temp, n in draws]
+    thermal._partition.cache_clear()
+    thermal.precompute(points, QUAD, overlap=True)
+    batched = _memo_entries(points)
+    alone = []
+    for point in points:
+        thermal._partition.cache_clear()
+        thermal.precompute([point], QUAD, overlap=True)
+        alone += _memo_entries([point])
+    assert batched == alone
+
+
+def test_decoupled_closed_form_within_a_batch():
+    # lambda = 0 in a batch spanning the default couplings: the spins are
+    # free, so ln z, <J_z> and the overlap at the matched a (where
+    # 1 - 2a = tanh(beta / 2)) are closed forms
+    n, beta = 10, 0.7
+    points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), beta) for lam in np.linspace(0.0, 1.5, 16)]
+    thermal._partition.cache_clear()
+    thermal.precompute(points, QUAD, overlap=True)
+    free = points[0]
+    log_z = n * math.log(2 * math.cosh(beta / 2)) - math.log(1 - math.exp(-beta))
+    assert abs(log_partition(free, QUAD) - log_z) < 1e-12
+    assert abs(thermal_jz(free, QUAD) - (-0.5 * math.tanh(beta / 2))) < 1e-12
+    delta = (math.cosh(beta) / (1.0 + math.cosh(beta))) ** n
+    assert abs(overlap_finite_t(free, matched_a(free, QUAD), QUAD) - delta) < 1e-12 * delta
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_overlap_high_temperature_limit(n):
+    # 2^N Delta -> 1 as T -> infinity.  At T = 1e3 the matched reference is
+    # tilted by u = 1 - 2a = beta omega0 / 2 + O(beta^3), which leaves
+    # 2^N Delta = (1 + u^2)^N = 1 + N beta^2 omega0^2 / 4 to within 1e-9 at
+    # every coupling
+    beta = 1e-3
+    points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), beta) for lam in (0.0, 0.5, 1.0, 1.5)]
+    thermal.precompute(points, QUAD, overlap=True)
+    for point in points:
+        scaled = 2.0**n * overlap_finite_t(point, matched_a(point, QUAD), QUAD)
+        assert abs(scaled - (1.0 + n * beta**2 / 4.0)) < 1e-9
+
+
 def test_overlap_validates_a():
     point = ThermalPoint(ModelParams(1.0, 1.0, 0.5, 4), 0.5)
     with pytest.raises(InvalidParameterError):
