@@ -10,47 +10,53 @@ The quadrature integrates functions supplied as *log-integrands*
 ``x -> ln f(x)`` (returning -inf where f vanishes), a batch of them at a
 time: ``integrate_batch`` calls each integrand with nodes and the indices
 of the rows still being evaluated; ``integrate`` and ``log_integral`` are
-its batch of one.  Every scan has the one node spacing h = 1/16.  All rows
-start on the nodes of [-8, 8]; a row whose edges do not yet lie 80 nats
-below its maximum grows to twice the half-width by adding outer nodes, and
-only the growing rows are evaluated there.  The integral is the trapezoid
-rule on the scan's own nodes within 60 nats of the maximum, plus one node
-on each side of each run of them, all shifted by the maximum, so values
-like exp(+-10^4) neither overflow nor underflow.  For an integrand
-analytic in the strip |Im x| < a, the rule's error falls like
-exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A
-Gaussian peak of width sigma is off by about 2 exp(-2 pi^2 sigma^2 / h^2),
-so the narrowest peak the scan resolves to the default tolerance 1e-9,
-wherever it sits, is sigma = 1.05 h, about 0.066.  A narrower one is
-refined by halvings only if the check below sees its error, which it can
-miss when the peak sits midway between two nodes (at sigma = 0.05 and
-x = 1/32, ln I comes out 6.5e-6 low).  The thermal weights are entire in
-x, since cosh(beta eps) and sinh(beta eps) / eps are even in eps, and
-their peaks are about 1 wide; the moment integrands are analytic for
-|Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta omega/2) / N.
+its batch of one.  All rows start on the nodes of [-8, 8], spacing
+h = 1/16; a row whose edges do not yet lie 80 nats below its maximum
+grows to twice the half-width, evaluating only its new outer nodes.  Up
+to half-width 128 the spacing stays 1/16; beyond it the grid keeps 4,097
+nodes, reusing every other node, and the spacing doubles with the span,
+up to half-width 2^20.  The integral is the trapezoid rule on the scan's
+own nodes within 60 nats of the maximum, plus one node on each side of
+each run of them, shifted by the maximum, so values like exp(+-10^4)
+neither overflow nor underflow.  For an integrand analytic in the strip
+|Im x| < a the rule's error falls like exp(-2 pi a / h) (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)); a Gaussian peak of width sigma is
+off by about 2 exp(-2 pi^2 sigma^2 / h^2), so at the default tolerance
+1e-9 the spacing resolves it wherever it sits for sigma >= 1.04 h (0.065
+at h = 1/16), that is h^2 / sigma^2 <= 2 pi^2 / ln(2 / rel_tol).
 
-The rule of twice the spacing, on every other node, checks it: while the
-two differ by more than ``rel_tol`` times the larger of the integral's and
-the base integral's magnitude, the spacing halves on the kept intervals
-alone (a valley between far peaks is never refined), evaluating only their
-midpoints, and each rule is checked against the last.  The node budget is
-per row; it counts the nodes of every level, the first included, before it
-evaluates them.  A non-smooth integrand converges only like h^2 and may
-exhaust the budget: a ``NumericalError``, not a wrong number.  A NaN of
-ln f at any node, of the scan or of a halving, raises a ``NumericalError``
-that names it.  An oscillating one can alias alike onto both rules and
-pass the check; no caller passes one.
+Two checks gate the rule.  It must agree with the rule of twice the
+spacing, on the row's even grid nodes, to ``rel_tol`` times the larger of
+the integral's and the base integral's magnitude.  That cannot see a peak
+narrower than h midway between two nodes (the grid's Nyquist sine
+vanishes on every node, so all three rules agree while each is off: by
+6.5e-6 in ln I at sigma = 0.05, x = 1/32).  So the second differences of
+ln f on the kept nodes, -h^2 / sigma^2 for a Gaussian, set how many
+halvings must come before any rule is accepted: until none falls below
+-2 pi^2 / ln(2 / rel_tol).  The spacing halves on the kept intervals
+alone (a valley between far peaks is never refined), evaluating only
+their midpoints, and each rule is checked against the last.  The node
+budget is per row; it counts the nodes of every level, the first
+included, before it evaluates them.  A non-smooth integrand converges
+only like h^2 and may exhaust the budget: a ``NumericalError``, not a
+wrong number.  A NaN of ln f at any node raises a ``NumericalError`` that
+names it.  An h factor narrower than the spacing, or an oscillating ln f,
+can still alias alike onto successive rules; no caller passes one.  The
+thermal weights are entire in x, since cosh(beta eps) and sinh(beta eps)
+/ eps are even in eps, with peaks about 1 wide; the moment integrands are
+analytic for |Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta
+omega/2) / N.
 
-Batches are exact: a row's sums run over its own nodes alone, each along
-its own grid, so its numbers are bit-identical whatever else is in its
-batch.  Every node is an exact multiple of h / 2^m at the m-th halving, so
-refined nodes are np.linspace's and every row's nodes are symmetric about
-0 to the bit.  With ``even``, the caller promises an even log-integrand
-and even h functions (in practice computed from x only through x^2):
-the first half of each row's nodes is evaluated and mirrored, and the
-results are the same bit for bit.  Scan grids are built once and cached,
-and every array of nodes is read-only: an integrand that writes into its
-argument raises ``ValueError``.
+Batches are exact: a row's sums and checks run over its own nodes alone,
+each along its own grid, so its numbers are bit-identical whatever else is
+in its batch.  Every node is an exact multiple of its scan's spacing / 2^m
+at the m-th halving, so refined nodes are np.linspace's and every row's
+nodes are symmetric about 0 to the bit.  With ``even``, the caller
+promises an even log-integrand and even h functions (in practice computed
+from x only through x^2): the first half of each row's nodes is evaluated
+and mirrored, and the results are the same bit for bit.  Scan grids are
+built once and cached, and every array of nodes is read-only: an integrand
+that writes into its argument raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,9 +71,10 @@ import numpy as np
 from .core import QuadratureSpec, find_root  # noqa: F401  (re-exported)
 from .errors import NumericalError
 
-_STEP = 1.0 / 16.0  # node spacing of every scan
+_STEP = 1.0 / 16.0  # node spacing of the scans up to half-width 128
 _SCAN_START = 128  # nodes on each side of 0 at the first scan level: half-width 8
-_SCAN_LEVELS = 12  # scan levels, each of twice the half-width, up to 16384; then it gives up
+_FINE_LEVELS = 5  # scan levels at that spacing, half-widths 8 to 128; each later one doubles it
+_SCAN_LEVELS = 18  # scan levels, each of twice the half-width, up to 2^20; then it gives up
 _SCAN_DECAY = 80.0  # required log-drop at the scan edges
 _PEAK_KEEP = 60.0  # the quadrature keeps the scan nodes within this of the maximum
 _KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
@@ -294,9 +301,12 @@ def _scan_grid(level):
     """The scan grid of half-width 8 * 2^level, and the nodes of it outside the one below.
 
     Returns (grid, fresh), both read-only; at level 0, ``fresh`` is the grid.
+    From level ``_FINE_LEVELS`` on, the grid keeps 4,097 nodes and the
+    spacing doubles with the half-width.
     """
-    reach = _SCAN_START << level
-    grid = np.arange(-reach, reach + 1) * _STEP
+    coarse = max(0, level - _FINE_LEVELS + 1)  # doublings of the spacing
+    reach = _SCAN_START << (level - coarse)
+    grid = np.arange(-reach, reach + 1) * (_STEP * 2**coarse)
     grid.flags.writeable = False
     if level == 0:
         return grid, grid
@@ -308,7 +318,8 @@ def _scan_grid(level):
 def _scan(log_f, count, even=False):
     """Expanding symmetric scans of ``count`` rows; [(grid, rows, values, maxima)], edges decayed.
 
-    Each level evaluates its fresh nodes for the rows not yet decayed only.
+    Each level evaluates its fresh nodes for the rows not yet decayed only;
+    where the spacing doubles, it keeps every other node of the level below.
     """
     rows, (grid, fresh) = np.arange(count), _scan_grid(0)
     vals = np.array(_log_values(log_f, fresh, rows, even))  # owned: integrate_batch writes it
@@ -330,7 +341,8 @@ def _scan(log_f, count, even=False):
             raise NumericalError("log-integrand does not decay within the scan range", span=span)
         grid, fresh = _scan_grid(level)
         new, side = _log_values(log_f, fresh, rows, even), len(fresh) // 2
-        vals = np.concatenate((new[:, :side], vals, new[:, side:]), axis=1)
+        inner = vals if level < _FINE_LEVELS else vals[:, ::2]
+        vals = np.concatenate((new[:, :side], inner, new[:, side:]), axis=1)
 
 
 def _result(top, total):
@@ -358,8 +370,11 @@ def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec
     is in the batch.
     """
     results, scans = [None] * count, _scan(log_f, count, even)
+    # the sharpest second difference of ln f a spacing resolves (module notes)
+    resolved = 2.0 * math.pi**2 / math.log(2.0 / quad.rel_tol)
     while scans:  # popped, so that each group's arrays are freed once it is done
         grid, rows, weight, top = scans.pop()
+        step = float(grid[1] - grid[0])
         near = weight > (top - _PEAK_KEEP)[:, None]
         kept = near.copy()  # every run widened by one node per side
         kept[:, 1:] |= near[:, :-1]
@@ -367,6 +382,14 @@ def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec
         nodes = np.count_nonzero(kept, axis=1)
         if nodes.max() > quad.max_nodes:
             raise _over_budget(math.inf, quad, grid, kept[np.argmax(nodes > quad.max_nodes)])
+        columns = np.flatnonzero(kept.any(axis=0))
+        span = slice(columns[0], columns[-1] + 1)
+        logs = weight[:, span]
+        with np.errstate(invalid="ignore"):  # -inf - -inf off the kept nodes
+            bend = logs[:, :-2] - 2.0 * logs[:, 1:-1] + logs[:, 2:]
+        bend[~(near[:, span][:, 1:-1] & np.isfinite(bend))] = 0.0
+        # halvings before a rule may be accepted: each divides a bend by 4
+        least = np.ceil(np.log(np.maximum(-bend.min(axis=1) / resolved, 1.0)) / math.log(4.0))
         # the rule on each row's kept nodes, summed along the row's own grid
         # with zeros elsewhere, checked against the rule of twice the spacing
         weight -= top[:, None]
@@ -376,37 +399,36 @@ def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec
         weight.sum(axis=1, out=total[0])
         weight[:, ::2].sum(axis=1, out=previous[0])
         if h_funcs:
-            columns = np.flatnonzero(kept.any(axis=0))
-            span = slice(columns[0], columns[-1] + 1)
             weighted = np.zeros_like(weight)
         for i, h in enumerate(h_funcs, start=1):
             values = _values(h, grid[span], rows, even)
             np.multiply(weight[:, span], values, out=weighted[:, span], where=kept[:, span])
             weighted.sum(axis=1, out=total[i])
             weighted[:, ::2].sum(axis=1, out=previous[i])
-        total *= _STEP
-        previous *= 2.0 * _STEP
+        total *= step
+        previous *= 2.0 * step
         error = np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0]), axis=0)
         for i, row in enumerate(rows):
-            if error[i] <= quad.rel_tol:
+            if error[i] <= quad.rel_tol and not least[i]:
                 results[row] = _result(top[i], total[:, i])
             else:
                 results[row] = _halve(
                     log_f, h_funcs, quad, even, grid, kept[i], rows[i : i + 1], top[i],
-                    nodes[i], float(error[i]), total[:, i],
+                    nodes[i], float(error[i]), total[:, i], int(least[i]),
                 )
     return results
 
 
-def _halve(log_f, h_funcs, quad, even, grid, kept, row, top, nodes, error, total):
+def _halve(log_f, h_funcs, quad, even, grid, kept, row, top, nodes, error, total, least):
     """One row's result, halving the spacing on its kept intervals until its rule converges.
 
     Each halving evaluates the midpoints of the kept intervals, the odd
     nodes of the grid of half the spacing, and adds their rule to half the
-    last; ``nodes``, ``error`` and ``total`` are the first rule's.
+    last; ``nodes``, ``error`` and ``total`` are the first rule's.  No rule
+    is accepted before ``least`` halvings.
     """
     left = np.flatnonzero(kept[:-1] & kept[1:])  # the kept intervals, by their left node
-    used, step, span = nodes, _STEP, grid[-1]
+    used, step, span = nodes, float(grid[1] - grid[0]), grid[-1]
     for level in itertools.count():
         step /= 2.0
         xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
@@ -420,7 +442,7 @@ def _halve(log_f, h_funcs, quad, even, grid, kept, row, top, nodes, error, total
             np.multiply(terms[0], _values(h, xs, row, even)[0], out=term)
         previous, total = total, 0.5 * total + step * terms.sum(axis=1)
         error = float(np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0])))
-        if error <= quad.rel_tol:
+        if error <= quad.rel_tol and level + 1 >= least:
             return _result(top, total)
 
 

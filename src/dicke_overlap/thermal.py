@@ -35,6 +35,7 @@ only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -132,28 +133,25 @@ def _log_weight_factory(point: ThermalPoint, a=0.5):
     return _one_point(_log_weight([point], [a]))
 
 
-def _moment_integrands(point: ThermalPoint):
-    """The three moment integrands at one point, as functions of x: a view of ``_moments``."""
-    return tuple(_one_point(h) for h in _moments([point]))
-
-
 # Points per batched quadrature, whose node arrays are held at once.  The
 # 176-point finite-T witness command of the benchmark peaked at 30.5-30.7 MB
 # RSS with 16 points per batch, as with 4 or 8, and at 34.5 MB with all 176.
 _BATCH_POINTS = 16
-# Memo entries kept, oldest dropped first: a sweep holds two per point (a
-# default grid has 480 points), and a library user's loop over points must
-# not grow it without bound.
+# Memo entries kept between fills, oldest dropped first: a sweep holds two
+# per point (a default grid has 480 points), and a library user's loop over
+# points must not grow it without bound.  A fill makes room for all of its
+# entries before it starts, so a grid larger than this still reads each
+# point from the memo; the memo then holds that grid until the next fill.
 _MEMO_SIZE = 4096
 # (point, quad) -> (ln I(1/2), <sigma_z>, <sigma_z>^2, <sigma_x>^2 averages),
 # and (point, quad, a) -> ln I(a)
 _MEMO = {}
 
 
-def _remember(key, value):
-    _MEMO[key] = value
-    while len(_MEMO) > _MEMO_SIZE:
-        del _MEMO[next(iter(_MEMO))]
+def _make_room(count):
+    """Drop the oldest memo entries until ``count`` more fit within ``_MEMO_SIZE``."""
+    for key in list(itertools.islice(_MEMO, max(0, len(_MEMO) + count - _MEMO_SIZE))):
+        del _MEMO[key]
 
 
 def precompute(points, quad: QuadratureSpec = DEFAULT_QUAD, *, overlap=False):
@@ -166,6 +164,7 @@ def precompute(points, quad: QuadratureSpec = DEFAULT_QUAD, *, overlap=False):
     the readers below find them.
     """
     points = list(dict.fromkeys(points))
+    _make_room(len(points) * (2 if overlap else 1))
     for start in range(0, len(points), _BATCH_POINTS):
         batch = points[start : start + _BATCH_POINTS]
         missing = [p for p in batch if (p, quad) not in _MEMO]
@@ -175,7 +174,7 @@ def precompute(points, quad: QuadratureSpec = DEFAULT_QUAD, *, overlap=False):
                 quad, even=True,
             )
             for point, (log_i, averages) in zip(missing, results):
-                _remember((point, quad), (log_i, *averages))
+                _MEMO[point, quad] = (log_i, *averages)
         if overlap:
             _numerators([(p, quad, matched_a(p, quad)) for p in batch])
 
@@ -187,7 +186,7 @@ def _numerators(keys):
         points, quads, a = zip(*missing)
         results = integrate_batch(_log_weight(points, a), (), len(points), quads[0], even=True)
         for key, (log_i, _) in zip(missing, results):
-            _remember(key, log_i)
+            _MEMO[key] = log_i
 
 
 def _partition(point: ThermalPoint, quad: QuadratureSpec):
@@ -195,10 +194,6 @@ def _partition(point: ThermalPoint, quad: QuadratureSpec):
     if (point, quad) not in _MEMO:
         precompute([point], quad)
     return _MEMO[point, quad]
-
-
-# clearing the partitions, as with the lru_cache this memo replaced, clears it all
-_partition.cache_clear = _MEMO.clear
 
 
 def log_partition(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -230,7 +225,9 @@ def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD
     if not 0.0 <= a <= 1.0:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a}")
     key = (point, quad, a)
-    _numerators([key])
+    if key not in _MEMO:
+        _make_room(1)
+        _numerators([key])
     log_delta = (
         _MEMO[key]
         - point.params.n_atoms * math.log(2.0)

@@ -493,6 +493,29 @@ def test_witness_command_finite_t_no_violations(tmp_path):
     assert all(r["any_violation"] == "0" for r in rows)
 
 
+def test_witness_command_finite_t_at_a_million_atoms(tmp_path):
+    # the weight's peaks lie near x = 15,000 at T = 0.1: the scan's
+    # spacing grows with its span, as the span needs
+    out = tmp_path / "witness_big.csv"
+    result = run_cli(
+        [
+            "witness",
+            "--set", "witness.mode=finite_t",
+            "--set", "grid.lambda_min=0.5",
+            "--set", "grid.lambda_max=1.5",
+            "--set", "grid.lambda_steps=3",
+            "--set", "grid.t_min=0.1",
+            "--set", "grid.t_max=3.0",
+            "--set", "grid.t_steps=2",
+            "--set", "model.n_atoms=1000000",
+            "--out", str(out),
+            "--threads", "1",
+        ]
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(read_rows(out)) == 6
+
+
 @pytest.mark.parametrize(
     "sets",
     [{"witness.mode": "zero_t", **_TWO_COUPLINGS},
@@ -692,7 +715,7 @@ def test_thermal_row_runs_two_quadratures(monkeypatch, row, task):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "_scan", counting_scan)
-    thermal._partition.cache_clear()
+    thermal._MEMO.clear()
     row(task)
     assert len(scans) == 2
 

@@ -106,6 +106,20 @@ def test_nan_log_integrand_is_named(where, even):
     assert np.isnan(log_f(np.array([err.value.details["x"]])))[0]
 
 
+@pytest.mark.parametrize("quad", [QuadratureSpec(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize(
+    "width, centre", [(0.05, 1 / 32), (0.025, 1 / 64), (0.05, 0.03), (0.004, 0.002), (0.3, 1 / 32)]
+)
+def test_peaks_narrower_than_the_spacing_meet_the_tolerance(width, centre, quad):
+    # midway between two nodes of spacing 1/16 (x = 1/32), a Gaussian of
+    # width 0.05 weighs the even and the odd nodes alike, so the rules of
+    # both spacings agree while each is off by 6.5e-6 in ln I; its second
+    # differences of ln f demand the halvings.  At x = 1/64, width 0.025,
+    # the first halving's two rules alias alike the same way
+    value = log_integral(lambda x: -0.5 * ((np.asarray(x) - centre) / width) ** 2, quad)
+    assert abs(value - math.log(width) - LOG_SQRT_2PI) <= quad.rel_tol
+
+
 def test_integrate_moments():
     quad = QuadratureSpec(rel_tol=1e-11)
     log_w = lambda x: -0.5 * np.asarray(x) ** 2
@@ -152,6 +166,11 @@ def _scan(log_f, even=False):
     """The (grid, values) of the scan of one 1-D log-integrand, a batch of one."""
     ((grid, _, vals, _),) = numerics._scan(numerics._one(log_f), 1, even)
     return grid, vals[0]
+
+
+def _moment_integrands(point):
+    """The three moment integrands at one point, as functions of x."""
+    return tuple(thermal._one_point(h) for h in thermal._moments([point]))
 
 
 def _kept_runs(log_f):
@@ -214,7 +233,7 @@ def test_even_path_is_exact_on_centred_gaussians(width, height, moments):
 )
 def test_even_path_is_exact_on_thermal_weights(lam, temp, n, a, moments):
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
-    h_funcs = thermal._moment_integrands(point) if moments else ()
+    h_funcs = _moment_integrands(point) if moments else ()
     generic, even = _both_paths(thermal._log_weight_factory(point, a), h_funcs, QuadratureSpec())
     assert even == generic
 
@@ -222,7 +241,7 @@ def test_even_path_is_exact_on_thermal_weights(lam, temp, n, a, moments):
 def test_both_paths_exhaust_the_node_budget_at_the_same_max_nodes():
     # below T_c: a bimodal weight, a kept run and its mirror image
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 1.0, 100), 1.0 / 0.5)
-    log_f, h_funcs = thermal._log_weight_factory(point), thermal._moment_integrands(point)
+    log_f, h_funcs = thermal._log_weight_factory(point), _moment_integrands(point)
     assert _kept_runs(log_f) == 2
 
     def outcomes(max_nodes):
@@ -251,8 +270,8 @@ def test_reused_nodes_equal_fresh_grids():
     grid, vals = _scan(log_f)
     span = grid[-1]
     assert span == 256.0
-    assert np.array_equal(grid, np.linspace(-span, span, 8193))
-    assert np.array_equal(vals, log_f(np.linspace(-span, span, 8193)))
+    assert np.array_equal(grid, np.linspace(-span, span, 4097))
+    assert np.array_equal(vals, log_f(np.linspace(-span, span, 4097)))
     f_calls, h_calls = [], []
     log_i, (mean_cos,) = integrate(_recorded(log_f, f_calls), (_recorded(np.cos, h_calls),))
     # each Gaussian of width s about m has mass s sqrt(2 pi) and <cos x> = e^(-s^2/2) cos m
@@ -358,9 +377,10 @@ def test_integrands_cannot_write_into_the_nodes(even):
         integrate(gaussian, (zeroing_h,), TIGHT, even=even)
     assert integrate(gaussian, (_x_squared,), TIGHT, even=even) == before
     assert abs(before[0] - LOG_SQRT_2PI) < 1e-12
-    for level in range(3):
+    # spacing 1/16 up to half-width 128, then 4,097 nodes at every half-width
+    for level in (0, 1, 2, 4, 5, 6, numerics._SCAN_LEVELS - 1):
         span = 8.0 * 2.0**level
-        grid = np.linspace(-span, span, 256 * 2**level + 1)
+        grid = np.linspace(-span, span, min(256 * 2**level, 4096) + 1)
         assert np.array_equal(numerics._scan_grid(level)[0], grid)
 
 

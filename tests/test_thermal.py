@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_overlap import oracle, thermal
+from dicke_overlap import numerics, oracle, thermal
 from dicke_overlap.core import ModelParams
 from dicke_overlap.errors import InvalidParameterError, NumericalError
 from dicke_overlap.numerics import QuadratureSpec
@@ -171,9 +172,9 @@ _THERMAL_CALLS = {
 )
 def test_thermal_values_independent_of_call_order(lam, temp, n, order):
     point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
-    thermal._partition.cache_clear()
+    thermal._MEMO.clear()
     got = {name: _THERMAL_CALLS[name](point) for name in order}
-    thermal._partition.cache_clear()
+    thermal._MEMO.clear()
     want = {name: _THERMAL_CALLS[name](point) for name in sorted(_THERMAL_CALLS)}
     assert got == want
     # one partition integral serves every reader
@@ -200,15 +201,67 @@ def test_batched_points_equal_points_alone(draws):
     # a point's sums run over its own nodes alone, so a batch (here up to
     # three of them) changes no bit of its numbers
     points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp) for lam, temp, n in draws]
-    thermal._partition.cache_clear()
+    thermal._MEMO.clear()
     thermal.precompute(points, QUAD, overlap=True)
     batched = _memo_entries(points)
     alone = []
     for point in points:
-        thermal._partition.cache_clear()
+        thermal._MEMO.clear()
         thermal.precompute([point], QUAD, overlap=True)
         alone += _memo_entries([point])
     assert batched == alone
+
+
+def test_memo_holds_a_grid_larger_than_its_size(monkeypatch):
+    # a fill makes room for all of its entries before it starts, so the
+    # rows of a grid above the memo's size read it without integrating again
+    calls = []
+    batch = thermal.integrate_batch
+
+    def counting_batch(*args, **kwargs):
+        calls.append(args[2])
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "integrate_batch", counting_batch)
+    monkeypatch.setattr(thermal, "_MEMO_SIZE", 8)
+    thermal._MEMO.clear()
+    points = [
+        ThermalPoint(ModelParams(1.0, 1.0, lam, 10), beta)
+        for lam in np.linspace(0.0, 1.5, 5)
+        for beta in (0.5, 1.0, 2.0, 4.0)
+    ]
+    thermal.precompute(points, QUAD, overlap=True)
+    assert calls == [16, 16, 4, 4]
+    for point in points:
+        overlap_finite_t(point, matched_a(point, QUAD), QUAD)
+        thermal_moments(point, QUAD)
+    assert len(calls) == 4
+    assert len(thermal._MEMO) == 2 * len(points)
+    # the size holds again from the next fill on
+    log_partition(ThermalPoint(ModelParams(1.0, 1.0, 0.3, 10), 0.7), QUAD)
+    assert len(thermal._MEMO) == thermal._MEMO_SIZE
+
+
+@pytest.mark.parametrize(
+    "n, temp, lam", [(10**5, 0.2, 1.4), (10**6, 0.1, 1.5), (3 * 10**6, 0.5, 1.0), (10**7, 0.2, 1.5)]
+)
+def test_large_n_partition_matches_a_dense_rule(n, temp, lam):
+    # the peaks of the weight lie near +-beta lambda sqrt(N coth(beta / 2)),
+    # 23,854 at N = 1e7: beyond half-width 128 the scan's spacing doubles
+    # with its span, up to 16 there, and halvings resolve the unit-width
+    # peaks.  The reference is the rule of spacing 1/64 over +-40 about
+    # each peak, which resolves them to rounding
+    point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
+    log_w = thermal._log_weight_factory(point)
+    sz = thermal._one_point(thermal._moments([point])[0])
+    xs = numerics.golden_max(log_w, 0.0, 1e5) + np.arange(-2560, 2561) / 64.0
+    logs = log_w(xs)
+    weights = np.exp(logs - logs.max())
+    log_i = logs.max() + math.log(2.0 * weights.sum() / 64.0)
+    thermal._MEMO.clear()
+    got = thermal._partition(point, QUAD)
+    assert abs(got[0] - log_i) <= QUAD.rel_tol + 4 * sys.float_info.epsilon * abs(log_i)
+    assert abs(got[1] - (weights * sz(xs)).sum() / weights.sum()) <= QUAD.rel_tol
 
 
 def test_decoupled_closed_form_within_a_batch():
@@ -217,7 +270,7 @@ def test_decoupled_closed_form_within_a_batch():
     # 1 - 2a = tanh(beta / 2)) are closed forms
     n, beta = 10, 0.7
     points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), beta) for lam in np.linspace(0.0, 1.5, 16)]
-    thermal._partition.cache_clear()
+    thermal._MEMO.clear()
     thermal.precompute(points, QUAD, overlap=True)
     free = points[0]
     log_z = n * math.log(2 * math.cosh(beta / 2)) - math.log(1 - math.exp(-beta))
