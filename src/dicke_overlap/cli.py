@@ -161,6 +161,12 @@ def _lambda_grid(cfg):
     return _linspace(cfg["grid.lambda_min"], cfg["grid.lambda_max"], cfg["grid.lambda_steps"])
 
 
+def _reject_critical_grid(cfg, lams):
+    """Fail before any row runs if a zero-T grid coupling is lambda_c to rounding."""
+    for lam in lams:  # the atom count does not enter
+        core.reject_critical(ModelParams(cfg["model.omega"], cfg["model.omega0"], lam, 1))
+
+
 def _t_grid(cfg):
     # only the lambda x T commands read this axis, so only they need one swept
     if cfg["grid.lambda_steps"] < 2 and cfg["grid.t_steps"] < 2:
@@ -231,6 +237,8 @@ def _sweep(cfg, worker, tasks):
 
 
 def _format(value, precision):
+    if value is None:  # a critical temperature the relation does not give
+        return "nan"
     if hasattr(value, "item"):  # a numpy scalar
         value = value.item()
     if isinstance(value, bool):
@@ -296,7 +304,6 @@ def _finite_t_row(task):
     quad = QuadratureSpec(*quad_args)
     point = thermal.ThermalPoint(params, 1.0 / temp)
     a = thermal.matched_a(point, quad)
-    tc = core.critical_temperature(params)
     return {
         "lambda": lam,
         "temperature": temp,
@@ -305,7 +312,7 @@ def _finite_t_row(task):
         "a": a,
         "jz_per_atom": a - 0.5,
         "delta": thermal.overlap_finite_t(point, a, quad),
-        "tc_self_consistent": tc if tc is not None else float("nan"),
+        "tc_self_consistent": core.critical_temperature(params),
         "tc_resonant_line": core.reduced_critical_temperature(params),
         "validity_warning": temp < 0.1,
     }
@@ -413,6 +420,7 @@ def cmd_sweep_zero_t(cfg):
     lams = _lambda_grid(cfg)
     if len(lams) < 2:
         raise ConfigError("sweep-zero-t needs grid.lambda_steps >= 2", field="grid.lambda_steps")
+    _reject_critical_grid(cfg, lams)
     tasks = [
         (cfg["model.omega"], cfg["model.omega0"], float(lam), n)
         for n in cfg["model.n_atoms"]
@@ -421,43 +429,32 @@ def cmd_sweep_zero_t(cfg):
     _sweep(cfg, _zero_t_row, tasks)
 
 
-def cmd_sweep_finite_t(cfg):
-    lams = _lambda_grid(cfg)
-    temps = _t_grid(cfg)
-    n = _one_atom_count(cfg)
-    quad_args = _quad_args(cfg)
-    tasks = [
-        (cfg["model.omega"], cfg["model.omega0"], float(lam), float(t), n, quad_args)
-        for lam in lams
-        for t in temps
+def _grid_tasks(cfg, axis, *extra):
+    """Row tasks (omega, omega0, lambda, x, N, *extra, quadrature args), x in ``axis`` (T, beta)."""
+    n, quad_args = _one_atom_count(cfg), _quad_args(cfg)
+    return [
+        (cfg["model.omega"], cfg["model.omega0"], float(lam), float(x), n, *extra, quad_args)
+        for lam in _lambda_grid(cfg)
+        for x in axis
     ]
+
+
+def cmd_sweep_finite_t(cfg):
+    tasks = _grid_tasks(cfg, _t_grid(cfg))
     _precompute_thermal(tasks, overlap=True)
     _sweep(cfg, _finite_t_row, tasks)
 
 
 def cmd_witness(cfg):
     mode = cfg["witness.mode"]
-    if mode not in ("zero_t", "finite_t"):
-        raise ConfigError("witness.mode must be zero_t or finite_t", field="witness.mode")
-    lams = _lambda_grid(cfg)
-    temps = [0.0] if mode == "zero_t" else _t_grid(cfg)
-    n = _one_atom_count(cfg)
-    quad_args = _quad_args(cfg)
-    tasks = [
-        (
-            cfg["model.omega"],
-            cfg["model.omega0"],
-            float(lam),
-            float(t),
-            n,
-            cfg["witness.finite_n"],
-            quad_args,
-        )
-        for lam in lams
-        for t in temps
-    ]
-    if mode == "finite_t":
+    if mode == "zero_t":
+        _reject_critical_grid(cfg, _lambda_grid(cfg))
+        tasks = _grid_tasks(cfg, [0.0], cfg["witness.finite_n"])
+    elif mode == "finite_t":
+        tasks = _grid_tasks(cfg, _t_grid(cfg), cfg["witness.finite_n"])
         _precompute_thermal(tasks, overlap=False)
+    else:
+        raise ConfigError("witness.mode must be zero_t or finite_t", field="witness.mode")
     _sweep(cfg, _witness_row, tasks)
 
 
@@ -467,19 +464,14 @@ def cmd_oracle_compare(cfg):
     cutoff = cfg["oracle.cutoff"]
     lams = _lambda_grid(cfg)
     if mode == "ground":
+        _reject_critical_grid(cfg, lams)
         tasks = [
             (cfg["model.omega"], cfg["model.omega0"], float(lam), n, cutoff)
             for lam in lams
         ]
         _sweep(cfg, _oracle_ground_row, tasks)
     elif mode == "thermal":
-        betas = cfg["grid.beta_list"]
-        quad_args = _quad_args(cfg)
-        tasks = [
-            (cfg["model.omega"], cfg["model.omega0"], float(lam), float(b), n, cutoff, quad_args)
-            for lam in lams
-            for b in betas
-        ]
+        tasks = _grid_tasks(cfg, cfg["grid.beta_list"], cutoff)
         _sweep(cfg, _oracle_thermal_row, tasks)
     else:
         raise ConfigError("oracle.mode must be ground or thermal", field="oracle.mode")
@@ -544,14 +536,12 @@ def cmd_critical(cfg):
     rows = []
     for lam in lams:
         params = ModelParams(omega, omega0, float(lam), n)
-        tc = core.critical_temperature(params)
-        tc_tanh = core.critical_temperature_tanh_form(params)
         rows.append({
             "lambda": float(lam),
             "lambda_c": lc,
-            "tc_self_consistent": tc if tc is not None else float("nan"),
+            "tc_self_consistent": core.critical_temperature(params),
             "tc_resonant_line": core.reduced_critical_temperature(params),
-            "tc_tanh_form": tc_tanh if tc_tanh is not None else float("nan"),
+            "tc_tanh_form": core.critical_temperature_tanh_form(params),
         })
     _write_csv(cfg["out"], rows, cfg["output.precision"])
 

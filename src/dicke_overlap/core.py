@@ -105,6 +105,12 @@ class ModelParams:
     def critical(self) -> float:
         return critical_coupling(self.omega, self.omega0)
 
+    @property
+    def mu(self) -> float:
+        """min(lambda_c / lambda, 1)^2, 1 at lambda = 0: below 1 only in the superradiant phase."""
+        # min before squaring: (lambda_c / lambda)^2 overflows for lambda below ~1e-154
+        return min(self.critical / self.coupling, 1.0) ** 2 if self.coupling > 0 else 1.0
+
 
 def check_beta(params: ModelParams, beta):
     """Reject a beta that is not positive and finite, or whose product with omega overflows."""
@@ -112,6 +118,17 @@ def check_beta(params: ModelParams, beta):
         raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
     if not math.isfinite(beta * max(params.omega, params.omega0)):
         raise InvalidParameterError("beta * max(omega, omega0) must be finite")
+
+
+def reject_critical(params: ModelParams):
+    """Reject a coupling at lambda_c, where the zero-temperature model is singular."""
+    # lambda_c = sqrt(omega omega0)/2 is itself rounded, so couplings within
+    # a few ulps of it cannot be told apart from it
+    if abs(params.coupling / params.critical - 1.0) <= 8.0 * math.ulp(1.0):
+        raise InvalidParameterError(
+            f"lambda = {params.coupling!r} is lambda_c to rounding, where the soft mode is at "
+            "zero, so the excitation energies and the effective ground state are undefined"
+        )
 
 
 def critical_coupling(omega, omega0):
@@ -123,16 +140,11 @@ def critical_coupling(omega, omega0):
     return math.sqrt(omega * omega0) / 2.0
 
 
-# Default search bracket for the inverse critical temperature.  Its upper end
-# grows to cover the root when the small-coupling asymptote lies above it.
-BETA_BRACKET = (1e-6, 1e3)
-
-
-def _beta_c_residual(beta, params):
-    # beta - (omega0 / 2 lambda^2) * tanh(beta omega / 2) / tanh(beta omega0 / 2)
-    return beta - (params.omega0 / (2.0 * params.coupling**2)) * (
-        math.tanh(beta * params.omega / 2.0) / math.tanh(beta * params.omega0 / 2.0)
-    )
+def _log_tanh(u):
+    """ln tanh(e^u) for any finite u, without overflow or underflow."""
+    y = math.exp(min(u, 20.0))  # tanh(e^20) is 1.0
+    # below 1e-8, ln tanh(y) = u - y^2/3 + ... is u to rounding
+    return math.log(math.tanh(y)) if y > 1e-8 else u
 
 
 # cached: a finite-T sweep asks for it in every row of a coupling, and its
@@ -143,32 +155,38 @@ def critical_temperature(params: ModelParams):
 
         beta_c = (omega0 / 2 lambda^2) tanh(beta_c omega / 2) / tanh(beta_c omega0 / 2),
 
-    solved by bisection on beta.  The bracket is ``BETA_BRACKET`` with its
-    upper end raised, where it lies lower, to twice the asymptote
-    omega0 / (2 lambda^2) times max(1, omega / omega0): the tanh ratio is
-    at most that maximum, so the residual is positive there.  Returns None
-    at lambda = 0 and when that upper end overflows (lambda below ~1e-154),
-    and, as before, for couplings so strong (above ~700 at omega = omega0 =
-    1) that the root lies below the bracket's lower end.
+    i.e. s = R(beta_c) with s = 2 lambda^2 beta_c / omega0 and R the tanh
+    ratio.  R is monotone from omega / omega0 (beta -> 0) to 1 (beta -> oo),
+    so ``find_root`` bisects the increasing ln s - ln R on its exact bracket
+    between 0 and ln omega - ln omega0; where rounding gives an end the
+    wrong sign, R has saturated there and that end is the root.  T_c =
+    (2 lambda^2 / omega0) / s then holds to 1e-11 relative at every
+    coupling, and exactly at omega = omega0 (the bracket is s = 1).
+    Returns None at lambda = 0 and where omega0 / (2 lambda^2) overflows.
 
-    For omega = omega0 the tanh factors cancel and the root is exactly
-    beta_c = omega0 / (2 lambda^2), i.e. T_c = 2 lambda^2 / omega0.  Note
-    this relation yields a finite T_c for every lambda > 0, including
-    lambda below the zero-temperature boundary; see
-    ``critical_temperature_tanh_form`` for the variant that closes at the
-    T = 0 transition point.
+    The relation gives a finite T_c for every lambda > 0, below the
+    zero-temperature boundary too; ``critical_temperature_tanh_form`` is the
+    variant that closes at the T = 0 transition point.
     """
     square = params.coupling**2
-    if square == 0.0:
+    if square == 0.0 or not math.isfinite(params.omega0 / (2.0 * square)):
         return None
-    ratio = max(1.0, params.omega / params.omega0)
-    lo, hi = BETA_BRACKET[0], max(BETA_BRACKET[1], params.omega0 / square * ratio)
-    if not math.isfinite(hi):
-        return None
-    f = lambda beta: _beta_c_residual(beta, params)
-    if f(lo) * f(hi) > 0:
-        return None
-    return 1.0 / find_root(f, (lo, hi))
+    log_ratio = math.log(params.omega) - math.log(params.omega0)
+    # ln(beta omega0 / 2) at s = 1, where beta = omega0 / (2 lambda^2)
+    base = 2.0 * (math.log(params.omega0) - math.log(2.0 * params.coupling))
+
+    def residual(log_s):  # ln s - ln R, increasing in ln s
+        u = base + log_s
+        return log_s - _log_tanh(u + log_ratio) + _log_tanh(u)
+
+    lo, hi = sorted((0.0, log_ratio))
+    if residual(lo) >= 0.0:
+        log_s = lo
+    elif residual(hi) <= 0.0:
+        log_s = hi
+    else:
+        log_s = find_root(residual, (lo, hi))
+    return reduced_critical_temperature(params) * math.exp(-log_s)
 
 
 def reduced_critical_temperature(params: ModelParams):
@@ -179,16 +197,15 @@ def reduced_critical_temperature(params: ModelParams):
 def critical_temperature_tanh_form(params: ModelParams):
     """Alternative critical-temperature relation
 
-        tanh(beta_c omega0 / 2) = omega omega0 / (4 lambda^2) = (lambda_c / lambda)^2,
+        tanh(beta_c omega0 / 2) = omega omega0 / (4 lambda^2) = mu,
 
     which has a solution only above the zero-temperature boundary
-    (lambda > lambda_c) and gives T_c -> 0 as lambda -> lambda_c+.
+    (mu < 1) and gives T_c -> 0 as lambda -> lambda_c+.
     Returns None for lambda <= lambda_c.  Exposed for comparison with
     ``critical_temperature``; the two relations disagree except in the
     lambda >> lambda_c regime.
     """
-    # min before squaring: (lambda_c / lambda)^2 overflows for lambda below ~1e-154
-    mu = min(params.critical / params.coupling, 1.0) ** 2 if params.coupling > 0 else 1.0
+    mu = params.mu
     if mu >= 1.0:
         return None
     beta_c = 2.0 * math.atanh(mu) / params.omega0
@@ -196,24 +213,18 @@ def critical_temperature_tanh_form(params: ModelParams):
 
 
 def order_parameter_zero_t(params: ModelParams):
-    """Ground-state <J_z>/N:  -1/2 below the critical coupling, -lambda_c^2/(2 lambda^2) above."""
-    lc = params.critical
-    if params.coupling <= lc:
-        return -0.5
-    return -(lc**2) / (2.0 * params.coupling**2)
+    """Ground-state <J_z>/N = -mu/2: -1/2 up to lambda_c, -lambda_c^2/(2 lambda^2) above it."""
+    return -params.mu / 2.0
 
 
 def phase_zero_t(params: ModelParams) -> PhaseLabel:
-    return PhaseLabel.NORMAL if params.coupling < params.critical else PhaseLabel.SUPERRADIANT
+    """Superradiant exactly where mu < 1 (lambda > lambda_c)."""
+    return PhaseLabel.SUPERRADIANT if params.mu < 1.0 else PhaseLabel.NORMAL
 
 
 def phase_finite_t(params: ModelParams, temperature) -> PhaseLabel:
-    """Phase at temperature T > 0: superradiant below the critical line for lambda > lambda_c."""
+    """Phase at temperature T > 0: superradiant where mu < 1 and T lies below the critical line."""
     if temperature <= 0:
         return phase_zero_t(params)
-    if params.coupling <= params.critical:
-        return PhaseLabel.NORMAL
-    tc = critical_temperature(params)
-    if tc is not None and temperature < tc:
-        return PhaseLabel.SUPERRADIANT
-    return PhaseLabel.NORMAL
+    tc = critical_temperature(params) if params.mu < 1.0 else None
+    return PhaseLabel.SUPERRADIANT if tc is not None and temperature < tc else PhaseLabel.NORMAL

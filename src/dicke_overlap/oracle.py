@@ -163,10 +163,7 @@ def suggested_cutoff(params: ModelParams):
     The ground-state convergence gate (energy shift under 50% cutoff
     growth) still guards every use; this only sets the starting point.
     """
-    lc = params.critical
-    # min before squaring: (lc / lambda)^2 overflows for lambda below ~1e-154
-    mu = min(lc / params.coupling, 1.0) ** 2 if params.coupling > 0 else 1.0
-    mean = params.n_atoms * (params.coupling / params.omega) ** 2 * max(0.0, 1.0 - mu**2)
+    mean = params.n_atoms * (params.coupling / params.omega) ** 2 * (1.0 - params.mu**2)
     return int(math.ceil(mean + 6.5 * math.sqrt(mean + 4.0) + 14.0))
 
 

@@ -71,9 +71,9 @@ class SeparableState:
 
     @property
     def trace_log_weights(self):
-        """ln[a^n (1-a)^(N-n)], n = 0..N: ``log_weights`` less ln C(N,n), of the exact integer."""
-        n = self.n_atoms
-        return self.log_weights - np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+        """ln[a^n (1-a)^(N-n)] = n ln a + (N-n) ln(1-a), n = 0..N (-inf where the weight is 0)."""
+        up, down = config_log_terms(self.a, self.n_atoms, np.arange(self.n_atoms + 1.0))
+        return up + down
 
 
 def from_jz(jz_per_atom, n_atoms) -> SeparableState:

@@ -1,25 +1,31 @@
-"""Ground-state sector: effective quadratic Hamiltonians, overlap, moments.
+"""Ground-state sector: the effective quadratic Hamiltonian, overlap, moments.
 
 After the Holstein-Primakoff mapping J_z = b'b - N/2, J+ = b' sqrt(N - b'b)
-the low-excitation physics of the Dicke model reduces to two coupled
-oscillator Hamiltonians, one per phase:
+the low-excitation physics of the Dicke model reduces to one quadratic
+Hamiltonian of two coupled oscillators, written through
+mu = min(lambda_c / lambda, 1)^2 (``ModelParams.mu``; Emary & Brandes,
+PRE 67, 066203 (2003)):
 
-    lambda < lambda_c:
+    H = omega a'a + omega_b b'b + D (b+b')^2 + g (a'+a)(b'+b) + E0,
+
+    omega_b = omega0 (1 + mu) / (2 mu),  D = omega0 (1 - mu)(3 + mu) / (8 mu (1 + mu)),
+    g = lambda mu sqrt(2 / (1 + mu)),    E0 = -N omega0 (1/mu + mu) / 4.
+
+Its two limits are the two phases:
+    lambda <= lambda_c (mu = 1; exact, every step scales by a power of 2):
         H = omega a'a + omega0 b'b + lambda (a'+a)(b'+b) - N omega0 / 2
 
-    lambda > lambda_c  (in the displaced frame; mu = (lambda_c/lambda)^2):
-        H = omega a'a + [omega0 + 2(lambda^2 - lambda_c^2)/omega] b'b
-            + (lambda^2-lambda_c^2)(3 lambda^2+lambda_c^2)
-              / (2 omega (lambda^2+lambda_c^2)) * (b+b')^2
-            + sqrt(2) lambda_c^2 / sqrt(lambda^2+lambda_c^2) * (a'+a)(b'+b)
-            - N (lambda^2/omega + omega omega0^2 / (16 lambda^2))
+    lambda > lambda_c (mu < 1; in the displaced frame; l = lambda, c = lambda_c):
+        omega_b = omega0 + 2 (l^2 - c^2) / omega,  g = sqrt(2) c^2 / sqrt(l^2 + c^2),
+        D = (l^2 - c^2)(3 l^2 + c^2) / (2 omega (l^2 + c^2)),
+        E0 = -N (l^2 / omega + omega omega0^2 / (16 l^2))
 
 In the superradiant phase mode b is the *displaced* atomic mode: the
 physical spin-excitation number carries a mean-field shift
 beta_disp = N (1 - mu) / 2, fixed so that <J_z>/N reproduces the order
-parameter -mu/2 as N -> infinity.
+parameter -mu/2 as N -> infinity; it is 0 in the normal phase.
 
-Both Hamiltonians are quadratic, so their ground state is exactly
+The Hamiltonian is quadratic, so its ground state is exactly
 Gaussian.  ``gaussian_ground_state`` takes the reduced atomic covariance
 from the 2x2 polariton problem and builds, by a Fock-space recursion,
 the three diagonals rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of the physical
@@ -27,7 +33,7 @@ the three diagonals rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of the physical
 Holstein-Primakoff moments need nothing else, and the reduced purity
 follows from the covariance alone.
 
-``effective_ground_state`` diagonalizes the same Hamiltonians in a
+``effective_ground_state`` diagonalizes the same Hamiltonian in a
 truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
 matrix-free ``numerics.PhotonAtomOperator``, the solve path of the
 oracle too) and displaces the atomic amplitudes with a dense matrix
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelParams, PhaseLabel, order_parameter_zero_t, phase_zero_t
+from .core import ModelParams, order_parameter_zero_t, reject_critical
 from .errors import (
     CutoffError,
     DomainError,
@@ -114,24 +120,21 @@ class GaussianState:
 
 
 def _coefficients(params: ModelParams):
-    """(omega_b, (b+b')^2 coefficient, coupling, constant offset) in phase_zero_t's phase."""
-    lc2 = params.critical**2
-    l2 = params.coupling**2
-    if phase_zero_t(params) is PhaseLabel.NORMAL:
-        return params.omega0, 0.0, params.coupling, -params.n_atoms * params.omega0 / 2.0
-    omega_b = params.omega0 + 2.0 * (l2 - lc2) / params.omega
-    quad = (l2 - lc2) * (3.0 * l2 + lc2) / (2.0 * params.omega * (l2 + lc2))
-    g = math.sqrt(2.0) * lc2 / math.sqrt(l2 + lc2)
-    const = -params.n_atoms * (l2 / params.omega + params.omega * params.omega0**2 / (16.0 * l2))
-    return omega_b, quad, g, const
+    """(omega_b, D, g, E0) of the module docstring's Hamiltonian, through mu."""
+    mu, omega0 = params.mu, params.omega0
+    return (
+        omega0 * (1.0 + mu) / (2.0 * mu),
+        omega0 * (1.0 - mu) * (3.0 + mu) / (8.0 * mu * (1.0 + mu)),
+        params.coupling * mu * math.sqrt(2.0 / (1.0 + mu)),
+        -params.n_atoms * omega0 * (1.0 / mu + mu) / 4.0,
+    )
 
 
 def effective_hamiltonian(params: ModelParams, cutoffs):
-    """Matrix-free operator of the quadratic Hamiltonian of ``phase_zero_t(params)``.
+    """Matrix-free operator of the quadratic Hamiltonian of the module docstring.
 
     Basis ordering: |m>_a tensor |n>_b with flat index m * cutoff_atom + n.
-    Constant offsets (-N omega0/2 below, the mean-field energy above) are
-    included on the diagonal.
+    The constant offset E0 is included on the diagonal.
     """
     ca, cb = cutoffs
     if min(ca, cb) < 8:
@@ -147,21 +150,10 @@ def effective_hamiltonian(params: ModelParams, cutoffs):
     return PhotonAtomOperator(params.omega, ca, h_atom, g, np.sqrt(level[1:]))
 
 
-def _reject_critical(params: ModelParams):
-    # lambda_c = sqrt(omega omega0)/2 is itself rounded, so couplings within
-    # a few ulps of it cannot be told apart from it
-    if abs(params.coupling / params.critical - 1.0) <= 8.0 * math.ulp(1.0):
-        raise InvalidParameterError(
-            f"lambda = {params.coupling!r} is lambda_c to rounding, where the model is "
-            "singular: the soft mode is at zero, so the excitation energies and the "
-            "effective ground state are undefined"
-        )
-
-
 def _normal_modes(params: ModelParams):
     """omega_b and the eigenvalues and eigenvectors of the potential matrix V.
 
-    In the position representation both Hamiltonians are two coupled
+    In the position representation the Hamiltonian is two coupled
     oscillators with potential matrix
 
         V = [[omega^2,                 2 g sqrt(omega omega_b)],
@@ -170,7 +162,7 @@ def _normal_modes(params: ModelParams):
     (D the (b+b')^2 coefficient).  Rejects lambda = lambda_c, where V is
     singular, before any work.
     """
-    _reject_critical(params)
+    reject_critical(params)
     omega_b, quad, g, _ = _coefficients(params)
     cross = 2.0 * g * math.sqrt(params.omega * omega_b)
     v = np.array(
@@ -189,11 +181,8 @@ def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
 
 
 def mean_field_displacement(params: ModelParams):
-    """Superradiant-frame shift of b'b: N (1 - mu)/2 with mu = (lambda_c/lambda)^2."""
-    if phase_zero_t(params) is PhaseLabel.NORMAL:
-        return 0.0
-    mu = (params.critical / params.coupling) ** 2
-    return params.n_atoms * (1.0 - mu) / 2.0
+    """Superradiant-frame shift of b'b: N (1 - mu)/2, 0 in the normal phase."""
+    return params.n_atoms * (1.0 - params.mu) / 2.0
 
 
 def _tail_mass(probabilities, fraction=_TAIL_FRACTION):
@@ -225,14 +214,14 @@ def default_cutoffs(params: ModelParams):
 def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     """Truncated-Fock reference for ``gaussian_ground_state``.
 
-    Diagonalizes the phase-appropriate Hamiltonian at ``cutoffs`` (default:
+    Diagonalizes the effective Hamiltonian at ``cutoffs`` (default:
     ``default_cutoffs``) by Lanczos on the matrix-free operator; the sign
     convention is ``lowest_eigenpair``'s.  Raises ``CutoffError``, naming
     the mode, when the occupation in the top 10% of either mode's levels
     exceeds 1e-8.
     Rejects lambda = lambda_c, where the soft mode vanishes, before any solve.
     """
-    _reject_critical(params)
+    reject_critical(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
     energy, vec = lowest_eigenpair(effective_hamiltonian(params, cutoffs))
@@ -305,7 +294,7 @@ def _gaussian_fock_band(var_x, var_p, alpha, n_atoms):
 
 
 def gaussian_ground_state(params: ModelParams) -> GaussianState:
-    """Exact ground state of the phase-appropriate quadratic Hamiltonian.
+    """Exact ground state of the effective quadratic Hamiltonian.
 
     In mass-weighted coordinates the Hamiltonian is (pi^2 + y V y)/2 with
     V the potential matrix of ``_normal_modes``, so the ground

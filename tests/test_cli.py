@@ -209,6 +209,22 @@ def test_critical_command_values(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["critical", "sweep-finite-t"])
+def test_strong_coupling_has_a_finite_critical_temperature(tmp_path, command):
+    # T_c = 2 lambda^2 / omega0 = 2e6 at resonance, so T = 1 is superradiant
+    out = tmp_path / "strong.csv"
+    result = run_cli([
+        command, "--set", "grid.lambda_min=1000", "--set", "grid.lambda_max=1000",
+        "--set", "grid.lambda_steps=1", "--set", "grid.t_min=1", "--set", "grid.t_max=2",
+        "--set", "grid.t_steps=2", "--set", "model.n_atoms=10", "--out", str(out),
+    ])
+    assert result.returncode == 0, result.stderr
+    rows = read_rows(out)
+    assert rows and all(float(row["tc_self_consistent"]) == 2e6 for row in rows)
+    if command == "sweep-finite-t":
+        assert [row["phase"] for row in rows] == ["superradiant"] * 2
+
+
+@pytest.mark.parametrize("command", ["critical", "sweep-finite-t"])
 def test_tiny_couplings_give_no_critical_temperature(tmp_path, command):
     out = tmp_path / "tiny.csv"
     result = run_cli([
@@ -738,6 +754,22 @@ def test_failure_leaves_no_partial_output(tmp_path):
     assert result.returncode != 0
     assert "error:" in result.stderr
     assert not out.exists()
+    # every zero-T command checks its whole grid before the first row, so
+    # it fails with no row computed and numpy never imported
+    grid = ["--set", "grid.lambda_min=0.1", "--set", "grid.lambda_max=0.5",
+            "--set", "grid.lambda_steps=5", "--set", "model.n_atoms=10", "--out", str(out)]
+    for args in (["sweep-zero-t"], ["witness", "--set", "witness.mode=zero_t"],
+                 ["oracle-compare", "--set", "oracle.mode=ground"]):
+        result = run_python(
+            "import sys\n"
+            "from dicke_overlap import cli\n"
+            "print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)\n",
+            *args, *grid,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["2", "False"], args
+        assert "kind=InvalidParameterError" in result.stderr
+        assert not out.exists()
 
 
 def test_scaling_fit_synthetic_exact(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,22 +51,59 @@ def test_critical_temperature_resonant():
         assert abs(core.critical_temperature(p) - 2 * lam**2) < 1e-10
 
 
+def _printed_residual(beta, p):
+    # beta - (omega0 / 2 lambda^2) tanh(beta omega / 2) / tanh(beta omega0 / 2)
+    return beta - (p.omega0 / (2 * p.coupling**2)) * (
+        math.tanh(beta * p.omega / 2) / math.tanh(beta * p.omega0 / 2)
+    )
+
+
 def test_critical_temperature_off_resonance_residual():
     # derived check: the returned root must zero the printed relation, and a
     # sign-change scan on a beta grid brackets the same root
     p = ModelParams(2, 1, 1.0, 10)
     tc = core.critical_temperature(p)
     beta_c = 1.0 / tc
-    residual = beta_c - (p.omega0 / (2 * p.coupling**2)) * (
-        math.tanh(beta_c * p.omega / 2) / math.tanh(beta_c * p.omega0 / 2)
-    )
-    assert abs(residual) < 1e-10
+    assert abs(_printed_residual(beta_c, p)) < 1e-10
     grid = np.linspace(1e-4, 10.0, 4001)
-    res = [core._beta_c_residual(b, p) for b in grid]
+    res = [_printed_residual(b, p) for b in grid]
     signs = np.sign(res)
     crossings = np.flatnonzero(np.diff(signs) != 0)
     assert len(crossings) == 1
     assert grid[crossings[0]] <= beta_c <= grid[crossings[0] + 1]
+
+
+# omega / omega0 and lambda of the 50-digit check; 708 is where the old
+# heuristic bracket lost the resonant root
+_RATIOS = (1e-4, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e4)
+_COUPLINGS = (1e-3, 0.01, 0.3, 1.0, 30.0, 700.0, 708.0, 1e3, 1e5, 1e10)
+
+
+def _mp_critical_temperature(omega, coupling):
+    # omega0 = 1: bisect x = ln s in 50 digits on [0, ln omega], s = 2 lambda^2 beta_c
+    with mpmath.workdps(50):
+        w, b0 = mpmath.mpf(omega), 1 / (2 * mpmath.mpf(coupling) ** 2)
+
+        def residual(x):
+            beta = b0 * mpmath.exp(x)
+            return x - mpmath.log(mpmath.tanh(beta * w / 2) / mpmath.tanh(beta / 2))
+
+        lo, hi = sorted((mpmath.mpf(0), mpmath.log(w)))
+        for _ in range(200 if lo < hi else 0):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if residual(mid) < 0 else (lo, mid)
+        return float(2 * mpmath.mpf(coupling) ** 2 / mpmath.exp((lo + hi) / 2))
+
+
+@pytest.mark.parametrize("omega", _RATIOS)
+def test_critical_temperature_matches_50_digit_root(omega):
+    for coupling in _COUPLINGS:
+        params = ModelParams(omega, 1.0, coupling, 10)
+        tc = core.critical_temperature(params)
+        if omega == 1.0:
+            assert tc == core.reduced_critical_temperature(params) == 2.0 * coupling**2
+        expected = _mp_critical_temperature(omega, coupling)
+        assert abs(tc - expected) <= 1e-11 * expected, (omega, coupling, tc, expected)
 
 
 def test_critical_temperature_no_root():
@@ -77,10 +115,9 @@ def test_critical_temperature_no_root():
 def test_critical_temperatures_at_tiny_couplings(coupling, omega0):
     # (lambda_c / lambda)^2 overflows below ~1e-154, and lambda^2 underflows
     # below ~1.5e-162: the tanh form answers as at lambda = 0 for all four.
-    # The self-consistent relation's bracket grows to omega0 / lambda^2,
-    # which is finite at 1e-150: there both tanh are 1.0 and the root is the
-    # asymptote omega0 / (2 lambda^2).  It overflows at 1e-160 and below,
-    # which answer as at lambda = 0
+    # For the self-consistent relation omega0 / (2 lambda^2) is finite at
+    # 1e-150: there both tanh are 1.0 and the root is that asymptote.  It
+    # overflows at 1e-160 and below, which answer as at lambda = 0
     params = ModelParams(1.0, omega0, coupling, 5)
     tc = core.critical_temperature(params)
     if coupling == 1e-150:
@@ -92,8 +129,7 @@ def test_critical_temperatures_at_tiny_couplings(coupling, omega0):
 
 @pytest.mark.parametrize("coupling", [1e-3, 0.01, 0.02])
 def test_critical_temperature_at_small_couplings(coupling):
-    # beta_c = 1 / (2 lambda^2) lies above the default bracket's 1e3 for
-    # lambda below ~0.0224; the bracket grows to cover it
+    # beta_c = 1 / (2 lambda^2) lies above 1e3 for lambda below ~0.0224
     tc = core.critical_temperature(ModelParams(1.0, 1.0, coupling, 10))
     assert abs(tc - 2.0 * coupling**2) <= 1e-12 * 2.0 * coupling**2
 
@@ -104,8 +140,8 @@ def test_critical_temperature_small_coupling_off_resonance():
     # bisection's relative width
     params = ModelParams(2.0, 1.0, 0.01, 10)
     beta_c = 1.0 / core.critical_temperature(params)
-    assert beta_c > core.BETA_BRACKET[1]
-    assert abs(core._beta_c_residual(beta_c, params)) <= 1e-12 * beta_c
+    assert beta_c > 1e3
+    assert abs(_printed_residual(beta_c, params)) <= 1e-12 * beta_c
 
 
 def test_tanh_form_only_above_critical():
@@ -143,3 +179,9 @@ def test_phase_labels():
     assert core.phase_finite_t(p, 1.5) is core.PhaseLabel.SUPERRADIANT
     assert core.phase_finite_t(p, 2.5) is core.PhaseLabel.NORMAL
     assert core.phase_finite_t(ModelParams(1, 1, 0.3, 5), 0.5) is core.PhaseLabel.NORMAL
+    # mu = 1 at lambda = lambda_c exactly: both labels say normal there
+    at_critical = ModelParams(1, 1, 0.5, 5)
+    assert at_critical.mu == 1.0
+    assert core.phase_zero_t(at_critical) is core.PhaseLabel.NORMAL
+    for temp in (0.01, 0.5, 10.0):
+        assert core.phase_finite_t(at_critical, temp) is core.PhaseLabel.NORMAL

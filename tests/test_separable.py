@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -118,6 +119,16 @@ def test_trace_log_weights_are_one_configuration(a):
         w = a**n * (1 - a) ** (n_atoms - n)
         expected = math.log(w) if w > 0 else -math.inf
         assert trace[n] == expected or abs(trace[n] - expected) < 1e-12
+    # at N = 1e5, against n ln a + (N-n) ln(1-a) in 50 digits at a few levels
+    n_atoms = 100_000
+    trace = SeparableState.from_a(float(a), n_atoms).trace_log_weights
+    with mpmath.workdps(50):
+        a_mp = mpmath.mpf(float(a))
+        for n in (0, 1, 12_345, 50_000, n_atoms - 1, n_atoms):
+            up = n * mpmath.log(a_mp) if n else 0
+            down = (n_atoms - n) * mpmath.log(1 - a_mp) if n < n_atoms else 0
+            expected = float(up + down)
+            assert trace[n] == expected or abs(trace[n] - expected) <= 1e-14 * abs(expected)
 
 
 def test_overlap_contracts_each_block_per_copy():

@@ -4,11 +4,11 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicke_overlap import oracle, zerotemp
-from dicke_overlap.core import ModelParams
+from dicke_overlap.core import ModelParams, critical_coupling
 from dicke_overlap.errors import (
     CutoffError,
     DomainError,
@@ -81,6 +81,35 @@ def test_hamiltonian_superradiant_coefficients():
 def test_hamiltonian_small_cutoff_rejected():
     with pytest.raises(InvalidParameterError):
         effective_hamiltonian(ModelParams(1, 1, 0.2, 10), (6, 10))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(0.3, 3.0),
+    omega0=st.floats(0.3, 3.0),
+    ratio=st.floats(0.0, 4.0),
+    n_atoms=st.integers(1, 10**6),
+)
+def test_coefficients_in_mu_match_both_phases(omega, omega0, ratio, n_atoms):
+    # the one mu-form Hamiltonian against the module docstring's two phases:
+    # the normal phase bit for bit, the superradiant lambda form to 1e-12
+    # where 1 - mu keeps its digits (|lambda/lambda_c - 1| >= 1e-3)
+    params = ModelParams(omega, omega0, ratio * critical_coupling(omega, omega0), n_atoms)
+    lam, lc2 = params.coupling, params.critical**2
+    coefficients = zerotemp._coefficients(params)
+    if lam <= params.critical:
+        assert coefficients == (omega0, 0.0, lam, -n_atoms * omega0 / 2.0)
+        return
+    assume(lam / params.critical - 1.0 >= 1e-3)
+    l2 = lam**2
+    expected = (
+        omega0 + 2.0 * (l2 - lc2) / omega,
+        (l2 - lc2) * (3.0 * l2 + lc2) / (2.0 * omega * (l2 + lc2)),
+        math.sqrt(2.0) * lc2 / math.sqrt(l2 + lc2),
+        -n_atoms * (l2 / omega + omega * omega0**2 / (16.0 * l2)),
+    )
+    for got, want in zip(coefficients, expected):
+        assert abs(got - want) <= 1e-12 * abs(want), (coefficients, expected)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
