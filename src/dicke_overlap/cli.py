@@ -116,9 +116,9 @@ def build_config(config_path=None, overrides=(), out=None, threads=None):
 
 
 def _validate(v):
-    for key in ("grid.lambda_steps", "grid.t_steps"):
+    for key in ("grid.lambda_steps", "grid.t_steps", "scaling.points"):
         if v[key] < 1:
-            raise ConfigError(f"{key} must be >= 1", field=key)
+            raise ConfigError(f"{key}: must be >= 1, got {v[key]}", field=key)
     if any(n < 1 for n in v["model.n_atoms"]):
         raise ConfigError("model.n_atoms entries must be positive", field="model.n_atoms")
     for key in ("model.omega", "model.omega0"):
@@ -373,18 +373,18 @@ def _oracle_thermal_row(task):
     # the oracle state first: an N over its capacity bound fails there with
     # CapacityError, before the quadratures underflow (near N = 1500)
     state = oracle.exact_thermal_state(params, cutoff, beta)
-    sep = oracle.matched_separable_state(state)
-    delta_ed = oracle.exact_overlap(state, sep.trace_log_weights)
     quad = QuadratureSpec(*quad_args)
     point = thermal.ThermalPoint(params, beta)
+    thermal.precompute([point], quad, overlap=True)  # the row reads its point four times
+    sep = oracle.matched_separable_state(state)
+    delta_ed = oracle.exact_overlap(state, sep.trace_log_weights)
     a = thermal.matched_a(point, quad)
     delta_quad = thermal.overlap_finite_t(point, a, quad)
     delta_split = oracle.split_overlap(params, cutoff, beta, SeparableState.from_a(a, n))
     m_quad = thermal.thermal_moments(point, quad)
     m_ed = oracle.exact_moments(state)
     moment_err = max(
-        max(abs(x - y) for x, y in zip(m_quad.first, m_ed.first)),
-        max(abs(x - y) for x, y in zip(m_quad.second, m_ed.second)),
+        abs(x - y) for x, y in zip(m_quad.first + m_quad.second, m_ed.first + m_ed.second)
     )
     abs_err = abs(delta_quad - delta_ed)
     return {

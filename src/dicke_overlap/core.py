@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, InvalidParameterError, NumericalError
@@ -100,6 +101,10 @@ class ModelParams:
             raise InvalidParameterError(f"coupling must be >= 0, got {self.coupling}")
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
             raise InvalidParameterError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        if min(self.critical, self.mu) < sys.float_info.min:  # 1/lambda_c, 1/mu: overflow
+            raise InvalidParameterError(
+                f"lambda_c = {self.critical!r} and mu = {self.mu!r} must be normal doubles"
+            )
 
     @property
     def critical(self) -> float:

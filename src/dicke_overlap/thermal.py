@@ -24,9 +24,10 @@ peaks far from the origin, where naive fixed-node quadrature sees nothing.
 The weight is entire in x and the moment integrands are analytic in a
 strip about the real axis, so the rule converges geometrically.  A grid of
 points is integrated in batches (``precompute``), from one batched body
-built from per-point parameter columns, into a memo that every reader
-below consults; a point's numbers are the same bit for bit alone or in
-any batch, and a point not in the memo is integrated alone.
+built from per-point parameter columns, into a memo that holds that one
+grid; a reader takes a held point's numbers and integrates any other point
+alone, storing nothing, so code that reads a point several times should
+precompute it.  A point's numbers are the same bit for bit in any batch.
 
 Validity: the factorization error is O(beta^3); results at large beta
 (low temperature, T below ~0.1 in the resonant units) are qualitative
@@ -35,7 +36,6 @@ only.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -137,63 +137,48 @@ def _log_weight_factory(point: ThermalPoint, a=0.5):
 # 176-point finite-T witness command of the benchmark peaked at 30.5-30.7 MB
 # RSS with 16 points per batch, as with 4 or 8, and at 34.5 MB with all 176.
 _BATCH_POINTS = 16
-# Memo entries kept between fills, oldest dropped first: a sweep holds two
-# per point (a default grid has 480 points), and a library user's loop over
-# points must not grow it without bound.  A fill makes room for all of its
-# entries before it starts, so a grid larger than this still reads each
-# point from the memo; the memo then holds that grid until the next fill.
-_MEMO_SIZE = 4096
+# The grid of the last ``precompute``, its only writer; readers store nothing.
 # (point, quad) -> (ln I(1/2), <sigma_z>, <sigma_z>^2, <sigma_x>^2 averages),
 # and (point, quad, a) -> ln I(a)
 _MEMO = {}
 
 
-def _make_room(count):
-    """Drop the oldest memo entries until ``count`` more fit within ``_MEMO_SIZE``."""
-    for key in list(itertools.islice(_MEMO, max(0, len(_MEMO) + count - _MEMO_SIZE))):
-        del _MEMO[key]
+def _partitions(points, quad):
+    """ln I(1/2) and its three weighted averages at each of ``points``, in one batch."""
+    weights = _log_weight(points, [0.5] * len(points))
+    results = integrate_batch(weights, _moments(points), len(points), quad, even=True)
+    return [(log_i, *averages) for log_i, averages in results]
+
+
+def _numerators(points, a, quad):
+    """ln I(a) at each of ``points``, ``a`` one value per point, in one batch."""
+    results = integrate_batch(_log_weight(points, a), (), len(points), quad, even=True)
+    return [log_i for log_i, _ in results]
 
 
 def precompute(points, quad: QuadratureSpec = DEFAULT_QUAD, *, overlap=False):
-    """Fill the memo for ``points`` in batches of at most ``_BATCH_POINTS``.
+    """Hold ``points`` in the memo, integrated in batches of at most ``_BATCH_POINTS``.
 
-    For each point the partition integral ln I(1/2) and its three weighted
-    averages and, with ``overlap``, the overlap numerator ln I(a) at
-    a = ``matched_a(point, quad)``.  A batch's numbers are bit-identical to
-    those of each point computed alone, so this changes no result: it lets
-    the readers below find them.
+    Drops the grid held before.  For each point the partition integral
+    ln I(1/2) and its three weighted averages and, with ``overlap``, the
+    overlap numerator ln I(a) at a = ``matched_a(point, quad)``, each
+    bit-identical to the point computed alone.  The readers below integrate
+    a point not held once per call; a held one they only look up.
     """
+    _MEMO.clear()
     points = list(dict.fromkeys(points))
-    _make_room(len(points) * (2 if overlap else 1))
     for start in range(0, len(points), _BATCH_POINTS):
         batch = points[start : start + _BATCH_POINTS]
-        missing = [p for p in batch if (p, quad) not in _MEMO]
-        if missing:
-            results = integrate_batch(
-                _log_weight(missing, [0.5] * len(missing)), _moments(missing), len(missing),
-                quad, even=True,
-            )
-            for point, (log_i, averages) in zip(missing, results):
-                _MEMO[point, quad] = (log_i, *averages)
+        _MEMO.update(zip([(p, quad) for p in batch], _partitions(batch, quad)))
         if overlap:
-            _numerators([(p, quad, matched_a(p, quad)) for p in batch])
-
-
-def _numerators(keys):
-    """Memo entries ln I(a) for the (point, quad, a) ``keys``, all of one quad, in one batch."""
-    missing = [key for key in keys if key not in _MEMO]
-    if missing:
-        points, quads, a = zip(*missing)
-        results = integrate_batch(_log_weight(points, a), (), len(points), quads[0], even=True)
-        for key, (log_i, _) in zip(missing, results):
-            _MEMO[key] = log_i
+            a = [matched_a(p, quad) for p in batch]
+            keys = [(p, quad, a_p) for p, a_p in zip(batch, a)]
+            _MEMO.update(zip(keys, _numerators(batch, a, quad)))
 
 
 def _partition(point: ThermalPoint, quad: QuadratureSpec):
     """ln I(1/2) and the weighted averages of <sigma_z>_x, <sigma_z>_x^2, <sigma_x>_x^2."""
-    if (point, quad) not in _MEMO:
-        precompute([point], quad)
-    return _MEMO[point, quad]
+    return _MEMO.get((point, quad)) or _partitions([point], quad)[0]
 
 
 def log_partition(point: ThermalPoint, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -225,11 +210,9 @@ def overlap_finite_t(point: ThermalPoint, a, quad: QuadratureSpec = DEFAULT_QUAD
     if not 0.0 <= a <= 1.0:
         raise InvalidParameterError(f"a must lie in [0, 1], got {a}")
     key = (point, quad, a)
-    if key not in _MEMO:
-        _make_room(1)
-        _numerators([key])
+    log_i = _MEMO[key] if key in _MEMO else _numerators([point], [a], quad)[0]
     log_delta = (
-        _MEMO[key]
+        log_i
         - point.params.n_atoms * math.log(2.0)
         - _partition(point, quad)[0]
     )

@@ -722,7 +722,9 @@ def test_sweep_finite_t_underflow_fails_without_output(tmp_path, capsys):
     ids=["finite_t", "oracle_thermal"],
 )
 def test_thermal_row_runs_two_quadratures(monkeypatch, row, task):
-    # one integral of the partition weight, one of the overlap numerator
+    # one integral of the partition weight, one of the overlap numerator:
+    # sweep-finite-t integrates its grid before its rows, which only read
+    # it, and the oracle's thermal row integrates its own point
     scans = []
     scan = numerics._scan
 
@@ -731,9 +733,75 @@ def test_thermal_row_runs_two_quadratures(monkeypatch, row, task):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "_scan", counting_scan)
-    thermal._MEMO.clear()
+    if row is cli._finite_t_row:
+        cli._precompute_thermal([task], overlap=True)
+        assert len(scans) == 2
     row(task)
     assert len(scans) == 2
+
+
+@pytest.mark.parametrize(
+    "args, row_name, points, per_point, in_row",
+    [
+        (["sweep-finite-t", "--set", "model.n_atoms=10"], "_finite_t_row", 20, 2, 0),
+        (["witness", "--set", "witness.mode=finite_t", "--set", "model.n_atoms=10"],
+         "_witness_row", 20, 1, 0),
+        (["oracle-compare", "--set", "oracle.mode=thermal", "--set", "model.n_atoms=2",
+          "--set", "oracle.cutoff=12", "--set", "grid.beta_list=0.2,0.4,0.6"],
+         "_oracle_thermal_row", 15, 2, 2),
+    ],
+    ids=["sweep-finite-t", "witness", "oracle-thermal"],
+)
+def test_finite_t_commands_integrate_each_point_once_per_quantity(
+    tmp_path, monkeypatch, args, row_name, points, per_point, in_row
+):
+    # the partition integral of each point, and for the overlap its
+    # numerator, each once: the sweep and the witness integrate their grid
+    # (20 points, two batches) before the rows, which integrate nothing;
+    # each oracle row integrates its own point
+    sizes, row_counts = [], []
+    batch, row = thermal.integrate_batch, getattr(cli, row_name)
+
+    def counting_batch(*a, **kw):
+        sizes.append(a[2])
+        return batch(*a, **kw)
+
+    def counting_row(task):
+        before = sum(sizes)
+        result = row(task)
+        row_counts.append(sum(sizes) - before)
+        return result
+
+    monkeypatch.setattr(thermal, "integrate_batch", counting_batch)
+    monkeypatch.setattr(cli, row_name, counting_row)
+    out = tmp_path / "out.csv"
+    code = cli.main([*args, "--set", "grid.lambda_steps=5", "--set", "grid.t_steps=4",
+                     "--out", str(out), "--threads", "1"])
+    assert code == 0
+    assert len(read_rows(out)) == points
+    assert sum(sizes) == per_point * points
+    assert max(sizes) <= thermal._BATCH_POINTS
+    assert row_counts == [in_row] * points
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-zero-t", "--set", "model.omega=1e-170", "--set", "model.omega0=1e-170"],
+        ["critical", "--set", "model.omega=1e-170", "--set", "model.omega0=1e-170"],
+        ["sweep-zero-t", "--set", "model.omega=1e-160", "--set", "model.omega0=1e-160"],
+    ],
+    ids=["sweep-zero-t-lambda_c", "critical-lambda_c", "sweep-zero-t-mu"],
+)
+def test_underflowing_frequencies_exit_with_typed_error(tmp_path, capsys, args):
+    # lambda_c = sqrt(omega omega0) / 2 underflows to 0 at 1e-170; at 1e-160
+    # it is normal, but mu = (lambda_c / lambda)^2 is subnormal at the grid's
+    # couplings above 0
+    out = tmp_path / "never.csv"
+    code = cli.main([*args, "--set", "model.n_atoms=10", "--out", str(out), "--threads", "1"])
+    assert code == 2
+    assert "kind=InvalidParameterError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failure_leaves_no_partial_output(tmp_path):
@@ -882,8 +950,9 @@ def test_negative_thread_count_rejected(capsys):
     [
         (["critical", "--set", "numerics.rel_tol=5"], "numerics.rel_tol"),
         (["sweep-finite-t", "--set", "numerics.max_nodes=10"], "numerics.max_nodes"),
+        (["scaling-fit", "--set", "scaling.points=-1"], "scaling.points"),
     ],
-    ids=["critical-rel_tol", "sweep-finite-t-max_nodes"],
+    ids=["critical-rel_tol", "sweep-finite-t-max_nodes", "scaling-fit-points"],
 )
 def test_invalid_quadrature_keys_exit_with_config_error(tmp_path, capsys, args, key):
     # refused when the config is built, before any row runs

@@ -174,7 +174,6 @@ def test_thermal_values_independent_of_call_order(lam, temp, n, order):
     point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
     thermal._MEMO.clear()
     got = {name: _THERMAL_CALLS[name](point) for name in order}
-    thermal._MEMO.clear()
     want = {name: _THERMAL_CALLS[name](point) for name in sorted(_THERMAL_CALLS)}
     assert got == want
     # one partition integral serves every reader
@@ -201,20 +200,18 @@ def test_batched_points_equal_points_alone(draws):
     # a point's sums run over its own nodes alone, so a batch (here up to
     # three of them) changes no bit of its numbers
     points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp) for lam, temp, n in draws]
-    thermal._MEMO.clear()
     thermal.precompute(points, QUAD, overlap=True)
     batched = _memo_entries(points)
     alone = []
     for point in points:
-        thermal._MEMO.clear()
         thermal.precompute([point], QUAD, overlap=True)
         alone += _memo_entries([point])
     assert batched == alone
 
 
 def test_memo_holds_a_grid_larger_than_its_size(monkeypatch):
-    # a fill makes room for all of its entries before it starts, so the
-    # rows of a grid above the memo's size read it without integrating again
+    # the memo holds the whole grid of the last precompute, however large,
+    # so its rows read it without integrating again
     calls = []
     batch = thermal.integrate_batch
 
@@ -223,8 +220,6 @@ def test_memo_holds_a_grid_larger_than_its_size(monkeypatch):
         return batch(*args, **kwargs)
 
     monkeypatch.setattr(thermal, "integrate_batch", counting_batch)
-    monkeypatch.setattr(thermal, "_MEMO_SIZE", 8)
-    thermal._MEMO.clear()
     points = [
         ThermalPoint(ModelParams(1.0, 1.0, lam, 10), beta)
         for lam in np.linspace(0.0, 1.5, 5)
@@ -236,10 +231,36 @@ def test_memo_holds_a_grid_larger_than_its_size(monkeypatch):
         overlap_finite_t(point, matched_a(point, QUAD), QUAD)
         thermal_moments(point, QUAD)
     assert len(calls) == 4
-    assert len(thermal._MEMO) == 2 * len(points)
-    # the size holds again from the next fill on
-    log_partition(ThermalPoint(ModelParams(1.0, 1.0, 0.3, 10), 0.7), QUAD)
-    assert len(thermal._MEMO) == thermal._MEMO_SIZE
+
+
+def test_readers_store_nothing(monkeypatch):
+    # precompute is the memo's one writer: a reader looks a held point up,
+    # and integrates any other point alone, on every call, leaving the memo
+    # as it found it
+    calls = []
+    batch = thermal.integrate_batch
+
+    def counting_batch(*args, **kwargs):
+        calls.append(args[2])
+        return batch(*args, **kwargs)
+
+    held = ThermalPoint(ModelParams(1.0, 1.0, 0.8, 10), 1.5)
+    other = ThermalPoint(ModelParams(1.0, 1.0, 0.8, 10), 2.5)
+    thermal.precompute([held], QUAD, overlap=True)
+    memo = dict(thermal._MEMO)
+    monkeypatch.setattr(thermal, "integrate_batch", counting_batch)
+    for name in sorted(_THERMAL_CALLS):
+        assert _THERMAL_CALLS[name](held) == _THERMAL_CALLS[name](held)
+    assert calls == []
+    for name in sorted(_THERMAL_CALLS):
+        assert _THERMAL_CALLS[name](other) == _THERMAL_CALLS[name](other)
+    # two reads each: one partition integral per read, and overlap_finite_t
+    # its numerator and two partitions (one of them through matched_a)
+    assert calls == [1] * 2 * (1 + 1 + 1 + 3)
+    assert thermal._MEMO == memo
+    # a new grid drops the one held before
+    thermal.precompute([other], QUAD)
+    assert list(thermal._MEMO) == [(other, QUAD)]
 
 
 @pytest.mark.parametrize(
@@ -270,7 +291,6 @@ def test_decoupled_closed_form_within_a_batch():
     # 1 - 2a = tanh(beta / 2)) are closed forms
     n, beta = 10, 0.7
     points = [ThermalPoint(ModelParams(1.0, 1.0, lam, n), beta) for lam in np.linspace(0.0, 1.5, 16)]
-    thermal._MEMO.clear()
     thermal.precompute(points, QUAD, overlap=True)
     free = points[0]
     log_z = n * math.log(2 * math.cosh(beta / 2)) - math.log(1 - math.exp(-beta))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dicke_overlap import witness, zerotemp
 from dicke_overlap.core import ModelParams
@@ -139,6 +143,43 @@ def test_oracle_momentsets_satisfy_sanity_bound():
     oracle.exact_moments(state).validate()
     ground = oracle.exact_ground_state(params, oracle.suggested_cutoff(params))
     oracle.exact_moments(ground).validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10**6), lam=st.floats(0.0, 1.5), temp=st.floats(0.1, 3.0))
+@example(n=10**6, lam=1.5, temp=0.1)
+@example(n=2, lam=0.0, temp=3.0)
+def test_thermal_moments_satisfy_bound_a(n, lam, temp):
+    # given x the atoms are independent with Bloch vector of length
+    # tanh(beta eps), so sum_a <J_a^2>/N^2 = (3 + (N - 1) E[tanh^2]) / (4N),
+    # at most (N + 2) / (4N); E[tanh^2] is integrated here on its own
+    from dicke_overlap import numerics, thermal
+
+    quad = numerics.QuadratureSpec()
+    point = thermal.ThermalPoint(ModelParams(1, 1, lam, n), 1.0 / temp)
+    moments = thermal.thermal_moments(point, quad)
+    scale = lam**2 / math.tanh(0.5 / temp) / n
+
+    def tanh2(x):
+        return np.tanh(np.sqrt(0.25 + scale * x**2) / temp) ** 2
+
+    _, (mean_tanh2,) = numerics.integrate(
+        thermal._log_weight_factory(point), [tanh2], quad, even=True
+    )
+    total = moments.total_second()
+    assert total == pytest.approx((3 + (n - 1) * mean_tanh2) / (4 * n), rel=1e-9)
+    assert total <= (n + 2) / (4 * n) * (1 + 1e-12)
+    moments.validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10**4), lam=st.floats(0.0, 1.5))
+@example(n=10**4, lam=0.5 * (1 - 1e-8))
+@example(n=10**4, lam=0.5 * (1 + 1e-8))
+def test_zero_t_moments_satisfy_bound_a(n, lam):
+    params = ModelParams(1, 1, lam, n)
+    assume(abs(lam / params.critical - 1.0) > 1e-9)
+    zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params), params).validate()
 
 
 def test_witness_tolerance_distinguishes_noise():
