@@ -1,18 +1,23 @@
 """Separable-state overlap and phase structure of the Dicke model.
 
-Library layout:
+Library layout.  A layer marked "no numpy" never imports numpy, except in
+the functions named after the mark:
 
 * ``core``      -- parameters, critical coupling/temperature, order parameter,
-                   quadrature settings and bisection (no numpy)
-* ``separable`` -- the symmetry-determined product reference state
+                   quadrature settings, bisection and golden-section
+                   search (no numpy)
+* ``separable`` -- the symmetry-determined product reference state (no
+                   numpy but ``nearest_a``)
 * ``numerics``  -- batched log-space trapezoid quadrature, eigensolvers
 * ``zerotemp``  -- effective quadratic Hamiltonians, their exact Gaussian
                    ground state, overlap, purity, scaling fit, moments;
                    the truncated-Fock ground state as the tests' reference
+                   (no numpy but that reference and ``scaling_fit``)
 * ``thermal``   -- partition-function quadrature, thermal overlap and moments
-* ``witness``   -- spin-squeezing entanglement inequalities
+* ``witness``   -- spin-squeezing entanglement inequalities (no numpy)
 * ``oracle``    -- brute-force exact diagonalization for validation
-* ``cli``       -- sweep/compare/fit commands writing CSV
+* ``cli``       -- sweep/compare/fit commands writing CSV; ``critical``,
+                   ``sweep-zero-t`` and the zero-T ``witness`` load no numpy
 """
 
 import importlib

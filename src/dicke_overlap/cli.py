@@ -32,7 +32,9 @@ import time
 # it when numpy loads.  Hence this line precedes every import of numpy: a
 # limit set after the import comes too late.  numpy and the layers that use
 # it are imported by the rows and commands that use them, so a command
-# loads only its own layers, and critical loads no numpy.
+# loads only its own layers: critical, sweep-zero-t and the zero-T witness
+# load no numpy, since core, separable, witness and zerotemp's Gaussian
+# path are plain Python.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import core

@@ -1,6 +1,7 @@
 """Model parameters, critical coupling/temperature, the order parameter, and
-the two numpy-free numerical pieces the front end needs: the quadrature
-settings (``QuadratureSpec``) and bisection (``find_root``).
+the numpy-free numerical pieces the front end and the zero-temperature
+layers need: the quadrature settings (``QuadratureSpec``), bisection
+(``find_root``) and golden-section maximization (``golden_max``).
 
 Units: hbar = k_B = 1 throughout; frequencies, couplings and temperatures
 are dimensionless.  The Hamiltonian is
@@ -68,6 +69,28 @@ def find_root(f, bracket, rel_width=1e-12, max_iter=200):
         f"bisection did not reach relative width {rel_width} in {max_iter} iterations",
         bracket=(lo, hi),
     )
+
+
+def golden_max(f, lo, hi, tol=1e-11):
+    """Golden-section maximization of a unimodal f on [lo, hi].
+
+    Stops when the bracket is narrower than ``tol * max(1, |lo|, |hi|)``.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol * max(1.0, abs(a), abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 class PhaseLabel(enum.Enum):

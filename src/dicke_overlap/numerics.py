@@ -1,10 +1,11 @@
-"""Shared numerical kernels: golden-section maximization (``golden_max``),
-the matrix-free photon (x) atom Hamiltonian of both exact diagonalizations
-(``PhotonAtomOperator``), the symmetric eigensolvers with the eigenvector
-sign convention (``lowest_eigenpair``: numpy's ``eigh`` or a thick-restart
-Lanczos written in numpy), a weighted log-sum-exp, and quadrature.  The
-quadrature settings and bisection (``QuadratureSpec``, ``find_root``) live
-in ``core``, which needs no numpy, and are imported here.
+"""Shared numerical kernels: the matrix-free photon (x) atom Hamiltonian of
+both exact diagonalizations (``PhotonAtomOperator``), the symmetric
+eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
+numpy's ``eigh`` or a thick-restart Lanczos written in numpy), a weighted
+log-sum-exp, and quadrature.  The quadrature settings, bisection and
+golden-section maximization (``QuadratureSpec``, ``find_root``,
+``golden_max``) live in ``core``, which needs no numpy, and are imported
+here.
 
 The quadrature integrates functions supplied as *log-integrands*
 ``x -> ln f(x)`` (returning -inf where f vanishes), a batch of them at a
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadratureSpec, find_root  # noqa: F401  (re-exported)
+from .core import QuadratureSpec, find_root, golden_max  # noqa: F401  (re-exported)
 from .errors import NumericalError
 
 _STEP = 1.0 / 16.0  # node spacing of the scans up to half-width 128
@@ -246,28 +247,6 @@ def log_sum_exp(log_terms, weights=1.0, axis=None):
     shift = log_terms.max(axis=axis, keepdims=True)
     total = (weights * np.exp(log_terms - shift)).sum(axis=axis)
     return np.log(total) + np.squeeze(shift, axis=axis)
-
-
-def golden_max(f, lo, hi, tol=1e-11):
-    """Golden-section maximization of a unimodal f on [lo, hi].
-
-    Stops when the bracket is narrower than ``tol * max(1, |lo|, |hi|)``.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def _values(fn, xs, rows, even):

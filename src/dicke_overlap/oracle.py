@@ -379,5 +379,5 @@ def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
     if sep.n_atoms != params.n_atoms:
         raise InvalidParameterError("separable state and params disagree on N")
     log_terms, n_up = _split_log_terms(params, cutoff, beta)
-    log_ref = sep.trace_log_weights[n_up]
+    log_ref = np.asarray(sep.trace_log_weights)[n_up]
     return float(np.exp(log_sum_exp(log_terms + log_ref) - log_sum_exp(log_terms)))

@@ -5,7 +5,8 @@ symmetry forces each factor to be diagonal in the sigma_z basis,
 diag(a, 1-a) with a the single-atom spin-up probability.  In the
 collective J_z basis the resulting N-atom state is diagonal with
 binomial weights C(N,n) a^n (1-a)^(N-n) over the number n of up spins;
-only (a, N, log-weights) are ever stored, never a 2^N matrix.
+only (a, N, log-weights) are ever stored, never a 2^N matrix.  The module
+is plain Python: the per-level weights are lists, built on first read.
 
 Every overlap of a state with it is one contraction, ``overlap``, of the
 state's up-spin distribution with per-level weights, and the weights name
@@ -23,39 +24,51 @@ first is never the smaller.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
+from .core import golden_max
 from .errors import InvalidDistributionError, InvalidParameterError
-from .numerics import golden_max
+
+
+def _log_factors(a):
+    """(ln a, ln (1-a)), -inf where the factor is 0."""
+    return math.log(a) if a > 0 else -math.inf, math.log1p(-a) if a < 1 else -math.inf
 
 
 def config_log_terms(a, n_atoms, n_up):
-    """(ln a^n, ln (1-a)^(N-n)) for each up-spin count n in ``n_up`` (-inf where 0)."""
-    n = np.asarray(n_up, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(n > 0, n * np.log(a) if a > 0 else -np.inf, 0.0)
-        down = np.where(n < n_atoms, (n_atoms - n) * np.log1p(-a) if a < 1 else -np.inf, 0.0)
+    """(ln a^n, ln (1-a)^(N-n)) as lists, one entry per up-spin count in ``n_up`` (-inf at 0)."""
+    log_up, log_down = _log_factors(a)
+    up = [n * log_up if n > 0 else 0.0 for n in n_up]
+    down = [(n_atoms - n) * log_down if n < n_atoms else 0.0 for n in n_up]
     return up, down
 
 
 def _binomial_log_weights(a, n_atoms):
     """ln[C(N,n) a^n (1-a)^(N-n)] for n = 0..N, via log-gamma (-inf where the weight is 0)."""
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n_atoms + 1)])
-    log_comb = lg[n_atoms] - lg - lg[::-1]
-    up, down = config_log_terms(a, n_atoms, np.arange(n_atoms + 1, dtype=float))
-    return log_comb + up + down
+    log_up, log_down = _log_factors(a)
+    lg = [math.lgamma(k + 1.0) for k in range(n_atoms + 1)]
+    top = lg[n_atoms]
+    # config_log_terms' two terms, inline: one pass over n and no term lists
+    return [
+        top - x - y + (n * log_up if n > 0 else 0.0)
+        + ((n_atoms - n) * log_down if n < n_atoms else 0.0)
+        for n, x, y in zip(range(n_atoms + 1), lg, reversed(lg))
+    ]
 
 
 @dataclass(frozen=True)
 class SeparableState:
-    """Product reference state diag(a, 1-a)^(x N), stored through its binomial weights."""
+    """Product reference state diag(a, 1-a)^(x N), stored through its binomial weights.
+
+    The per-level lists are built on first read, so a caller that needs
+    only ``a`` pays nothing for the N + 1 levels.
+    """
 
     a: float
     n_atoms: int
-    log_weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
@@ -63,17 +76,22 @@ class SeparableState:
 
     @classmethod
     def from_a(cls, a, n_atoms):
-        return cls(a=float(a), n_atoms=int(n_atoms), log_weights=_binomial_log_weights(a, n_atoms))
+        return cls(a=float(a), n_atoms=int(n_atoms))
+
+    @functools.cached_property
+    def log_weights(self):
+        """ln[C(N,n) a^n (1-a)^(N-n)], n = 0..N, as a list (-inf where the weight is 0)."""
+        return _binomial_log_weights(self.a, self.n_atoms)
 
     def weights(self):
-        """The N+1 binomial probabilities (exact zeros where log-weight is -inf)."""
-        return np.exp(self.log_weights)
+        """The N+1 binomial probabilities as a list (exact zeros where log-weight is -inf)."""
+        return [math.exp(w) for w in self.log_weights]
 
     @property
     def trace_log_weights(self):
-        """ln[a^n (1-a)^(N-n)] = n ln a + (N-n) ln(1-a), n = 0..N (-inf where the weight is 0)."""
-        up, down = config_log_terms(self.a, self.n_atoms, np.arange(self.n_atoms + 1.0))
-        return up + down
+        """ln[a^n (1-a)^(N-n)] = n ln a + (N-n) ln(1-a), n = 0..N, as a list (-inf where 0)."""
+        up, down = config_log_terms(self.a, self.n_atoms, range(self.n_atoms + 1))
+        return [u + d for u, d in zip(up, down)]
 
 
 def from_jz(jz_per_atom, n_atoms) -> SeparableState:
@@ -97,20 +115,24 @@ def overlap(n_atoms, blocks, log_levels):
     ``MomentSet.from_bands`` but with P the diagonal alone: P[i] is the
     probability of |j, i - j> in one copy, whose up-spin count is
     n = N/2 - j + i.  Returns sum over blocks of copies * sum_i P[i] w(n);
-    levels of P above the multiplet are dropped.
+    levels of P above the multiplet are dropped.  The sums run over the
+    nonzero P[i] alone, correctly rounded (``math.fsum``): a large-N band
+    is zero to the last bit on all but a few levels, and the weights are
+    read on the others only.
     """
     if len(log_levels) != n_atoms + 1:
         raise InvalidParameterError(
             f"per-level weights hold {len(log_levels)} levels, not the N + 1 = {n_atoms + 1} "
             "of the state"
         )
-    weights = np.exp(log_levels)
-    total = 0.0
+    per_block = []
     for j, copies, probs in blocks:
         k = min(len(probs), int(2 * j) + 1)
         low = round(n_atoms / 2 - j)
-        total += copies * float(np.dot(weights[low : low + k], probs[:k]))
-    return total
+        nonzero = itertools.compress(range(k), probs)
+        block = math.fsum(math.exp(log_levels[low + i]) * probs[i] for i in nonzero)
+        per_block.append(copies * block)
+    return math.fsum(per_block)
 
 
 def nearest_a(diagonal_probs, tol=1e-8):
@@ -123,6 +145,8 @@ def nearest_a(diagonal_probs, tol=1e-8):
     The two coincide exactly when p is itself binomial; callers can
     compare them when it is not.
     """
+    import numpy as np
+
     p = np.asarray(diagonal_probs, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise InvalidDistributionError("diagonal_probs must be a vector of length N+1 >= 2")
@@ -135,7 +159,7 @@ def nearest_a(diagonal_probs, tol=1e-8):
     n_atoms = len(p) - 1
     mean_n = float(np.dot(np.arange(n_atoms + 1), p))
     a_matched = min(max(mean_n / n_atoms, 0.0), 1.0)
-    blocks = [(n_atoms / 2, 1, p)]
+    blocks = [(n_atoms / 2, 1, p.tolist())]
     a_best = golden_max(
         lambda a: overlap(n_atoms, blocks, _binomial_log_weights(a, n_atoms)), 0.0, 1.0, tol
     )

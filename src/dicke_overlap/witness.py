@@ -20,9 +20,8 @@ exact diagonalization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidParameterError
 
@@ -36,9 +35,11 @@ _INVARIANT_SLACK = 1e-10
 
 
 def spin_ladder(j):
-    """<j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)) = sqrt((2j - i)(i + 1)), i = m + j < 2j."""
-    i = np.arange(round(2 * j), dtype=float)
-    return np.sqrt((2 * j - i) * (i + 1.0))
+    """<j, m+1| J+ |j, m> = sqrt((j - m)(j + m + 1)) = sqrt((2j - i)(i + 1)), i = m + j < 2j.
+
+    A list of the 2j values.
+    """
+    return [math.sqrt((2 * j - i) * (i + 1.0)) for i in range(round(2 * j))]
 
 
 @dataclass(frozen=True)
@@ -58,27 +59,40 @@ class MomentSet:
         """Moments of a real state from (j, copies, band) per spin multiplet.
 
         ``band`` is (rho_{i,i}, rho_{i,i+1}, rho_{i,i+2}) on the levels
-        |j, i - j>, i < L <= 2j + 1.  With J+|i> = c_i |i+1> (``spin_ladder``):
-        <J_x> = sum_i c_i rho_{i,i+1}, <J_y> = 0, and <J_x^2> and <J_y^2> are
+        |j, i - j>, i < L <= 2j + 1.  With J+|i> = c_i |i+1>,
+        c_i = sqrt((2j - i)(i + 1)) (``spin_ladder``; c_{2j} = 0 ends the
+        multiplet): <J_x> = sum_i c_i rho_{i,i+1}, <J_y> = 0, and <J_x^2>
+        and <J_y^2> are
         [sum_i P(i) (c_{i-1}^2 + c_i^2) +- 2 sum_i c_i c_{i+1} rho_{i,i+2}] / 4.
+        Each sum runs over the nonzero entries of its diagonal alone,
+        correctly rounded (``math.fsum``), so a large-N band costs its
+        nonzero levels, not its length.
         """
+
+        def contract(values, term):
+            nonzero = itertools.compress(range(len(values)), values)
+            return math.fsum(values[i] * term(i) for i in nonzero)
+
         terms = []
         for j, copies, (probs, off1, off2) in bands:
-            level = np.arange(len(probs), dtype=float)
-            c = np.append(spin_ladder(j), 0.0)[: len(probs)]  # c = 0 above the multiplet
-            # <J+ J- + J- J+>, with c_{i-1}^2 = i (2j - i + 1) exactly
-            ladder = probs @ (level * (2 * j - level + 1.0) + c**2)
-            squared = 2.0 * (off2 @ (c[:-2] * c[1:-1]))  # <J+^2 + J-^2>
-            jz = level - j
-            terms.append(copies * np.array([
-                off1 @ c[:-1], 0.0, probs @ jz, 0.25 * (ladder + squared),
-                0.25 * (ladder - squared), probs @ jz**2,
-            ]))
-        totals = sum(terms[1:], terms[0])
+            two_j = 2 * j
+
+            def c(i):  # J+|i> = c_i |i+1>
+                return math.sqrt((two_j - i) * (i + 1.0))
+
+            # <J+ J- + J- J+>, with c_{i-1}^2 + c_i^2 = i (2j - i + 1) + (2j - i)(i + 1) exactly
+            ladder = contract(probs, lambda i: i * (two_j - i + 1.0) + (two_j - i) * (i + 1.0))
+            squared = 2.0 * contract(off2, lambda i: c(i) * c(i + 1))  # <J+^2 + J-^2>
+            terms.append([copies * t for t in (
+                contract(off1, c), 0.0, contract(probs, lambda i: i - j),
+                0.25 * (ladder + squared), 0.25 * (ladder - squared),
+                contract(probs, lambda i: (i - j) * (i - j)),
+            )])
+        totals = [math.fsum(column) for column in zip(*terms)]
         return cls(
             n_atoms=n_atoms,
-            first=tuple(float(t) / n_atoms for t in totals[:3]),
-            second=tuple(float(t) / n_atoms**2 for t in totals[3:]),
+            first=tuple(t / n_atoms for t in totals[:3]),
+            second=tuple(t / n_atoms**2 for t in totals[3:]),
         )
 
     def variance(self, axis):
@@ -91,7 +105,7 @@ class MomentSet:
 
     def validate(self, slack=_INVARIANT_SLACK):
         """Check finite moments, nonnegative variances and the universal sum bound (a)."""
-        if not np.isfinite([*self.first, *self.second]).all():
+        if not all(map(math.isfinite, (*self.first, *self.second))):
             raise InvalidParameterError(f"moments must be finite, got {self.first}, {self.second}")
         for axis in AXES:
             if self.variance(axis) < -slack:

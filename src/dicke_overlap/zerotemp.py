@@ -27,26 +27,29 @@ parameter -mu/2 as N -> infinity; it is 0 in the normal phase.
 
 The Hamiltonian is quadratic, so its ground state is exactly
 Gaussian.  ``gaussian_ground_state`` takes the reduced atomic covariance
-from the 2x2 polariton problem and builds, by a Fock-space recursion,
-the three diagonals rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of the physical
-(displaced, n <= N) atomic density matrix; the overlap and the
-Holstein-Primakoff moments need nothing else, and the reduced purity
-follows from the covariance alone.
+from the 2x2 polariton problem in closed form and builds, on first read,
+by a Fock-space recursion, the three diagonals rho_{n,n}, rho_{n,n+1},
+rho_{n,n+2} of the physical (displaced, n <= N) atomic density matrix;
+the overlap and the Holstein-Primakoff moments need nothing else, the
+normal-phase overlap needs rho_{0,0} alone, and the reduced purity
+follows from the covariance alone.  This path is plain Python on floats
+and lists: it loads no numpy.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonian in a
 truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
 matrix-free ``numerics.PhotonAtomOperator``, the solve path of the
 oracle too) and displaces the atomic amplitudes with a dense matrix
 exponential, taken from the eigendecomposition of the Hermitian generator.
-It is the reference the Gaussian backend is checked against.
+It is the reference the Gaussian backend is checked against, and it, the
+scaling fit and the truncated state's methods import numpy when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ModelParams, order_parameter_zero_t, reject_critical
 from .errors import (
@@ -56,9 +59,11 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .numerics import PhotonAtomOperator, lowest_eigenpair, traced_band
 from .separable import SeparableState, from_jz, overlap
 from .witness import MomentSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TAIL_FRACTION = 0.1
 _TAIL_TOL = 1e-8
@@ -89,7 +94,13 @@ class TwoModeState:
 
     def fock_band(self):
         """Diagonals 0, 1 and 2 of the physical-basis reduced atomic matrix."""
+        from .numerics import traced_band
+
         return traced_band(_physical_amplitudes(self))
+
+    def vacuum_probability(self):
+        """rho_{0,0} = P(n = 0) in the physical basis."""
+        return float(self.fock_band()[0][0])
 
     def purity(self):
         rho = _reduced_atom_matrix(self)
@@ -102,18 +113,28 @@ class GaussianState:
 
     ``var_x`` and ``var_p`` are <x_b^2> and <p_b^2> of the displaced-frame
     atomic mode (x_b = (b + b')/sqrt(2); 1/2 each in the vacuum).  ``band``
-    holds rho_{n,n} (n <= N), rho_{n,n+1} (n < N) and rho_{n,n+2}
-    (n < N - 1) of the atomic density matrix in the physical J_z basis.
+    holds the lists rho_{n,n} (n <= N), rho_{n,n+1} (n < N) and
+    rho_{n,n+2} (n < N - 1) of the atomic density matrix in the physical
+    J_z basis; it is built on first read, in O(N).
     """
 
     n_atoms: int
     displacement_atom: float  # mean-field b'b shift; 0 in the normal phase
     var_x: float
     var_p: float
-    band: tuple = field(repr=False)
+
+    @functools.cached_property
+    def band(self):
+        return _gaussian_fock_band(
+            self.var_x, self.var_p, math.sqrt(self.displacement_atom), self.n_atoms
+        )
 
     def fock_band(self):
         return self.band
+
+    def vacuum_probability(self):
+        """rho_{0,0} = P(n = 0), the band's first entry, without the band."""
+        return math.exp(_log_vacuum(self.var_x, self.var_p, math.sqrt(self.displacement_atom)))
 
     def purity(self):
         return 1.0 / (2.0 * math.sqrt(self.var_x * self.var_p))
@@ -139,6 +160,10 @@ def effective_hamiltonian(params: ModelParams, cutoffs):
     ca, cb = cutoffs
     if min(ca, cb) < 8:
         raise InvalidParameterError(f"cutoffs must be >= 8, got {cutoffs}")
+    import numpy as np
+
+    from .numerics import PhotonAtomOperator
+
     omega_b, quad, g, const = _coefficients(params)
     level = np.arange(cb, dtype=float)
     # (b+b')^2 on the truncated ladder: 2n + 1, but n at the top level
@@ -150,8 +175,8 @@ def effective_hamiltonian(params: ModelParams, cutoffs):
     return PhotonAtomOperator(params.omega, ca, h_atom, g, np.sqrt(level[1:]))
 
 
-def _normal_modes(params: ModelParams):
-    """omega_b and the eigenvalues and eigenvectors of the potential matrix V.
+def _potential(params: ModelParams):
+    """omega_b, the entries (V_aa, V_ab, V_bb) of the potential matrix V, and det V.
 
     In the position representation the Hamiltonian is two coupled
     oscillators with potential matrix
@@ -160,24 +185,37 @@ def _normal_modes(params: ModelParams):
              [2 g sqrt(omega omega_b), omega_b^2 + 4 D omega_b]]
 
     (D the (b+b')^2 coefficient).  Rejects lambda = lambda_c, where V is
-    singular, before any work.
+    singular, before any work, and raises ``NumericalError`` where V is not
+    positive definite.
     """
     reject_critical(params)
     omega_b, quad, g, _ = _coefficients(params)
-    cross = 2.0 * g * math.sqrt(params.omega * omega_b)
-    v = np.array(
-        [[params.omega**2, cross], [cross, omega_b**2 + 4.0 * quad * omega_b]]
-    )
-    eigs, vecs = np.linalg.eigh(v)
-    if eigs[0] <= 0.0:
-        raise NumericalError("quadratic form is not positive definite", eigenvalues=tuple(eigs))
-    return omega_b, eigs, vecs
+    v = (params.omega**2, 2.0 * g * math.sqrt(params.omega * omega_b),
+         omega_b**2 + 4.0 * quad * omega_b)
+    det = v[0] * v[2] - v[1] * v[1]
+    if not det > 0.0:
+        large = _large_eigenvalue(v)
+        raise NumericalError(
+            "quadratic form is not positive definite", eigenvalues=(det / large, large)
+        )
+    return omega_b, v, det
+
+
+def _large_eigenvalue(v):
+    """The larger eigenvalue of the symmetric 2x2 matrix (V_aa, V_ab, V_bb): two terms >= 0."""
+    v_aa, v_ab, v_bb = v
+    return 0.5 * (v_aa + v_bb) + math.hypot(0.5 * (v_aa - v_bb), v_ab)
 
 
 def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
-    """Bogoliubov excitation energies: square roots of the eigenvalues of V (_normal_modes)."""
-    _, eigs, _ = _normal_modes(params)
-    return PolaritonFrequencies(math.sqrt(eigs[0]), math.sqrt(eigs[1]))
+    """Bogoliubov excitation energies: square roots of the eigenvalues of V (``_potential``).
+
+    The smaller eigenvalue is det V divided by the larger one, free of the
+    cancellation in tr V / 2 - sqrt(...).
+    """
+    _, v, det = _potential(params)
+    large = _large_eigenvalue(v)
+    return PolaritonFrequencies(math.sqrt(det / large), math.sqrt(large))
 
 
 def mean_field_displacement(params: ModelParams):
@@ -221,6 +259,8 @@ def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     exceeds 1e-8.
     Rejects lambda = lambda_c, where the soft mode vanishes, before any solve.
     """
+    from .numerics import lowest_eigenpair
+
     reject_critical(params)
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
@@ -246,8 +286,14 @@ def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
 _RESCALE = 1e150  # the band recursion rescales its values outside [1/_RESCALE, _RESCALE]
 
 
+def _log_vacuum(var_x, var_p, alpha):
+    """ln rho_{0,0} = -alpha^2/q_x - ln(q_x q_p)/2 of ``_gaussian_fock_band``'s state."""
+    qx, qp = var_x + 0.5, var_p + 0.5
+    return -alpha * alpha / qx - 0.5 * math.log(qx * qp)
+
+
 def _gaussian_fock_band(var_x, var_p, alpha, n_atoms):
-    """rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of a real single-mode Gaussian state.
+    """rho_{n,n}, rho_{n,n+1}, rho_{n,n+2} of a real single-mode Gaussian state, as lists.
 
     The state has covariance diag(var_x, var_p) and real mean <b> = alpha.
     Its Husimi function is a Gaussian of covariance diag(q_x, q_p) with
@@ -265,17 +311,19 @@ def _gaussian_fock_band(var_x, var_p, alpha, n_atoms):
     and its transpose.  With rho symmetric the three diagonals close on
     themselves, so one pass over n = 0..N gives the band.  The running
     values are rescaled whenever they leave [1e-150, 1e150], keeping the
-    log of the scale per row, so nothing overflows or underflows on the
-    way however small rho_{0,0} is.
+    log of the scale, so nothing overflows or underflows on the way however
+    small rho_{0,0} is; its exponential is taken once per rescale.  Levels
+    whose scale underflows hold exact zeros, which the contractions skip.
     """
     qx, qp = var_x + 0.5, var_p + 0.5
     a = (var_x - var_p) / (2.0 * qx * qp)
     b = (var_x * var_p - 0.25) / (qx * qp)
     lin = alpha / qx
-    root = np.sqrt(np.arange(n_atoms + 3.0)).tolist()
-    rows = []
+    root = [math.sqrt(k) for k in range(n_atoms + 3)]
+    diag, off1, off2 = [], [], []
     r0, r1, r2, r2_prev = 1.0, 0.0, 0.0, 0.0
-    log_scale = -alpha * alpha / qx - 0.5 * math.log(qx * qp)
+    log_scale = _log_vacuum(var_x, var_p, alpha)
+    scale = math.exp(log_scale)
     for m in range(n_atoms + 1):
         # (r0, r1, r2) hold row m-1 of the band on entry, r2_prev holds rho_{m-2,m}
         if m:
@@ -287,30 +335,39 @@ def _gaussian_fock_band(var_x, var_p, alpha, n_atoms):
         if peak > _RESCALE or 0.0 < peak < 1.0 / _RESCALE:
             r0, r1, r2, r2_prev = r0 / peak, r1 / peak, r2 / peak, r2_prev / peak
             log_scale += math.log(peak)
-        rows.append((r0, r1, r2, log_scale))
-    rows = np.array(rows)
-    band = rows[:, :3] * np.exp(rows[:, 3:])
-    return band[:, 0], band[:-1, 1], band[:-2, 2]
+            scale = math.exp(log_scale)
+        if scale:
+            diag.append(r0 * scale)
+            off1.append(r1 * scale)
+            off2.append(r2 * scale)
+        else:  # the scale underflowed: the one shared 0.0, not three new floats
+            diag.append(0.0)
+            off1.append(0.0)
+            off2.append(0.0)
+    del off1[n_atoms:], off2[n_atoms - 1:]
+    return diag, off1, off2
 
 
 def gaussian_ground_state(params: ModelParams) -> GaussianState:
     """Exact ground state of the effective quadratic Hamiltonian.
 
     In mass-weighted coordinates the Hamiltonian is (pi^2 + y V y)/2 with
-    V the potential matrix of ``_normal_modes``, so the ground
-    state has <y y> = V^(-1/2)/2 and <pi pi> = V^(1/2)/2, and the atomic
-    mode's covariance is <x_b^2> = omega_b (V^(-1/2))_bb / 2,
-    <p_b^2> = (V^(1/2))_bb / (2 omega_b).  The physical band adds the
+    V the potential matrix of ``_potential``, so the ground state has
+    <y y> = V^(-1/2)/2 and <pi pi> = V^(1/2)/2, and the atomic mode's
+    covariance is <x_b^2> = omega_b (V^(-1/2))_bb / 2,
+    <p_b^2> = (V^(1/2))_bb / (2 omega_b).  For a 2x2 V > 0 the square root
+    is closed-form: with s = sqrt(det V) and t = sqrt(tr V + 2 s),
+    V^(1/2) = (V + s I) / t, so (V^(1/2))_bb = (V_bb + s) / t and
+    (V^(-1/2))_bb = (V_aa + s) / (s t).  The physical band adds the
     mean-field displacement <b> = sqrt(beta_disp).  Rejects
     lambda = lambda_c before any work.
     """
-    omega_b, eigs, vecs = _normal_modes(params)
-    weights = vecs[1] ** 2  # atomic share of each normal mode
-    var_x = 0.5 * omega_b * float(weights @ eigs**-0.5)
-    var_p = 0.5 * float(weights @ eigs**0.5) / omega_b
-    beta_disp = mean_field_displacement(params)
-    band = _gaussian_fock_band(var_x, var_p, math.sqrt(beta_disp), params.n_atoms)
-    return GaussianState(params.n_atoms, beta_disp, var_x, var_p, band)
+    omega_b, (v_aa, _, v_bb), det = _potential(params)
+    s = math.sqrt(det)
+    t = math.sqrt(v_aa + v_bb + 2.0 * s)
+    var_x = 0.5 * omega_b * (v_aa + s) / (s * t)
+    var_p = 0.5 * (v_bb + s) / (t * omega_b)
+    return GaussianState(params.n_atoms, mean_field_displacement(params), var_x, var_p)
 
 
 # ------------------------------------------------------- reduced atomic state
@@ -323,6 +380,8 @@ def _reduced_atom_matrix(state: TwoModeState):
 
 def _displacement_matrix(alpha, dim):
     """exp(alpha (a' - a)) on ``dim`` levels, as exp(-i H) of the Hermitian H = i alpha (a' - a)."""
+    import numpy as np
+
     creation = np.diag(np.sqrt(np.arange(1.0, dim)), -1)
     levels, vecs = np.linalg.eigh(1j * alpha * (creation - creation.T))
     return ((vecs * np.exp(-1j * levels)) @ vecs.conj().T).real
@@ -361,14 +420,22 @@ def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
     one copy of j = N/2, with ``sep.log_weights``.  Levels of P above N are
     dropped; the truncated reference's normal-phase P stops at its atom
     cutoff, where a = 0 leaves weight on n = 0 alone.  The result lies in
-    [0, 1] by construction.
+    [0, 1] by construction.  At a = 0 (the normal phase) the weights are a
+    delta at n = 0, of weight 1, and the overlap is P(0) alone: neither the
+    band nor the reference state's levels are built.
     """
+    if sep.n_atoms != state.n_atoms:
+        raise InvalidParameterError(
+            f"reference state has N = {sep.n_atoms} atoms, the ground state N = {state.n_atoms}"
+        )
     expected_a = state.displacement_atom / sep.n_atoms
     if abs(sep.a - expected_a) > 1e-9:
         raise InvalidParameterError(
             f"reference state a={sep.a} does not match the order parameter "
             f"(expected a={expected_a})"
         )
+    if sep.a == 0.0:
+        return state.vacuum_probability()
     n = state.n_atoms
     return overlap(n, [(n / 2, 1, atom_diagonal_probabilities(state))], sep.log_weights)
 
@@ -415,6 +482,8 @@ class ScalingFit:
 
 def scaling_fit(lambda_grid, delta_values, critical_coupling=0.5) -> ScalingFit:
     """Least-squares slope of -ln(delta) against -ln(1 - lambda/lambda_c)."""
+    import numpy as np
+
     lam = np.asarray(lambda_grid, dtype=float)
     delta = np.asarray(delta_values, dtype=float)
     if len(lam) < 4:

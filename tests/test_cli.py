@@ -1093,7 +1093,8 @@ def test_import_loads_no_scipy(module):
 
 def test_commands_load_only_their_own_layers(tmp_path):
     # cli imports numpy and the layers that use it in the rows and commands
-    # that use them; each run is a fresh process, and critical needs none
+    # that use them; each run is a fresh process, and critical and the zero-T
+    # rows, plain Python, need no numpy
     runs = [
         ("sweep-finite-t", {**_TWO_COUPLINGS, **_TWO_TEMPERATURES, "model.n_atoms": 10},
          {"thermal"}, {"oracle", "zerotemp"}),
@@ -1102,7 +1103,11 @@ def test_commands_load_only_their_own_layers(tmp_path):
         ("critical", {"grid.lambda_min": 0.5, "grid.lambda_max": 1.0, "grid.lambda_steps": 2},
          set(), {"numpy", "numerics", "oracle", "separable", "thermal", "zerotemp"}),
         ("sweep-zero-t", {"model.n_atoms": 100, "grid.lambda_min": 0.2, "grid.lambda_max": 1.0,
-                          "grid.lambda_steps": 3}, {"zerotemp"}, {"oracle", "thermal"}),
+                          "grid.lambda_steps": 3}, {"zerotemp"},
+         {"numpy", "numerics", "oracle", "thermal"}),
+        ("witness", {"witness.mode": "zero_t", "model.n_atoms": 100, "grid.lambda_min": 0.2,
+                     "grid.lambda_max": 1.0, "grid.lambda_steps": 3}, {"zerotemp", "witness"},
+         {"numpy", "numerics", "oracle", "thermal"}),
         ("oracle-compare", {**_TWO_COUPLINGS, "oracle.mode": "ground", "model.n_atoms": 4},
          {"oracle", "zerotemp"}, {"thermal"}),
     ]

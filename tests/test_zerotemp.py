@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dicke_overlap import oracle, zerotemp
+from dicke_overlap import oracle, separable, zerotemp
 from dicke_overlap.core import ModelParams, critical_coupling
 from dicke_overlap.errors import (
     CutoffError,
@@ -199,6 +199,48 @@ def test_polariton_critical_point_rejected():
         polariton_frequencies(ModelParams(1.0, 1.0, 0.5, 10))
 
 
+def _eigh_covariance(params):
+    """(var_x, var_p, eigenvalues of V) from numpy's eigh of the potential matrix V."""
+    omega_b, (v_aa, v_ab, v_bb), _ = zerotemp._potential(params)
+    eigs, vecs = np.linalg.eigh(np.array([[v_aa, v_ab], [v_ab, v_bb]]))
+    weights = vecs[1] ** 2  # atomic share of each normal mode
+    return (0.5 * omega_b * float(weights @ eigs**-0.5),
+            0.5 * float(weights @ eigs**0.5) / omega_b, eigs)
+
+
+def _covariance_errors(params):
+    """Relative gaps of var_x, var_p, omega_minus, omega_plus to eigh's, and cond(V)."""
+    var_x, var_p, eigs = _eigh_covariance(params)
+    state, freqs = gaussian_ground_state(params), polariton_frequencies(params)
+    pairs = ((state.var_x, var_x), (state.var_p, var_p),
+             (freqs.omega_minus, math.sqrt(eigs[0])), (freqs.omega_plus, math.sqrt(eigs[1])))
+    return [abs(got - want) / want for got, want in pairs], eigs[1] / eigs[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(omega=st.floats(0.3, 3.0), omega0=st.floats(0.3, 3.0), ratio=st.floats(0.0, 4.0))
+def test_closed_form_covariance_matches_eigh(omega, omega0, ratio):
+    # (V^(+-1/2))_bb in closed form and the smaller eigenvalue as det V over
+    # the larger, against eigh of the same V, wherever 1 - lambda/lambda_c
+    # keeps its digits
+    assume(abs(ratio - 1.0) >= 1e-3)
+    params = ModelParams(omega, omega0, ratio * critical_coupling(omega, omega0), 10)
+    errors, _ = _covariance_errors(params)
+    assert max(errors) <= 1e-12, errors
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("omega, omega0", [(1.0, 1.0), (0.3, 3.0), (3.0, 0.3), (1.9, 1.9)])
+def test_closed_form_covariance_near_critical(omega, omega0, side):
+    # at lambda_c (1 +- 1e-8) the small eigenvalue of V carries eigh's own
+    # rounding: an absolute error of order eps ||V||, so a relative error of
+    # order eps cond(V) in it and in var_x ~ its -1/2 power; the closed form's
+    # det V rounds alike, so the two agree to eps cond(V) (cond(V) ~ 1e8 here)
+    params = ModelParams(omega, omega0, critical_coupling(omega, omega0) * (1.0 + side * 1e-8), 10)
+    errors, cond = _covariance_errors(params)
+    assert max(errors) <= np.finfo(float).eps * cond, (errors, cond)
+
+
 def test_effective_ground_state_rejects_critical_point_before_solving(monkeypatch):
     def no_hamiltonian(*args):
         raise AssertionError("a Hamiltonian was built at lambda_c")
@@ -285,6 +327,21 @@ def test_purity_shape_across_transition():
 def test_overlap_decoupled_is_one():
     params = ModelParams(1, 1, 0.0, 10)
     assert abs(zerotemp.overlap_for_params(params) - 1.0) < 1e-8
+
+
+def test_normal_phase_overlap_reads_rho_00_alone():
+    # a = 0 makes the weights a delta at n = 0: the overlap is the band's own
+    # first entry, and neither the band nor the N + 1 log-weights get built
+    deltas = {}
+    for n in (10, 10**6):
+        params = ModelParams(1.0, 1.0, 0.3, n)
+        state, sep = gaussian_ground_state(params), zerotemp.matched_separable_state(params)
+        deltas[n] = overlap_zero_t(state, sep)
+        assert "band" not in vars(state) and "log_weights" not in vars(sep)
+    # N = 10: the full contraction of the built band gives the same bits
+    band = gaussian_ground_state(ModelParams(1.0, 1.0, 0.3, 10)).fock_band()
+    full = separable.overlap(10, [(5.0, 1, band[0])], SeparableState.from_a(0.0, 10).log_weights)
+    assert deltas[10] == full == band[0][0] == deltas[10**6]
 
 
 def test_overlap_matches_oracle_normal_phase():
@@ -459,7 +516,7 @@ def test_gaussian_band_matches_truncated_reference(n, lam):
     sep = zerotemp.matched_separable_state(params)
     delta = overlap_zero_t(exact, sep)
     assert 0.0 <= delta <= 1.0
-    assert exact.fock_band()[0].min() >= -1e-15
+    assert np.asarray(exact.fock_band()[0]).min() >= -1e-15
     assert abs(delta - overlap_zero_t(reference, sep)) < 1e-8
     for diag_exact, diag_ref in zip(exact.fock_band(), reference.fock_band()):
         k = min(len(diag_exact), len(diag_ref))
@@ -474,7 +531,7 @@ def test_gaussian_large_n_superradiant_no_underflow():
     state = gaussian_ground_state(params)
     delta = overlap_zero_t(state, zerotemp.matched_separable_state(params))
     elapsed = time.perf_counter() - start
-    assert abs(atom_diagonal_probabilities(state).sum() - 1.0) < 1e-10
+    assert abs(np.asarray(atom_diagonal_probabilities(state)).sum() - 1.0) < 1e-10
     assert 0.0 < delta <= 1.0
     assert elapsed < 1.0
 
