@@ -241,8 +241,6 @@ def _sweep(cfg, worker, tasks):
 def _format(value, precision):
     if value is None:  # a critical temperature the relation does not give
         return "nan"
-    if hasattr(value, "item"):  # a numpy scalar
-        value = value.item()
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):

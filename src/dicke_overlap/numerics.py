@@ -2,29 +2,31 @@
 both exact diagonalizations (``PhotonAtomOperator``), the symmetric
 eigensolvers with the eigenvector sign convention (``lowest_eigenpair``:
 numpy's ``eigh`` or a thick-restart Lanczos written in numpy), a weighted
-log-sum-exp, and quadrature.  The quadrature settings, bisection and
-golden-section maximization (``QuadratureSpec``, ``find_root``,
-``golden_max``) live in ``core``, which needs no numpy, and are imported
-here.
+log-sum-exp, and quadrature on the quadrature settings of
+``core.QuadratureSpec``.
 
-The quadrature integrates functions supplied as *log-integrands*
-``x -> ln f(x)`` (returning -inf where f vanishes), a batch of them at a
-time: ``integrate_batch`` calls each integrand with nodes and the indices
-of the rows still being evaluated; ``integrate`` and ``log_integral`` are
-its batch of one.  All rows start on the nodes of [-8, 8], spacing
-h = 1/16; a row whose edges do not yet lie 80 nats below its maximum
-grows to twice the half-width, evaluating only its new outer nodes.  Up
-to half-width 128 the spacing stays 1/16; beyond it the grid keeps 4,097
-nodes, reusing every other node, and the spacing doubles with the span,
-up to half-width 2^20.  The integral is the trapezoid rule on the scan's
-own nodes within 60 nats of the maximum, plus one node on each side of
-each run of them, shifted by the maximum, so values like exp(+-10^4)
-neither overflow nor underflow.  For an integrand analytic in the strip
-|Im x| < a the rule's error falls like exp(-2 pi a / h) (Trefethen &
-Weideman, SIAM Rev. 56, 385 (2014)); a Gaussian peak of width sigma is
-off by about 2 exp(-2 pi^2 sigma^2 / h^2), so at the default tolerance
-1e-9 the spacing resolves it wherever it sits for sigma >= 1.04 h (0.065
-at h = 1/16), that is h^2 / sigma^2 <= 2 pi^2 / ln(2 / rel_tol).
+The quadrature integrates even functions over the real line, supplied as
+*log-integrands* ``x -> ln f(x)`` (returning -inf where f vanishes) and
+evaluated at x >= 0 alone, a batch of them at a time: ``integrate_batch``
+calls each integrand with nodes and the indices of the rows still being
+evaluated; ``integrate`` and ``log_integral`` are its batch of one.  A
+caller with an integrand g that is not even integrates its even part,
+ln[g(x) + g(-x)] by ``np.logaddexp``, and halves the result.  All rows
+start on the nodes of [0, 8], spacing h = 1/16; a row whose right edge
+does not yet lie 80 nats below its maximum grows to twice the reach,
+evaluating only its new outer nodes.  Up to reach 128 the spacing stays
+1/16; beyond it the grid keeps 2,049 nodes, reusing every other node, and
+the spacing doubles with the reach, up to 2^20.  The integral is the
+trapezoid rule over the real line on the scan's own nodes within 60 nats
+of the maximum, plus one node on each side of each run of them, shifted by
+the maximum, so values like exp(+-10^4) neither overflow nor underflow; on
+the nodes at x >= 0 it weighs node 0 by 1/2 and doubles the sum.  For an
+integrand analytic in the strip |Im x| < a the rule's error falls like
+exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); a
+Gaussian peak of width sigma is off by about 2 exp(-2 pi^2 sigma^2 / h^2),
+so at the default tolerance 1e-9 the spacing resolves it wherever it sits
+for sigma >= 1.04 h (0.065 at h = 1/16), that is
+h^2 / sigma^2 <= 2 pi^2 / ln(2 / rel_tol).
 
 Two checks gate the rule.  It must agree with the rule of twice the
 spacing, on the row's even grid nodes, to ``rel_tol`` times the larger of
@@ -34,28 +36,25 @@ vanishes on every node, so all three rules agree while each is off: by
 6.5e-6 in ln I at sigma = 0.05, x = 1/32).  So the second differences of
 ln f on the kept nodes, -h^2 / sigma^2 for a Gaussian, set how many
 halvings must come before any rule is accepted: until none falls below
--2 pi^2 / ln(2 / rel_tol).  The spacing halves on the kept intervals
-alone (a valley between far peaks is never refined), evaluating only
-their midpoints, and each rule is checked against the last.  The node
-budget is per row; it counts the nodes of every level, the first
-included, before it evaluates them.  A non-smooth integrand converges
-only like h^2 and may exhaust the budget: a ``NumericalError``, not a
-wrong number.  A NaN of ln f at any node raises a ``NumericalError`` that
-names it.  An h factor narrower than the spacing, or an oscillating ln f,
-can still alias alike onto successive rules; no caller passes one.  The
-thermal weights are entire in x, since cosh(beta eps) and sinh(beta eps)
-/ eps are even in eps, with peaks about 1 wide; the moment integrands are
-analytic for |Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta
+-2 pi^2 / ln(2 / rel_tol); node 0's is taken with its mirror neighbour,
+node 1.  The spacing halves on the kept intervals alone (a valley between
+far peaks is never refined), evaluating only their midpoints, and each
+rule is checked against the last.  The node budget is per row; it counts
+the nodes of every level on the whole line (each x > 0 twice, 0 once), the
+first included, before it evaluates them.  A non-smooth integrand
+converges only like h^2 and may exhaust the budget: a ``NumericalError``,
+not a wrong number.  A NaN of ln f at any node raises a ``NumericalError``
+that names it.  An h factor narrower than the spacing, or an oscillating
+ln f, can still alias alike onto successive rules; no caller passes one.
+The thermal weights are entire in x, since cosh(beta eps) and sinh(beta
+eps) / eps are even in eps, with peaks about 1 wide; the moment integrands
+are analytic for |Im x| < omega0 / (2 sqrt(s)), s = lambda^2 coth(beta
 omega/2) / N.
 
 Batches are exact: a row's sums and checks run over its own nodes alone,
 each along its own grid, so its numbers are bit-identical whatever else is
 in its batch.  Every node is an exact multiple of its scan's spacing / 2^m
-at the m-th halving, so refined nodes are np.linspace's and every row's
-nodes are symmetric about 0 to the bit.  With ``even``, the caller
-promises an even log-integrand and even h functions (in practice computed
-from x only through x^2): the first half of each row's nodes is evaluated
-and mirrored, and the results are the same bit for bit.  Scan grids are
+at the m-th halving, so refined nodes are np.linspace's.  Scan grids are
 built once and cached, and every array of nodes is read-only: an integrand
 that writes into its argument raises ``ValueError``.
 """
@@ -69,14 +68,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadratureSpec, find_root, golden_max  # noqa: F401  (re-exported)
+from .core import QuadratureSpec
 from .errors import NumericalError
 
-_STEP = 1.0 / 16.0  # node spacing of the scans up to half-width 128
-_SCAN_START = 128  # nodes on each side of 0 at the first scan level: half-width 8
-_FINE_LEVELS = 5  # scan levels at that spacing, half-widths 8 to 128; each later one doubles it
-_SCAN_LEVELS = 18  # scan levels, each of twice the half-width, up to 2^20; then it gives up
-_SCAN_DECAY = 80.0  # required log-drop at the scan edges
+_STEP = 1.0 / 16.0  # node spacing of the scans up to reach 128
+_SCAN_START = 128  # nodes beyond 0 at the first scan level: reach 8
+_FINE_LEVELS = 5  # scan levels at that spacing, reaches 8 to 128; each later one doubles it
+_SCAN_LEVELS = 18  # scan levels, each of twice the reach, up to 2^20; then it gives up
+_SCAN_DECAY = 80.0  # required log-drop at the scan's right edge
 _PEAK_KEEP = 60.0  # the quadrature keeps the scan nodes within this of the maximum
 _KRYLOV_DIM = 64  # Lanczos vectors held at once; a cycle that fills them restarts
 _RESTART_KEEP = 16  # Ritz vectors a restart keeps
@@ -249,26 +248,18 @@ def log_sum_exp(log_terms, weights=1.0, axis=None):
     return np.log(total) + np.squeeze(shift, axis=axis)
 
 
-def _values(fn, xs, rows, even):
-    """fn(xs, rows) at the read-only 1-D nodes ``xs``, as a (len(rows), len(xs)) float array.
-
-    With ``even``, ``xs`` is symmetric about 0 and fn is even: fn runs on
-    the first half of ``xs``, the centre node included when there is one,
-    and its values are mirrored onto the second half.
-    """
-    half = xs[: (len(xs) + 1) // 2] if even else xs
-    half.flags.writeable = False
-    values = np.asarray(fn(half, rows), dtype=float)
-    if values.shape != (len(rows), len(half)):
-        values = np.broadcast_to(values, (len(rows), len(half)))
-    if even:
-        return np.concatenate((values, values[:, : len(xs) - len(half)][:, ::-1]), axis=1)
+def _values(fn, xs, rows):
+    """fn(xs, rows) at the read-only 1-D nodes ``xs``, as a (len(rows), len(xs)) float array."""
+    xs.flags.writeable = False
+    values = np.asarray(fn(xs, rows), dtype=float)
+    if values.shape != (len(rows), len(xs)):
+        values = np.broadcast_to(values, (len(rows), len(xs)))
     return values
 
 
-def _log_values(log_f, xs, rows, even):
+def _log_values(log_f, xs, rows):
     """``_values`` of the log-integrand; a NaN among them raises ``NumericalError``."""
-    values = _values(log_f, xs, rows, even)
+    values = _values(log_f, xs, rows)
     nan = np.isnan(values)
     if nan.any():
         raise NumericalError("log-integrand is NaN", x=float(xs[np.argmax(nan.any(axis=0))]))
@@ -277,38 +268,34 @@ def _log_values(log_f, xs, rows, even):
 
 @functools.lru_cache(maxsize=_SCAN_LEVELS)
 def _scan_grid(level):
-    """The scan grid of half-width 8 * 2^level, and the nodes of it outside the one below.
+    """The scan grid from 0 to reach 8 * 2^level, and the nodes of it beyond the one below.
 
     Returns (grid, fresh), both read-only; at level 0, ``fresh`` is the grid.
-    From level ``_FINE_LEVELS`` on, the grid keeps 4,097 nodes and the
-    spacing doubles with the half-width.
+    From level ``_FINE_LEVELS`` on, the grid keeps 2,049 nodes and the
+    spacing doubles with the reach.
     """
     coarse = max(0, level - _FINE_LEVELS + 1)  # doublings of the spacing
     reach = _SCAN_START << (level - coarse)
-    grid = np.arange(-reach, reach + 1) * (_STEP * 2**coarse)
+    grid = np.arange(reach + 1) * (_STEP * 2**coarse)
     grid.flags.writeable = False
-    if level == 0:
-        return grid, grid
-    fresh = np.concatenate((grid[: reach // 2], grid[-(reach // 2) :]))
-    fresh.flags.writeable = False
-    return grid, fresh
+    return grid, grid[reach // 2 + 1 :] if level else grid
 
 
-def _scan(log_f, count, even=False):
-    """Expanding symmetric scans of ``count`` rows; [(grid, rows, values, maxima)], edges decayed.
+def _scan(log_f, count):
+    """Expanding scans of ``count`` rows from 0: [(grid, rows, values, maxima)], edges decayed.
 
     Each level evaluates its fresh nodes for the rows not yet decayed only;
     where the spacing doubles, it keeps every other node of the level below.
     """
     rows, (grid, fresh) = np.arange(count), _scan_grid(0)
-    vals = np.array(_log_values(log_f, fresh, rows, even))  # owned: integrate_batch writes it
+    vals = np.array(_log_values(log_f, fresh, rows))  # owned: integrate_batch writes it
     scans = []
     for level in range(1, _SCAN_LEVELS + 1):
         top = vals.max(axis=1)
         if not np.isfinite(top).all():
             span = float(grid[-1])
             raise NumericalError("log-integrand is -inf on the whole scan range", span=span)
-        grow = np.maximum(vals[:, 0], vals[:, -1]) >= top - _SCAN_DECAY
+        grow = vals[:, -1] >= top - _SCAN_DECAY
         growing = np.count_nonzero(grow)
         if not growing:
             return scans + [(grid, rows, vals, top)]
@@ -319,9 +306,8 @@ def _scan(log_f, count, even=False):
             span = 2.0 * float(grid[-1])
             raise NumericalError("log-integrand does not decay within the scan range", span=span)
         grid, fresh = _scan_grid(level)
-        new, side = _log_values(log_f, fresh, rows, even), len(fresh) // 2
         inner = vals if level < _FINE_LEVELS else vals[:, ::2]
-        vals = np.concatenate((new[:, :side], inner, new[:, side:]), axis=1)
+        vals = np.concatenate((inner, _log_values(log_f, fresh, rows)), axis=1)
 
 
 def _result(top, total):
@@ -329,44 +315,45 @@ def _result(top, total):
 
 
 def _over_budget(error, quad, grid, kept):
-    index = np.flatnonzero(kept)
+    edge = float(grid[np.flatnonzero(kept)[-1]])
     return NumericalError(
         "quadrature tolerance not reached within the node budget",
         achieved=error,
         requested=quad.rel_tol,
-        window=(float(grid[index[0]]), float(grid[index[-1]])),
+        window=(-edge, edge),
     )
 
 
-def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
+def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec()):
     """[(ln I, [integral(f h) / I for each h]) for each of ``count`` rows] with f = exp(log_f).
 
-    The integrands are batched: ``log_f(x, rows)`` and each ``h(x, rows)``
-    take read-only 1-D nodes ``x`` and an integer array ``rows`` of the rows
-    being evaluated there, and return a (len(rows), len(x)) array.  Each
-    row's integral is as described for ``integrate``, and its sums run
-    along its own nodes alone: its numbers are bit-identical whatever else
-    is in the batch.
+    ``log_f`` and each h must be even in x: they are evaluated at x >= 0
+    alone, and each integral is over the whole real line.  The integrands
+    are batched: ``log_f(x, rows)`` and each ``h(x, rows)`` take read-only
+    1-D nodes ``x`` >= 0 and an integer array ``rows`` of the rows being
+    evaluated there, and return a (len(rows), len(x)) array.  Each row's
+    integral is as described for ``integrate``, and its sums run along its
+    own nodes alone: its numbers are bit-identical whatever else is in the
+    batch.
     """
-    results, scans = [None] * count, _scan(log_f, count, even)
+    results, scans = [None] * count, _scan(log_f, count)
     # the sharpest second difference of ln f a spacing resolves (module notes)
     resolved = 2.0 * math.pi**2 / math.log(2.0 / quad.rel_tol)
     while scans:  # popped, so that each group's arrays are freed once it is done
         grid, rows, weight, top = scans.pop()
         step = float(grid[1] - grid[0])
         near = weight > (top - _PEAK_KEEP)[:, None]
-        kept = near.copy()  # every run widened by one node per side
+        kept = near.copy()  # every run widened by one node per side; node 1 mirrors node -1
         kept[:, 1:] |= near[:, :-1]
         kept[:, :-1] |= near[:, 1:]
-        nodes = np.count_nonzero(kept, axis=1)
+        nodes = 2 * np.count_nonzero(kept, axis=1) - kept[:, 0]  # on the whole line
         if nodes.max() > quad.max_nodes:
             raise _over_budget(math.inf, quad, grid, kept[np.argmax(nodes > quad.max_nodes)])
-        columns = np.flatnonzero(kept.any(axis=0))
-        span = slice(columns[0], columns[-1] + 1)
-        logs = weight[:, span]
+        stop = np.flatnonzero(kept.any(axis=0))[-1] + 1
+        logs = np.concatenate((weight[:, 1:2], weight[:, :stop]), axis=1)  # node 1 as node -1
         with np.errstate(invalid="ignore"):  # -inf - -inf off the kept nodes
             bend = logs[:, :-2] - 2.0 * logs[:, 1:-1] + logs[:, 2:]
-        bend[~(near[:, span][:, 1:-1] & np.isfinite(bend))] = 0.0
+        bend[~(near[:, : stop - 1] & np.isfinite(bend))] = 0.0
         # halvings before a rule may be accepted: each divides a bend by 4
         least = np.ceil(np.log(np.maximum(-bend.min(axis=1) / resolved, 1.0)) / math.log(4.0))
         # the rule on each row's kept nodes, summed along the row's own grid
@@ -374,52 +361,53 @@ def integrate_batch(log_f, h_funcs, count, quad: QuadratureSpec = QuadratureSpec
         weight -= top[:, None]
         weight[~kept] = -np.inf
         np.exp(weight, out=weight)
+        weight[:, 0] *= 0.5  # the one node on both half-lines; the sums are doubled below
         total, previous = np.empty((2, 1 + len(h_funcs), len(rows)))
         weight.sum(axis=1, out=total[0])
         weight[:, ::2].sum(axis=1, out=previous[0])
         if h_funcs:
             weighted = np.zeros_like(weight)
         for i, h in enumerate(h_funcs, start=1):
-            values = _values(h, grid[span], rows, even)
-            np.multiply(weight[:, span], values, out=weighted[:, span], where=kept[:, span])
+            values = _values(h, grid[:stop], rows)
+            np.multiply(weight[:, :stop], values, out=weighted[:, :stop], where=kept[:, :stop])
             weighted.sum(axis=1, out=total[i])
             weighted[:, ::2].sum(axis=1, out=previous[i])
-        total *= step
-        previous *= 2.0 * step
+        total *= 2.0 * step
+        previous *= 4.0 * step
         error = np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0]), axis=0)
         for i, row in enumerate(rows):
             if error[i] <= quad.rel_tol and not least[i]:
                 results[row] = _result(top[i], total[:, i])
             else:
                 results[row] = _halve(
-                    log_f, h_funcs, quad, even, grid, kept[i], rows[i : i + 1], top[i],
+                    log_f, h_funcs, quad, grid, kept[i], rows[i : i + 1], top[i],
                     nodes[i], float(error[i]), total[:, i], int(least[i]),
                 )
     return results
 
 
-def _halve(log_f, h_funcs, quad, even, grid, kept, row, top, nodes, error, total, least):
+def _halve(log_f, h_funcs, quad, grid, kept, row, top, nodes, error, total, least):
     """One row's result, halving the spacing on its kept intervals until its rule converges.
 
     Each halving evaluates the midpoints of the kept intervals, the odd
-    nodes of the grid of half the spacing, and adds their rule to half the
-    last; ``nodes``, ``error`` and ``total`` are the first rule's.  No rule
-    is accepted before ``least`` halvings.
+    nodes of the grid of half the spacing, all of them positive, and adds
+    twice their rule to half the last; ``nodes``, ``error`` and ``total``
+    are the first rule's.  No rule is accepted before ``least`` halvings.
     """
     left = np.flatnonzero(kept[:-1] & kept[1:])  # the kept intervals, by their left node
-    used, step, span = nodes, float(grid[1] - grid[0]), grid[-1]
+    used, step = nodes, float(grid[1] - grid[0])
     for level in itertools.count():
         step /= 2.0
-        xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step - span
-        nodes += len(xs)
+        xs = ((left[:, None] << level + 1) + np.arange(1, 2 << level, 2)).ravel() * step
+        nodes += 2 * len(xs)
         used += nodes
         if used > quad.max_nodes:
             raise _over_budget(error, quad, grid, kept)
         terms = np.empty((1 + len(h_funcs), len(xs)))
-        np.exp(_log_values(log_f, xs, row, even)[0] - top, out=terms[0])
+        np.exp(_log_values(log_f, xs, row)[0] - top, out=terms[0])
         for term, h in zip(terms[1:], h_funcs):
-            np.multiply(terms[0], _values(h, xs, row, even)[0], out=term)
-        previous, total = total, 0.5 * total + step * terms.sum(axis=1)
+            np.multiply(terms[0], _values(h, xs, row)[0], out=term)
+        previous, total = total, 0.5 * total + 2.0 * step * terms.sum(axis=1)
         error = float(np.max(np.abs(total - previous) / np.maximum(np.abs(total), total[0])))
         if error <= quad.rel_tol and level + 1 >= least:
             return _result(top, total)
@@ -430,20 +418,19 @@ def _one(fn):
     return lambda x, rows: fn(x)
 
 
-def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
+def integrate(log_f, h_funcs, quad: QuadratureSpec = QuadratureSpec()):
     """(ln I, [integral(f h) / I for each h]) with I the integral of f = exp(log_f).
 
-    ``log_f`` must decay at +-infinity (in practice a Gaussian envelope
-    exp(-x^2/2) is folded in), f and each f h must be analytic in a strip
-    about the real axis (see the module notes), and the ``h_funcs`` are
-    O(1)-bounded.  Both are called on read-only 1-D arrays.  ``even``
-    promises that ``log_f`` and every h are even in x, computed from x only
-    through x^2: then half of every node array is evaluated, and the result
-    is the same bit for bit.  This is ``integrate_batch`` on a batch of one.
+    Both integrals run over the whole real line.  ``log_f`` and each h must
+    be even in x: both are called on read-only 1-D arrays of nodes x >= 0
+    alone.  ``log_f`` must decay at infinity (in practice a Gaussian
+    envelope exp(-x^2/2) is folded in), f and each f h must be analytic in
+    a strip about the real axis (see the module notes), and the ``h_funcs``
+    are O(1)-bounded.  This is ``integrate_batch`` on a batch of one.
     """
-    return integrate_batch(_one(log_f), [_one(h) for h in h_funcs], 1, quad, even=even)[0]
+    return integrate_batch(_one(log_f), [_one(h) for h in h_funcs], 1, quad)[0]
 
 
-def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec(), *, even=False):
-    """ln of the integral of f over the real line, given ln f; ``even`` as for ``integrate``."""
-    return integrate(log_f, (), quad, even=even)[0]
+def log_integral(log_f, quad: QuadratureSpec = QuadratureSpec()):
+    """ln of the integral of the even f over the real line, given ln f at x >= 0."""
+    return integrate(log_f, (), quad)[0]

@@ -146,13 +146,13 @@ _MEMO = {}
 def _partitions(points, quad):
     """ln I(1/2) and its three weighted averages at each of ``points``, in one batch."""
     weights = _log_weight(points, [0.5] * len(points))
-    results = integrate_batch(weights, _moments(points), len(points), quad, even=True)
+    results = integrate_batch(weights, _moments(points), len(points), quad)
     return [(log_i, *averages) for log_i, averages in results]
 
 
 def _numerators(points, a, quad):
     """ln I(a) at each of ``points``, ``a`` one value per point, in one batch."""
-    results = integrate_batch(_log_weight(points, a), (), len(points), quad, even=True)
+    results = integrate_batch(_log_weight(points, a), (), len(points), quad)
     return [log_i for log_i, _ in results]
 
 

@@ -716,6 +716,24 @@ def test_sweep_finite_t_underflow_fails_without_output(tmp_path, capsys):
 @pytest.mark.parametrize(
     "row, task",
     [
+        (cli._zero_t_row, (1.0, 1.0, 0.8, 10)),
+        (cli._finite_t_row, (1.0, 1.0, 0.8, 0.7, 10, (200_000, 1e-9))),
+        (cli._witness_row, (1.0, 1.0, 0.8, 0.0, 10, False, (200_000, 1e-9))),
+        (cli._witness_row, (1.0, 1.0, 0.8, 0.7, 10, True, (200_000, 1e-9))),
+        (cli._oracle_ground_row, (1.0, 1.0, 0.8, 4, 20)),
+        (cli._oracle_thermal_row, (1.0, 1.0, 1.0, 0.2, 2, 40, (200_000, 1e-9))),
+    ],
+    ids=["zero_t", "finite_t", "witness_zero_t", "witness_finite_t", "oracle_ground",
+         "oracle_thermal"],
+)
+def test_row_cells_are_builtins(row, task):
+    # _format writes bools, ints, floats, strings and None: no numpy scalar reaches it
+    assert {type(cell) for cell in row(task).values()} <= {bool, int, float, str, type(None)}
+
+
+@pytest.mark.parametrize(
+    "row, task",
+    [
         (cli._finite_t_row, (1.0, 1.0, 0.8, 0.7, 10, (200_000, 1e-9))),
         (cli._oracle_thermal_row, (1.0, 1.0, 1.0, 0.2, 2, 40, (200_000, 1e-9))),
     ],

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_overlap import numerics, thermal
-from dicke_overlap.core import ModelParams
+from dicke_overlap.core import ModelParams, find_root
 from dicke_overlap.errors import BracketError, InvalidParameterError, NumericalError
-from dicke_overlap.numerics import (
-    QuadratureSpec,
-    find_root,
-    integrate,
-    log_integral,
-    lowest_eigenpair,
-)
+from dicke_overlap.numerics import QuadratureSpec, integrate, log_integral, lowest_eigenpair
 
 TIGHT = QuadratureSpec(rel_tol=1e-12)
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _even_part(log_g):
+    """ln[g(x) + g(-x)], whose integral over the real line is twice that of g."""
+    return lambda x: np.logaddexp(log_g(np.asarray(x)), log_g(-np.asarray(x)))
 
 
 def test_quadrature_spec_invariants():
@@ -41,10 +41,9 @@ def test_shifted_scaled_gaussians():
     for _ in range(12):
         center = rng.uniform(-100, 100)
         width = rng.uniform(0.1, 10.0)
-        value = log_integral(
-            lambda x, c=center, w=width: -0.5 * ((np.asarray(x) - c) / w) ** 2, TIGHT
-        )
-        assert abs(value - (math.log(width) + LOG_SQRT_2PI)) < 1e-12
+        log_f = _even_part(lambda x, c=center, w=width: -0.5 * ((x - c) / w) ** 2)
+        value = log_integral(log_f, TIGHT)
+        assert abs(value - (math.log(2.0 * width) + LOG_SQRT_2PI)) < 1e-12
 
 
 def test_bimodal_far_peaks():
@@ -57,16 +56,16 @@ def test_bimodal_far_peaks():
 
 
 def test_shallow_valley_bimodal():
-    # unequal peaks at -+1.5 joined by a valley about one nat deep: masses
-    # 1 and 6 (times sqrt(2 pi)), so <x> = (-1.5 + 6 * 1.5) / 7
-    def log_f(x):
-        x = np.asarray(x)
-        return np.logaddexp(-0.5 * (x + 1.5) ** 2, math.log(3.0) - 0.125 * (x - 1.5) ** 2)
-
-    assert abs(log_integral(log_f, TIGHT) - (math.log(7.0) + LOG_SQRT_2PI)) < 1e-12
-    log_i, (mean,) = integrate(log_f, [lambda x: np.asarray(x)], TIGHT)
-    assert abs(log_i - (math.log(7.0) + LOG_SQRT_2PI)) < 1e-12
-    assert abs(mean - 7.5 / 7.0) < 1e-11
+    # the even part of unequal peaks at -+1.5 joined by a valley about one
+    # nat deep: masses 1 and 6 (times sqrt(2 pi)), each twice, with
+    # <x^2> = (1 + 1.5^2) for the first and 4 + 1.5^2 for the second
+    log_f = _even_part(
+        lambda x: np.logaddexp(-0.5 * (x + 1.5) ** 2, math.log(3.0) - 0.125 * (x - 1.5) ** 2)
+    )
+    assert abs(log_integral(log_f, TIGHT) - (math.log(14.0) + LOG_SQRT_2PI)) < 1e-12
+    log_i, (mean_x2,) = integrate(log_f, [_x_squared], TIGHT)
+    assert abs(log_i - (math.log(14.0) + LOG_SQRT_2PI)) < 1e-12
+    assert abs(mean_x2 - (3.25 + 6.0 * 6.25) / 7.0) < 1e-11
 
 
 def test_huge_scale_integrand():
@@ -76,18 +75,16 @@ def test_huge_scale_integrand():
 
 def test_node_budget_error_carries_estimate():
     # a wiggly integrand that cannot converge with 64 nodes
-    def log_f(x):
-        x = np.asarray(x)
-        return -0.5 * x**2 + np.sin(40.0 * x)
-
+    log_f = _even_part(lambda x: -0.5 * x**2 + np.sin(40.0 * x))
     with pytest.raises(NumericalError) as err:
         log_integral(log_f, QuadratureSpec(max_nodes=64, rel_tol=1e-12))
     assert "achieved" in err.value.details
+    low, high = err.value.details["window"]
+    assert low == -high < 0.0
 
 
-@pytest.mark.parametrize("even", [False, True])
 @pytest.mark.parametrize("where", ["scan", "halving"])
-def test_nan_log_integrand_is_named(where, even):
+def test_nan_log_integrand_is_named(where):
     # a NaN of ln f used to read as "-inf on the whole scan range" on the
     # scan, and to run a halving into the node budget
     if where == "scan":
@@ -102,7 +99,7 @@ def test_nan_log_integrand_is_named(where, even):
             return np.where(np.abs(np.abs(x) - 0.002) < 0.0005, np.nan, -0.5 * (x / 0.002) ** 2)
 
     with pytest.raises(NumericalError, match="log-integrand is NaN") as err:
-        log_integral(log_f, even=even)
+        log_integral(log_f)
     assert np.isnan(log_f(np.array([err.value.details["x"]])))[0]
 
 
@@ -116,68 +113,41 @@ def test_peaks_narrower_than_the_spacing_meet_the_tolerance(width, centre, quad)
     # both spacings agree while each is off by 6.5e-6 in ln I; its second
     # differences of ln f demand the halvings.  At x = 1/64, width 0.025,
     # the first halving's two rules alias alike the same way
-    value = log_integral(lambda x: -0.5 * ((np.asarray(x) - centre) / width) ** 2, quad)
-    assert abs(value - math.log(width) - LOG_SQRT_2PI) <= quad.rel_tol
+    value = log_integral(_even_part(lambda x: -0.5 * ((x - centre) / width) ** 2), quad)
+    assert abs(value - math.log(2.0 * width) - LOG_SQRT_2PI) <= quad.rel_tol
 
 
 def test_integrate_moments():
     quad = QuadratureSpec(rel_tol=1e-11)
     log_w = lambda x: -0.5 * np.asarray(x) ** 2
-    log_i, (second, fourth, odd) = integrate(
+    log_i, (second, fourth, mean_cos) = integrate(
         log_w,
         [
             lambda x: np.asarray(x) ** 2,
             lambda x: np.asarray(x) ** 4,
-            lambda x: np.asarray(x) ** 3,
+            lambda x: np.cos(np.asarray(x)),
         ],
         quad,
     )
     assert abs(log_i - LOG_SQRT_2PI) < 1e-11
     assert abs(second - 1.0) < 1e-9
     assert abs(fourth - 3.0) < 1e-8
-    assert abs(odd) < 1e-9
-
-
-def _outcome(call):
-    """A call's result, or its NumericalError's type, message and details."""
-    try:
-        return call()
-    except NumericalError as exc:
-        return type(exc), str(exc), exc.details
-
-
-def _failed(outcome):
-    return outcome[0] is NumericalError
-
-
-def _both_paths(log_f, h_funcs, quad):
-    """The outcomes of ``integrate`` on the generic and on the even path."""
-    return [
-        _outcome(lambda even=even: integrate(log_f, h_funcs, quad, even=even))
-        for even in (False, True)
-    ]
+    assert abs(mean_cos - math.exp(-0.5)) < 1e-9
 
 
 def _x_squared(x):
     return np.asarray(x) ** 2
 
 
-def _scan(log_f, even=False):
+def _scan(log_f):
     """The (grid, values) of the scan of one 1-D log-integrand, a batch of one."""
-    ((grid, _, vals, _),) = numerics._scan(numerics._one(log_f), 1, even)
+    ((grid, _, vals, _),) = numerics._scan(numerics._one(log_f), 1)
     return grid, vals[0]
 
 
 def _moment_integrands(point):
     """The three moment integrands at one point, as functions of x."""
     return tuple(thermal._one_point(h) for h in thermal._moments([point]))
-
-
-def _kept_runs(log_f):
-    """The runs of scan nodes within ``_PEAK_KEEP`` of the scan maximum."""
-    _, vals = _scan(log_f, even=True)
-    near = (vals > vals.max() - numerics._PEAK_KEEP).astype(np.int8)
-    return np.count_nonzero(np.diff(near) == 1)
 
 
 def _recorded(fn, calls):
@@ -191,36 +161,40 @@ def _recorded(fn, calls):
 
 
 def _scan_levels(grid):
-    """How many scan grids, each of twice the span, a scan ending on ``grid`` evaluated."""
+    """How many scan grids, each of twice the reach, a scan ending on ``grid`` evaluated."""
     return int(math.log2(grid[-1] / 8.0)) + 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(width=st.floats(0.2, 4.0), tight=st.booleans(), moments=st.booleans())
-def test_even_path_is_exact_on_far_bimodal_mixtures(width, tight, moments):
-    # peaks at +-50, 78 nats or more above the valley between them: two
-    # mirror-image kept runs, and no node in the valley between them
+def test_far_bimodal_mixtures_match_the_closed_form(width, tight, moments):
+    # peaks at +-50, 78 nats or more above the valley between them; each of
+    # width w has mass w sqrt(2 pi), <x^2> = 2500 + w^2, <cos x> = e^(-w^2/2) cos 50
     def log_f(x):
         x = np.asarray(x)
         return np.logaddexp(-0.5 * ((x - 50.0) / width) ** 2, -0.5 * ((x + 50.0) / width) ** 2)
 
+    quad = TIGHT if tight else QuadratureSpec()
     h_funcs = (_x_squared, lambda x: np.cos(np.asarray(x))) if moments else ()
-    generic, even = _both_paths(log_f, h_funcs, TIGHT if tight else QuadratureSpec())
-    assert _kept_runs(log_f) == 2
-    assert not _failed(generic)
-    assert even == generic
+    log_i, means = integrate(log_f, h_funcs, quad)
+    assert abs(log_i - math.log(2.0 * width) - LOG_SQRT_2PI) <= quad.rel_tol
+    if moments:
+        assert abs(means[0] / (2500.0 + width**2) - 1.0) <= quad.rel_tol
+        assert abs(means[1] - math.exp(-0.5 * width**2) * math.cos(50.0)) <= quad.rel_tol
 
 
 @settings(max_examples=30, deadline=None)
 @given(width=st.floats(0.05, 50.0), height=st.floats(-1e4, 1e4), moments=st.booleans())
-def test_even_path_is_exact_on_centred_gaussians(width, height, moments):
-    # one kept run centred on 0, evaluated on its x <= 0 half
+def test_centred_gaussians_match_the_closed_form(width, height, moments):
+    # one kept run from 0; the shift by a height up to 1e4 costs its rounding
     def log_f(x):
         return height - 0.5 * np.asarray(x) ** 2 / width**2
 
-    generic, even = _both_paths(log_f, (_x_squared,) if moments else (), TIGHT)
-    assert not _failed(generic)
-    assert even == generic
+    log_i, means = integrate(log_f, (_x_squared,) if moments else (), TIGHT)
+    exact = height + math.log(width) + LOG_SQRT_2PI
+    assert abs(log_i - exact) <= TIGHT.rel_tol + 4 * sys.float_info.epsilon * abs(exact)
+    if moments:
+        assert abs(means[0] / width**2 - 1.0) <= TIGHT.rel_tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,82 +205,68 @@ def test_even_path_is_exact_on_centred_gaussians(width, height, moments):
     a=st.floats(0.0, 1.0),
     moments=st.booleans(),
 )
-def test_even_path_is_exact_on_thermal_weights(lam, temp, n, a, moments):
+def test_thermal_weights_match_a_dense_rule(lam, temp, n, a, moments):
+    # the reference is the two-sided rule of spacing 1/64, which resolves
+    # the unit-width peaks to rounding
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
+    log_f = thermal._log_weight_factory(point, a)
     h_funcs = _moment_integrands(point) if moments else ()
-    generic, even = _both_paths(thermal._log_weight_factory(point, a), h_funcs, QuadratureSpec())
-    assert even == generic
+    log_i, means = integrate(log_f, h_funcs, QuadratureSpec())
+    # out to 40 beyond where ln f lies 1000 below its value at 0
+    def drop(x):
+        at_x, at_0 = log_f(np.array([x, 0.0]))
+        return at_x - at_0 + 1e3
+
+    reach = int(find_root(drop, (0.0, 1e4))) + 40
+    xs = np.arange(-64 * reach, 64 * reach + 1) / 64.0
+    logs = log_f(xs)
+    weights = np.exp(logs - logs.max())
+    exact = logs.max() + math.log(weights.sum() / 64.0)
+    assert abs(log_i - exact) <= QuadratureSpec().rel_tol + 4 * sys.float_info.epsilon * abs(exact)
+    for mean, h in zip(means, h_funcs):
+        assert abs(mean - (weights * h(xs)).sum() / weights.sum()) <= QuadratureSpec().rel_tol
 
 
-def test_both_paths_exhaust_the_node_budget_at_the_same_max_nodes():
-    # below T_c: a bimodal weight, a kept run and its mirror image
+def test_node_budget_is_counted_on_the_whole_line():
+    # below T_c: a bimodal weight.  Each node x > 0 counts twice and 0 once,
+    # so the budget this point needs is that of the rule on both half-lines
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 1.0, 100), 1.0 / 0.5)
     log_f, h_funcs = thermal._log_weight_factory(point), _moment_integrands(point)
-    assert _kept_runs(log_f) == 2
-
-    def outcomes(max_nodes):
-        return _both_paths(log_f, h_funcs, QuadratureSpec(max_nodes, 1e-12))
-
-    # the fewest nodes that the generic path needs, by bisection
-    lo, hi = 64, 200_000
-    assert _failed(outcomes(lo)[0]) and not _failed(outcomes(hi)[0])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _failed(outcomes(mid)[0]) else (lo, mid)
-    short, enough = outcomes(lo), outcomes(hi)
-    assert "node budget" in short[0][1]
-    assert short[1] == short[0]
-    assert enough[1] == enough[0]
+    integrate(log_f, h_funcs, QuadratureSpec(724, 1e-12))
+    with pytest.raises(NumericalError, match="node budget"):
+        integrate(log_f, h_funcs, QuadratureSpec(723, 1e-12))
 
 
 def test_reused_nodes_equal_fresh_grids():
-    # an asymmetric integrand that needs a few span doublings, with a bump
-    # too narrow for the scan's spacing: every node a halving evaluates is
-    # an odd node of the np.linspace grid of the finer spacing
-    def log_f(x):
-        x = np.asarray(x)
-        return np.logaddexp(-0.5 * ((x - 30.0) / 9.0) ** 2, -0.5 * ((x - 31.0) / 0.02) ** 2)
-
+    # the even part of a broad Gaussian that needs a few reach doublings
+    # and a bump too narrow for the scan's spacing: every node the scan and
+    # the halvings evaluate is >= 0 and lies on the np.linspace grid from 0
+    # of its spacing, the odd nodes of the finer one for a halving
+    log_f = _even_part(
+        lambda x: np.logaddexp(-0.5 * ((x - 30.0) / 9.0) ** 2, -0.5 * ((x - 31.0) / 0.02) ** 2)
+    )
     grid, vals = _scan(log_f)
     span = grid[-1]
     assert span == 256.0
-    assert np.array_equal(grid, np.linspace(-span, span, 4097))
-    assert np.array_equal(vals, log_f(np.linspace(-span, span, 4097)))
+    assert np.array_equal(grid, np.linspace(0.0, span, 2049))
+    assert np.array_equal(vals, log_f(np.linspace(0.0, span, 2049)))
     f_calls, h_calls = [], []
     log_i, (mean_cos,) = integrate(_recorded(log_f, f_calls), (_recorded(np.cos, h_calls),))
     # each Gaussian of width s about m has mass s sqrt(2 pi) and <cos x> = e^(-s^2/2) cos m
-    assert abs(log_i - math.log(9.02) - LOG_SQRT_2PI) < 1e-9
+    assert abs(log_i - math.log(2.0 * 9.02) - LOG_SQRT_2PI) < 1e-9
     cos_mass = 9.0 * math.exp(-40.5) * math.cos(30.0) + 0.02 * math.exp(-2e-4) * math.cos(31.0)
     assert abs(mean_cos - cos_mass / 9.02) < 1e-9
-    refinements = f_calls[_scan_levels(grid) :]
+    assert all((xs >= 0.0).all() for xs in f_calls + h_calls)
+    levels = _scan_levels(grid)
+    for level, xs in enumerate(f_calls[:levels]):
+        reach = 8.0 * 2**level
+        assert np.isin(xs, np.linspace(0.0, reach, min(128 * 2**level, 2048) + 1)).all()
+    refinements = f_calls[levels:]
     assert len(refinements) >= 2
     assert np.isin(h_calls[0], grid).all()
     for m, xs in enumerate(refinements, start=1):
-        assert np.isin(xs, np.linspace(-span, span, (len(grid) - 1) * 2**m + 1)[1::2]).all()
+        assert np.isin(xs, np.linspace(0.0, span, (len(grid) - 1) * 2**m + 1)[1::2]).all()
         assert np.array_equal(h_calls[m], xs)
-
-
-def test_mirrored_nodes_equal_fresh_grids():
-    # narrow bumps at +-5 on a broad Gaussian, computed from x only through x^2
-    def log_f(x):
-        x2 = np.asarray(x) ** 2
-        return np.logaddexp(-0.5 * x2 / 49.0, -0.5 * ((x2 - 25.0) / 0.2) ** 2)
-
-    grid, vals = _scan(log_f, even=True)
-    assert np.array_equal(vals, log_f(grid))
-    calls = []
-    result = integrate(_recorded(log_f, calls), (_x_squared,), even=True)
-    assert result == integrate(log_f, (_x_squared,))
-    span, refinements = grid[-1], calls[_scan_levels(grid) :]
-    assert len(refinements) >= 2
-    for m, half in enumerate(refinements, start=1):
-        # a halving evaluates its x < 0 half: the midpoints never include 0
-        assert (half < 0).all()
-        xs = np.concatenate((half, -half[::-1]))
-        assert np.isin(xs, np.linspace(-span, span, (len(grid) - 1) * 2**m + 1)[1::2]).all()
-        for fn in (log_f, _x_squared):
-            mirrored = numerics._values(numerics._one(fn), xs, np.arange(1), True)
-            assert np.array_equal(mirrored[0], fn(xs))
 
 
 def test_entire_integrands_need_no_point_beyond_the_scan():
@@ -315,14 +275,13 @@ def test_entire_integrands_need_no_point_beyond_the_scan():
     point = thermal.ThermalPoint(ModelParams(1.0, 1.0, 0.8, 100), 1.0 / 0.5)
     weight = thermal._log_weight_factory(point)
     quadrature, scan = [], []
-    log_integral(_recorded(weight, quadrature), even=True)
-    _scan(_recorded(weight, scan), even=True)
+    log_integral(_recorded(weight, quadrature))
+    _scan(_recorded(weight, scan))
     assert sum(map(len, quadrature)) == sum(map(len, scan))
 
 
-@pytest.mark.parametrize("even", [False, True])
 @pytest.mark.parametrize("n, b", [(10, 0.2), (10, 1.0), (1000, 0.2), (1000, 1.0)])
-def test_cosh_power_closed_form(n, b, even):
+def test_cosh_power_closed_form(n, b):
     # integral of e^(-x^2/2) cosh(bx)^N = sqrt(2 pi) 2^-N sum_k C(N,k) e^(c_k^2/2)
     # with c_k = (N - 2k) b; the x^2 moment weighs each term by 1 + c_k^2.
     # At N = 1000 the peaks at +-N b are far apart
@@ -337,7 +296,7 @@ def test_cosh_power_closed_form(n, b, even):
     exact = LOG_SQRT_2PI - n * math.log(2.0) + numerics.log_sum_exp(log_terms)
     weights = np.exp(log_terms - log_terms.max())
     exact_x2 = (weights * (1.0 + c**2)).sum() / weights.sum()
-    log_i, (x2,) = integrate(log_f, (_x_squared,), TIGHT, even=even)
+    log_i, (x2,) = integrate(log_f, (_x_squared,), TIGHT)
     assert abs(log_i - exact) <= 1e-12 * abs(exact)
     assert abs(x2 - exact_x2) <= 1e-12 * exact_x2
 
@@ -345,20 +304,17 @@ def test_cosh_power_closed_form(n, b, even):
 def test_kinked_integrand_meets_tolerance_or_fails_typed():
     # e^-|x - 0.3| has a kink off the nodes: the rule converges only like
     # h^2, so it reaches the tolerance or raises at the node budget
-    def log_f(x):
-        return -np.abs(np.asarray(x) - 0.3)
-
+    log_f = _even_part(lambda x: -np.abs(x - 0.3))
     quad = QuadratureSpec()
     try:
         value = log_integral(log_f, quad)
     except NumericalError as exc:
         assert exc.details["achieved"] > quad.rel_tol
     else:
-        assert abs(value - math.log(2.0)) <= quad.rel_tol
+        assert abs(value - math.log(4.0)) <= quad.rel_tol
 
 
-@pytest.mark.parametrize("even", [False, True])
-def test_integrands_cannot_write_into_the_nodes(even):
+def test_integrands_cannot_write_into_the_nodes():
     def gaussian(x):
         return -0.5 * np.asarray(x) ** 2
 
@@ -370,17 +326,17 @@ def test_integrands_cannot_write_into_the_nodes(even):
         x[0] = 0.0
         return np.ones_like(x)
 
-    before = integrate(gaussian, (_x_squared,), TIGHT, even=even)
+    before = integrate(gaussian, (_x_squared,), TIGHT)
     with pytest.raises(ValueError, match="read-only"):
-        log_integral(scaling_log_f, TIGHT, even=even)
+        log_integral(scaling_log_f, TIGHT)
     with pytest.raises(ValueError, match="read-only"):
-        integrate(gaussian, (zeroing_h,), TIGHT, even=even)
-    assert integrate(gaussian, (_x_squared,), TIGHT, even=even) == before
+        integrate(gaussian, (zeroing_h,), TIGHT)
+    assert integrate(gaussian, (_x_squared,), TIGHT) == before
     assert abs(before[0] - LOG_SQRT_2PI) < 1e-12
-    # spacing 1/16 up to half-width 128, then 4,097 nodes at every half-width
+    # spacing 1/16 up to reach 128, then 2,049 nodes at every reach
     for level in (0, 1, 2, 4, 5, 6, numerics._SCAN_LEVELS - 1):
-        span = 8.0 * 2.0**level
-        grid = np.linspace(-span, span, min(256 * 2**level, 4096) + 1)
+        reach = 8.0 * 2.0**level
+        grid = np.linspace(0.0, reach, min(128 * 2**level, 2048) + 1)
         assert np.array_equal(numerics._scan_grid(level)[0], grid)
 
 

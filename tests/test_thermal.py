@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_overlap import numerics, oracle, thermal
-from dicke_overlap.core import ModelParams
+from dicke_overlap import oracle, thermal
+from dicke_overlap.core import ModelParams, golden_max
 from dicke_overlap.errors import InvalidParameterError, NumericalError
 from dicke_overlap.numerics import QuadratureSpec
 from dicke_overlap.separable import SeparableState
@@ -275,7 +275,7 @@ def test_large_n_partition_matches_a_dense_rule(n, temp, lam):
     point = ThermalPoint(ModelParams(1.0, 1.0, lam, n), 1.0 / temp)
     log_w = thermal._log_weight_factory(point)
     sz = thermal._one_point(thermal._moments([point])[0])
-    xs = numerics.golden_max(log_w, 0.0, 1e5) + np.arange(-2560, 2561) / 64.0
+    xs = golden_max(log_w, 0.0, 1e5) + np.arange(-2560, 2561) / 64.0
     logs = log_w(xs)
     weights = np.exp(logs - logs.max())
     log_i = logs.max() + math.log(2.0 * weights.sum() / 64.0)

@@ -163,9 +163,7 @@ def test_thermal_moments_satisfy_bound_a(n, lam, temp):
     def tanh2(x):
         return np.tanh(np.sqrt(0.25 + scale * x**2) / temp) ** 2
 
-    _, (mean_tanh2,) = numerics.integrate(
-        thermal._log_weight_factory(point), [tanh2], quad, even=True
-    )
+    _, (mean_tanh2,) = numerics.integrate(thermal._log_weight_factory(point), [tanh2], quad)
     total = moments.total_second()
     assert total == pytest.approx((3 + (n - 1) * mean_tanh2) / (4 * n), rel=1e-9)
     assert total <= (n + 2) / (4 * n) * (1 + 1e-12)
