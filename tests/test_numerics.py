@@ -20,6 +20,15 @@ def _even_part(log_g):
     return lambda x: np.logaddexp(log_g(np.asarray(x)), log_g(-np.asarray(x)))
 
 
+def _symmetrised(log_g, symmetrise):
+    """``log_g``, or ln[(g(x) + g(-x)) / 2]: the even part a caller passes for a
+    non-even g, which is g itself for an even one."""
+    if not symmetrise:
+        return log_g
+    even = _even_part(log_g)
+    return lambda x: even(x) - math.log(2.0)
+
+
 def test_quadrature_spec_invariants():
     with pytest.raises(InvalidParameterError):
         QuadratureSpec(max_nodes=32)
@@ -83,8 +92,9 @@ def test_node_budget_error_carries_estimate():
     assert low == -high < 0.0
 
 
+@pytest.mark.parametrize("symmetrise", [False, True])
 @pytest.mark.parametrize("where", ["scan", "halving"])
-def test_nan_log_integrand_is_named(where):
+def test_nan_log_integrand_is_named(where, symmetrise):
     # a NaN of ln f used to read as "-inf on the whole scan range" on the
     # scan, and to run a halving into the node budget
     if where == "scan":
@@ -98,8 +108,14 @@ def test_nan_log_integrand_is_named(where):
             x = np.asarray(x)
             return np.where(np.abs(np.abs(x) - 0.002) < 0.0005, np.nan, -0.5 * (x / 0.002) ** 2)
 
+    log_g = _symmetrised(log_f, symmetrise)
+
+    def quiet(x):
+        with np.errstate(invalid="ignore"):  # np.logaddexp warns on the NaN it passes on
+            return log_g(x)
+
     with pytest.raises(NumericalError, match="log-integrand is NaN") as err:
-        log_integral(log_f)
+        log_integral(quiet)
     assert np.isnan(log_f(np.array([err.value.details["x"]])))[0]
 
 
@@ -269,6 +285,35 @@ def test_reused_nodes_equal_fresh_grids():
         assert np.array_equal(h_calls[m], xs)
 
 
+def test_mirrored_nodes_equal_fresh_grids():
+    # narrow bumps at +-5 on a broad Gaussian, computed from x only through
+    # x^2: the nodes x >= 0 and their mirrors are the fresh np.linspace grids
+    # of the whole line, and the rule on them is that grid's trapezoid rule
+    def log_f(x):
+        x2 = np.asarray(x) ** 2
+        return np.logaddexp(-0.5 * x2 / 49.0, -0.5 * ((x2 - 25.0) / 0.2) ** 2)
+
+    grid, vals = _scan(log_f)
+    span = grid[-1]
+    mirrored = np.concatenate((-grid[:0:-1], grid))
+    assert np.array_equal(mirrored, np.linspace(-span, span, 2 * (len(grid) - 1) + 1))
+    assert np.array_equal(vals, log_f(grid))
+    calls = []
+    log_i, (mean_x2,) = integrate(_recorded(log_f, calls), (_x_squared,))
+    refinements = calls[_scan_levels(grid) :]
+    assert len(refinements) >= 2
+    for m, half in enumerate(refinements, start=1):
+        # a halving evaluates midpoints: never 0, and mirrored onto x < 0
+        assert (half > 0).all()
+        xs = np.concatenate((-half[::-1], half))
+        assert np.isin(xs, np.linspace(-span, span, 2 * (len(grid) - 1) * 2**m + 1)[1::2]).all()
+    xs = np.linspace(-span, span, 2 * (len(grid) - 1) * 2 ** len(refinements) + 1)
+    log_w = log_f(xs)
+    weights = np.exp(log_w - log_w.max())
+    assert abs(log_i - math.log(xs[1] - xs[0]) - numerics.log_sum_exp(log_w)) <= 1e-13
+    assert abs(mean_x2 - (weights * xs**2).sum() / weights.sum()) <= 1e-13 * mean_x2
+
+
 def test_entire_integrands_need_no_point_beyond_the_scan():
     # the thermal weight is entire in x: the rule on the scan's own nodes
     # meets the default tolerance, and no node is evaluated twice
@@ -280,8 +325,9 @@ def test_entire_integrands_need_no_point_beyond_the_scan():
     assert sum(map(len, quadrature)) == sum(map(len, scan))
 
 
+@pytest.mark.parametrize("symmetrise", [False, True])
 @pytest.mark.parametrize("n, b", [(10, 0.2), (10, 1.0), (1000, 0.2), (1000, 1.0)])
-def test_cosh_power_closed_form(n, b):
+def test_cosh_power_closed_form(n, b, symmetrise):
     # integral of e^(-x^2/2) cosh(bx)^N = sqrt(2 pi) 2^-N sum_k C(N,k) e^(c_k^2/2)
     # with c_k = (N - 2k) b; the x^2 moment weighs each term by 1 + c_k^2.
     # At N = 1000 the peaks at +-N b are far apart
@@ -296,7 +342,7 @@ def test_cosh_power_closed_form(n, b):
     exact = LOG_SQRT_2PI - n * math.log(2.0) + numerics.log_sum_exp(log_terms)
     weights = np.exp(log_terms - log_terms.max())
     exact_x2 = (weights * (1.0 + c**2)).sum() / weights.sum()
-    log_i, (x2,) = integrate(log_f, (_x_squared,), TIGHT)
+    log_i, (x2,) = integrate(_symmetrised(log_f, symmetrise), (_x_squared,), TIGHT)
     assert abs(log_i - exact) <= 1e-12 * abs(exact)
     assert abs(x2 - exact_x2) <= 1e-12 * exact_x2
 
@@ -314,13 +360,17 @@ def test_kinked_integrand_meets_tolerance_or_fails_typed():
         assert abs(value - math.log(4.0)) <= quad.rel_tol
 
 
-def test_integrands_cannot_write_into_the_nodes():
+@pytest.mark.parametrize("symmetrise", [False, True])
+def test_integrands_cannot_write_into_the_nodes(symmetrise):
     def gaussian(x):
         return -0.5 * np.asarray(x) ** 2
 
     def scaling_log_f(x):
         x *= 2.0
         return -0.5 * x**2
+
+    gaussian = _symmetrised(gaussian, symmetrise)
+    scaling_log_f = _symmetrised(scaling_log_f, symmetrise)
 
     def zeroing_h(x):
         x[0] = 0.0
