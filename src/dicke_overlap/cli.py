@@ -327,7 +327,7 @@ def _witness_row(task):
         from . import zerotemp
 
         state = zerotemp.gaussian_ground_state(params)
-        moments = zerotemp.collective_moments_zero_t(state, params)
+        moments = zerotemp.collective_moments_zero_t(state)
     else:
         from . import thermal
 

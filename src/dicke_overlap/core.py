@@ -36,11 +36,11 @@ class QuadratureSpec:
             raise InvalidParameterError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
 
 
-def find_root(f, bracket, rel_width=1e-12, max_iter=200):
+def find_root(f, bracket):
     """Bisection root of a continuous sign-changing f on ``bracket``.
 
-    Deterministic; iterates until the bracket width is below
-    ``rel_width * max(|lo|, |hi|, 1)``.
+    Deterministic; iterates, at most 200 times, until the bracket width is
+    below 1e-12 max(|lo|, |hi|, 1).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -54,9 +54,9 @@ def find_root(f, bracket, rel_width=1e-12, max_iter=200):
         raise BracketError(
             f"no sign change on bracket [{lo}, {hi}]", bracket=(lo, hi), values=(flo, fhi)
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_width * max(abs(lo), abs(hi), 1.0):
+        if hi - lo <= 1e-12 * max(abs(lo), abs(hi), 1.0):
             return mid
         fmid = f(mid)
         if fmid == 0.0:
@@ -66,7 +66,7 @@ def find_root(f, bracket, rel_width=1e-12, max_iter=200):
         else:
             lo, flo = mid, fmid
     raise NumericalError(
-        f"bisection did not reach relative width {rel_width} in {max_iter} iterations",
+        "bisection did not reach relative width 1e-12 in 200 iterations",
         bracket=(lo, hi),
     )
 

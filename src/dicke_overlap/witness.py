@@ -103,18 +103,18 @@ class MomentSet:
     def total_second(self):
         return sum(self.second)
 
-    def validate(self, slack=_INVARIANT_SLACK):
+    def validate(self):
         """Check finite moments, nonnegative variances and the universal sum bound (a)."""
         if not all(map(math.isfinite, (*self.first, *self.second))):
             raise InvalidParameterError(f"moments must be finite, got {self.first}, {self.second}")
         for axis in AXES:
-            if self.variance(axis) < -slack:
+            if self.variance(axis) < -_INVARIANT_SLACK:
                 raise InvalidParameterError(
                     f"negative variance for J_{axis}: {self.variance(axis)}"
                 )
         n = self.n_atoms
         bound = (n * (n + 2) / 4.0) / n**2
-        if self.total_second() > bound + slack:
+        if self.total_second() > bound + _INVARIANT_SLACK:
             raise InvalidParameterError(
                 f"second moments sum to {self.total_second()}, above the bound {bound}"
             )
@@ -151,7 +151,7 @@ class WitnessReport:
         raise KeyError((inequality, axes))
 
 
-def _evaluate(moments: MomentSet, tol_witness, pair, d_const) -> WitnessReport:
+def _evaluate(moments: MomentSet, pair, d_const) -> WitnessReport:
     """The (b), (c), (d) entries with pair factor ``pair`` and (d) constant ``d_const``."""
     moments.validate()
     n = moments.n_atoms
@@ -168,16 +168,16 @@ def _evaluate(moments: MomentSet, tol_witness, pair, d_const) -> WitnessReport:
             ("d", (alpha, beta, gamma), pair * (var[alpha] + var[beta]) - sec[gamma] - d_const)
         )
     return WitnessReport(
-        tuple(WitnessEntry(kind, axes, lhs, lhs < -tol_witness) for kind, axes, lhs in entries)
+        tuple(WitnessEntry(kind, axes, lhs, lhs < -TOL_WITNESS) for kind, axes, lhs in entries)
     )
 
 
-def evaluate(moments: MomentSet, tol_witness=TOL_WITNESS) -> WitnessReport:
+def evaluate(moments: MomentSet) -> WitnessReport:
     """Large-N witness evaluation: one (b) entry, six (c) and six (d) entries."""
-    return _evaluate(moments, tol_witness, moments.n_atoms, 0.25)
+    return _evaluate(moments, moments.n_atoms, 0.25)
 
 
-def evaluate_finite_n(moments: MomentSet, tol_witness=TOL_WITNESS) -> WitnessReport:
+def evaluate_finite_n(moments: MomentSet) -> WitnessReport:
     """Finite-N witness evaluation (normalized by N^2 for comparability)."""
     n = moments.n_atoms
-    return _evaluate(moments, tol_witness, n - 1, (n - 2) / (4.0 * n))
+    return _evaluate(moments, n - 1, (n - 2) / (4.0 * n))

@@ -25,15 +25,21 @@ physical spin-excitation number carries a mean-field shift
 beta_disp = N (1 - mu) / 2, fixed so that <J_z>/N reproduces the order
 parameter -mu/2 as N -> infinity; it is 0 in the normal phase.
 
-The Hamiltonian is quadratic, so its ground state is exactly
-Gaussian.  ``gaussian_ground_state`` takes the reduced atomic covariance
-from the 2x2 polariton problem in closed form and builds, on first read,
-by a Fock-space recursion, the three diagonals rho_{n,n}, rho_{n,n+1},
-rho_{n,n+2} of the physical (displaced, n <= N) atomic density matrix;
-the overlap and the Holstein-Primakoff moments need nothing else, the
-normal-phase overlap needs rho_{0,0} alone, and the reduced purity
-follows from the covariance alone.  This path is plain Python on floats
-and lists: it loads no numpy.
+The Hamiltonian is quadratic, so its ground state is exactly Gaussian.
+``gaussian_ground_state`` takes the reduced atomic covariance from the
+2x2 polariton problem in closed form, in units of u = 2 lambda_c:
+V/u^2 = [[1/rho, nu sqrt(mu)], [nu sqrt(mu), rho/mu^2]] with rho =
+omega0/omega, nu = lambda/lambda_c, and det V/u^4 =
+((lambda_c - lambda)/lambda_c)(1 + nu) below lambda_c, (1 + mu)(1 - mu)/mu^2
+above it (``_potential``): a function of lambda/lambda_c alone that takes
+each near-critical difference exactly and never cancels.  Scaling omega,
+omega0 and lambda by 2^k leaves the state the same bits.  It builds, on
+first read, by a Fock-space recursion, the three diagonals rho_{n,n},
+rho_{n,n+1}, rho_{n,n+2} of the physical (displaced, n <= N) atomic
+density matrix; the overlap and the Holstein-Primakoff moments need
+nothing else, the normal-phase overlap needs rho_{0,0} alone, and the
+reduced purity follows from the covariance alone.  This path is plain
+Python on floats and lists: it loads no numpy.
 
 ``effective_ground_state`` diagonalizes the same Hamiltonian in a
 truncated Fock space instead (the numpy Lanczos of ``numerics`` on the
@@ -51,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import ModelParams, order_parameter_zero_t, reject_critical
+from .core import ModelParams, reject_critical
 from .errors import (
     CutoffError,
     DomainError,
@@ -59,7 +65,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .separable import SeparableState, from_jz, overlap
+from .separable import SeparableState, overlap
 from .witness import MomentSet
 
 if TYPE_CHECKING:
@@ -141,7 +147,7 @@ class GaussianState:
 
 
 def _coefficients(params: ModelParams):
-    """(omega_b, D, g, E0) of the module docstring's Hamiltonian, through mu."""
+    """(omega_b, D, g, E0) of the module docstring's Hamiltonian, for the truncated reference."""
     mu, omega0 = params.mu, params.omega0
     return (
         omega0 * (1.0 + mu) / (2.0 * mu),
@@ -175,57 +181,54 @@ def effective_hamiltonian(params: ModelParams, cutoffs):
     return PhotonAtomOperator(params.omega, ca, h_atom, g, np.sqrt(level[1:]))
 
 
+def _one_minus_mu(params: ModelParams):
+    """1 - mu = ((lambda - lambda_c)/lambda)((lambda + lambda_c)/lambda), free of cancellation."""
+    lam, lc = params.coupling, params.critical
+    return (lam - lc) / lam * ((lam + lc) / lam) if lam > lc else 0.0
+
+
 def _potential(params: ModelParams):
-    """omega_b, the entries (V_aa, V_ab, V_bb) of the potential matrix V, and det V.
+    """omega_b/u, (V_aa, V_ab, V_bb)/u^2 of the oscillators' potential matrix V, and det V/u^4.
 
-    In the position representation the Hamiltonian is two coupled
-    oscillators with potential matrix
+    In units of u = 2 lambda_c = sqrt(omega omega0), with rho = omega0/omega
+    and nu = lambda/lambda_c, every entry is a closed form:
 
-        V = [[omega^2,                 2 g sqrt(omega omega_b)],
-             [2 g sqrt(omega omega_b), omega_b^2 + 4 D omega_b]]
+        V/u^2 = [[1/rho, nu sqrt(mu)], [nu sqrt(mu), rho/mu^2]],  nu sqrt(mu) = min(nu, 1),
+        omega_b/u = sqrt(rho)(1 + mu)/(2 mu),
+        det V/u^4 = ((lambda_c - lambda)/lambda_c)(1 + nu) below lambda_c,
+                    (1 + mu)(1 - mu)/mu^2 above it (1 - mu: ``_one_minus_mu``).
 
-    (D the (b+b')^2 coefficient).  Rejects lambda = lambda_c, where V is
-    singular, before any work, and raises ``NumericalError`` where V is not
-    positive definite.
+    det V depends on lambda/lambda_c alone and takes each near-critical
+    difference exactly, so it cannot cancel: it is positive wherever
+    ``reject_critical``, called first, passes.  Raises ``NumericalError``
+    where an entry overflows (rho/mu^2 from lambda/lambda_c ~ 1e77 at rho = 1).
     """
     reject_critical(params)
-    omega_b, quad, g, _ = _coefficients(params)
-    v = (params.omega**2, 2.0 * g * math.sqrt(params.omega * omega_b),
-         omega_b**2 + 4.0 * quad * omega_b)
-    det = v[0] * v[2] - v[1] * v[1]
-    if not det > 0.0:
-        large = _large_eigenvalue(v)
-        raise NumericalError(
-            "quadratic form is not positive definite", eigenvalues=(det / large, large)
-        )
-    return omega_b, v, det
-
-
-def _large_eigenvalue(v):
-    """The larger eigenvalue of the symmetric 2x2 matrix (V_aa, V_ab, V_bb): two terms >= 0."""
-    v_aa, v_ab, v_bb = v
-    return 0.5 * (v_aa + v_bb) + math.hypot(0.5 * (v_aa - v_bb), v_ab)
+    lam, lc, mu = params.coupling, params.critical, params.mu
+    rho = params.omega0 / params.omega
+    det = ((lc - lam) / lc * (1.0 + lam / lc) if lam < lc
+           else (1.0 + mu) * _one_minus_mu(params) / mu / mu)
+    v = (params.omega / params.omega0, min(lam / lc, 1.0), rho / mu / mu)
+    if not math.isfinite(v[0] + v[2] + det):
+        raise NumericalError("potential matrix V/(2 lambda_c)^2 overflows", nu=lam / lc, rho=rho)
+    return math.sqrt(rho) * (1.0 + mu) / (2.0 * mu), v, det
 
 
 def polariton_frequencies(params: ModelParams) -> PolaritonFrequencies:
-    """Bogoliubov excitation energies: square roots of the eigenvalues of V (``_potential``).
+    """Bogoliubov excitation energies: u = 2 lambda_c times the roots of the eigenvalues of V/u^2.
 
-    The smaller eigenvalue is det V divided by the larger one, free of the
-    cancellation in tr V / 2 - sqrt(...).
+    The larger eigenvalue of ``_potential``'s V/u^2 is tr/2 + hypot((V_aa - V_bb)/2, V_ab);
+    the smaller is det over it, whose closed form cannot cancel near lambda_c.
     """
-    _, v, det = _potential(params)
-    large = _large_eigenvalue(v)
-    return PolaritonFrequencies(math.sqrt(det / large), math.sqrt(large))
+    _, (v_aa, v_ab, v_bb), det = _potential(params)
+    large = 0.5 * (v_aa + v_bb) + math.hypot(0.5 * (v_aa - v_bb), v_ab)
+    u, root = 2.0 * params.critical, math.sqrt(large)
+    return PolaritonFrequencies(u * (math.sqrt(det) / root), u * root)
 
 
 def mean_field_displacement(params: ModelParams):
     """Superradiant-frame shift of b'b: N (1 - mu)/2, 0 in the normal phase."""
-    return params.n_atoms * (1.0 - params.mu) / 2.0
-
-
-def _tail_mass(probabilities, fraction=_TAIL_FRACTION):
-    start = int(math.floor((1.0 - fraction) * len(probabilities)))
-    return float(probabilities[start:].sum())
+    return params.n_atoms * _one_minus_mu(params) / 2.0
 
 
 def default_cutoffs(params: ModelParams):
@@ -268,7 +271,8 @@ def effective_ground_state(params: ModelParams, cutoffs=None) -> TwoModeState:
     ca, cb = cutoffs
     occupation = vec.reshape(ca, cb) ** 2
     for mode, axis in (("photon", 1), ("atom", 0)):
-        tail = _tail_mass(occupation.sum(axis=axis))
+        marginal = occupation.sum(axis=axis)
+        tail = float(marginal[int((1.0 - _TAIL_FRACTION) * len(marginal)):].sum())
         if tail > _TAIL_TOL:
             raise CutoffError(f"{mode}-mode tail mass {tail:.2e} exceeds {_TAIL_TOL}", mode=mode)
     return TwoModeState(
@@ -358,8 +362,8 @@ def gaussian_ground_state(params: ModelParams) -> GaussianState:
     <p_b^2> = (V^(1/2))_bb / (2 omega_b).  For a 2x2 V > 0 the square root
     is closed-form: with s = sqrt(det V) and t = sqrt(tr V + 2 s),
     V^(1/2) = (V + s I) / t, so (V^(1/2))_bb = (V_bb + s) / t and
-    (V^(-1/2))_bb = (V_aa + s) / (s t).  The physical band adds the
-    mean-field displacement <b> = sqrt(beta_disp).  Rejects
+    (V^(-1/2))_bb = (V_aa + s) / (s t), free of units.  The physical band
+    adds the mean-field displacement <b> = sqrt(beta_disp).  Rejects
     lambda = lambda_c before any work.
     """
     omega_b, (v_aa, _, v_bb), det = _potential(params)
@@ -441,8 +445,8 @@ def overlap_zero_t(state: TwoModeState | GaussianState, sep: SeparableState):
 
 
 def matched_separable_state(params: ModelParams) -> SeparableState:
-    """Reference state from the zero-temperature order parameter."""
-    return from_jz(order_parameter_zero_t(params), params.n_atoms)
+    """Reference state from the zero-temperature order parameter: a = 1/2 - mu/2 = (1 - mu)/2."""
+    return SeparableState.from_a(_one_minus_mu(params) / 2.0, params.n_atoms)
 
 
 def overlap_for_params(params: ModelParams):
@@ -505,9 +509,7 @@ def scaling_fit(lambda_grid, delta_values, critical_coupling=0.5) -> ScalingFit:
 # ------------------------------------------------------------------ moments
 
 
-def collective_moments_zero_t(
-    state: TwoModeState | GaussianState, params: ModelParams
-) -> MomentSet:
+def collective_moments_zero_t(state: TwoModeState | GaussianState) -> MomentSet:
     """Collective-spin moments of the effective ground state.
 
     The exact HP operators (with the sqrt(N - b'b) factor) on the physical
@@ -516,10 +518,8 @@ def collective_moments_zero_t(
     phase the band is the displaced (symmetry-broken) branch, so <J_x> is
     macroscopic there while the parity-even moments match the collective model.
     """
-    if state.n_atoms != params.n_atoms:
-        raise InvalidParameterError("state and params disagree on N")
     band = state.fock_band()
-    n = params.n_atoms
+    n = state.n_atoms
     if len(band[0]) > n + 1:
         raise CutoffError(
             f"HP square root sqrt(N - b'b) is undefined beyond n = N = {n}; "

@@ -252,7 +252,7 @@ def test_criterion_8_witness_suite():
     for lam in (0.6, 0.8, 1.0, 1.2, 1.5):
         params = ModelParams(1, 1, lam, n)
         state = zerotemp.gaussian_ground_state(params)
-        report = witness.evaluate(zerotemp.collective_moments_zero_t(state, params))
+        report = witness.evaluate(zerotemp.collective_moments_zero_t(state))
         if any(e.violated and e.inequality in ("c", "d") for e in report.entries):
             found = True
             break

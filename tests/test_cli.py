@@ -486,6 +486,26 @@ def test_witness_command_zero_t(tmp_path):
     assert any(r["any_violation"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep-zero-t", "--set", "model.n_atoms=100,300"],
+    ["witness", "--set", "witness.mode=zero_t", "--set", "model.n_atoms=100"],
+])
+def test_zero_t_commands_are_invariant_under_power_of_two_scaling(tmp_path, command):
+    # omega, omega0 and the lambda grid all scaled by 2^260: the model
+    # depends on their ratios alone, so every column but lambda is the same bytes
+    scale = 2.0**260
+    outputs = []
+    for factor in (1.0, scale):
+        out = tmp_path / f"{factor!r}.csv"
+        sets = {"model.omega": factor, "model.omega0": factor, "grid.lambda_max": 1.5 * factor}
+        args = [f"{key}={value!r}" for key, value in sets.items()]
+        assert cli.main([*command, *[a for s in args for a in ("--set", s)],
+                         "--out", str(out), "--threads", "1"]) == 0
+        outputs.append([line.split(",", 1)[1] for line in out.read_text().splitlines()])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 32
+
+
 def test_witness_command_finite_t_no_violations(tmp_path):
     out = tmp_path / "witness_t.csv"
     result = run_cli(
@@ -553,7 +573,7 @@ def test_witness_finite_n_columns(tmp_path, sets):
     params = ModelParams(1.0, 1.0, float(row["lambda"]), 10)
     temp = float(row["temperature"])
     if temp == 0.0:
-        moments = zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params), params)
+        moments = zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params))
     else:
         quad = numerics.QuadratureSpec(*cli._quad_args(cli.build_config(None)))
         moments = thermal.thermal_moments(thermal.ThermalPoint(params, 1.0 / temp), quad)

@@ -108,7 +108,7 @@ def test_zero_t_variance_sum_never_violated():
     for solve in ZERO_T_BACKENDS:
         for lam in (0.1, 0.3, 0.48, 0.6, 0.9, 1.3):
             params = ModelParams(1, 1, lam, 100)
-            m = zerotemp.collective_moments_zero_t(solve(params), params)
+            m = zerotemp.collective_moments_zero_t(solve(params))
             assert evaluate(m).lhs("b") >= -witness.TOL_WITNESS
 
 
@@ -117,7 +117,7 @@ def test_zero_t_superradiant_violations_exist():
         found = False
         for lam in (0.6, 0.8, 1.0):
             params = ModelParams(1, 1, lam, 100)
-            report = evaluate(zerotemp.collective_moments_zero_t(solve(params), params))
+            report = evaluate(zerotemp.collective_moments_zero_t(solve(params)))
             if any(e.violated and e.inequality in ("c", "d") for e in report.entries):
                 found = True
         assert found
@@ -177,7 +177,7 @@ def test_thermal_moments_satisfy_bound_a(n, lam, temp):
 def test_zero_t_moments_satisfy_bound_a(n, lam):
     params = ModelParams(1, 1, lam, n)
     assume(abs(lam / params.critical - 1.0) > 1e-9)
-    zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params), params).validate()
+    zerotemp.collective_moments_zero_t(zerotemp.gaussian_ground_state(params)).validate()
 
 
 def test_witness_tolerance_distinguishes_noise():

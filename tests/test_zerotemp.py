@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from dicke_overlap.errors import (
     DomainError,
     InsufficientDataError,
     InvalidParameterError,
+    NumericalError,
 )
 from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.separable import SeparableState
@@ -200,20 +203,25 @@ def test_polariton_critical_point_rejected():
 
 
 def _eigh_covariance(params):
-    """(var_x, var_p, eigenvalues of V) from numpy's eigh of the potential matrix V."""
+    """(var_x, var_p, eigenvalues of V/u^2, u) from numpy's eigh of the potential matrix.
+
+    ``_potential`` gives V in units of u = 2 lambda_c; the variances are free
+    of units, and the frequencies are u times the square roots of the eigenvalues.
+    """
     omega_b, (v_aa, v_ab, v_bb), _ = zerotemp._potential(params)
     eigs, vecs = np.linalg.eigh(np.array([[v_aa, v_ab], [v_ab, v_bb]]))
     weights = vecs[1] ** 2  # atomic share of each normal mode
     return (0.5 * omega_b * float(weights @ eigs**-0.5),
-            0.5 * float(weights @ eigs**0.5) / omega_b, eigs)
+            0.5 * float(weights @ eigs**0.5) / omega_b, eigs, 2.0 * params.critical)
 
 
 def _covariance_errors(params):
     """Relative gaps of var_x, var_p, omega_minus, omega_plus to eigh's, and cond(V)."""
-    var_x, var_p, eigs = _eigh_covariance(params)
+    var_x, var_p, eigs, u = _eigh_covariance(params)
     state, freqs = gaussian_ground_state(params), polariton_frequencies(params)
     pairs = ((state.var_x, var_x), (state.var_p, var_p),
-             (freqs.omega_minus, math.sqrt(eigs[0])), (freqs.omega_plus, math.sqrt(eigs[1])))
+             (freqs.omega_minus, u * math.sqrt(eigs[0])),
+             (freqs.omega_plus, u * math.sqrt(eigs[1])))
     return [abs(got - want) / want for got, want in pairs], eigs[1] / eigs[0]
 
 
@@ -239,6 +247,99 @@ def test_closed_form_covariance_near_critical(omega, omega0, side):
     params = ModelParams(omega, omega0, critical_coupling(omega, omega0) * (1.0 + side * 1e-8), 10)
     errors, cond = _covariance_errors(params)
     assert max(errors) <= np.finfo(float).eps * cond, (errors, cond)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(0.3, 3.0),
+    omega0=st.floats(0.3, 3.0),
+    ratio=st.floats(0.0, 4.0),
+    k=st.integers(-500, 500),
+)
+def test_gaussian_state_is_invariant_under_power_of_two_scaling(omega, omega0, ratio, k):
+    # the model depends on ratios alone, and _potential works in units of
+    # 2 lambda_c: scaling omega, omega0 and lambda by 2^k scales every
+    # intermediate exactly, so the state is the same bits and the
+    # frequencies are exactly 2^k times larger
+    assume(abs(ratio - 1.0) >= 1e-3)
+    lam = ratio * critical_coupling(omega, omega0)
+    assume(lam == 0.0 or min(lam, math.ldexp(lam, k)) >= sys.float_info.min)
+    base = ModelParams(omega, omega0, lam, 10)
+    scaled = ModelParams(*(math.ldexp(x, k) for x in (omega, omega0, lam)), 10)
+    state, scaled_state = gaussian_ground_state(base), gaussian_ground_state(scaled)
+    assert (scaled_state.var_x, scaled_state.var_p) == (state.var_x, state.var_p)
+    freqs, scaled_freqs = polariton_frequencies(base), polariton_frequencies(scaled)
+    assert scaled_freqs == zerotemp.PolaritonFrequencies(
+        math.ldexp(freqs.omega_minus, k), math.ldexp(freqs.omega_plus, k)
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    log_omega=st.floats(-150.0, 150.0),
+    log_omega0=st.floats(-150.0, 150.0),
+    ratio=st.floats(0.0, 1e3),
+)
+def test_gaussian_state_is_finite_or_a_typed_error_over_the_range(log_omega, log_omega0, ratio):
+    # a correct number or a NumericalError (an entry of V/u^2 overflows),
+    # never NaN, inf, a non-positive value or an untyped exception;
+    # lambda_c itself is rejected by reject_critical, tested elsewhere
+    assume(abs(ratio - 1.0) > 1e-12)
+    omega, omega0 = 10.0**log_omega, 10.0**log_omega0
+    params = ModelParams(omega, omega0, ratio * critical_coupling(omega, omega0), 10)
+    try:
+        state, freqs = gaussian_ground_state(params), polariton_frequencies(params)
+    except NumericalError:
+        return
+    for value in (state.var_x, state.var_p, freqs.omega_minus, freqs.omega_plus):
+        assert 0.0 < value < math.inf, (state, freqs)
+
+
+def test_potential_overflow_is_a_numerical_error():
+    # rho/mu^2 = (lambda/lambda_c)^4 at rho = 1 passes the double range near
+    # lambda/lambda_c = 1e77: the one range check, typed and with its ratios
+    assert math.isfinite(gaussian_ground_state(ModelParams(1.0, 1.0, 0.5e76, 10)).var_p)
+    with pytest.raises(NumericalError, match="overflows") as err:
+        gaussian_ground_state(ModelParams(1.0, 1.0, 0.5e78, 10))
+    assert err.value.details == {"nu": 1e78, "rho": 1.0}
+
+
+_EPS = sys.float_info.epsilon  # one ulp of 1: the unit of the relative errors below
+
+
+def _reference_covariance(coupling):
+    """50-digit (var_x, var_p) at omega = omega0 = 1, from mpmath's eigsy of V."""
+    with mpmath.workdps(50):
+        nu = 2 * mpmath.mpf(coupling)
+        mu = min(1 / nu, mpmath.mpf(1)) ** 2
+        omega_b = (1 + mu) / (2 * mu)
+        eigs, vecs = mpmath.eigsy(mpmath.matrix([[1, nu * mpmath.sqrt(mu)],
+                                                 [nu * mpmath.sqrt(mu), 1 / mu**2]]))
+        weights = [vecs[1, i] ** 2 for i in range(2)]
+        return (omega_b * sum(w / mpmath.sqrt(e) for w, e in zip(weights, eigs)) / 2,
+                sum(w * mpmath.sqrt(e) for w, e in zip(weights, eigs)) / (2 * omega_b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ratio=st.one_of(st.floats(0.99, 0.999), st.floats(1.001, 1.01)))
+def test_covariance_near_critical_matches_50_digits(ratio):
+    # det V in closed form takes lambda_c - lambda exactly: no cancellation
+    # amplifies the rounding as lambda -> lambda_c (the assembled
+    # V_aa V_bb - V_ab^2 was up to 400 eps off here)
+    coupling = 0.5 * ratio
+    state = gaussian_ground_state(ModelParams(1.0, 1.0, coupling, 10))
+    for got, want in zip((state.var_x, state.var_p), _reference_covariance(coupling)):
+        assert abs(got - want) <= 3 * _EPS * want, (ratio, float((got - want) / want) / _EPS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ratio=st.floats(1.0001, 10.0))
+def test_one_minus_mu_matches_50_digits(ratio):
+    coupling = 0.5 * ratio
+    with mpmath.workdps(50):
+        want = 1 - (mpmath.mpf(0.5) / mpmath.mpf(coupling)) ** 2
+    got = zerotemp._one_minus_mu(ModelParams(1.0, 1.0, coupling, 10))
+    assert abs(got - want) <= 2 * _EPS * want, (ratio, float((got - want) / want) / _EPS)
 
 
 def test_effective_ground_state_rejects_critical_point_before_solving(monkeypatch):
@@ -422,7 +523,7 @@ def test_scaling_fit_validation():
 def test_moments_decoupled():
     params = ModelParams(1, 1, 0.0, 10)
     state = effective_ground_state(params, (11, 11))
-    m = collective_moments_zero_t(state, params)
+    m = collective_moments_zero_t(state)
     assert abs(m.first[2] - (-0.5)) < 1e-12
     assert abs(m.variance("z")) < 1e-12
     assert abs(m.second[0] - 1.0 / 40.0) < 1e-12
@@ -432,7 +533,7 @@ def test_moments_decoupled():
 def test_moments_normal_phase_large_n():
     params = ModelParams(1, 1, 0.4, 100)
     state = effective_ground_state(params, (60, 60))
-    m = collective_moments_zero_t(state, params)
+    m = collective_moments_zero_t(state)
     assert abs(m.first[2] - (-0.5)) < 2.0 / 100
 
 
@@ -447,7 +548,7 @@ def test_moments_match_oracle_superradiant():
     assert abs(m_ed.first[1]) < 1e-10
     mu = 0.25
     for backend in BACKENDS:
-        m_eff = collective_moments_zero_t(solve(backend, params, (41, 41)), params)
+        m_eff = collective_moments_zero_t(solve(backend, params, (41, 41)))
         assert abs(m_eff.first[2] - m_ed.first[2]) < 0.02
         for i in range(3):
             assert abs(m_eff.second[i] - m_ed.second[i]) < 0.02
@@ -460,7 +561,7 @@ def test_moments_casimir_sum():
     params = ModelParams(1, 1, 0.7, 30)
     n = 30
     for backend in BACKENDS:
-        m = collective_moments_zero_t(solve(backend, params, (31, 31)), params)
+        m = collective_moments_zero_t(solve(backend, params, (31, 31)))
         assert abs(m.total_second() - (n * (n + 2) / 4.0) / n**2) < 1e-6
 
 
@@ -468,7 +569,7 @@ def test_moments_cutoff_above_atom_count_rejected():
     params = ModelParams(1, 1, 0.3, 10)
     state = effective_ground_state(params, (16, 16))
     with pytest.raises(CutoffError):
-        collective_moments_zero_t(state, params)
+        collective_moments_zero_t(state)
 
 
 def test_default_cutoffs_stop_at_atom_count():
@@ -477,8 +578,8 @@ def test_default_cutoffs_stop_at_atom_count():
     state = effective_ground_state(params)
     assert state.cutoff_atom == 31
     exact = gaussian_ground_state(params)
-    reference = collective_moments_zero_t(state, params)
-    moments = collective_moments_zero_t(exact, params)
+    reference = collective_moments_zero_t(state)
+    moments = collective_moments_zero_t(exact)
     assert np.allclose(reference.first, moments.first, rtol=0, atol=1e-12)
     assert np.allclose(reference.second, moments.second, rtol=0, atol=1e-12)
     sep = zerotemp.matched_separable_state(params)
@@ -539,7 +640,7 @@ def test_gaussian_large_n_superradiant_no_underflow():
 def test_gaussian_moments_match_truncated_reference():
     for lam in (0.3, 1.0):
         params = ModelParams(1, 1, lam, 40)
-        exact = collective_moments_zero_t(gaussian_ground_state(params), params)
-        reference = collective_moments_zero_t(effective_ground_state(params, (41, 41)), params)
+        exact = collective_moments_zero_t(gaussian_ground_state(params))
+        reference = collective_moments_zero_t(effective_ground_state(params, (41, 41)))
         assert np.allclose(exact.first, reference.first, rtol=0, atol=1e-10)
         assert np.allclose(exact.second, reference.second, rtol=0, atol=1e-10)
