@@ -41,6 +41,15 @@ from . import core
 from .core import ModelParams, QuadratureSpec
 from .errors import ConfigError, DickeError, InvalidParameterError
 
+
+def _parse_bool(text):
+    """1, true or yes, or 0, false or no, in any case; anything else is a ValueError."""
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if str(text).lower() not in words:
+        raise ValueError("expected 1, true, yes, 0, false or no")
+    return words[str(text).lower()]
+
+
 # key -> (parser, default)
 _SCHEMA = {
     "model.omega": (float, 1.0),
@@ -59,7 +68,7 @@ _SCHEMA = {
     "numerics.max_nodes": (int, 200_000),
     "output.precision": (int, 12),
     "witness.mode": (str, "zero_t"),
-    "witness.finite_n": (lambda s: str(s).lower() in ("1", "true", "yes"), False),
+    "witness.finite_n": (_parse_bool, False),
     "oracle.mode": (str, "ground"),
     "oracle.cutoff": (int, 40),
     "scaling.pipeline": (str, "closed_form,numerical"),

@@ -124,9 +124,11 @@ class ModelParams:
             raise InvalidParameterError(f"coupling must be >= 0, got {self.coupling}")
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
             raise InvalidParameterError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if min(self.critical, self.mu) < sys.float_info.min:  # 1/lambda_c, 1/mu: overflow
+        # subnormal frequencies lose digits; 1/lambda_c, 1/mu overflow
+        if min(self.omega, self.omega0, self.critical, self.mu) < sys.float_info.min:
             raise InvalidParameterError(
-                f"lambda_c = {self.critical!r} and mu = {self.mu!r} must be normal doubles"
+                f"omega = {self.omega!r}, omega0 = {self.omega0!r}, lambda_c = {self.critical!r} "
+                f"and mu = {self.mu!r} must be normal doubles"
             )
 
     @property

@@ -19,17 +19,17 @@ identical, so one copy is solved and weighted by d_j.  Two bases:
   block is the symmetric one: a thermal state at N = 20 and cutoff 40
   takes 0.45 s on one BLAS thread.
 
-The split trace Tr[exp(-beta H0) exp(-beta HI)] needs only the diagonal of
-exp(-beta HI), and HI = omega0 J_z + (lambda/sqrt(N)) X (J+ + J-) commutes
-with the photon quadrature X = a + a'.  The truncated X is tridiagonal with
+The split trace Tr[exp(-beta H0) exp(-beta HI)] needs no basis of
+multiplets.  HI = omega0 J_z + (lambda/sqrt(N)) X (J+ + J-) commutes with
+the photon quadrature X = a + a', whose truncation is tridiagonal with
 off-diagonals sqrt(1) ... sqrt(c-1); its eigenvalues x_m are the c-point
 Gauss-Hermite nodes times sqrt(2), and its eigenvectors give <n|x_m>
-(Golub & Welsch, Math. Comp. 23, 221 (1969)).  On |x_m> a block j of HI is
-the atomic matrix A(x_m) = omega0 J_z + (lambda/sqrt(N)) x_m (J+ + J-) of
-dimension 2j+1, so each block is c small eigenproblems, solved in one
-batched ``eigh``, and no block of HI is ever built: the split trace at
-N = 20 and cutoff 40 takes 17 ms on one BLAS thread, where the dense
-blocks of HI took 0.5 s.
+(Golub & Welsch, Math. Comp. 23, 221 (1969)).  On |x_m> HI is a sum of
+one-atom terms, so the atoms decouple (Wang & Hioe, PRA 7, 831 (1973)):
+the trace is one photon weight per node times the N-th power of a
+one-atom trace in closed form, after one c x c ``eigh`` at any N (0.5 ms
+at N = 20 to 140 and cutoff 40, where the per-multiplet solves took 11 ms
+and 2.2 s).
 
 Each basis is bounded by the bytes its solves hold at once, checked before
 anything is allocated.  The symmetric one counts the 64 Lanczos vectors of
@@ -47,9 +47,9 @@ workspace of two and the eigenvectors), and the blocks come largest first,
 so the solves hold at most the bands and 5L; the sixth covers the freed
 blocks that the allocator keeps resident (a sweep's peak RSS growth
 measured the bands plus 2.6 L to 5.6 L for N = 1 to 40 at cutoff 40, and
-5.6 L at N = 1 and cutoff 200).  The split trace holds a few arrays of
-c (2j+1)^2 or c^2 (2j+1) numbers per block, a c-th or a (2j+1)-th of one
-block matrix.  At cutoff 40 the bound admits N up to 145.
+5.6 L at N = 1 and cutoff 200).  The bound is the thermal state's alone:
+the split trace holds a few arrays of c^2 numbers.  At cutoff 40 the bound
+admits N up to 145.
 
 A state keeps the diagonals 0, 1 and 2 of each block's photon-traced
 atomic matrix, the ground state's traced from its one vector, the thermal
@@ -63,11 +63,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, CutoffError, InternalConsistencyError, InvalidParameterError
+from .errors import (CapacityError, CutoffError, InternalConsistencyError,
+                     InvalidParameterError, NumericalError)
 from .core import ModelParams, check_beta
 from .numerics import (
     _KRYLOV_DIM,
@@ -99,8 +101,7 @@ class DickeBasis:
     spins: tuple
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise InvalidParameterError(f"photon cutoff must be >= 2, got {self.cutoff}")
+        _check_cutoff(self.cutoff)
 
     @property
     def dim(self):
@@ -126,6 +127,12 @@ class DickeBasis:
     def up_counts(self, j):
         """Number of up spins, m + N/2, of each |j, m> in ascending m."""
         return np.arange(int(2 * j) + 1) + round(self.n_atoms / 2 - j)
+
+
+def _check_cutoff(cutoff):
+    if cutoff < 2:
+        raise InvalidParameterError(f"photon cutoff must be >= 2, got {cutoff}")
+    return cutoff
 
 
 def _check_bytes(nbytes, held):
@@ -331,53 +338,68 @@ def matched_separable_state(state: OracleState) -> SeparableState:
 # from factorization error.
 
 
-def _split_log_terms(params, cutoff, beta):
-    """ln of each diagonal element of exp(-beta H0) exp(-beta HI), times the copies of its block.
+def _split_log_sum(params, cutoff, beta, a):
+    """ln sum_m p_m [2 f_a(x_m)]^N, for a scalar a or along a 1-D array of them.
 
-    HI commutes with the photon quadrature X = a + a', so on each eigenvector
-    |x_m> of the truncated X a block of HI is the atomic matrix
-    A(x_m) = omega0 Jz + (lambda/sqrt(N)) x_m (J+ + J-), with eigenpairs
-    e_k(m), u_k(m), and (exp(-beta HI))_(n i, n i) =
-    sum_m <n|x_m>^2 sum_k u_ik(m)^2 exp(-beta e_k(m)).
-
-    Returns (log terms, up-spin count of each term).
+    x_m are the eigenvalues of the truncated photon quadrature X, p_m =
+    sum_n exp(-beta omega n) <n|x_m>^2 their photon weights, and f_a(x) =
+    Tr[exp(-beta h(x)) diag(a, 1-a)] one atom's trace on the up and down
+    levels, h(x) = (omega0/2) sz + (lambda x/sqrt(N)) sx.  The sum is
+    Tr[exp(-beta H0) exp(-beta HI) 2^N rho_s], so at a = 1/2 it is the log
+    partition function of the split trace.
     """
     check_beta(params, beta)
-    basis = full_product_basis(params.n_atoms, int(cutoff))
-    c = basis.cutoff
+    c = _check_cutoff(int(cutoff))
     # X is tridiagonal; its eigenvalues are the c-point Gauss-Hermite nodes times sqrt(2)
     ladder = np.sqrt(np.arange(1.0, c))
     x, photon = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-    h0 = -beta * params.omega * np.arange(c, dtype=float)
-    coupling = params.coupling / math.sqrt(params.n_atoms)
-    log_terms, n_up = [], []
-    for j in basis.spins:
-        up = basis.up_counts(j)
-        d = len(up)
-        i = np.arange(d)
-        atomic = np.zeros((c, d, d))
-        atomic[:, i, i] = params.omega0 * (i - j)
-        atomic[:, i[1:], i[:-1]] = atomic[:, i[:-1], i[1:]] = coupling * np.outer(x, spin_ladder(j))
-        vals, vecs = np.linalg.eigh(atomic)
-        # ln (exp(-beta A(x_m)))_ii, then ln sum_m <n|x_m>^2 (exp(-beta A(x_m)))_ii
-        log_atomic = log_sum_exp(-beta * vals[:, None, :], vecs**2, axis=2)
-        log_diag = log_sum_exp(log_atomic[None], photon[:, :, None] ** 2, axis=1)
-        log_terms.append((h0[:, None] + log_diag + math.log(basis.multiplicity(j))).ravel())
-        n_up.append(np.tile(up, c))
-    return np.concatenate(log_terms), np.concatenate(n_up)
+    log_p = log_sum_exp(-beta * params.omega * np.arange(c)[:, None], photon**2, axis=0)
+    # the one-atom Boltzmann matrix exp(-beta h(x)), one row per node: h has
+    # the eigenvalues -+eps and |<up|-eps>|^2 = (1 - s)/2, s = omega0/(2 eps),
+    # so its up diagonal is [(1 - s) e^(beta eps) + (1 + s) e^(-beta eps)] / 2
+    # and its down one has s flipped.  Then 2 f_a = w e^(beta eps) +
+    # (2 - w) e^(-beta eps) with w = a (1 - s) + (1 - a)(1 + s), 1 - s formed
+    # without cancellation.  w sums nonnegative terms, and where 2 - w loses
+    # digits w >= 1 weighs the larger exponential, so ln 2 f_a is accurate,
+    # and finite at a = 0 and 1
+    field2 = (params.coupling * x[:, None]) ** 2 / params.n_atoms
+    eps = np.sqrt(params.omega0**2 / 4 + field2)
+    one_minus_s = field2 / (eps * (eps + params.omega0 / 2))
+    a = np.asarray(a, dtype=float)[..., None, None]
+    w = a * one_minus_s + (1 - a) * (2 - one_minus_s)
+    log_atom = log_sum_exp(beta * np.hstack([eps, -eps]), np.concatenate([w, 2 - w], -1), axis=-1)
+    return log_sum_exp(log_p + params.n_atoms * log_atom, axis=-1)
 
 
 def split_overlap(params: ModelParams, cutoff, beta, sep: SeparableState):
-    """Overlap of the split-trace state with the reference state.
+    """Overlap Tr[rho_A rho_s] of the split-trace state with the reference state.
 
-    The trace Tr[rho_A rho_s] = sum_n a^n (1-a)^(N-n) P(n), contracted with
-    ``sep.trace_log_weights`` in log space, with rho_A the photon-traced
-    atomic state of exp(-beta H0) exp(-beta HI) / Tr[...].  Matches the
-    finite-temperature quadrature up to quadrature and photon truncation
-    error only; the O(beta^3) factorization error is common to both.
+    rho_A is the photon-traced atomic state of exp(-beta H0) exp(-beta HI)
+    / Tr[...].  HI commutes with the photon quadrature X = a + a', and on
+    each eigenvector |x_m> of the truncated X it is the sum of one-atom terms
+    h(x_m) = (omega0/2) sz + (lambda x_m/sqrt(N)) sx, so the atoms decouple
+    at a fixed field (Wang & Hioe, PRA 7, 831 (1973)): Tr_spin[exp(-beta
+    HI) rho_s] = f_a(x_m)^N with f_a = cosh(beta eps) + (1 - 2a)
+    (omega0/(2 eps)) sinh(beta eps), eps^2 = omega0^2/4 + lambda^2 x_m^2/N.
+    The x_m are the c-point Gauss-Hermite nodes times sqrt(2), and the
+    eigenvectors of X give <n|x_m> (Golub & Welsch, Math. Comp. 23, 221
+    (1969)), so the photon trace is one weight p_m per node and the overlap
+    is exp(L(a) - L(1/2) - N ln 2), L(a) = ln sum_m p_m [2 f_a(x_m)]^N.
+    This is exact for the truncated photon, so at low temperature the
+    cutoff must cover the thermal spread of X.  The p_m come from the
+    eigenvectors of X, whose components carry an absolute error near 1e-16:
+    the weights of the outermost nodes are noise once they fall far below
+    that, which at low temperature and large N can decide the sum.
+
+    Matches the finite-temperature quadrature up to quadrature and photon
+    truncation error only; the O(beta^3) factorization error is common to
+    both.  Raises ``NumericalError`` (``log_delta`` in its details) when
+    the overlap lies below the smallest normal double.
     """
     if sep.n_atoms != params.n_atoms:
         raise InvalidParameterError("separable state and params disagree on N")
-    log_terms, n_up = _split_log_terms(params, cutoff, beta)
-    log_ref = np.asarray(sep.trace_log_weights)[n_up]
-    return float(np.exp(log_sum_exp(log_terms + log_ref) - log_sum_exp(log_terms)))
+    log_a, log_half = _split_log_sum(params, cutoff, beta, [sep.a, 0.5])
+    log_delta = float(log_a - log_half) - params.n_atoms * math.log(2.0)
+    if log_delta < math.log(sys.float_info.min):
+        raise NumericalError("split overlap underflows the double range", log_delta=log_delta)
+    return math.exp(log_delta)

@@ -4,7 +4,6 @@ import numpy as np
 
 from dicke_overlap import oracle
 from dicke_overlap.core import ModelParams
-from dicke_overlap.numerics import log_sum_exp
 from dicke_overlap.witness import spin_ladder
 
 
@@ -27,5 +26,4 @@ def ground_energy(params: ModelParams, cutoff):
 
 def split_log_partition(params: ModelParams, cutoff, beta):
     """ln Tr[exp(-beta H0) exp(-beta HI)] over all 2^N spin configurations."""
-    log_terms, _ = oracle._split_log_terms(params, cutoff, beta)
-    return float(log_sum_exp(log_terms))
+    return float(oracle._split_log_sum(params, cutoff, beta, 0.5))

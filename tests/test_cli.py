@@ -99,9 +99,22 @@ def test_config_rejects_unknown_key(tmp_path):
     assert err.value.line == 1
 
 
-def test_config_rejects_bad_value():
+def test_config_rejects_bad_value(tmp_path, capsys):
     with pytest.raises(ConfigError):
         cli.build_config(None, overrides=["grid.lambda_steps=three"])
+    # a switch reads 1/true/yes and 0/false/no in any case, and nothing else
+    for value, expected in [("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("false", False), ("NO", False)]:
+        cfg = cli.build_config(None, overrides=[f"witness.finite_n={value}"])
+        assert cfg["witness.finite_n"] is expected
+    for value in ("on", "2", "off", ""):
+        with pytest.raises(ConfigError) as err:
+            cli.build_config(None, overrides=[f"witness.finite_n={value}"])
+        assert err.value.field == "witness.finite_n"
+    out = tmp_path / "never.csv"
+    assert cli.main(["witness", "--set", "witness.finite_n=on", "--out", str(out)]) == 2
+    assert "kind=ConfigError field=witness.finite_n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _ONE_POINT = ["--set", "grid.lambda_steps=1", "--set", "grid.t_steps=1"]
@@ -828,13 +841,17 @@ def test_finite_t_commands_integrate_each_point_once_per_quantity(
         ["sweep-zero-t", "--set", "model.omega=1e-170", "--set", "model.omega0=1e-170"],
         ["critical", "--set", "model.omega=1e-170", "--set", "model.omega0=1e-170"],
         ["sweep-zero-t", "--set", "model.omega=1e-160", "--set", "model.omega0=1e-160"],
+        ["sweep-zero-t", "--set", "model.omega=4.39e-6", "--set", "model.omega0=8.65e-314",
+         "--set", "grid.lambda_max=3e-160", "--set", "grid.lambda_steps=2"],
     ],
-    ids=["sweep-zero-t-lambda_c", "critical-lambda_c", "sweep-zero-t-mu"],
+    ids=["sweep-zero-t-lambda_c", "critical-lambda_c", "sweep-zero-t-mu",
+         "sweep-zero-t-subnormal-omega0"],
 )
 def test_underflowing_frequencies_exit_with_typed_error(tmp_path, capsys, args):
     # lambda_c = sqrt(omega omega0) / 2 underflows to 0 at 1e-170; at 1e-160
     # it is normal, but mu = (lambda_c / lambda)^2 is subnormal at the grid's
-    # couplings above 0
+    # couplings above 0. A subnormal omega0 leaves lambda_c and mu normal,
+    # but the polariton frequencies would come out subnormal
     out = tmp_path / "never.csv"
     code = cli.main([*args, "--set", "model.n_atoms=10", "--out", str(out), "--threads", "1"])
     assert code == 2

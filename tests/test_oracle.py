@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from dicke_overlap import numerics, oracle, zerotemp
 from dicke_overlap.core import ModelParams
-from dicke_overlap.errors import CapacityError, InternalConsistencyError, InvalidParameterError
+from dicke_overlap.errors import (
+    CapacityError,
+    InternalConsistencyError,
+    InvalidParameterError,
+    NumericalError,
+)
 from dicke_overlap.numerics import lowest_eigenpair
 from dicke_overlap.oracle import (
     OracleState,
@@ -703,20 +708,38 @@ def test_split_log_partition_against_expm():
 
 
 def test_split_overlap_against_expm():
+    # a = 0 and 1 weigh only the all-down and all-up configurations
     params = ModelParams(1.0, 1.0, 0.8, 3)
     cutoff, beta = 25, 0.3
-    sep = SeparableState.from_a(0.35, 3)
     h0, hi, _, n_up = product_basis_reference(params, cutoff)
     split_op = scipy.linalg.expm(-beta * h0) @ scipy.linalg.expm(-beta * hi)
-    ref = np.tile(sep.a**n_up * (1.0 - sep.a) ** (3 - n_up), cutoff)
-    direct = np.trace(split_op @ np.diag(ref)) / np.trace(split_op)
-    assert abs(oracle.split_overlap(params, cutoff, beta, sep) - direct) < 1e-10
+    for a in (0.35, 0.0, 1.0):
+        sep = SeparableState.from_a(a, 3)
+        ref = np.tile(sep.a**n_up * (1.0 - sep.a) ** (3 - n_up), cutoff)
+        direct = np.trace(split_op @ np.diag(ref)) / np.trace(split_op)
+        assert abs(oracle.split_overlap(params, cutoff, beta, sep) - direct) < 1e-10, a
+
+
+def test_split_overlap_rejects_a_cutoff_below_two():
+    params = ModelParams(1.0, 1.0, 0.8, 3)
+    for cutoff in (1, 0):
+        with pytest.raises(InvalidParameterError, match="photon cutoff must be >= 2"):
+            oracle.split_overlap(params, cutoff, 0.3, SeparableState.from_a(0.3, 3))
+
+
+def test_split_overlap_underflow_raises_with_log_delta():
+    # the split reaches any N; at N = 4000 the overlap is far below the
+    # smallest normal double, and it says so instead of returning 0
+    params = ModelParams(1.0, 1.0, 0.8, 4000)
+    with pytest.raises(NumericalError) as err:
+        oracle.split_overlap(params, 160, 0.3, SeparableState.from_a(0.3, 4000))
+    assert err.value.details["log_delta"] < math.log(sys.float_info.min)
 
 
 def dense_split_terms(params, cutoff, beta):
     """The split trace's log terms from one dense eigh per block of HI, and each term's up spins.
 
-    The earlier implementation of ``oracle._split_log_terms``: the block j
+    Independent of the quadrature and of the atoms' decoupling: the block j
     of HI = omega0 Jz + (lambda/sqrt(N)) (a + a')(J+ + J-) is built whole,
     c (2j+1) states, and ln (exp(-beta HI))_ii = ln sum_k U_ik^2 exp(-beta e_k).
     """
@@ -812,8 +835,8 @@ def test_split_trace_matches_high_precision_where_dense_blocks_lose_digits():
 
 
 def test_split_trace_builds_no_block_of_hi(monkeypatch):
-    # every eigh of the split trace is of X (cutoff x cutoff) or of a stack
-    # of atomic matrices of 2j + 1 <= N + 1 levels
+    # the one eigh of the split trace is of X (cutoff x cutoff): at a fixed
+    # field the atoms decouple, so no multiplet is solved or even listed
     shapes = []
     eigh = np.linalg.eigh
 
@@ -821,10 +844,16 @@ def test_split_trace_builds_no_block_of_hi(monkeypatch):
         shapes.append(np.shape(a))
         return eigh(a)
 
+    def no_basis(*args):
+        raise AssertionError("the split trace built a multiplet basis")
+
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    split_log_partition(ModelParams(1.0, 1.0, 0.8, 6), 12, 0.3)
-    assert shapes[0] == (12, 12)
-    assert shapes[1:] == [(12, d, d) for d in (7, 5, 3, 1)]
+    monkeypatch.setattr(oracle, "full_product_basis", no_basis)
+    params = ModelParams(1.0, 1.0, 0.8, 6)
+    split_log_partition(params, 12, 0.3)
+    assert shapes == [(12, 12)]
+    oracle.split_overlap(params, 12, 0.3, SeparableState.from_a(0.3, 6))
+    assert shapes == [(12, 12)] * 2
 
 
 def test_block_eigensystems_drop_a_coupling_before_building_the_next(monkeypatch):

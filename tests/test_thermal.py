@@ -101,14 +101,15 @@ def test_overlap_infinite_temperature_limit():
 
 def test_overlap_matches_split_oracle():
     # same factorization on both sides: agreement is quadrature-tight,
-    # isolating the quadrature from the O(beta^3) split error
-    for lam, beta in ((0.5, 0.2), (1.0, 0.4)):
-        params = ModelParams(1.0, 1.0, lam, 4)
+    # isolating the quadrature from the O(beta^3) split error; the split
+    # has no multiplet basis, so it reaches N = 1000 too
+    for n, lam, beta, cutoff in ((4, 0.5, 0.2, 120), (4, 1.0, 0.4, 120), (1000, 0.8, 0.3, 160)):
+        params = ModelParams(1.0, 1.0, lam, n)
         point = ThermalPoint(params, beta)
         a = matched_a(point, QUAD)
         delta_quad = overlap_finite_t(point, a, QUAD)
-        delta_split = oracle.split_overlap(params, 120, beta, SeparableState.from_a(a, 4))
-        assert abs(delta_quad - delta_split) / delta_split < 1e-6
+        delta_split = oracle.split_overlap(params, cutoff, beta, SeparableState.from_a(a, n))
+        assert abs(delta_quad - delta_split) / delta_split < 1e-6, n
 
 
 def test_overlap_matches_thermal_oracle():
